@@ -26,6 +26,7 @@ from .harness import (
     RunConfig,
     emit_report,
     list_cases,
+    plan_jobs,
     run,
 )
 from .registry import RegistryError, load_registry
@@ -140,7 +141,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             "sweep": SYMBOLIC_FAMILIES + ANALYTIC_FAMILIES,
         }[args.command]
         config = _config_from_args(args, families)
-        report = run(config)
+        registry = load_registry(config.registry_path)
+        if not plan_jobs(registry, config):
+            raise ConfigError(
+                "the selection plans no jobs: check the case ids against the command's "
+                "families and each case's registry d values"
+            )
+        report = run(config, registry)
         sys.stdout.write(report.to_text())
         if args.report:
             emit_report(report, args.report, args.format)

@@ -37,7 +37,6 @@ from .qobjects import (
     DegenerateFactor,
     SpecError,
     _one_plus_coeff_q_power,
-    build_concrete_closed_form,
     build_concrete_summand,
     concretize_closed_form,
     concretize_summand,
@@ -91,8 +90,27 @@ def _digest_witness(witness) -> Optional[str]:
     return hashlib.sha256(repr(witness).encode()).hexdigest()[:16]
 
 
+def _result(case: CaseDefinition, params: dict, start: float, status: str, strategy: str,
+            witness=None, detail: str = "") -> CaseResult:
+    """The CaseResult of a q-family instance whose check began at ``start``."""
+    return CaseResult(
+        case_id=case.id,
+        kind=case.kind,
+        family=case.family,
+        params=params,
+        status=status,
+        strategy=strategy,
+        observe=case.observe,
+        witness=witness,
+        witness_digest=_digest_witness(witness),
+        elapsed=time.perf_counter() - start,
+        detail=detail,
+        flags=case.flags,
+    )
+
+
 # ---------------------------------------------------------------------------
-# integer-coefficient ring helpers (fast path)
+# integer-coefficient ring helpers
 # ---------------------------------------------------------------------------
 
 def _imul(a: list, b: list) -> list:
@@ -124,7 +142,8 @@ def _irem(a: list, m: list) -> list:
 
 
 def _int_poly(p: LaurentPoly) -> list:
-    assert p.low == 0 or p.is_zero
+    if p.low != 0 or any(c.denominator != 1 for c in p.coeffs):
+        raise ValueError(f"expected a plain integer polynomial, got {p!r}")
     return [int(c) for c in p.coeffs]
 
 
@@ -147,19 +166,28 @@ def _bracket_int(t: int) -> tuple[list, int]:
 
 
 class _Ring:
-    """Shift-tracked arithmetic in Z[q]/(M): elements are (coeffs, shift),
-    representing coeffs(q) * q^shift with coeffs reduced mod M."""
+    """Shift-tracked arithmetic in Z[q]/(M), or in Z[q, 1/q] when M is None:
+    elements are (coeffs, shift), representing coeffs(q) * q^shift with
+    coeffs reduced mod M."""
 
-    def __init__(self, modulus: list):
+    def __init__(self, modulus: Optional[list] = None):
         self.m = modulus
 
+    def _reduce(self, coeffs: list) -> list:
+        if self.m is not None:
+            return _irem(coeffs, self.m)
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
+
     def of(self, coeffs: list, shift: int = 0) -> tuple[list, int]:
-        return _irem(coeffs, self.m), shift
+        return self._reduce(coeffs), shift
 
     one = property(lambda self: ([1], 0))
 
     def mul(self, x, y):
-        return _irem(_imul(x[0], y[0]), self.m), x[1] + y[1]
+        return self._reduce(_imul(x[0], y[0])), x[1] + y[1]
 
     def add(self, x, y):
         s = min(x[1], y[1])
@@ -175,7 +203,10 @@ class _Ring:
         return out, s
 
     def sub(self, x, y):
-        return self.add(x, (([-c for c in y[0]]), y[1]))
+        return self.add(x, self.neg(y))
+
+    def neg(self, x):
+        return [-c for c in x[0]], x[1]
 
     def shift(self, x, k):
         return x[0], x[1] + k
@@ -183,10 +214,14 @@ class _Ring:
     def _upshift(self, coeffs, k):
         if not coeffs or k == 0:
             return list(coeffs)
-        return _irem([0] * k + list(coeffs), self.m)
+        return self._reduce([0] * k + list(coeffs))
 
     def is_zero(self, x) -> bool:
         return not x[0]
+
+    def same_ratio(self, num1, den1, num2, den2) -> bool:
+        """num1/den1 == num2/den2, decided cross-multiplied."""
+        return self.is_zero(self.sub(self.mul(num1, den2), self.mul(num2, den1)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +256,18 @@ def _closed_den_content(closed: ConcreteClosedForm, support: dict) -> dict:
     return content
 
 
-def _working_modulus(support: dict, *contents: dict) -> tuple[LaurentPoly, list]:
+def _working_modulus(support: dict, *contents: dict) -> list:
     enlarged = dict(support)
     for content in contents:
         for m, v in content.items():
             if v:
                 enlarged[m] = enlarged.get(m, 0) + v
-    poly = LaurentPoly.one()
+    poly = [1]
     for m in sorted(enlarged):
-        poly = poly * cyclotomic(m) ** enlarged[m]
-    return poly, _int_poly(poly)
+        phi = _int_poly(cyclotomic(m))
+        for _ in range(enlarged[m]):
+            poly = _imul(poly, phi)
+    return poly
 
 
 def _degenerate_den(summand: ConcreteSummand, bound: int) -> bool:
@@ -246,15 +283,21 @@ def _degenerate_den(summand: ConcreteSummand, bound: int) -> bool:
 # fast cross-multiplied sweep of one truncated sum
 # ---------------------------------------------------------------------------
 
-def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring):
+def _plain_factor(f, j: int) -> tuple[list, int]:
+    """The j-th factor 1 - q^e of a Pochhammer without the parameter a."""
+    if f.param:
+        raise SpecError("integer fast path cannot carry parametric factors")
+    return _one_minus_pow(f.exponent_at(j))
+
+
+def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_plain_factor):
     """Returns (SS, Dacc) with SS = sum_k N_k prod_{j>k} D_j and
     Dacc = prod_j D_j, both as shift-tracked ring elements.
 
     The k-th exact term is N_k / prod_{j<=k} D_j, so the true sum S equals
-    SS / Dacc; comparisons happen cross-multiplied.
+    SS / Dacc; comparisons happen cross-multiplied.  ``factor(f, j)`` gives
+    the j-th factor of the Pochhammer f as integer (coeffs, shift).
     """
-    if any(f.param for f in summand.num) or any(f.param for f in summand.den):
-        raise SpecError("integer fast path cannot carry parametric factors")
     pnum = ring.one
     dacc = ring.one
     bracket = _bracket_int(summand.prefactor_index(0))
@@ -262,14 +305,14 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring):
     for k in range(1, bound + 1):
         u = ring.one
         for f in summand.num:
-            coeffs, shift = _one_minus_pow(f.exponent_at(k - 1))
+            x = ring.of(*factor(f, k - 1))
             for _ in range(f.power):
-                u = ring.mul(u, ring.of(coeffs, shift))
+                u = ring.mul(u, x)
         dk = ring.one
         for f in summand.den:
-            coeffs, shift = _one_minus_pow(f.exponent_at(k - 1))
+            x = ring.of(*factor(f, k - 1))
             for _ in range(f.power):
-                dk = ring.mul(dk, ring.of(coeffs, shift))
+                dk = ring.mul(dk, x)
         pnum = ring.mul(pnum, u)
         dacc = ring.mul(dacc, dk)
         bracket = _bracket_int(summand.prefactor_index(k))
@@ -285,37 +328,37 @@ def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring):
     rn = ring.one
     for c, s, length in closed.num:
         for j in range(length):
-            coeffs, shift = _one_minus_pow(c + s * j)
-            rn = ring.mul(rn, ring.of(coeffs, shift))
+            rn = ring.mul(rn, ring.of(*_one_minus_pow(c + s * j)))
     if closed.n_multiplier:
         rn = ring.mul(rn, ring.of([1] * n, 0))
     rn = ring.shift(rn, closed.shift)
     if closed.sign < 0:
-        rn = ([-c for c in rn[0]], rn[1])
+        rn = ring.neg(rn)
     rd = ring.one
     for c, s, length in closed.den:
         for j in range(length):
-            coeffs, shift = _one_minus_pow(c + s * j)
-            rd = ring.mul(rd, ring.of(coeffs, shift))
+            rd = ring.mul(rd, ring.of(*_one_minus_pow(c + s * j)))
     return rn, rd
 
 
-def _fast_congruence_holds(
+def _congruence_holds(
     summand: ConcreteSummand,
     bound: int,
     closed: ConcreteClosedForm,
     support: dict,
     n: int,
+    factors,
 ) -> bool:
+    """Sum == closed form mod the modulus, for every factor map in
+    ``factors`` (stops at the first that disagrees)."""
     den_content = _denominator_content(summand, bound, support)
     rd_content = _closed_den_content(closed, support)
-    _, mstar = _working_modulus(support, den_content, rd_content)
-    ring = _Ring(mstar)
-    ss, dacc = _horner_sum_int(summand, bound, ring)
+    ring = _Ring(_working_modulus(support, den_content, rd_content))
     rn, rd = _closed_form_sides_int(closed, n, ring)
-    lhs = ring.mul(ss, rd)
-    rhs = ring.mul(rn, dacc)
-    return ring.is_zero(ring.sub(lhs, rhs))
+    return all(
+        ring.same_ratio(*_horner_sum_int(summand, bound, ring, factor), rn, rd)
+        for factor in factors
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +379,8 @@ def _phi_valuation(p: LaurentPoly, phi: LaurentPoly) -> int:
 
 def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     quo, rem = poly_divrem(p, d)
-    assert rem.is_zero, "expected exact division"
+    if not rem.is_zero:
+        raise ArithmeticError(f"expected exact division of {p!r} by {d!r}")
     return quo
 
 
@@ -486,22 +530,8 @@ def verify_congruence(
     params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
     start = time.perf_counter()
 
-    def done(status, witness=None, valuation=None, detail="", strat=strategy):
-        return CaseResult(
-            case_id=case.id,
-            kind=case.kind,
-            family=case.family,
-            params=params,
-            status=status,
-            strategy=strat,
-            observe=case.observe,
-            witness=witness,
-            witness_digest=_digest_witness(witness),
-            valuation=valuation,
-            elapsed=time.perf_counter() - start,
-            detail=detail,
-            flags=case.flags,
-        )
+    def done(status, witness=None, detail="", strat=strategy):
+        return _result(case, params, start, status, strat, witness, detail)
 
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
@@ -518,7 +548,7 @@ def verify_congruence(
 
     if strategy == "fast":
         try:
-            if _fast_congruence_holds(summand, k_max, closed, support, n):
+            if _congruence_holds(summand, k_max, closed, support, n, [_plain_factor]):
                 return done("pass")
         except DegenerateFactor as exc:
             return done("obstruction", detail=str(exc))
@@ -534,20 +564,7 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
     start = time.perf_counter()
 
     def done(status, witness=None, detail="", strat=strategy):
-        return CaseResult(
-            case_id=case.id,
-            kind=case.kind,
-            family=case.family,
-            params=params,
-            status=status,
-            strategy=strat,
-            observe=case.observe,
-            witness=witness,
-            witness_digest=_digest_witness(witness),
-            elapsed=time.perf_counter() - start,
-            detail=detail,
-            flags=case.flags,
-        )
+        return _result(case, params, start, status, strat, witness, detail)
 
     if not case.applies(n=n):
         return done("skipped", detail="condition not satisfied")
@@ -564,12 +581,10 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
 
     content_l = _denominator_content(lhs, lhs_bound, support)
     content_r = _denominator_content(rhs, rhs_bound, support)
-    _, mstar = _working_modulus(support, content_l, content_r)
-    ring = _Ring(mstar)
+    ring = _Ring(_working_modulus(support, content_l, content_r))
     ss_l, dacc_l = _horner_sum_int(lhs, lhs_bound, ring)
     ss_r, dacc_r = _horner_sum_int(rhs, rhs_bound, ring)
-    diff = ring.sub(ring.mul(ss_l, dacc_r), ring.mul(ss_r, dacc_l))
-    if ring.is_zero(diff):
+    if ring.same_ratio(ss_l, dacc_l, ss_r, dacc_r):
         return done("pass")
 
     # classify exactly through the oracle
@@ -594,11 +609,12 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
 
 
 # ---------------------------------------------------------------------------
-# parametric lane: terminating specializations + Q(a) cyclotomic leg
+# parametric lane: terminating specializations + cyclotomic leg in a
 # ---------------------------------------------------------------------------
 
-def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
-    """Collapse the infinite-product right side to its finite form.
+def _telescoped_sides_int(sp: SpecializedProduct, n: int, d: Optional[int], ring: _Ring):
+    """Collapse the infinite-product right side to its finite form, as
+    (numerator with sign, denominator) ring elements.
 
     Numerator and denominator exponent lists (mod the base step) must pair
     up; the ratio of the two tails telescopes to a finite product of
@@ -614,7 +630,7 @@ def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> Rati
     if any(b <= 0 and b % base == 0 for b in dens):
         raise DegenerateFactor("infinite product has a vanishing denominator factor")
     if any(a <= 0 and a % base == 0 for a in nums):
-        return RationalFunction.zero()
+        return ring.of([], 0), ring.one
     by_class_num: dict[int, list] = {}
     by_class_den: dict[int, list] = {}
     for a in nums:
@@ -623,89 +639,86 @@ def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> Rati
         by_class_den.setdefault(b % base, []).append(b)
     if {r: len(v) for r, v in by_class_num.items()} != {r: len(v) for r, v in by_class_den.items()}:
         raise SpecError("infinite-product spec does not telescope to a finite form")
-    num_poly = LaurentPoly.one()
-    den_poly = LaurentPoly.one()
+    num, den = ring.one, ring.one
     for r, class_nums in by_class_num.items():
         class_dens = by_class_den[r]
         lo = min(class_nums + class_dens)
         hi = max(class_nums + class_dens)
         for e in range(lo, hi, base):
             mult = sum(1 for a in class_nums if a <= e) - sum(1 for b in class_dens if b <= e)
-            if mult > 0:
-                num_poly = num_poly * one_minus_q_power(e) ** mult
-            elif mult < 0:
-                den_poly = den_poly * one_minus_q_power(e) ** (-mult)
-    product = RationalFunction(num_poly, den_poly)
+            x = ring.of(*_one_minus_pow(e))
+            for _ in range(mult):
+                num = ring.mul(num, x)
+            for _ in range(-mult):
+                den = ring.mul(den, x)
     if sp.sign < 0:
-        product = -product
-    return product
+        num = ring.neg(num)
+    return num, den
 
 
-def _specialized_sum(summand: ConcreteSummand, bound: int, n: int, a_mode: str) -> RationalFunction:
-    """The terminating sum at a = q^{+-n}, as one exact rational function."""
-    shift = {"qn": n, "q-n": -n}[a_mode]
-    resolved_num, resolved_den = [], []
-    for f in summand.num:
-        c = f.c + (shift if f.param == "aq" else -shift if f.param == "q_div_a" else 0)
-        resolved_num.append((c, f.s, f.power))
+def _rational(num, den) -> RationalFunction:
+    """num / den, two elements of Z[q, 1/q], as a reduced rational function."""
+    return RationalFunction(
+        LaurentPoly.from_int_coeffs(num[0], num[1]), LaurentPoly.from_int_coeffs(den[0], den[1])
+    )
+
+
+def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
+    """The finite form of the infinite-product right side (see
+    _telescoped_sides_int) as a reduced rational function."""
+    return _rational(*_telescoped_sides_int(sp, n, d, _Ring()))
+
+
+def _specialized_factor(summand: ConcreteSummand, bound: int, shift: int):
+    """Factor map for _horner_sum_int at a = q^shift: (a q^c; q^s) becomes
+    (q^{c+shift}; q^s) and (q^c / a; q^s) becomes (q^{c-shift}; q^s)."""
+    offset = {"": 0, "aq": shift, "q_div_a": -shift}
     for f in summand.den:
-        c = f.c + (shift if f.param == "aq" else -shift if f.param == "q_div_a" else 0)
-        resolved_den.append((c, f.s, f.power))
-    for c, s, power in resolved_den:
         for j in range(bound):
-            if c + s * j == 0:
+            if f.exponent_at(j) + offset[f.param] == 0:
                 raise DegenerateFactor(
                     f"denominator factor hits q^0 under the a = q^{shift} specialization"
                 )
-    # Horner without any modulus: SS / Dacc is the exact sum
-    ss = q_bracket(summand.prefactor_index(0)).shift(summand.exponent(0))
-    pnum = LaurentPoly.one()
-    dacc = LaurentPoly.one()
-    for k in range(1, bound + 1):
-        u = LaurentPoly.one()
-        for c, s, power in resolved_num:
-            u = u * one_minus_q_power(c + s * (k - 1)) ** power
-        dk = LaurentPoly.one()
-        for c, s, power in resolved_den:
-            dk = dk * one_minus_q_power(c + s * (k - 1)) ** power
-        pnum = pnum * u
-        dacc = dacc * dk
-        nk = (q_bracket(summand.prefactor_index(k)) * pnum).shift(summand.exponent(k))
-        ss = ss * dk + nk
-    return RationalFunction(ss, dacc)
+    return lambda f, j: _one_minus_pow(f.exponent_at(j) + offset[f.param])
 
 
 def verify_identity_specialized(
     case: CaseDefinition, n: int, d: Optional[int], which: str
 ) -> dict:
-    """Exact rational-function check of the terminating identity at
-    a = q^n (which="qn") or a = q^-n (which="q-n").
+    """Exact check of the terminating identity at a = q^n (which="qn") or
+    a = q^-n (which="q-n").
 
     Returns {"equal": bool, "witness": RationalFunction | None, "detail": str}.
     The sum must equal both the telescoped infinite product and the case's
-    closed form.
+    closed form.  Both equalities are decided cross-multiplied in Z[q, 1/q];
+    only a mismatch builds the reduced rational-function witness.
     """
     summand = concretize_summand(case.summand, d)
     bound = _resolve_bound(case.bounds[0], n, d)
-    total = _specialized_sum(summand, bound, n, which)
-    product = telescoped_product(case.specialized_product, n, d)
-    closed = build_concrete_closed_form(concretize_closed_form(case.closed_form, n, d), n)
-    if total != product:
+    factor = _specialized_factor(summand, bound, {"qn": n, "q-n": -n}[which])
+    ring = _Ring()
+    ss, dacc = _horner_sum_int(summand, bound, ring, factor)
+    pn, pd = _telescoped_sides_int(case.specialized_product, n, d, ring)
+    closed = concretize_closed_form(case.closed_form, n, d)
+    for c, s, length in closed.den:
+        if any(c + s * j == 0 for j in range(length)):
+            raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
+    rn, rd = _closed_form_sides_int(closed, n, ring)
+    if not ring.same_ratio(ss, dacc, pn, pd):
         return {
             "equal": False,
-            "witness": total - product,
+            "witness": _rational(ss, dacc) - _rational(pn, pd),
             "detail": f"sum at a = q^{'+' if which == 'qn' else '-'}n differs from the telescoped product",
         }
-    if product != closed:
+    if not ring.same_ratio(pn, pd, rn, rd):
         return {
             "equal": False,
-            "witness": product - closed,
+            "witness": _rational(pn, pd) - _rational(rn, rd),
             "detail": "telescoped product differs from the closed form",
         }
     return {"equal": True, "witness": None, "detail": "terminating identity holds"}
 
 
-_PARAM_ONE = ParamRational.const(1)
 _PARAM_A = ParamRational.generator()
 
 
@@ -725,15 +738,36 @@ def _param_avatar(f, j: int) -> LaurentPoly:
     return one_minus_q_power(e)
 
 
-def _reduce_param(p: LaurentPoly, mstar: LaurentPoly) -> LaurentPoly:
-    if p.is_zero:
-        return p
-    if p.low < 0:
-        # q is invertible: multiply by q^(-low) later; keep anchored instead
-        _, r = poly_divrem(p.poly_part(), mstar)
-        return r.shift(p.low)
-    _, r = poly_divrem(p, mstar)
-    return r
+def _avatar_factor(t: int):
+    """Factor map for _horner_sum_int: the avatars of _param_avatar at the
+    integer a = t, i.e. 1 - t q^e for (a q^c; q^s) and t - q^e for
+    (q^c / a; q^s)."""
+
+    def factor(f, j: int) -> tuple[list, int]:
+        e = f.exponent_at(j)
+        if not f.param:
+            return _one_minus_pow(e)
+        x, y = (1, t) if f.param == "aq" else (t, 1)   # x - y q^e
+        if e == 0:
+            return [x - y], 0
+        if e > 0:
+            return [x] + [0] * (e - 1) + [-y], 0
+        return [-y] + [0] * (-e - 1) + [x], e
+
+    return factor
+
+
+def _a_degree(summand: ConcreteSummand, bound: int) -> int:
+    """D = bound x (total power of the parametric factors), a bound on the
+    degree in a of the reduced cross-multiplied difference: each Horner
+    product spans at most bound steps, and each step multiplies in at most
+    that many factors of degree 1 in a."""
+    return bound * sum(f.power for f in summand.num + summand.den if f.param)
+
+
+def _a_values(degree: int) -> list[int]:
+    """degree + 1 distinct integers: 0, 1, -1, 2, -2, ..."""
+    return [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(degree + 1)]
 
 
 def _bivariate_congruence_holds(
@@ -743,49 +777,16 @@ def _bivariate_congruence_holds(
     cyc_power: int,
     n: int,
 ) -> bool:
-    support = {n: cyc_power}
-    den_content = _denominator_content(summand, bound, support)
-    rd_content = _closed_den_content(closed, support)
-    mstar_poly, _ = _working_modulus(support, den_content, rd_content)
+    """The congruence mod Phi_n^cyc_power with a free, by exact evaluation.
 
-    def red(p):
-        return _reduce_param(p, mstar_poly)
-
-    ss = red(q_bracket(summand.prefactor_index(0)).shift(summand.exponent(0)))
-    pnum = LaurentPoly.one()
-    dacc = LaurentPoly.one()
-    for k in range(1, bound + 1):
-        u = LaurentPoly.one()
-        for f in summand.num:
-            for _ in range(f.power):
-                u = red(u * _param_avatar(f, k - 1))
-        dk = LaurentPoly.one()
-        for f in summand.den:
-            for _ in range(f.power):
-                dk = red(dk * _param_avatar(f, k - 1))
-        pnum = red(pnum * u)
-        dacc = red(dacc * dk)
-        nk = red((q_bracket(summand.prefactor_index(k)) * pnum).shift(summand.exponent(k)))
-        ss = red(red(ss * dk) + nk)
-    rn = LaurentPoly.one()
-    rd = LaurentPoly.one()
-    if closed.kind == "ratio":
-        for c, s, length in closed.num:
-            for j in range(length):
-                rn = red(rn * one_minus_q_power(c + s * j))
-        if closed.n_multiplier:
-            rn = red(rn * q_integer(n))
-        rn = rn.shift(closed.shift)
-        if closed.sign < 0:
-            rn = -rn
-        for c, s, length in closed.den:
-            for j in range(length):
-                rd = red(rd * one_minus_q_power(c + s * j))
-    else:
-        rn = LaurentPoly.zero()
-    diff = red(ss * rd) - red(rn * dacc)
-    # the anchor power of q is a unit mod Phi_n^E, so only the coefficients matter
-    return red(diff.poly_part()).is_zero
+    The avatars are polynomials in a and M* is monic and free of a, so the
+    reduced cross-multiplied difference is a polynomial in a of degree at
+    most D = _a_degree, and reduction commutes with substituting an integer
+    for a.  A nonzero polynomial of degree at most D has at most D roots,
+    so the difference vanishes iff it vanishes at D + 1 distinct integers.
+    """
+    factors = map(_avatar_factor, _a_values(_a_degree(summand, bound)))
+    return _congruence_holds(summand, bound, closed, {n: cyc_power}, n, factors)
 
 
 def _bivariate_oracle(
@@ -803,27 +804,15 @@ def _bivariate_oracle(
 def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> CaseResult:
     """Parametric statements are split over the pairwise coprime modulus
     factors: (a - q^n) and (1 - a q^n) become the two terminating
-    specializations a = q^{+-n}, and the cyclotomic factor is checked over
-    the true fraction field Q(a).  The instance passes iff every leg does.
+    specializations a = q^{+-n}, and the cyclotomic factor is checked with
+    a free by exact evaluation at integer values of a (failures are
+    classified by the Q(a) oracle).  The instance passes iff every leg does.
     """
     params = {"n": n, **({"d": d} if d is not None else {})}
     start = time.perf_counter()
 
     def done(status, witness=None, detail="", strat="parametric_crt"):
-        return CaseResult(
-            case_id=case.id,
-            kind=case.kind,
-            family=case.family,
-            params=params,
-            status=status,
-            strategy=strat,
-            observe=case.observe,
-            witness=witness,
-            witness_digest=_digest_witness(witness),
-            elapsed=time.perf_counter() - start,
-            detail=detail,
-            flags=case.flags,
-        )
+        return _result(case, params, start, status, strat, witness, detail)
 
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
@@ -851,9 +840,7 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
             else:
                 status, witness, detail = _bivariate_oracle(summand, bound, closed, cyc_power, n)
                 legs.append(("mod Phi_n", status, detail, witness))
-    except DegenerateFactor as exc:
-        return done("obstruction", detail=str(exc))
-    except SpecError as exc:
+    except (DegenerateFactor, SpecError) as exc:
         return done("obstruction", detail=str(exc))
 
     detail = "; ".join(f"{name}: {status}" + (f" ({note})" if note and status != "pass" else "")

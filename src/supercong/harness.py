@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigError("worker count must be >= 1")
         if self.report_format not in ("json", "text"):
             raise ConfigError(f"unknown report format {self.report_format!r}")
+        if self.tol is not None and not self.tol >= 0:
+            raise ConfigError(f"tolerance must be a nonnegative number, got {self.tol}")
 
 
 @dataclass

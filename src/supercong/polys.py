@@ -330,7 +330,8 @@ class RationalFunction:
             if g.span > 0:
                 num, num_r = poly_divrem(num, g)
                 den, den_r = poly_divrem(den, g)
-                assert num_r.is_zero and den_r.is_zero
+                if not (num_r.is_zero and den_r.is_zero):
+                    raise ArithmeticError(f"gcd {g!r} does not divide {num!r} / {den!r}")
         lead = den.leading
         if lead != 1:
             num = num.scale(1 / lead if not isinstance(lead, Fraction) else Fraction(1) / lead)
@@ -458,10 +459,12 @@ class Residue:
         g, u, _ = poly_gcdex(self.value.poly_part(), self.modulus)
         if g.span != 0:
             raise NonUnitDenominator(g)
-        # g is the monic constant 1, so u * value.poly_part() == 1 (mod M)
+        # g is the monic monomial q^k (a unit, as M(0) != 0), so
+        # u * value.poly_part() == q^k (mod M)
         inv = u
-        if self.value.low:
-            inv = inv * _q_power_residue(self.modulus, -self.value.low)
+        shift = -(self.value.low + g.low)
+        if shift:
+            inv = inv * _q_power_residue(self.modulus, shift)
         return Residue(self.modulus, inv)
 
     def __pow__(self, n: int) -> "Residue":

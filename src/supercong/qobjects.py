@@ -56,7 +56,8 @@ def cyclotomic(n: int) -> LaurentPoly:
         if n % d == 0:
             divisor = divisor * cyclotomic(d)
     quotient, remainder = poly_divrem(q_n_minus_1, divisor)
-    assert remainder.is_zero, "cyclotomic recursion must divide exactly"
+    if not remainder.is_zero:
+        raise ArithmeticError(f"cyclotomic recursion must divide exactly at n={n}")
     return quotient
 
 
@@ -344,12 +345,8 @@ def _materialize_factor(cf: ConcreteFactor, k: int, n: int, a_mode: Optional[str
     return q_pochhammer(cf.c + shift, cf.s, k) ** cf.power
 
 
-def build_summand(
-    spec: SummandSpec,
-    k: int,
-    n: int,
-    d: Optional[int] = None,
-    a_mode: Optional[str] = None,
+def build_concrete_summand(
+    concrete: ConcreteSummand, k: int, n: int, a_mode: Optional[str] = None
 ) -> RationalFunction:
     """The exact k-th term as a reduced rational function.
 
@@ -358,13 +355,6 @@ def build_summand(
     or q^{-n}).  Raises DegenerateFactor if a denominator factor vanishes
     identically.
     """
-    concrete = concretize_summand(spec, d)
-    return build_concrete_summand(concrete, k, n, a_mode)
-
-
-def build_concrete_summand(
-    concrete: ConcreteSummand, k: int, n: int, a_mode: Optional[str] = None
-) -> RationalFunction:
     num = q_bracket(concrete.prefactor_index(k))
     if num.is_zero:
         return RationalFunction.zero()

@@ -3,8 +3,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supercong import engine
 from supercong.engine import (
+    _a_degree,
+    _a_values,
+    _bivariate_congruence_holds,
     is_parametric_case,
     oracle_congruence,
     telescoped_product,
@@ -13,14 +19,17 @@ from supercong.engine import (
     verify_identity_specialized,
     verify_parametric,
 )
+from supercong.exprs import eval_int
 from supercong.polys import LaurentPoly, RationalFunction
 from supercong.qobjects import (
+    build_concrete_closed_form,
+    build_concrete_summand,
     concretize_closed_form,
     concretize_summand,
     modulus_support,
     one_minus_q_power,
 )
-from supercong.registry import SpecializedProduct
+from supercong.registry import SpecializedProduct, iter_sweep_params
 
 
 def perturbed_exponent_case(registry):
@@ -228,3 +237,127 @@ class TestOracle:
         assert is_parametric_case(registry.get("lemma1"))
         assert is_parametric_case(registry.get("thm2"))
         assert not is_parametric_case(registry.get("thm1_1"))
+
+
+def perturbed(case, shift=0, cut=0, exponent=0):
+    """case with its closed-form q-shift moved by ``shift``, its truncation
+    bound lowered by ``cut`` and the k-th summand multiplied by q^(exponent*k)."""
+    branches = tuple(
+        dataclasses.replace(b, q_shift=f"({b.q_shift}) + {shift}") for b in case.closed_form
+    )
+    alpha, beta, gamma = case.summand.q_exp
+    summand = dataclasses.replace(case.summand, q_exp=(alpha, f"({beta}) + {exponent}", gamma))
+    return dataclasses.replace(
+        case, closed_form=branches, summand=summand, bounds=(f"({case.bounds[0]}) - {cut}",)
+    )
+
+
+def rational_specialized(case, n, d, which):
+    """The specialized leg through reduced rational functions: the sum term
+    by term with a specialized by the qobjects builder, the telescoped
+    product and the closed-form builder, compared by normal form."""
+    summand = concretize_summand(case.summand, d)
+    total = RationalFunction.zero()
+    for k in range(eval_int(case.bounds[0], n=n, d=d) + 1):
+        total = total + build_concrete_summand(summand, k, n, which)
+    product = telescoped_product(case.specialized_product, n, d)
+    closed = build_concrete_closed_form(concretize_closed_form(case.closed_form, n, d), n)
+    if total != product:
+        sign = "+" if which == "qn" else "-"
+        return {"equal": False, "witness": total - product,
+                "detail": f"sum at a = q^{sign}n differs from the telescoped product"}
+    if product != closed:
+        return {"equal": False, "witness": product - closed,
+                "detail": "telescoped product differs from the closed form"}
+    return {"equal": True, "witness": None, "detail": "terminating identity holds"}
+
+
+SPECIALIZED_INSTANCES = [("thm2", None, 5), ("thm2", None, 7), ("thm2", None, 9),
+                         ("thm4", 2, 5), ("thm4", 2, 9), ("thm4", 3, 7)]
+
+
+class TestIntegerParametricLegs:
+    """The integer legs of the parametric lane against independent routes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(SPECIALIZED_INSTANCES),
+        st.sampled_from(["qn", "q-n"]),
+        st.integers(-2, 2),
+        st.integers(-1, 2),
+        st.integers(-1, 1),
+    )
+    def test_specialized_leg_matches_rational_route(self, registry, instance, which,
+                                                    shift, cut, exponent):
+        cid, d, n = instance
+        case = perturbed(registry.get(cid), shift, cut, exponent)
+        fast = verify_identity_specialized(case, n, d, which)
+        slow = rational_specialized(case, n, d, which)
+        assert fast["equal"] == slow["equal"]
+        assert fast["detail"] == slow["detail"]
+        assert fast["witness"] == slow["witness"]
+        assert repr(fast["witness"]) == repr(slow["witness"])
+
+    def test_evaluation_leg_matches_oracle_on_catalog(self, registry):
+        verdicts = {}
+        for cid in ("lemma1", "lemma2", "thm2"):
+            case = registry.get(cid)
+            power = case.modulus.cyclotomic_power()
+            for params in iter_sweep_params(case):
+                n, d = params["n"], params.get("d")
+                if n > 11:
+                    continue
+                summand = concretize_summand(case.summand, d)
+                bound = eval_int(case.bounds[0], n=n, d=d)
+                closed = concretize_closed_form(case.closed_form, n, d)
+                holds = _bivariate_congruence_holds(summand, bound, closed, power, n)
+                status, _, _ = oracle_congruence(summand, bound, closed, {n: power}, n)
+                assert holds == (status == "pass"), (cid, params, status)
+                verdicts[cid, d, n] = status
+        assert verdicts["lemma2", 3, 5] == "fail"
+        assert len(verdicts) >= 12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([("lemma1", 2, 5), ("lemma1", 2, 9), ("thm2", None, 5), ("thm2", None, 7),
+                         ("thm4", 2, 5)]),
+        st.integers(-1, 1),
+        st.integers(0, 1),
+        st.integers(-1, 1),
+    )
+    def test_evaluation_leg_matches_oracle_when_perturbed(self, registry, instance,
+                                                          shift, cut, exponent):
+        cid, d, n = instance
+        case = perturbed(registry.get(cid), shift, cut, exponent)
+        power = case.modulus.cyclotomic_power()
+        summand = concretize_summand(case.summand, d)
+        bound = eval_int(case.bounds[0], n=n, d=d)
+        closed = concretize_closed_form(case.closed_form, n, d)
+        holds = _bivariate_congruence_holds(summand, bound, closed, power, n)
+        status, _, _ = oracle_congruence(summand, bound, closed, {n: power}, n)
+        assert holds == (status == "pass"), status
+
+    def test_degree_bound_and_evaluation_points(self, registry, monkeypatch):
+        # thm2 at n=5: bound 2, four parametric factors of power 1, so D = 8
+        case = registry.get("thm2")
+        summand = concretize_summand(case.summand, None)
+        closed = concretize_closed_form(case.closed_form, 5, None)
+        assert _a_degree(summand, 2) == 8
+        assert _a_values(8) == [0, 1, -1, 2, -2, 3, -3, 4, -4]
+        calls = []
+        horner = engine._horner_sum_int
+
+        def counted(*args):
+            calls.append(args)
+            return horner(*args)
+
+        monkeypatch.setattr(engine, "_horner_sum_int", counted)
+        assert _bivariate_congruence_holds(summand, 2, closed, 1, 5)
+        assert len(calls) == 9
+        # a failing instance stops at the first nonzero value: a = 0
+        calls.clear()
+        lemma2 = registry.get("lemma2")
+        summand = concretize_summand(lemma2.summand, 3)
+        closed = concretize_closed_form(lemma2.closed_form, 5, 3)
+        assert not _bivariate_congruence_holds(summand, 1, closed, 1, 5)
+        assert len(calls) == 1

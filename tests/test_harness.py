@@ -1,6 +1,10 @@
 """Harness behavior: planning, caching, reports, CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,31 @@ class TestCli:
     def test_non_prime_in_list_is_skipped(self, capsys):
         assert main(["verify", "--case", "vanhamme_g2", "--primes", "9", "--no-cache"]) == 0
         assert "skipped=1" in capsys.readouterr().out
+
+    def test_run_with_no_jobs_is_config_error(self, capsys):
+        # thm4 is registered for d in 2..5 only, so d=0 plans nothing
+        assert main(["verify", "--case", "thm4", "--d", "0", "--no-cache"]) == 2
+        assert "no jobs" in capsys.readouterr().err
+
+    def test_negative_tolerance_is_config_error(self, capsys):
+        assert main(["analytic", "--case", "chu1", "--tol", "-1", "--no-cache"]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_verdicts_survive_optimized_interpreter(self, tmp_path):
+        # invariants raise exceptions rather than asserting, so -O decides alike
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "supercong.cli", "verify", "--case", "thm2,thm7",
+             "--n", "4", "--n", "5", "--d", "3", "--no-cache", "--no-timing"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.startswith("thm2") and "pass=1" in line and "skipped=1" in line
+                   for line in lines)
+        assert any(line.startswith("thm7") and "fail=1" in line and "skipped=1" in line
+                   for line in lines)
 
     def test_unwritable_report_path(self, capsys):
         code = main([

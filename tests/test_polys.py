@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supercong.paramfield import ParamRational
@@ -184,6 +184,7 @@ class TestResidues:
         st.lists(st.integers(-9, 9), min_size=1, max_size=6),
         st.sampled_from([3, 4, 5, 7, 12]),
     )
+    @example(coeffs=[3, 0, 3], n=7)  # extended Euclid ends on the monomial q, not 1
     def test_every_unit_inverts_exactly(self, coeffs, n):
         phi = cyclotomic(n)
         u = Residue(phi, LaurentPoly([Fraction(c) for c in coeffs]))
