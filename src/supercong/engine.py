@@ -1,14 +1,17 @@
 """Verification engine for the symbolic (q-side) statements.
 
-A case instance is checked by exact arithmetic in Q[q]/(M*) where M is the
-statement's modulus and M* is M enlarged by the cyclotomic content of every
-denominator that gets cross-multiplied away.  Working cross-multiplied
-avoids polynomial inversions entirely and stays correct in the valuation
-sense even when individual terms have poles at cyclotomics dividing M (the
-naive term-by-term inversion would falsely obstruct there: with
-v = v_Phi(denominator product), S == R (mod Phi^e) holds iff
-S*D - R*D == 0 (mod Phi^(e+v)), because valuations add under
-multiplication).
+A case instance with modulus M = prod Phi_m^e_m is checked one cyclotomic
+factor at a time: the Phi_m^e_m are pairwise coprime and monic, so M
+divides a polynomial iff each of them does.  For each m the check runs by
+exact arithmetic in Z[q]/(Phi_m^(e_m + c_m)), cross-multiplied, so no
+polynomial is ever inverted.  Every atom 1 - q^e and bracket [t] that Phi_m
+divides enters divided by Phi_m (q^e - 1 is squarefree, so it divides at
+most once) and its valuation is counted instead; c_m is the largest pole
+order of a term or of the closed form at Phi_m, usually 0.  With the
+stripped denominators W and RD' units modulo Phi_m,
+S == R (mod Phi_m^e) holds iff Phi_m^c W RD' (S - R) == 0 (mod Phi_m^(e+c)),
+which stays correct where individual terms have poles at Phi_m (naive
+term-by-term inversion would falsely obstruct there).
 
 Fast paths run over plain integer coefficient lists (every modulus here is
 monic with integer coefficients, so remainders stay integral).  Failures
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .exprs import eval_int
@@ -41,6 +45,7 @@ from .qobjects import (
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
+    modulus_from_support,
     modulus_support,
     one_minus_q_power,
     q_bracket,
@@ -225,49 +230,142 @@ class _Ring:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic content bookkeeping
+# one cyclotomic factor of the modulus at a time
 # ---------------------------------------------------------------------------
 
-def _content_add(content: dict, support: dict, exponent: int, power: int = 1) -> None:
-    e = abs(exponent)
-    if e == 0:
-        return
-    for m in support:
-        if e % m == 0:
-            content[m] = content.get(m, 0) + power
+def _idiv(a: list, m: list) -> list:
+    """Exact quotient of a by the monic integer polynomial m."""
+    a = list(a)
+    dm = len(m) - 1
+    quo = [0] * max(len(a) - dm, 0)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            quo[i - dm] = c
+            base = i - dm
+            for j in range(dm + 1):
+                a[base + j] -= c * m[j]
+    if any(a):
+        raise ArithmeticError(f"inexact division by {m!r}: remainder {a!r}")
+    return quo
 
 
-def _denominator_content(summand: ConcreteSummand, bound: int, support: dict) -> dict:
-    content = {m: 0 for m in support}
-    for f in summand.den:
-        if f.param:
-            continue  # parametric factors are units modulo every cyclotomic
-        for j in range(bound):
-            _content_add(content, support, f.exponent_at(j), f.power)
-    return content
+def _divides(m: int, e: int) -> bool:
+    """Phi_m | 1 - q^e, and for m >= 2 also Phi_m | [e].  q^e - 1 is the
+    squarefree product of the Phi_d with d | e, so Phi_m divides it once
+    when m | e and not at all otherwise.  A zero atom (e = 0) is left as it
+    is."""
+    return e != 0 and e % m == 0
 
 
-def _closed_den_content(closed: ConcreteClosedForm, support: dict) -> dict:
-    content = {m: 0 for m in support}
-    if closed.kind == "ratio":
-        for c, s, length in closed.den:
-            for j in range(length):
-                _content_add(content, support, c + s * j, 1)
-    return content
+class _Strip:
+    """Cancels Phi_m from a cross-multiplied sum over Z[q]/(Phi_m^(e + c)).
+
+    Every atom 1 - q^e and bracket [t] that Phi_m divides enters divided by
+    Phi_m, and its valuation is counted instead.  A term of valuation v
+    then enters multiplied by Phi_m^(c + v): c is the largest pole order
+    (_pole_order), so the power is never negative, and a power of at least
+    e + c vanishes in the ring.  ``powers`` is [Phi_m^0, ..., Phi_m^(e + c)].
+    """
+
+    def __init__(self, m: int, c: int, powers: list):
+        self.m = m
+        self.c = c
+        self.phi = powers[1]
+        self.powers = powers[:-1]
+
+    def power(self, v: int):
+        """Phi_m^(c + v) as a ring element, or None where it vanishes."""
+        i = self.c + v
+        if i < 0:
+            raise ArithmeticError(f"a term of valuation {v} exceeds the pole order {self.c}")
+        return (self.powers[i], 0) if i < len(self.powers) else None
 
 
-def _working_modulus(support: dict, *contents: dict) -> list:
-    enlarged = dict(support)
-    for content in contents:
-        for m, v in content.items():
-            if v:
-                enlarged[m] = enlarged.get(m, 0) + v
-    poly = [1]
-    for m in sorted(enlarged):
-        phi = _int_poly(cyclotomic(m))
-        for _ in range(enlarged[m]):
-            poly = _imul(poly, phi)
-    return poly
+def _stripped(x: tuple, e: Optional[int], strip: Optional[_Strip]) -> tuple:
+    """(x / Phi_m, 1) when ``strip`` cancels Phi_m from the atom x = 1 - q^e
+    or [e], given as integer (coeffs, shift), else (x, 0).  e is None for a
+    parametric atom, which is never divisible."""
+    if strip is not None and e is not None and _divides(strip.m, e):
+        return (_idiv(x[0], strip.phi), x[1]), 1
+    return x, 0
+
+
+def _product(ring: _Ring, atoms, strip: Optional[_Strip]):
+    """The product of ``atoms``, each (x, e, power) as for _stripped, and
+    the number of Phi_m it cancelled."""
+    out, v = ring.one, 0
+    for x, e, power in atoms:
+        x, dv = _stripped(x, e, strip)
+        v += dv * power
+        x = ring.of(*x)
+        for _ in range(power):
+            out = ring.mul(out, x)
+    return out, v
+
+
+def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
+    """The Phi_m-valuation of every nonzero term k <= bound, from the
+    exponents alone (parametric factors are units modulo Phi_m)."""
+    num = [f for f in summand.num if not f.param]
+    den = [f for f in summand.den if not f.param]
+    vals, v = [], 0
+    for k in range(bound + 1):
+        if k:
+            if any(f.exponent_at(k - 1) == 0 for f in num):
+                break  # a zero numerator atom: every later term vanishes
+            v += sum(f.power for f in num if _divides(m, f.exponent_at(k - 1)))
+            v -= sum(f.power for f in den if _divides(m, f.exponent_at(k - 1)))
+        t = summand.prefactor_index(k)
+        if t:
+            vals.append(v + _divides(m, t))
+    return vals
+
+
+def _pole_order(m: int, closed: Optional[ConcreteClosedForm], n: int, sums) -> int:
+    """c = max(0, -min_k v_k, v(RD) - v(RN)) at Phi_m over the terms of
+    every (summand, bound) in ``sums`` and the closed form."""
+    c = max([0] + [-v for summand, bound in sums for v in _term_valuations(summand, bound, m)])
+    if closed is not None and closed.kind == "ratio":
+        v_num = sum(_divides(m, a + s * j) for a, s, length in closed.num for j in range(length))
+        v_den = sum(_divides(m, a + s * j) for a, s, length in closed.den for j in range(length))
+        c = max(c, v_den - v_num - (closed.n_multiplier and _divides(m, n)))
+    return c
+
+
+def _phi_powers(m: int, top: int) -> list:
+    """[Phi_m^0, ..., Phi_m^top] as plain integer coefficient lists."""
+    phi = _int_poly(cyclotomic(m))
+    powers = [[1]]
+    for _ in range(top):
+        powers.append(_imul(powers[-1], phi))
+    return powers
+
+
+def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *sums):
+    """(ring, strip) for each Phi_m^e of the modulus, the ring being
+    Z[q]/(Phi_m^(e + c)).
+
+    The Phi_m^e are pairwise coprime and monic, so a polynomial is
+    divisible by their product iff it is divisible by each one.  Phi_m is
+    cancelled (strip, see _Strip) only where a denominator atom of some
+    (summand, bound) in ``sums`` or of the closed form carries it;
+    elsewhere no term has a pole at Phi_m, c = 0, strip is None and the
+    sparse atoms enter as they are.
+    """
+    closed_den = closed.den if closed is not None else ()
+    for m in sorted(support):
+        den_exponents = chain(
+            (f.exponent_at(j) for summand, bound in sums for f in summand.den
+             if not f.param for j in range(bound)),
+            (a + s * j for a, s, length in closed_den for j in range(length)),
+        )
+        if any(_divides(m, e) for e in den_exponents):
+            c = _pole_order(m, closed, n, sums)
+            powers = _phi_powers(m, support[m] + c)
+            yield _Ring(powers[-1]), _Strip(m, c, powers)
+        else:
+            yield _Ring(_phi_powers(m, support[m])[-1]), None
 
 
 def _degenerate_den(summand: ConcreteSummand, bound: int) -> bool:
@@ -290,54 +388,66 @@ def _plain_factor(f, j: int) -> tuple[list, int]:
     return _one_minus_pow(f.exponent_at(j))
 
 
-def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_plain_factor):
+def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_plain_factor,
+                    strip: Optional[_Strip] = None):
     """Returns (SS, Dacc) with SS = sum_k N_k prod_{j>k} D_j and
     Dacc = prod_j D_j, both as shift-tracked ring elements.
 
     The k-th exact term is N_k / prod_{j<=k} D_j, so the true sum S equals
     SS / Dacc; comparisons happen cross-multiplied.  ``factor(f, j)`` gives
-    the j-th factor of the Pochhammer f as integer (coeffs, shift).
+    the j-th factor of the Pochhammer f as integer (coeffs, shift); for a
+    factor without the parameter it must be 1 - q^(f.exponent_at(j)).
+    With ``strip``, the pair is that of Phi_m^c S with Phi_m cancelled from
+    every atom: SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
     """
-    pnum = ring.one
-    dacc = ring.one
-    bracket = _bracket_int(summand.prefactor_index(0))
-    h = ring.of(bracket[0], bracket[1] + summand.exponent(0))
-    for k in range(1, bound + 1):
-        u = ring.one
-        for f in summand.num:
-            x = ring.of(*factor(f, k - 1))
-            for _ in range(f.power):
-                u = ring.mul(u, x)
-        dk = ring.one
-        for f in summand.den:
-            x = ring.of(*factor(f, k - 1))
-            for _ in range(f.power):
-                dk = ring.mul(dk, x)
-        pnum = ring.mul(pnum, u)
-        dacc = ring.mul(dacc, dk)
-        bracket = _bracket_int(summand.prefactor_index(k))
-        nk = ring.mul(ring.of(bracket[0], bracket[1] + summand.exponent(k)), pnum)
-        h = ring.add(ring.mul(h, dk), nk)
+
+    def atoms(factors, j):
+        return ((factor(f, j), None if f.param else f.exponent_at(j), f.power) for f in factors)
+
+    pnum, dacc, h = ring.one, ring.one, ring.of([], 0)
+    v = 0   # valuation of the numerator product minus that of the denominators
+    for k in range(bound + 1):
+        if k:
+            u, vu = _product(ring, atoms(summand.num, k - 1), strip)
+            dk, vd = _product(ring, atoms(summand.den, k - 1), strip)
+            pnum = ring.mul(pnum, u)
+            dacc = ring.mul(dacc, dk)
+            h = ring.mul(h, dk)
+            v += vu - vd
+        t = summand.prefactor_index(k)
+        if not t or ring.is_zero(pnum):
+            continue  # the term is zero
+        bracket, vb = _stripped(_bracket_int(t), t, strip)
+        x = ring.of(bracket[0], bracket[1] + summand.exponent(k))
+        if strip is not None:
+            scale = strip.power(v + vb)
+            if scale is None:
+                continue  # divisible by Phi_m^(e + c): zero in the ring
+            x = ring.mul(x, scale)
+        h = ring.add(h, ring.mul(x, pnum))
     return h, dacc
 
 
-def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring):
-    """RN (with sign, [n] multiplier and q-shift folded in) and RD."""
+def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
+                           strip: Optional[_Strip] = None):
+    """RN (with sign, [n] multiplier and q-shift folded in) and RD; with
+    ``strip``, those of Phi_m^c R with Phi_m cancelled from every atom."""
     if closed.kind == "zero":
         return ring.of([], 0), ring.one
-    rn = ring.one
-    for c, s, length in closed.num:
-        for j in range(length):
-            rn = ring.mul(rn, ring.of(*_one_minus_pow(c + s * j)))
-    if closed.n_multiplier:
-        rn = ring.mul(rn, ring.of([1] * n, 0))
+
+    def atoms(lengths):
+        return ((_one_minus_pow(a + s * j), a + s * j, 1) for a, s, length in lengths
+                for j in range(length))
+
+    multiplier = [(_bracket_int(n), n, 1)] if closed.n_multiplier else []
+    rn, v_num = _product(ring, chain(atoms(closed.num), multiplier), strip)
+    rd, v_den = _product(ring, atoms(closed.den), strip)
+    if strip is not None:
+        scale = strip.power(v_num - v_den)
+        rn = ring.mul(rn, scale) if scale is not None else ring.of([], 0)
     rn = ring.shift(rn, closed.shift)
     if closed.sign < 0:
         rn = ring.neg(rn)
-    rd = ring.one
-    for c, s, length in closed.den:
-        for j in range(length):
-            rd = ring.mul(rd, ring.of(*_one_minus_pow(c + s * j)))
     return rn, rd
 
 
@@ -349,16 +459,15 @@ def _congruence_holds(
     n: int,
     factors,
 ) -> bool:
-    """Sum == closed form mod the modulus, for every factor map in
-    ``factors`` (stops at the first that disagrees)."""
-    den_content = _denominator_content(summand, bound, support)
-    rd_content = _closed_den_content(closed, support)
-    ring = _Ring(_working_modulus(support, den_content, rd_content))
-    rn, rd = _closed_form_sides_int(closed, n, ring)
-    return all(
-        ring.same_ratio(*_horner_sum_int(summand, bound, ring, factor), rn, rd)
-        for factor in factors
-    )
+    """Sum == closed form mod the modulus, one cyclotomic factor of it at a
+    time, for every factor map in ``factors`` (stops at the first
+    disagreement)."""
+    for ring, strip in _factor_rings(support, closed, n, (summand, bound)):
+        rn, rd = _closed_form_sides_int(closed, n, ring, strip)
+        for factor in factors:
+            if not ring.same_ratio(*_horner_sum_int(summand, bound, ring, factor, strip), rn, rd):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +594,7 @@ def oracle_congruence(
         for _ in range(cancellations[m]):
             num_c = _exact_div(num_c, phi)
             den_c = _exact_div(den_c, phi)
-    modulus = LaurentPoly.one()
-    for m in sorted(support):
-        modulus = modulus * cyclotomic(m) ** support[m]
+    modulus = modulus_from_support(support)
     detail = "; ".join(
         f"valuation {v} < {support[m]} at the order-{m} cyclotomic" for m, v in fails
     )
@@ -558,6 +665,17 @@ def verify_congruence(
     return done(status, witness=witness, detail=detail, strat="oracle")
 
 
+def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_bound: int,
+                support: dict, n: int) -> bool:
+    """The two truncated sums agree mod the modulus, one cyclotomic factor
+    of it at a time."""
+    return all(
+        ring.same_ratio(*_horner_sum_int(lhs, lhs_bound, ring, strip=strip),
+                        *_horner_sum_int(rhs, rhs_bound, ring, strip=strip))
+        for ring, strip in _factor_rings(support, None, n, (lhs, lhs_bound), (rhs, rhs_bound))
+    )
+
+
 def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast") -> CaseResult:
     """Two truncated sums agree modulo M: computed cross-multiplied, exact."""
     params = {"n": n}
@@ -579,12 +697,7 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
     if _degenerate_den(lhs, lhs_bound) or _degenerate_den(rhs, rhs_bound):
         return done("obstruction", detail="zero denominator factor in a term")
 
-    content_l = _denominator_content(lhs, lhs_bound, support)
-    content_r = _denominator_content(rhs, rhs_bound, support)
-    ring = _Ring(_working_modulus(support, content_l, content_r))
-    ss_l, dacc_l = _horner_sum_int(lhs, lhs_bound, ring)
-    ss_r, dacc_r = _horner_sum_int(rhs, rhs_bound, ring)
-    if ring.same_ratio(ss_l, dacc_l, ss_r, dacc_r):
+    if _pair_holds(lhs, lhs_bound, rhs, rhs_bound, support, n):
         return done("pass")
 
     # classify exactly through the oracle
@@ -599,10 +712,7 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
         if _phi_valuation(diff_rf.den, cyclotomic(m)) > 0:
             return done("obstruction", detail=f"difference has a pole at the order-{m} cyclotomic",
                         strat="fast+oracle")
-    modulus = LaurentPoly.one()
-    for m in sorted(support):
-        modulus = modulus * cyclotomic(m) ** support[m]
-    witness = residue_reduce(diff_rf, modulus).value
+    witness = residue_reduce(diff_rf, modulus_from_support(support)).value
     if witness.is_zero:
         return done("pass", strat="fast+oracle")
     return done("fail", witness=witness, detail="sums disagree", strat="fast+oracle")
@@ -758,11 +868,15 @@ def _avatar_factor(t: int):
 
 
 def _a_degree(summand: ConcreteSummand, bound: int) -> int:
-    """D = bound x (total power of the parametric factors), a bound on the
-    degree in a of the reduced cross-multiplied difference: each Horner
-    product spans at most bound steps, and each step multiplies in at most
-    that many factors of degree 1 in a."""
-    return bound * sum(f.power for f in summand.num + summand.den if f.param)
+    """D = bound x max(P_num, P_den), the total powers of the parametric
+    numerator and denominator factors: a bound on the degree in a of the
+    reduced cross-multiplied difference.  Each avatar has degree 1 in a; the
+    Horner term N_k prod_{j>k} D_j has degree at most
+    k P_num + (bound - k) P_den, Dacc at most bound P_den, and the closed
+    form none."""
+    p_num = sum(f.power for f in summand.num if f.param)
+    p_den = sum(f.power for f in summand.den if f.param)
+    return bound * max(p_num, p_den)
 
 
 def _a_values(degree: int) -> list[int]:
@@ -779,13 +893,15 @@ def _bivariate_congruence_holds(
 ) -> bool:
     """The congruence mod Phi_n^cyc_power with a free, by exact evaluation.
 
-    The avatars are polynomials in a and M* is monic and free of a, so the
+    The avatars are polynomials in a and units modulo Phi_n over Q(a); the
+    working modulus Phi_n^(cyc_power + c) is monic and free of a, and
+    cancelling Phi_n from the plain atoms adds no degree in a.  So the
     reduced cross-multiplied difference is a polynomial in a of degree at
     most D = _a_degree, and reduction commutes with substituting an integer
     for a.  A nonzero polynomial of degree at most D has at most D roots,
     so the difference vanishes iff it vanishes at D + 1 distinct integers.
     """
-    factors = map(_avatar_factor, _a_values(_a_degree(summand, bound)))
+    factors = [_avatar_factor(t) for t in _a_values(_a_degree(summand, bound))]
     return _congruence_holds(summand, bound, closed, {n: cyc_power}, n, factors)
 
 

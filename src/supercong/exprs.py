@@ -17,6 +17,12 @@ class ExpressionError(ValueError):
     """Malformed, disallowed, or non-integral registry expression."""
 
 
+# A power is refused before it is computed when its result would need more
+# bits than this: registry values are exponents and lengths, and an
+# unchecked tower such as n**n**n would never finish.
+MAX_POWER_BITS = 4096
+
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -63,6 +69,11 @@ def _eval_node(node: ast.AST, names: dict) -> Fraction | bool:
             right = _as_int(right)
             if right < 0:
                 raise ExpressionError("negative exponent in registry expression")
+            size = max(abs(left.numerator), left.denominator).bit_length()
+            if size > 1 and size * right > MAX_POWER_BITS:
+                raise ExpressionError(
+                    f"power of about {size * right} bits exceeds {MAX_POWER_BITS}"
+                )
         try:
             return Fraction(_BINOPS[op](left, right))
         except ZeroDivisionError as exc:

@@ -531,9 +531,3 @@ def residue_reduce(p: RationalFunction, m: LaurentPoly) -> Residue:
     den = Residue(m, p.den)
     den_inv = den.inverse()  # raises NonUnitDenominator on shared factors
     return Residue(m, p.num) * den_inv
-
-
-def bivariate_residue_reduce(p: RationalFunction, m: LaurentPoly) -> Residue:
-    """residue_reduce for coefficients in Q(a): extended Euclid runs over
-    the fraction field, so the same code path applies."""
-    return residue_reduce(p, m)

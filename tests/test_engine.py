@@ -11,6 +11,12 @@ from supercong.engine import (
     _a_degree,
     _a_values,
     _bivariate_congruence_holds,
+    _congruence_holds,
+    _factor_rings,
+    _pair_holds,
+    _phi_valuation,
+    _plain_factor,
+    _term_parts,
     is_parametric_case,
     oracle_congruence,
     telescoped_product,
@@ -26,6 +32,7 @@ from supercong.qobjects import (
     build_concrete_summand,
     concretize_closed_form,
     concretize_summand,
+    cyclotomic,
     modulus_support,
     one_minus_q_power,
 )
@@ -239,17 +246,62 @@ class TestOracle:
         assert not is_parametric_case(registry.get("thm1_1"))
 
 
-def perturbed(case, shift=0, cut=0, exponent=0):
-    """case with its closed-form q-shift moved by ``shift``, its truncation
-    bound lowered by ``cut`` and the k-th summand multiplied by q^(exponent*k)."""
+def raised_modulus(modulus, power):
+    """modulus with the power of its cyclotomic factor raised by ``power``."""
+    factors = tuple(dataclasses.replace(f, power=f.power + power) if f.kind == "cyclotomic" else f
+                    for f in modulus.factors)
+    return dataclasses.replace(modulus, factors=factors)
+
+
+def bent_summand(summand, exponent):
+    """summand with its k-th term multiplied by q^(exponent*k)."""
+    alpha, beta, gamma = summand.q_exp
+    return dataclasses.replace(summand, q_exp=(alpha, f"({beta}) + {exponent}", gamma))
+
+
+def perturbed(case, shift=0, cut=0, exponent=0, sign=1, power=0):
+    """case with its closed-form q-shift moved by ``shift`` and its sign
+    multiplied by ``sign``, its truncation bound lowered by ``cut``, the k-th
+    summand multiplied by q^(exponent*k) and its cyclotomic modulus power
+    raised by ``power``."""
     branches = tuple(
-        dataclasses.replace(b, q_shift=f"({b.q_shift}) + {shift}") for b in case.closed_form
+        dataclasses.replace(b, q_shift=f"({b.q_shift}) + {shift}", sign=b.sign * sign)
+        for b in case.closed_form
     )
-    alpha, beta, gamma = case.summand.q_exp
-    summand = dataclasses.replace(case.summand, q_exp=(alpha, f"({beta}) + {exponent}", gamma))
     return dataclasses.replace(
-        case, closed_form=branches, summand=summand, bounds=(f"({case.bounds[0]}) - {cut}",)
+        case, closed_form=branches, summand=bent_summand(case.summand, exponent),
+        bounds=(f"({case.bounds[0]}) - {cut}",), modulus=raised_modulus(case.modulus, power),
     )
+
+
+def perturbed_pair(case, cut=0, exponent=0, power=0):
+    """q_pair case with its left bound lowered by ``cut``, its left summand
+    bent by q^(exponent*k) and its cyclotomic modulus power raised by ``power``."""
+    lhs = dataclasses.replace(case.lhs_pair, bound=f"({case.lhs_pair.bound}) - {cut}",
+                              summand=bent_summand(case.lhs_pair.summand, exponent))
+    return dataclasses.replace(case, lhs_pair=lhs, modulus=raised_modulus(case.modulus, power))
+
+
+def pair_oracle_status(case, n):
+    """The q_pair verdict by the oracle's route: each sum over its full
+    denominator by direct products, the cross-multiplied difference, and its
+    valuation at each cyclotomic counted by repeated division."""
+    (total_l, den_l), (total_r, den_r) = (
+        _term_parts(concretize_summand(pair.summand, None), eval_int(pair.bound, n=n))
+        for pair in (case.lhs_pair, case.rhs_pair)
+    )
+    diff = (total_l * den_r - total_r * den_l).poly_part()
+    den = (den_l * den_r).poly_part()
+    if diff.is_zero:
+        return "pass"
+    status = "pass"
+    for m, e in sorted(modulus_support(case.modulus, n).items()):
+        v = _phi_valuation(diff, cyclotomic(m)) - _phi_valuation(den, cyclotomic(m))
+        if v < 0:
+            return "obstruction"
+        if v < e:
+            status = "fail"
+    return status
 
 
 def rational_specialized(case, n, d, which):
@@ -317,18 +369,20 @@ class TestIntegerParametricLegs:
         assert verdicts["lemma2", 3, 5] == "fail"
         assert len(verdicts) >= 12
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         st.sampled_from([("lemma1", 2, 5), ("lemma1", 2, 9), ("thm2", None, 5), ("thm2", None, 7),
-                         ("thm4", 2, 5)]),
+                         ("thm4", 2, 5), ("lemma2", 3, 11)]),
         st.integers(-1, 1),
         st.integers(0, 1),
         st.integers(-1, 1),
+        st.sampled_from([1, -1]),
+        st.integers(0, 1),
     )
     def test_evaluation_leg_matches_oracle_when_perturbed(self, registry, instance,
-                                                          shift, cut, exponent):
+                                                          shift, cut, exponent, sign, raised):
         cid, d, n = instance
-        case = perturbed(registry.get(cid), shift, cut, exponent)
+        case = perturbed(registry.get(cid), shift, cut, exponent, sign, raised)
         power = case.modulus.cyclotomic_power()
         summand = concretize_summand(case.summand, d)
         bound = eval_int(case.bounds[0], n=n, d=d)
@@ -338,12 +392,13 @@ class TestIntegerParametricLegs:
         assert holds == (status == "pass"), status
 
     def test_degree_bound_and_evaluation_points(self, registry, monkeypatch):
-        # thm2 at n=5: bound 2, four parametric factors of power 1, so D = 8
+        # thm2 at n=5: bound 2, two parametric factors of power 1 on each
+        # side, so D = 2 x max(2, 2) = 4
         case = registry.get("thm2")
         summand = concretize_summand(case.summand, None)
         closed = concretize_closed_form(case.closed_form, 5, None)
-        assert _a_degree(summand, 2) == 8
-        assert _a_values(8) == [0, 1, -1, 2, -2, 3, -3, 4, -4]
+        assert _a_degree(summand, 2) == 4
+        assert _a_values(4) == [0, 1, -1, 2, -2]
         calls = []
         horner = engine._horner_sum_int
 
@@ -353,7 +408,7 @@ class TestIntegerParametricLegs:
 
         monkeypatch.setattr(engine, "_horner_sum_int", counted)
         assert _bivariate_congruence_holds(summand, 2, closed, 1, 5)
-        assert len(calls) == 9
+        assert len(calls) == 5
         # a failing instance stops at the first nonzero value: a = 0
         calls.clear()
         lemma2 = registry.get("lemma2")
@@ -361,3 +416,75 @@ class TestIntegerParametricLegs:
         closed = concretize_closed_form(lemma2.closed_form, 5, 3)
         assert not _bivariate_congruence_holds(summand, 1, closed, 1, 5)
         assert len(calls) == 1
+
+
+CONGRUENCE_INSTANCES = [("thm1_1", None, 9), ("thm1_1", None, 15), ("thm1_2", None, 9),
+                        ("thm3_1", 2, 9), ("thm3_1", 3, 13), ("thm3_2", 2, 5)]
+
+
+class TestPerFactorRoute:
+    """The fast path decides one cyclotomic factor of the modulus at a time,
+    cancelling Phi_m from the atoms; the oracle divides whole polynomials."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(CONGRUENCE_INSTANCES),
+        st.integers(-1, 1),
+        st.integers(-2, 3),
+        st.sampled_from([1, -1]),
+        st.integers(0, 1),
+    )
+    def test_fast_path_matches_oracle_when_perturbed(self, registry, instance, shift, cut,
+                                                     sign, power):
+        cid, d, n = instance
+        case = perturbed(registry.get(cid), shift, cut, sign=sign, power=power)
+        summand = concretize_summand(case.summand, d)
+        bound = eval_int(case.bounds[0], n=n, d=d)
+        closed = concretize_closed_form(case.closed_form, n, d)
+        support = modulus_support(case.modulus, n)
+        holds = _congruence_holds(summand, bound, closed, support, n, [_plain_factor])
+        status, _, _ = oracle_congruence(summand, bound, closed, support, n)
+        assert holds == (status == "pass"), status
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([("conj1a", 9), ("conj1a", 13), ("conj1b", 5)]),
+        st.integers(-2, 2),
+        st.integers(-1, 1),
+        st.integers(0, 1),
+    )
+    def test_pair_lane_matches_oracle_when_perturbed(self, registry, instance, cut, exponent,
+                                                     power):
+        cid, n = instance
+        case = perturbed_pair(registry.get(cid), cut, exponent, power)
+        lhs = concretize_summand(case.lhs_pair.summand, None)
+        rhs = concretize_summand(case.rhs_pair.summand, None)
+        holds = _pair_holds(lhs, eval_int(case.lhs_pair.bound, n=n),
+                            rhs, eval_int(case.rhs_pair.bound, n=n),
+                            modulus_support(case.modulus, n), n)
+        status = pair_oracle_status(case, n)
+        assert holds == (status == "pass"), status
+
+    def test_factor_rings_cancel_instead_of_enlarging(self, registry):
+        # thm1_2 at n=35: the modulus [35] Phi_35^2 = Phi_5 Phi_7 Phi_35^3.
+        # No term has a pole, so each ring is Phi_m^e_m alone; Phi_5 and
+        # Phi_7 are cancelled from the atoms, Phi_35 divides no denominator.
+        case = registry.get("thm1_2")
+        summand = concretize_summand(case.summand, None)
+        closed = concretize_closed_form(case.closed_form, 35, None)
+        support = modulus_support(case.modulus, 35)
+        rings = list(_factor_rings(support, closed, 35, (summand, 34)))
+        assert [len(ring.m) - 1 for ring, _ in rings] == [4, 6, 72]
+        assert [strip.c if strip else 0 for _, strip in rings] == [0, 0, 0]
+        assert [strip is not None for _, strip in rings] == [True, True, False]
+
+    def test_pole_enlarges_only_its_own_factor(self, registry):
+        # lemma2 at d=3, n=11: a term has a simple pole at Phi_11, so the
+        # ring is Phi_11^(1 + 1)
+        case = registry.get("lemma2")
+        summand = concretize_summand(case.summand, 3)
+        closed = concretize_closed_form(case.closed_form, 11, 3)
+        bound = eval_int(case.bounds[0], n=11, d=3)
+        [(ring, strip)] = _factor_rings({11: 1}, closed, 11, (summand, bound))
+        assert strip.c == 1
+        assert len(ring.m) - 1 == 20

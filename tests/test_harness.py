@@ -250,6 +250,18 @@ class TestCli:
         assert any(line.startswith("thm7") and "fail=1" in line and "skipped=1" in line
                    for line in lines)
 
+    def test_show_findings_script(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "show_findings.py"
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.strip() for line in proc.stdout.splitlines()]
+        assert "thm7 d=3 n=4: fail, witness = -1" in lines
+        assert "thm7 d=3 n=7: pass (both sides are the constant -1)" in lines
+        assert "thm7_1 p=5: fail, achieved valuation 2 (threshold 3)" in lines
+
     def test_unwritable_report_path(self, capsys):
         code = main([
             "verify", "--case", "thm1_1", "--n", "5", "--no-cache",

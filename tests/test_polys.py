@@ -16,8 +16,6 @@ from supercong.polys import (
     poly_gcd,
     poly_gcdex,
     residue_reduce,
-    bivariate_residue_reduce,
-
 )
 from supercong.qobjects import cyclotomic, param_pochhammer
 
@@ -227,7 +225,7 @@ class TestBivariate:
         a = ParamRational.generator()
         den = LaurentPoly([ParamRational.const(1), -a])
         f = RationalFunction(LaurentPoly((ParamRational.const(1),)), den, reduce=False)
-        r = bivariate_residue_reduce(f, cyclotomic(1))
+        r = residue_reduce(f, cyclotomic(1))
         expected = ParamRational.const(1) / (ParamRational.const(1) - a)
         assert r.value == LaurentPoly((expected,))
 

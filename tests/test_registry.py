@@ -1,6 +1,7 @@
 """Registry loading, validation, and the expression evaluator."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,14 @@ class TestExpressions:
     def test_division_by_zero(self):
         with pytest.raises(ExpressionError):
             eval_int("1/(n-3)", n=3)
+
+    def test_power_tower_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ExpressionError):
+            eval_int("n**n**n", n=29)
+        assert time.perf_counter() - start < 1.0
+        assert eval_int("2**(n-1)", n=11) == 1024
+        assert eval_int("1**(n**n)", n=29) == 1
 
 
 class TestShippedRegistry:
