@@ -8,7 +8,8 @@ Verbs:
 
 Exit status: 0 when no theorem-kind case failed, 1 on any theorem-kind
 failure or obstruction (conjecture outcomes never change it), 2 for
-configuration or registry errors.
+configuration or registry errors or when some instance raised (its result
+has status "error").
 """
 
 from __future__ import annotations

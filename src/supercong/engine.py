@@ -3,7 +3,7 @@
 A case instance with modulus M = prod Phi_m^e_m is checked one cyclotomic
 factor at a time: the Phi_m^e_m are pairwise coprime and monic, so M
 divides a polynomial iff each of them does.  For each m the check runs by
-exact arithmetic in Z[q]/(Phi_m^(e_m + c_m)), cross-multiplied, so no
+exact arithmetic modulo Phi_m^(e_m + c_m), cross-multiplied, so no
 polynomial is ever inverted.  Every atom 1 - q^e and bracket [t] that Phi_m
 divides enters divided by Phi_m (q^e - 1 is squarefree, so it divides at
 most once) and its valuation is counted instead; c_m is the largest pole
@@ -12,6 +12,14 @@ stripped denominators W and RD' units modulo Phi_m,
 S == R (mod Phi_m^e) holds iff Phi_m^c W RD' (S - R) == 0 (mod Phi_m^(e+c)),
 which stays correct where individual terms have poles at Phi_m (naive
 term-by-term inversion would falsely obstruct there).
+
+With E = e_m + c_m, the sums are built in the lift Z[q]/((q^m - 1)^E):
+Phi_m^E divides the sparse (q^m - 1)^E, so reducing modulo it is a ring
+map onto Z[q]/(Phi_m^E), and it folds a coefficient in O(E) where the
+dense Phi_m^E costs O(deg).  Only the final comparison reduces modulo
+Phi_m^E itself.  Products loop over the nonzero coefficients of the
+sparser factor, so multiplying by an atom costs linear time, and a bracket
+[t] is multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
 monic with integer coefficients, so remainders stay integral).  Failures
@@ -24,7 +32,8 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from math import comb
 from typing import Optional
 
 from .exprs import eval_int
@@ -41,7 +50,6 @@ from .qobjects import (
     DegenerateFactor,
     SpecError,
     _one_plus_coeff_q_power,
-    build_concrete_summand,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -60,7 +68,7 @@ class CaseResult:
     kind: str
     family: str
     params: dict
-    status: str                      # pass | fail | skipped | obstruction
+    status: str                      # pass | fail | skipped | obstruction | error
     strategy: str
     observe: bool = False
     witness: Optional[object] = None
@@ -119,14 +127,24 @@ def _result(case: CaseDefinition, params: dict, start: float, status: str, strat
 # ---------------------------------------------------------------------------
 
 def _imul(a: list, b: list) -> list:
+    """a * b, looping over the nonzero coefficients of the sparser factor:
+    O(len) for an atom or a bracket, schoolbook for two dense factors."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+    terms_a = [(i, x) for i, x in enumerate(a) if x]
+    terms_b = [(i, y) for i, y in enumerate(b) if y]
+    if len(terms_b) < len(terms_a):
+        terms_a, b = terms_b, a
+    width = len(b)
+    for i, x in terms_a:
+        window = out[i:i + width]
+        if x == 1:
+            out[i:i + width] = [u + v for u, v in zip(window, b)]
+        elif x == -1:
+            out[i:i + width] = [u - v for u, v in zip(window, b)]
+        else:
+            out[i:i + width] = [u + x * v for u, v in zip(window, b)]
     return out
 
 
@@ -171,17 +189,44 @@ def _bracket_int(t: int) -> tuple[list, int]:
 
 
 class _Ring:
-    """Shift-tracked arithmetic in Z[q]/(M), or in Z[q, 1/q] when M is None:
-    elements are (coeffs, shift), representing coeffs(q) * q^shift with
-    coeffs reduced mod M."""
+    """Shift-tracked arithmetic modulo Phi_m^e, or in Z[q, 1/q] when
+    ``modulus`` is None: elements are (coeffs, shift), representing
+    coeffs(q) * q^shift.
 
-    def __init__(self, modulus: Optional[list] = None):
+    With a modulus Phi_m^e, coeffs are kept reduced modulo the sparse
+    multiple L = (q^m - 1)^e = sum_j C(e, j) (-1)^(e - j) q^(mj), which is
+    monic of degree me.  Z[q] -> Z[q]/(L) -> Z[q]/(Phi_m^e) are ring maps
+    and q is a unit in both, so every sum and product computed here maps
+    to the one modulo Phi_m^e; only ``same_ratio`` reduces modulo Phi_m^e
+    itself.  An element that is zero here is zero modulo Phi_m^e, but not
+    conversely.
+    """
+
+    def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0):
         self.m = modulus
+        self.step = m
+        self.top = m * e
+        # the coefficients of q^0, q^m, ..., q^(m(e - 1)) in L
+        self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
 
     def _reduce(self, coeffs: list) -> list:
-        if self.m is not None:
-            return _irem(coeffs, self.m)
         coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if self.m is None:
+            return coeffs
+        # q^(top + i) == -sum_j lift[j] q^(mj + i): fold the top m
+        # coefficients at a time; each lands at least m places lower
+        step, top, hi = self.step, self.top, len(coeffs)
+        while hi > top:
+            lo = max(hi - step, top)
+            block = coeffs[lo:hi]
+            del coeffs[lo:]
+            for j, c in enumerate(self.lift):
+                base = lo - top + step * j
+                window = coeffs[base:base + len(block)]
+                coeffs[base:base + len(block)] = [u - c * v for u, v in zip(window, block)]
+            hi = lo
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return coeffs
@@ -193,6 +238,15 @@ class _Ring:
 
     def mul(self, x, y):
         return self._reduce(_imul(x[0], y[0])), x[1] + y[1]
+
+    def mul_bracket(self, x, t: int):
+        """x * [t] for t != 0 by running sums, in O(len + |t|):
+        coefficient j of x * (1 + ... + q^(t-1)) is x[j-t+1] + ... + x[j]."""
+        coeffs, shift = x
+        if t < 0:   # [t] = -q^t [-t]
+            coeffs, shift, t = [-c for c in coeffs], shift + t, -t
+        sums = list(accumulate(coeffs + [0] * (t - 1), initial=0))
+        return self._reduce([b - a for a, b in zip([0] * (t - 1) + sums, sums[1:])]), shift
 
     def add(self, x, y):
         s = min(x[1], y[1])
@@ -222,11 +276,14 @@ class _Ring:
         return self._reduce([0] * k + list(coeffs))
 
     def is_zero(self, x) -> bool:
+        """x is zero here (sufficient, not necessary, for zero mod Phi_m^e)."""
         return not x[0]
 
     def same_ratio(self, num1, den1, num2, den2) -> bool:
-        """num1/den1 == num2/den2, decided cross-multiplied."""
-        return self.is_zero(self.sub(self.mul(num1, den2), self.mul(num2, den1)))
+        """num1/den1 == num2/den2, decided cross-multiplied after the one
+        reduction modulo Phi_m^e."""
+        diff = self.sub(self.mul(num1, den2), self.mul(num2, den1))[0]
+        return not (diff if self.m is None else _irem(diff, self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +316,15 @@ def _divides(m: int, e: int) -> bool:
 
 
 class _Strip:
-    """Cancels Phi_m from a cross-multiplied sum over Z[q]/(Phi_m^(e + c)).
+    """Cancels Phi_m from a cross-multiplied sum decided modulo
+    Phi_m^(e + c).
 
     Every atom 1 - q^e and bracket [t] that Phi_m divides enters divided by
     Phi_m, and its valuation is counted instead.  A term of valuation v
     then enters multiplied by Phi_m^(c + v): c is the largest pole order
-    (_pole_order), so the power is never negative, and a power of at least
-    e + c vanishes in the ring.  ``powers`` is [Phi_m^0, ..., Phi_m^(e + c)].
+    (_pole_order), so the power is never negative, and a term whose power
+    is at least e + c vanishes modulo Phi_m^(e + c) and is dropped.
+    ``powers`` is [Phi_m^0, ..., Phi_m^(e + c)].
     """
 
     def __init__(self, m: int, c: int, powers: list):
@@ -343,15 +402,18 @@ def _phi_powers(m: int, top: int) -> list:
 
 
 def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *sums):
-    """(ring, strip) for each Phi_m^e of the modulus, the ring being
-    Z[q]/(Phi_m^(e + c)).
+    """(ring, strip) for each Phi_m^e of the modulus, the ring deciding
+    modulo Phi_m^(e + c) and computing in the lift Z[q]/((q^m - 1)^(e + c))
+    (see _Ring).
 
     The Phi_m^e are pairwise coprime and monic, so a polynomial is
     divisible by their product iff it is divisible by each one.  Phi_m is
     cancelled (strip, see _Strip) only where a denominator atom of some
     (summand, bound) in ``sums`` or of the closed form carries it;
     elsewhere no term has a pole at Phi_m, c = 0, strip is None and the
-    sparse atoms enter as they are.
+    sparse atoms enter as they are.  A term that strip drops as a multiple
+    of Phi_m^(e + c) is zero in the final reduction, so the lift changes
+    no verdict.
     """
     closed_den = closed.den if closed is not None else ()
     for m in sorted(support):
@@ -363,9 +425,9 @@ def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *
         if any(_divides(m, e) for e in den_exponents):
             c = _pole_order(m, closed, n, sums)
             powers = _phi_powers(m, support[m] + c)
-            yield _Ring(powers[-1]), _Strip(m, c, powers)
+            yield _Ring(powers[-1], m, support[m] + c), _Strip(m, c, powers)
         else:
-            yield _Ring(_phi_powers(m, support[m])[-1]), None
+            yield _Ring(_phi_powers(m, support[m])[-1], m, support[m]), None
 
 
 def _degenerate_den(summand: ConcreteSummand, bound: int) -> bool:
@@ -418,13 +480,13 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_p
         if not t or ring.is_zero(pnum):
             continue  # the term is zero
         bracket, vb = _stripped(_bracket_int(t), t, strip)
-        x = ring.of(bracket[0], bracket[1] + summand.exponent(k))
+        term = ring.mul(ring.of(*bracket), pnum) if vb else ring.mul_bracket(pnum, t)
         if strip is not None:
             scale = strip.power(v + vb)
             if scale is None:
-                continue  # divisible by Phi_m^(e + c): zero in the ring
-            x = ring.mul(x, scale)
-        h = ring.add(h, ring.mul(x, pnum))
+                continue  # divisible by Phi_m^(e + c): zero in the final reduction
+            term = ring.mul(term, scale)
+        h = ring.add(h, ring.shift(term, summand.exponent(k)))
     return h, dacc
 
 
@@ -491,6 +553,16 @@ def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if not rem.is_zero:
         raise ArithmeticError(f"expected exact division of {p!r} by {d!r}")
     return quo
+
+
+def _cancel(num: LaurentPoly, den: LaurentPoly, orders: dict) -> tuple[LaurentPoly, LaurentPoly]:
+    """num and den, both divided exactly by Phi_m^orders[m] for every m."""
+    for m in sorted(orders):
+        phi = cyclotomic(m)
+        for _ in range(orders[m]):
+            num = _exact_div(num, phi)
+            den = _exact_div(den, phi)
+    return num, den
 
 
 def _term_parts(summand: ConcreteSummand, bound: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -588,12 +660,7 @@ def oracle_congruence(
         return "obstruction", None, detail + ": congruence ill-posed"
     if not fails:
         return "pass", None, "difference divisible by the modulus"
-    num_c, den_c = diff_p, den
-    for m in sorted(support):
-        phi = cyclotomic(m)
-        for _ in range(cancellations[m]):
-            num_c = _exact_div(num_c, phi)
-            den_c = _exact_div(den_c, phi)
+    num_c, den_c = _cancel(diff_p, den, cancellations)
     modulus = modulus_from_support(support)
     detail = "; ".join(
         f"valuation {v} < {support[m]} at the order-{m} cyclotomic" for m, v in fails
@@ -700,19 +767,23 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
     if _pair_holds(lhs, lhs_bound, rhs, rhs_bound, support, n):
         return done("pass")
 
-    # classify exactly through the oracle
-    total_l = RationalFunction.zero()
-    for k in range(lhs_bound + 1):
-        total_l = total_l + build_concrete_summand(lhs, k, n)
-    total_r = RationalFunction.zero()
-    for k in range(rhs_bound + 1):
-        total_r = total_r + build_concrete_summand(rhs, k, n)
-    diff_rf = total_l - total_r
+    # classify exactly by the oracle's route: each sum over its full
+    # denominator, one cross-multiplied difference, valuations by repeated
+    # exact division; the residue is unique, so cancelling first gives the
+    # witness of the reduced difference
+    (total_l, den_l), (total_r, den_r) = _term_parts(lhs, lhs_bound), _term_parts(rhs, rhs_bound)
+    diff, den = total_l * den_r - total_r * den_l, den_l * den_r
+    if diff.is_zero:
+        return done("pass", strat="fast+oracle")
+    diff_p, den_p = diff.poly_part(), den.poly_part()
+    orders = {m: _phi_valuation(den_p, cyclotomic(m)) for m in sorted(support)}
     for m in sorted(support):
-        if _phi_valuation(diff_rf.den, cyclotomic(m)) > 0:
+        if _phi_valuation(diff_p, cyclotomic(m)) < orders[m]:
             return done("obstruction", detail=f"difference has a pole at the order-{m} cyclotomic",
                         strat="fast+oracle")
-    witness = residue_reduce(diff_rf, modulus_from_support(support)).value
+    num_c, den_c = _cancel(diff_p, den_p, orders)
+    witness = residue_reduce(RationalFunction(num_c.shift(diff.low - den.low), den_c, reduce=False),
+                             modulus_from_support(support)).value
     if witness.is_zero:
         return done("pass", strat="fast+oracle")
     return done("fail", witness=witness, detail="sums disagree", strat="fast+oracle")
@@ -894,8 +965,9 @@ def _bivariate_congruence_holds(
     """The congruence mod Phi_n^cyc_power with a free, by exact evaluation.
 
     The avatars are polynomials in a and units modulo Phi_n over Q(a); the
-    working modulus Phi_n^(cyc_power + c) is monic and free of a, and
-    cancelling Phi_n from the plain atoms adds no degree in a.  So the
+    working modulus Phi_n^(cyc_power + c) and its lift (q^n - 1)^(cyc_power
+    + c) are monic and free of a, and cancelling Phi_n from the plain atoms
+    adds no degree in a.  So the
     reduced cross-multiplied difference is a polynomial in a of degree at
     most D = _a_degree, and reduction commutes with substituting an integer
     for a.  A nonzero polynomial of degree at most D has at most D roots,
@@ -903,18 +975,6 @@ def _bivariate_congruence_holds(
     """
     factors = [_avatar_factor(t) for t in _a_values(_a_degree(summand, bound))]
     return _congruence_holds(summand, bound, closed, {n: cyc_power}, n, factors)
-
-
-def _bivariate_oracle(
-    summand: ConcreteSummand,
-    bound: int,
-    closed: ConcreteClosedForm,
-    cyc_power: int,
-    n: int,
-) -> tuple[str, Optional[LaurentPoly], str]:
-    """The slow route over Q(a): identical valuation logic, with the
-    parametric factors entering through their polynomial avatars."""
-    return oracle_congruence(summand, bound, closed, {n: cyc_power}, n)
 
 
 def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> CaseResult:
@@ -954,7 +1014,8 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
             elif _bivariate_congruence_holds(summand, bound, closed, cyc_power, n):
                 legs.append(("mod Phi_n", "pass", "", None))
             else:
-                status, witness, detail = _bivariate_oracle(summand, bound, closed, cyc_power, n)
+                status, witness, detail = oracle_congruence(summand, bound, closed,
+                                                            {n: cyc_power}, n)
                 legs.append(("mod Phi_n", status, detail, witness))
     except (DegenerateFactor, SpecError) as exc:
         return done("obstruction", detail=str(exc))

@@ -10,6 +10,7 @@ suppressed two runs over the same registry produce byte-identical files.
 from __future__ import annotations
 
 import json
+import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from .engine import CaseResult, verify_q_case
 from .exprs import ExpressionError
 from .padic import is_odd_prime, verify_padic_case
 from .registry import CaseDefinition, Registry, iter_sweep_params, load_registry
+
+_log = logging.getLogger(__name__)
 
 SYMBOLIC_FAMILIES = ("q", "q_pair", "padic")
 ANALYTIC_FAMILIES = ("analytic_identity", "pi_series", "gamma_limit")
@@ -82,18 +85,20 @@ class Report:
         per_case: dict[str, dict] = {}
         for r in self.results:
             tally = per_case.setdefault(r["id"], {"pass": 0, "fail": 0, "skipped": 0, "obstruction": 0})
-            tally[r["status"]] += 1
+            tally[r["status"]] = tally.get(r["status"], 0) + 1
         width = max((len(cid) for cid in per_case), default=4)
         for cid in sorted(per_case):
             tally = per_case[cid]
             lines.append(
                 f"{cid:<{width}}  pass={tally['pass']:<3} fail={tally['fail']:<3} "
                 f"skipped={tally['skipped']:<3} obstruction={tally['obstruction']}"
+                + (f" error={tally['error']}" if "error" in tally else "")
             )
         s = self.summary
         lines.append(
             f"total: {s['total']}  pass={s['pass']} fail={s['fail']} "
             f"skipped={s['skipped']} obstruction={s['obstruction']}"
+            + (f" error={len(s['errors'])}" if "errors" in s else "")
         )
         if s["observe_failures"]:
             lines.append("observed failures (conjecture statements, not suite errors):")
@@ -103,10 +108,16 @@ class Report:
             lines.append("FAILED statements:")
             for entry in s["theorem_failures"]:
                 lines.append(f"  {entry}")
+        if "errors" in s:
+            lines.append("ERRORS (the instance could not be checked):")
+            for entry in s["errors"]:
+                lines.append(f"  {entry}")
         return "\n".join(lines) + "\n"
 
     @property
     def exit_code(self) -> int:
+        if "errors" in self.summary:
+            return 2
         return 1 if self.summary["theorem_failures"] else 0
 
 
@@ -235,25 +246,36 @@ def _registry_for(path: Optional[str]) -> Registry:
 
 
 def execute_job(registry: Registry, case_id: str, params: dict, tol: Optional[float]) -> CaseResult:
+    """One instance's result.  An unexpected exception inside a lane
+    becomes a result of status ``error`` with detail "<Type>: <message>",
+    so one crashing instance does not lose the rest of a sweep."""
     case = registry.get(case_id)
-    reason = _case_condition_holds(case, params)
-    if reason is not None:
+
+    def unverified(status: str, detail: str) -> CaseResult:
         return CaseResult(
             case_id=case.id,
             kind=case.kind,
             family=case.family,
             params=params,
-            status="skipped",
+            status=status,
             strategy="none",
             observe=case.observe,
-            detail=reason,
+            detail=detail,
             flags=case.flags,
         )
-    if case.family in ("q", "q_pair"):
-        return verify_q_case(case, params)
-    if case.family == "padic":
-        return verify_padic_case(case, params["p"])
-    return verify_analytic_case(case, params, tol=tol)
+
+    reason = _case_condition_holds(case, params)
+    if reason is not None:
+        return unverified("skipped", reason)
+    try:
+        if case.family in ("q", "q_pair"):
+            return verify_q_case(case, params)
+        if case.family == "padic":
+            return verify_padic_case(case, params["p"])
+        return verify_analytic_case(case, params, tol=tol)
+    except Exception as exc:
+        _log.exception("%s %s raised", case_id, json.dumps(params, sort_keys=True))
+        return unverified("error", f"{type(exc).__name__}: {exc}")
 
 
 def _pool_worker(args: tuple) -> dict:
@@ -352,8 +374,9 @@ def run(config: RunConfig, registry: Optional[Registry] = None) -> Report:
                 result = _strip_timing(result)
         else:
             result = computed[key]
-            cache_key = _cache_key(case_id, params, registry.digest)
-            new_cache_entries[cache_key] = _strip_timing(result)
+            if result["status"] != "error":   # an error is retried, never cached
+                cache_key = _cache_key(case_id, params, registry.digest)
+                new_cache_entries[cache_key] = _strip_timing(result)
         results.append(result)
 
     if config.use_cache:
@@ -384,23 +407,32 @@ def _audit_cache(registry: Registry, config: RunConfig, cached: dict) -> None:
 
 
 def _summarize(results: list[dict]) -> dict:
+    """Counts and failure lists; the ``errors`` list appears only when some
+    job errored, so other reports keep their bytes."""
     counts = {"pass": 0, "fail": 0, "skipped": 0, "obstruction": 0}
     observe_failures = []
     theorem_failures = []
+    errors = []
     for r in results:
-        counts[r["status"]] += 1
         label = f"{r['id']} {json.dumps(r['params'], sort_keys=True)} -> {r['status']}"
+        if r["status"] == "error":
+            errors.append(f"{label}: {r['detail']}")
+            continue
+        counts[r["status"]] += 1
         if r["status"] in ("fail", "obstruction"):
             if r["observe"]:
                 observe_failures.append(label)
             else:
                 theorem_failures.append(label)
-    return {
+    summary = {
         "total": len(results),
         **counts,
         "observe_failures": observe_failures,
         "theorem_failures": theorem_failures,
     }
+    if errors:
+        summary["errors"] = errors
+    return summary
 
 
 def emit_report(report: Report, path: str, fmt: str = "json") -> None:

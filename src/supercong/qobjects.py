@@ -430,17 +430,6 @@ def modulus_from_support(support: dict[int, int]) -> LaurentPoly:
     return out
 
 
-def build_modulus(spec: ModulusSpec, n: int) -> LaurentPoly:
-    """The product polynomial of all non-parametric modulus factors.
-
-    Parametric factors never materialize as univariate moduli; the engine
-    checks them by specialization instead.
-    """
-    if spec.parametric_kinds():
-        raise SpecError("parametric modulus factors cannot be materialized")
-    return modulus_from_support(modulus_support(spec, n))
-
-
 def validate_summand_exponents(spec: SummandSpec, d: Optional[int], k_max: int = 40) -> None:
     """The q-exponent e(k) must be an integer for every k; checked at load."""
     concrete = concretize_summand(spec, d)

@@ -362,8 +362,8 @@ def test_criterion_18_oracle_equivalence(registry):
     instance with n <= 11."""
     from supercong.engine import (
         _bivariate_congruence_holds,
-        _bivariate_oracle,
         is_parametric_case,
+        oracle_congruence,
     )
     from supercong.qobjects import concretize_closed_form
     from supercong.exprs import eval_int
@@ -394,8 +394,8 @@ def test_criterion_18_oracle_equivalence(registry):
                 fast_ok = _bivariate_congruence_holds(
                     summand, bound, closed, case.modulus.cyclotomic_power(), n
                 )
-                status, _, _ = _bivariate_oracle(
-                    summand, bound, closed, case.modulus.cyclotomic_power(), n
+                status, _, _ = oracle_congruence(
+                    summand, bound, closed, {n: case.modulus.cyclotomic_power()}, n
                 )
                 checked += 1
                 if fast_ok != (status == "pass"):

@@ -1,6 +1,7 @@
 """Verification engine behavior: verdicts, negative controls, strategies."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,15 +27,17 @@ from supercong.engine import (
     verify_parametric,
 )
 from supercong.exprs import eval_int
-from supercong.polys import LaurentPoly, RationalFunction
+from supercong.polys import LaurentPoly, RationalFunction, Residue, residue_reduce
 from supercong.qobjects import (
     build_concrete_closed_form,
     build_concrete_summand,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
+    modulus_from_support,
     modulus_support,
     one_minus_q_power,
+    q_bracket,
 )
 from supercong.registry import SpecializedProduct, iter_sweep_params
 
@@ -274,12 +277,15 @@ def perturbed(case, shift=0, cut=0, exponent=0, sign=1, power=0):
     )
 
 
-def perturbed_pair(case, cut=0, exponent=0, power=0):
+def perturbed_pair(case, cut=0, exponent=0, power=0, rhs_cut=0):
     """q_pair case with its left bound lowered by ``cut``, its left summand
-    bent by q^(exponent*k) and its cyclotomic modulus power raised by ``power``."""
+    bent by q^(exponent*k), its cyclotomic modulus power raised by ``power``
+    and its right bound lowered by ``rhs_cut``."""
     lhs = dataclasses.replace(case.lhs_pair, bound=f"({case.lhs_pair.bound}) - {cut}",
                               summand=bent_summand(case.lhs_pair.summand, exponent))
-    return dataclasses.replace(case, lhs_pair=lhs, modulus=raised_modulus(case.modulus, power))
+    rhs = dataclasses.replace(case.rhs_pair, bound=f"({case.rhs_pair.bound}) - {rhs_cut}")
+    return dataclasses.replace(case, lhs_pair=lhs, rhs_pair=rhs,
+                               modulus=raised_modulus(case.modulus, power))
 
 
 def pair_oracle_status(case, n):
@@ -475,6 +481,8 @@ class TestPerFactorRoute:
         support = modulus_support(case.modulus, 35)
         rings = list(_factor_rings(support, closed, 35, (summand, 34)))
         assert [len(ring.m) - 1 for ring, _ in rings] == [4, 6, 72]
+        # the sums are built modulo (q^5 - 1), (q^7 - 1) and (q^35 - 1)^3
+        assert [ring.top for ring, _ in rings] == [5, 7, 105]
         assert [strip.c if strip else 0 for _, strip in rings] == [0, 0, 0]
         assert [strip is not None for _, strip in rings] == [True, True, False]
 
@@ -488,3 +496,156 @@ class TestPerFactorRoute:
         [(ring, strip)] = _factor_rings({11: 1}, closed, 11, (summand, bound))
         assert strip.c == 1
         assert len(ring.m) - 1 == 20
+        assert ring.top == 22
+
+
+def dense_residue(m, e, poly):
+    """poly modulo Phi_m^e by the Fraction residue kernel: an independent
+    dense reference for the lifted ring."""
+    return Residue(cyclotomic(m) ** e, poly)
+
+
+def lifted_poly(x):
+    coeffs, shift = x
+    return LaurentPoly.from_int_coeffs(coeffs, shift)
+
+
+RING_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("atom"), st.integers(-40, 90).filter(bool)),
+        st.tuples(st.just("bracket"), st.integers(-30, 60).filter(bool)),
+        st.tuples(st.just("dense_bracket"), st.integers(-30, 60).filter(bool)),
+        st.tuples(st.just("shift"), st.integers(-200, 400)),
+        st.tuples(st.just("scale"), st.integers(0, 4)),
+        st.tuples(st.just("fold"), st.integers(-40, 90).filter(bool)),
+    ),
+    max_size=12,
+)
+
+
+class TestLiftedRing:
+    """The per-factor rings compute modulo (q^m - 1)^E and reduce modulo
+    Phi_m^E only in the comparison."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), RING_STEPS)
+    def test_lift_matches_dense_residues(self, m, e, steps):
+        # a Horner-like run: p collects atoms, shifts and strip scalings, h
+        # collects p times brackets and is itself multiplied by atoms
+        powers = engine._phi_powers(m, e)
+        ring, strip = engine._Ring(powers[-1], m, e), engine._Strip(m, 0, powers)
+        p, h = ring.one, ring.of([], 0)
+        ref_p, ref_h = LaurentPoly.one(), LaurentPoly.zero()
+        for kind, value in steps:
+            if kind == "atom":
+                p = ring.mul(p, ring.of(*engine._one_minus_pow(value)))
+                ref_p = ref_p * one_minus_q_power(value)
+            elif kind == "shift":
+                p = ring.shift(p, value)
+                ref_p = ref_p.shift(value)
+            elif kind == "scale":
+                scale = strip.power(value)
+                p = ring.of([], 0) if scale is None else ring.mul(p, scale)
+                ref_p = ref_p * cyclotomic(m) ** value
+            elif kind == "fold":
+                h = ring.mul(h, ring.of(*engine._one_minus_pow(value)))
+                ref_h = ref_h * one_minus_q_power(value)
+            else:
+                term = (ring.mul_bracket(p, value) if kind == "bracket"
+                        else ring.mul(p, ring.of(*engine._bracket_int(value))))
+                h = ring.add(h, term)
+                ref_h = ref_h + ref_p * q_bracket(value)
+            assert len(p[0]) <= m * e and len(h[0]) <= m * e
+        for x, ref in ((p, ref_p), (h, ref_h)):
+            assert dense_residue(m, e, lifted_poly(x)) == dense_residue(m, e, ref)
+            assert ring.same_ratio(x, ring.one, ring.of(*engine._one_minus_pow(m)), ring.one) == (
+                dense_residue(m, e, ref) == dense_residue(m, e, one_minus_q_power(m)))
+
+    def test_zero_only_after_the_final_reduction(self):
+        # Phi_4^2 = (1 + q^2)^2 is a nonzero element of Z[q]/((q^4 - 1)^2)
+        # of degree 4 < 8, but zero modulo Phi_4^2 itself
+        powers = engine._phi_powers(4, 2)
+        ring = engine._Ring(powers[-1], 4, 2)
+        x = ring.mul(ring.of([1, 0, 1]), ring.of([1, 0, 1]))
+        assert x == ([1, 0, 2, 0, 1], 0)
+        assert not ring.is_zero(x)
+        assert ring.same_ratio(x, ring.one, ring.of([], 0), ring.one)
+        one_plus = ring.add(ring.one, ring.shift(x, 3))
+        assert ring.same_ratio(one_plus, ring.of([1, 1]), ring.one, ring.of([1, 1]))
+        assert not ring.same_ratio(ring.of([1, 0, 1]), ring.one, ring.of([], 0), ring.one)
+
+    def test_reduction_folds_onto_the_sparse_multiple(self):
+        # modulo (q^3 - 1)^2 = 1 - 2 q^3 + q^6: q^6 == 2 q^3 - 1 and
+        # q^9 == 3 q^3 - 2
+        ring = engine._Ring(engine._phi_powers(3, 2)[-1], 3, 2)
+        assert ring.of([0] * 6 + [1]) == ([-1, 0, 0, 2], 0)
+        assert ring.of([0] * 9 + [1]) == ([-2, 0, 0, 3], 0)
+        assert ring.mul_bracket(ring.one, 7) == ring.of([1] * 7)
+        assert ring.mul_bracket(([2, 5], 1), -3) == ring.mul(([2, 5], 1), ring.of([-1] * 3, -3))
+
+    def test_products_loop_over_the_sparser_factor(self):
+        dense = list(range(1, 60))
+        assert engine._imul(dense, [1, 0, 0, -1]) == engine._imul([1, 0, 0, -1], dense)
+        expected = [0] * 62
+        for i, c in enumerate(dense):
+            expected[i] += c
+            expected[i + 3] -= c
+        assert engine._imul(dense, [1, 0, 0, -1]) == expected
+
+
+def rational_pair(case, n):
+    """The q_pair failure route before the cross-multiplied one: both sums
+    added term by term as reduced rational functions (a gcd at every
+    addition), then poles and the witness read off the reduced difference."""
+    totals = []
+    for pair in (case.lhs_pair, case.rhs_pair):
+        summand = concretize_summand(pair.summand, None)
+        total = RationalFunction.zero()
+        for k in range(eval_int(pair.bound, n=n) + 1):
+            total = total + build_concrete_summand(summand, k, n)
+        totals.append(total)
+    diff = totals[0] - totals[1]
+    support = modulus_support(case.modulus, n)
+    for m in sorted(support):
+        if _phi_valuation(diff.den, cyclotomic(m)) > 0:
+            return "obstruction", None, f"difference has a pole at the order-{m} cyclotomic"
+    witness = residue_reduce(diff, modulus_from_support(support)).value
+    if witness.is_zero:
+        return "pass", None, ""
+    return "fail", witness, "sums disagree"
+
+
+class TestPairClassification:
+    """Failing q_pair instances are classified cross-multiplied, with the
+    reduced rational-function route's verdicts and witnesses."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # (case, n, smallest left cut, right cut): the rational route takes
+        # minutes on the uncut conj1b sums, even at n = 5
+        st.sampled_from([("conj1a", 5, 0, 0), ("conj1a", 9, 1, 0), ("conj1b", 5, 1, 2)]),
+        st.integers(0, 2),
+        st.integers(-1, 1),
+        st.integers(0, 1),
+    )
+    def test_matches_rational_route_when_perturbed(self, registry, instance, cut, exponent,
+                                                   power):
+        cid, n, min_cut, rhs_cut = instance
+        case = perturbed_pair(registry.get(cid), min_cut + cut, exponent, power, rhs_cut)
+        result = verify_conjecture_pair(case, n)
+        status, witness, detail = rational_pair(case, n)
+        assert result.status == status
+        if result.strategy == "fast+oracle":
+            assert result.witness == witness
+            assert repr(result.witness) == repr(witness)
+            assert result.detail == detail
+
+    def test_long_failing_pair_finishes(self, registry):
+        # conj1b at n = 9 with the left bound raised from n - 1 to n + 2:
+        # the reduced rational-function route did not finish in 300 s
+        case = perturbed_pair(registry.get("conj1b"), cut=-3)
+        start = time.perf_counter()
+        result = verify_conjecture_pair(case, 9)
+        assert time.perf_counter() - start < 60
+        assert (result.status, result.strategy) == ("fail", "fast+oracle")
+        assert result.witness_digest == "8f64442ccc3df341"

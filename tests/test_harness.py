@@ -175,6 +175,57 @@ class TestCache:
         assert run(cfg).summary["pass"] == 1
 
 
+def crashing_registry(tmp_path):
+    """The shipped catalog with thm1_1's bound dividing by zero at n = 7,
+    which raises inside the engine instead of yielding a verdict."""
+    doc = json.loads(Path(load_registry().path).read_text())
+    [entry] = [case for case in doc["cases"] if case["id"] == "thm1_1"]
+    entry["bounds"] = ["(n-1)/2 + 0 // (n - 7)"]
+    path = tmp_path / "crashing.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCrashingJob:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_result_keeps_the_sweep(self, tmp_path, jobs):
+        cache = tmp_path / "cache.jsonl"
+        cfg = config(case_ids=["thm1_1"], n_values=[5, 7, 9], jobs=jobs, use_cache=True,
+                     cache_path=str(cache), registry_path=crashing_registry(tmp_path))
+        report = run(cfg)
+        assert [r["status"] for r in report.results] == ["pass", "error", "pass"]
+        error = report.results[1]
+        assert error["detail"] == "ExpressionError: division by zero in registry expression"
+        assert error["strategy"] == "none"
+        assert report.summary["pass"] == 2 and report.summary["total"] == 3
+        assert report.summary["errors"] == [
+            'thm1_1 {"n": 7} -> error: ExpressionError: division by zero in registry expression'
+        ]
+        assert report.exit_code == 2
+        assert "error=1" in report.to_text() and "ERRORS" in report.to_text()
+        # the two verdicts are cached, the error is not
+        keys = [json.loads(line)["key"] for line in cache.read_text().splitlines()]
+        assert sorted(key.split("|")[2] for key in keys) == ['{"n": 5}', '{"n": 9}']
+        # a rerun hits the cache for both and retries the error
+        assert run(cfg).results == report.results
+        assert len(cache.read_text().splitlines()) == 2
+
+    def test_cli_exits_2_and_still_reports(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        code = main(["verify", "--case", "thm1_1", "--n", "5", "--n", "7", "--no-cache",
+                     "--no-timing", "--registry", crashing_registry(tmp_path),
+                     "--report", str(report)])
+        assert code == 2
+        assert "ExpressionError" in capsys.readouterr().out
+        statuses = [r["status"] for r in json.loads(report.read_text())["results"]]
+        assert statuses == ["pass", "error"]
+
+    def test_reports_without_errors_carry_no_error_fields(self):
+        report = run(config(case_ids=["thm1_1"], n_values=[5, 7]))
+        assert "errors" not in report.summary
+        assert "error" not in report.to_text().lower()
+
+
 class TestConfigValidation:
     def test_worker_count_positive(self):
         with pytest.raises(ConfigError):

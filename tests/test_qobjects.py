@@ -12,10 +12,10 @@ from supercong.qobjects import (
     SpecError,
     build_concrete_closed_form,
     build_concrete_summand,
-    build_modulus,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
+    modulus_from_support,
     modulus_support,
     one_minus_q_power,
     q_bracket,
@@ -203,15 +203,15 @@ class TestClosedForm:
 class TestModulus:
     def test_cyclotomic_square(self, registry):
         spec = registry.get("guo1_d4").modulus
-        assert build_modulus(spec, 3) == cyclotomic(3) ** 2
+        assert modulus_from_support(modulus_support(spec, 3)) == cyclotomic(3) ** 2
 
     def test_q_integer_times_square_small(self, registry):
         spec = registry.get("thm1_1").modulus
-        assert build_modulus(spec, 3) == P(1, 1, 1) ** 3  # [3] = phi_3
+        assert modulus_from_support(modulus_support(spec, 3)) == P(1, 1, 1) ** 3  # [3] = phi_3
 
     def test_q_integer_times_square_degree(self, registry):
         spec = registry.get("thm1_1").modulus
-        modulus = build_modulus(spec, 9)
+        modulus = modulus_from_support(modulus_support(spec, 9))
         assert modulus == q_integer(9) * cyclotomic(9) ** 2
         assert modulus.degree == 8 + 2 * 6
 
@@ -221,6 +221,8 @@ class TestModulus:
         assert support == {3: 1, 9: 5}
 
     def test_parametric_factors_never_materialize(self, registry):
+        # (1 - a q^n)(a - q^n) Phi_n: only Phi_n enters the univariate modulus
         spec = registry.get("thm2").modulus
-        with pytest.raises(SpecError):
-            build_modulus(spec, 5)
+        assert spec.parametric_kinds()
+        assert modulus_support(spec, 5) == {5: 1}
+        assert modulus_from_support(modulus_support(spec, 5)) == cyclotomic(5)
