@@ -2,9 +2,11 @@
 
 The package has three verification lanes:
 
-* symbolic lane (``polys``, ``qobjects``, ``engine``): exact arithmetic in
-  Q[q] / (M(q)) for cyclotomic-product moduli, plus a fraction-field lane
-  over Q(a) for statements carrying a free parameter;
+* symbolic lane (``qobjects``, ``engine``): exact integer arithmetic, one
+  cyclotomic factor Phi_m^e of the modulus at a time, with a free
+  parameter a handled by terminating specializations and evaluation at
+  integers; failures are classified by an independent oracle over Q[q]
+  and Q(a)[q] (``polys``, ``paramfield``);
 * p-adic lane (``padic``): exact rational truncated sums compared against
   Morita Gamma values modulo prime powers;
 * numeric lane (``analytic``): double-precision confirmation of the

@@ -11,13 +11,13 @@ for monotone convergence along q -> 1^-.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
-from .engine import CaseResult
+from .engine import CaseResult, case_result
 from .exprs import eval_fraction, eval_int
 from .qobjects import ConcreteSummand, concretize_summand
 from .registry import CaseDefinition
@@ -166,37 +166,6 @@ def check_identity_numeric(
         rhs = _product_spec_value(case, q)
     residual = abs(lhs - rhs) / max(1.0, abs(rhs))
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=residual, passed=residual < tol)
-
-
-def rahman_grid(count: int = 20, seed: int = 20240817) -> list[tuple[float, float, float, float]]:
-    """Deterministic (q, a, b, d) grid with q in {0.1..0.6} and parameters
-    drawn in [-0.9, 0.9], resampled when any right-side denominator factor
-    or the (1-a) prefactor gets within 1e-6 of zero."""
-    rng = random.Random(seed)
-    qs = [0.1 + 0.5 * i / (count - 1) for i in range(count)]
-    grid = []
-    for q in qs:
-        while True:
-            a = rng.uniform(-0.9, 0.9)
-            b = rng.uniform(-0.9, 0.9)
-            d = rng.uniform(-0.9, 0.9)
-            if abs(1.0 - a) < 1e-3 or abs(b) < 1e-3 or abs(d) < 1e-3:
-                continue
-            if _rahman_well_posed(q, a, b, d):
-                grid.append((q, a, b, d))
-                break
-    return grid
-
-
-def _rahman_well_posed(q: float, a: float, b: float, d: float) -> bool:
-    q2 = q * q
-    for x in (q, q2 * a / b, q2 * a / d, q * b * d, a * q2, q * b, q * d, a * q2 / (b * d)):
-        term = x
-        while abs(term) > 1e-12:
-            if abs(1.0 - term) < 1e-6:
-                return False
-            term *= q2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +318,7 @@ def check_gamma_limit(x: float, q_sequence: Sequence[float]) -> GammaLimitCheck:
 # ---------------------------------------------------------------------------
 
 def verify_analytic_case(case: CaseDefinition, params: dict, tol: Optional[float] = None) -> CaseResult:
-    start = time.perf_counter()
-
-    def done(status, residual=None, detail=""):
-        return CaseResult(
-            case_id=case.id,
-            kind=case.kind,
-            family=case.family,
-            params=params,
-            status=status,
-            strategy="numeric",
-            observe=case.observe,
-            residual=residual,
-            elapsed=time.perf_counter() - start,
-            detail=detail,
-            flags=case.flags,
-        )
-
+    done = partial(case_result, case, params, strategy="numeric", start=time.perf_counter())
     if case.family == "analytic_identity":
         check = check_identity_numeric(case, params["q"], tol=tol)
         return done(

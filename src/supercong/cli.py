@@ -119,8 +119,6 @@ def _config_from_args(args, families) -> RunConfig:
         d_values=list(args.d) if getattr(args, "d", None) else None,
         primes=primes,
         jobs=args.jobs,
-        report_path=args.report,
-        report_format=args.format,
         tol=args.tol,
         include_timing=not args.no_timing,
         use_cache=not args.no_cache,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain
 from math import comb
 from typing import Optional
@@ -49,7 +50,6 @@ from .qobjects import (
     ConcreteSummand,
     DegenerateFactor,
     SpecError,
-    _one_plus_coeff_q_power,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -103,9 +103,15 @@ def _digest_witness(witness) -> Optional[str]:
     return hashlib.sha256(repr(witness).encode()).hexdigest()[:16]
 
 
-def _result(case: CaseDefinition, params: dict, start: float, status: str, strategy: str,
-            witness=None, detail: str = "") -> CaseResult:
-    """The CaseResult of a q-family instance whose check began at ``start``."""
+def case_result(case: CaseDefinition, params: dict, status: str, strategy: str,
+                start: Optional[float] = None, witness=None, **fields) -> CaseResult:
+    """The result of ``case`` at ``params``, the one place results are made.
+
+    Identity, observe mode and flags come from the case, ``elapsed`` runs
+    from ``start`` (a time.perf_counter() reading; 0 without one) and the
+    digest is that of ``witness``.  ``fields`` sets valuation, residual or
+    detail.
+    """
     return CaseResult(
         case_id=case.id,
         kind=case.kind,
@@ -116,9 +122,9 @@ def _result(case: CaseDefinition, params: dict, start: float, status: str, strat
         observe=case.observe,
         witness=witness,
         witness_digest=_digest_witness(witness),
-        elapsed=time.perf_counter() - start,
-        detail=detail,
+        elapsed=0.0 if start is None else time.perf_counter() - start,
         flags=case.flags,
+        **fields,
     )
 
 
@@ -702,11 +708,7 @@ def verify_congruence(
     """
     bound_expr = bound if bound is not None else case.bounds[0]
     params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
-    start = time.perf_counter()
-
-    def done(status, witness=None, detail="", strat=strategy):
-        return _result(case, params, start, status, strat, witness, detail)
-
+    done = partial(case_result, case, params, strategy=strategy, start=time.perf_counter())
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
     try:
@@ -727,9 +729,9 @@ def verify_congruence(
         except DegenerateFactor as exc:
             return done("obstruction", detail=str(exc))
         status, witness, detail = oracle_congruence(summand, k_max, closed, support, n)
-        return done(status, witness=witness, detail=detail, strat="fast+oracle")
+        return done(status, strategy="fast+oracle", witness=witness, detail=detail)
     status, witness, detail = oracle_congruence(summand, k_max, closed, support, n)
-    return done(status, witness=witness, detail=detail, strat="oracle")
+    return done(status, witness=witness, detail=detail)
 
 
 def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_bound: int,
@@ -743,14 +745,9 @@ def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_
     )
 
 
-def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast") -> CaseResult:
+def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
     """Two truncated sums agree modulo M: computed cross-multiplied, exact."""
-    params = {"n": n}
-    start = time.perf_counter()
-
-    def done(status, witness=None, detail="", strat=strategy):
-        return _result(case, params, start, status, strat, witness, detail)
-
+    done = partial(case_result, case, {"n": n}, strategy="fast", start=time.perf_counter())
     if not case.applies(n=n):
         return done("skipped", detail="condition not satisfied")
     try:
@@ -774,19 +771,19 @@ def verify_conjecture_pair(case: CaseDefinition, n: int, strategy: str = "fast")
     (total_l, den_l), (total_r, den_r) = _term_parts(lhs, lhs_bound), _term_parts(rhs, rhs_bound)
     diff, den = total_l * den_r - total_r * den_l, den_l * den_r
     if diff.is_zero:
-        return done("pass", strat="fast+oracle")
+        return done("pass", strategy="fast+oracle")
     diff_p, den_p = diff.poly_part(), den.poly_part()
     orders = {m: _phi_valuation(den_p, cyclotomic(m)) for m in sorted(support)}
     for m in sorted(support):
         if _phi_valuation(diff_p, cyclotomic(m)) < orders[m]:
-            return done("obstruction", detail=f"difference has a pole at the order-{m} cyclotomic",
-                        strat="fast+oracle")
+            return done("obstruction", strategy="fast+oracle",
+                        detail=f"difference has a pole at the order-{m} cyclotomic")
     num_c, den_c = _cancel(diff_p, den_p, orders)
     witness = residue_reduce(RationalFunction(num_c.shift(diff.low - den.low), den_c, reduce=False),
                              modulus_from_support(support)).value
     if witness.is_zero:
-        return done("pass", strat="fast+oracle")
-    return done("fail", witness=witness, detail="sums disagree", strat="fast+oracle")
+        return done("pass", strategy="fast+oracle")
+    return done("fail", strategy="fast+oracle", witness=witness, detail="sums disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -842,12 +839,6 @@ def _rational(num, den) -> RationalFunction:
     return RationalFunction(
         LaurentPoly.from_int_coeffs(num[0], num[1]), LaurentPoly.from_int_coeffs(den[0], den[1])
     )
-
-
-def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
-    """The finite form of the infinite-product right side (see
-    _telescoped_sides_int) as a reduced rational function."""
-    return _rational(*_telescoped_sides_int(sp, n, d, _Ring()))
 
 
 def _specialized_factor(summand: ConcreteSummand, bound: int, shift: int):
@@ -909,7 +900,11 @@ def _param_avatar(f, j: int) -> LaurentPoly:
     numerator and denominator because the registry keeps them balanced."""
     e = f.exponent_at(j)
     if f.param == "aq":
-        return _one_plus_coeff_q_power(-_PARAM_A, e)
+        if e == 0:
+            return LaurentPoly((1 - _PARAM_A,))
+        if e > 0:
+            return LaurentPoly([1] + [0] * (e - 1) + [-_PARAM_A], 0)
+        return LaurentPoly([-_PARAM_A] + [0] * (-e - 1) + [1], e)
     if f.param == "q_div_a":
         if e == 0:
             return LaurentPoly((_PARAM_A - 1,))
@@ -985,11 +980,7 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
     classified by the Q(a) oracle).  The instance passes iff every leg does.
     """
     params = {"n": n, **({"d": d} if d is not None else {})}
-    start = time.perf_counter()
-
-    def done(status, witness=None, detail="", strat="parametric_crt"):
-        return _result(case, params, start, status, strat, witness, detail)
-
+    done = partial(case_result, case, params, strategy="parametric_crt", start=time.perf_counter())
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
 
@@ -1043,16 +1034,10 @@ def is_parametric_case(case: CaseDefinition) -> bool:
     return any(f.param for f in case.summand.factors)
 
 
-def verify_q_case(case: CaseDefinition, params: dict, strategy: str = "fast") -> CaseResult:
+def verify_q_case(case: CaseDefinition, params: dict) -> CaseResult:
     """Dispatch one q-family instance (used by the harness)."""
     if case.family == "q_pair":
-        return verify_conjecture_pair(case, params["n"], strategy=strategy)
+        return verify_conjecture_pair(case, params["n"])
     if is_parametric_case(case):
         return verify_parametric(case, params["n"], params.get("d"))
-    return verify_congruence(
-        case,
-        params["n"],
-        params.get("d"),
-        bound=params.get("bound"),
-        strategy=strategy,
-    )
+    return verify_congruence(case, params["n"], params.get("d"), bound=params.get("bound"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Optional
 
 from . import __version__
 from .analytic import verify_analytic_case
-from .engine import CaseResult, verify_q_case
+from .engine import CaseResult, case_result, verify_q_case
 from .exprs import ExpressionError
 from .padic import is_odd_prime, verify_padic_case
 from .registry import CaseDefinition, Registry, iter_sweep_params, load_registry
@@ -46,8 +47,6 @@ class RunConfig:
     d_values: Optional[list[int]] = None
     primes: Optional[list[int]] = None
     jobs: int = 1
-    report_path: Optional[str] = None
-    report_format: str = "json"
     tol: Optional[float] = None
     include_timing: bool = True
     use_cache: bool = False
@@ -57,10 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ConfigError("worker count must be >= 1")
-        if self.report_format not in ("json", "text"):
-            raise ConfigError(f"unknown report format {self.report_format!r}")
-        if self.tol is not None and not self.tol >= 0:
-            raise ConfigError(f"tolerance must be a nonnegative number, got {self.tol}")
+        if self.tol is not None and not (self.tol >= 0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tolerance must be a finite nonnegative number, got {self.tol}")
 
 
 @dataclass
@@ -250,23 +247,9 @@ def execute_job(registry: Registry, case_id: str, params: dict, tol: Optional[fl
     becomes a result of status ``error`` with detail "<Type>: <message>",
     so one crashing instance does not lose the rest of a sweep."""
     case = registry.get(case_id)
-
-    def unverified(status: str, detail: str) -> CaseResult:
-        return CaseResult(
-            case_id=case.id,
-            kind=case.kind,
-            family=case.family,
-            params=params,
-            status=status,
-            strategy="none",
-            observe=case.observe,
-            detail=detail,
-            flags=case.flags,
-        )
-
     reason = _case_condition_holds(case, params)
     if reason is not None:
-        return unverified("skipped", reason)
+        return case_result(case, params, "skipped", "none", detail=reason)
     try:
         if case.family in ("q", "q_pair"):
             return verify_q_case(case, params)
@@ -275,7 +258,7 @@ def execute_job(registry: Registry, case_id: str, params: dict, tol: Optional[fl
         return verify_analytic_case(case, params, tol=tol)
     except Exception as exc:
         _log.exception("%s %s raised", case_id, json.dumps(params, sort_keys=True))
-        return unverified("error", f"{type(exc).__name__}: {exc}")
+        return case_result(case, params, "error", "none", detail=f"{type(exc).__name__}: {exc}")
 
 
 def _pool_worker(args: tuple) -> dict:
@@ -315,9 +298,12 @@ def _load_cache(path: str, digest: str) -> dict[str, dict]:
 def _append_cache(path: str, entries: dict[str, dict]) -> None:
     if not entries:
         return
-    with open(path, "a", encoding="utf-8") as handle:
-        for key in sorted(entries):
-            handle.write(json.dumps({"key": key, "result": entries[key]}, sort_keys=True) + "\n")
+    try:
+        with open(path, "a", encoding="utf-8") as handle:
+            for key in sorted(entries):
+                handle.write(json.dumps({"key": key, "result": entries[key]}, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the result cache to {path}: {exc}") from exc
 
 
 def _strip_timing(result: dict) -> dict:

@@ -13,9 +13,10 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
-from .engine import CaseResult
+from .engine import CaseResult, case_result
 from .exprs import eval_bool, eval_fraction, eval_int
 from .registry import CaseDefinition, PadicRhsBranch, RealSumSpec
 
@@ -113,10 +114,6 @@ def padic_gamma_many(xs: Sequence[Fraction], ctx: PadicContext) -> list[PadicRes
     return [PadicResidue(ctx, values[r]) for r in reps]
 
 
-def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:
-    return padic_gamma_many([x], ctx)[0]
-
-
 # ---------------------------------------------------------------------------
 # registry-driven verification
 # ---------------------------------------------------------------------------
@@ -194,24 +191,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
     exactly; for Gamma_p residues it is capped at the threshold because the
     excess depends on the choice of lift.
     """
-    params = {"p": p}
-    start = time.perf_counter()
-
-    def done(status, valuation=None, detail=""):
-        return CaseResult(
-            case_id=case.id,
-            kind=case.kind,
-            family=case.family,
-            params=params,
-            status=status,
-            strategy="padic",
-            observe=case.observe,
-            valuation=valuation,
-            elapsed=time.perf_counter() - start,
-            detail=detail,
-            flags=case.flags,
-        )
-
+    done = partial(case_result, case, {"p": p}, strategy="padic", start=time.perf_counter())
     if not is_odd_prime(p):
         return done("skipped", detail="p is not an odd prime")
     if not case.applies(p=p):

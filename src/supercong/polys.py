@@ -2,10 +2,11 @@
 functions, and quotient-ring residues.
 
 Coefficients are duck typed over an exact field.  Plain ``fractions.Fraction``
-coefficients cover the rational lane; ``paramfield.ParamRational`` coefficients
-cover the fraction-field lane over Q(a).  The integers 0 and 1 act as the
-additive and multiplicative identities for either coefficient type, which
-keeps one implementation serving both lanes.
+coefficients serve the cyclotomic polynomials, the witnesses and the oracle;
+``paramfield.ParamRational`` coefficients over Q(a) serve only the oracle, for
+statements carrying the free parameter a (the fast routes run on integers).
+The integers 0 and 1 act as the additive and multiplicative identities for
+either coefficient type, which keeps one implementation serving both.
 
 Polynomials are immutable after construction and safe to share across
 workers.  Storage is dense: every modulus in this project has degree below

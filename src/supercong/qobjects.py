@@ -1,9 +1,12 @@
 """q-objects and the declarative statement specs built from them.
 
 Covers the construction side of the verification engine: cyclotomic
-polynomials, q-integers, q-shifted factorials, and the compilation of
+polynomials, q-integers and the atoms 1 - q^e, and the compilation of
 declarative summand / closed-form / modulus specs (as shipped in the JSON
-registry) into exact polynomials and rational functions.
+registry) at fixed n and d.  Specs compile to concrete exponent data (the
+(c, s, power) of every q-shifted factorial, the q-exponent of the k-th
+term, the cyclotomic support of the modulus), not to rational functions:
+each route of the engine builds its own polynomials from that data.
 
 The statement catalog is data, not code: one spec record per labeled
 statement, so adding a conjecture is a registry edit.
@@ -17,8 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .exprs import ExpressionError, eval_bool, eval_fraction, eval_int
-from .paramfield import ParamRational
-from .polys import LaurentPoly, RationalFunction, poly_divrem
+from .polys import LaurentPoly, poly_divrem
 
 
 class DegenerateFactor(ArithmeticError):
@@ -88,47 +90,6 @@ def one_minus_q_power(e: int) -> LaurentPoly:
     if e > 0:
         return LaurentPoly.from_int_coeffs([1] + [0] * (e - 1) + [-1])
     return LaurentPoly.from_int_coeffs([-1] + [0] * (-e - 1) + [1], e)
-
-
-def q_pochhammer(c: int, s: int, k: int) -> LaurentPoly:
-    """(q^c; q^s)_k = prod_{j=0}^{k-1} (1 - q^{c+js}); empty product for k=0.
-
-    c may be negative (Laurent), s must be positive.
-    """
-    if s < 1:
-        raise ValueError("pochhammer step must be positive")
-    if k < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    out = LaurentPoly.one()
-    for j in range(k):
-        out = out * one_minus_q_power(c + j * s)
-    return out
-
-
-_PARAM_A = ParamRational.generator()
-
-
-def _one_plus_coeff_q_power(coeff: ParamRational, e: int) -> LaurentPoly:
-    """1 + coeff * q^e over Q(a) coefficients."""
-    if e == 0:
-        return LaurentPoly((1 + coeff,))
-    if e > 0:
-        return LaurentPoly([1] + [0] * (e - 1) + [coeff], 0)
-    return LaurentPoly([coeff] + [0] * (-e - 1) + [1], e)
-
-
-def param_pochhammer(c: int, s: int, k: int, kind: str) -> LaurentPoly:
-    """(a q^c; q^s)_k or (q^c / a; q^s)_k with ParamRational coefficients."""
-    if kind == "aq":
-        coeff = -_PARAM_A
-    elif kind == "q_div_a":
-        coeff = -(ParamRational.const(1) / _PARAM_A)
-    else:
-        raise SpecError(f"unknown parametric factor kind {kind!r}")
-    out = LaurentPoly((ParamRational.const(1),))
-    for j in range(k):
-        out = out * _one_plus_coeff_q_power(coeff, c + j * s)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,82 +286,6 @@ def _concretize_closed_form(
                 den=den,
             )
     raise SpecError(f"no closed-form branch applies at n={n}, d={d}")
-
-
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
-
-def _materialize_factor(cf: ConcreteFactor, k: int, n: int, a_mode: Optional[str]) -> LaurentPoly:
-    if cf.param == "":
-        return q_pochhammer(cf.c, cf.s, k) ** cf.power
-    if a_mode == "symbolic":
-        return param_pochhammer(cf.c, cf.s, k, "aq" if cf.param == "aq" else "q_div_a") ** cf.power
-    if a_mode == "qn":
-        shift = n if cf.param == "aq" else -n
-    elif a_mode == "q-n":
-        shift = -n if cf.param == "aq" else n
-    else:
-        raise SpecError("parametric factor in a non-parametric build")
-    return q_pochhammer(cf.c + shift, cf.s, k) ** cf.power
-
-
-def build_concrete_summand(
-    concrete: ConcreteSummand, k: int, n: int, a_mode: Optional[str] = None
-) -> RationalFunction:
-    """The exact k-th term as a reduced rational function.
-
-    a_mode selects how parametric factors are treated: None (must be absent),
-    "symbolic" (coefficients in Q(a)), or "qn"/"q-n" (specialize a to q^{+n}
-    or q^{-n}).  Raises DegenerateFactor if a denominator factor vanishes
-    identically.
-    """
-    num = q_bracket(concrete.prefactor_index(k))
-    if num.is_zero:
-        return RationalFunction.zero()
-    for cf in concrete.num:
-        num = num * _materialize_factor(cf, k, n, a_mode)
-        if num.is_zero:
-            return RationalFunction.zero()
-    den = LaurentPoly.one()
-    for cf in concrete.den:
-        factor = _materialize_factor(cf, k, n, a_mode)
-        if factor.is_zero:
-            raise DegenerateFactor(
-                f"denominator factor (q^{cf.c}; q^{cf.s})_{k} vanishes"
-            )
-        den = den * factor
-    num = num.shift(concrete.exponent(k))
-    return RationalFunction(num, den)
-
-
-def build_closed_form(
-    branches: tuple[ClosedFormBranch, ...], n: int, d: Optional[int] = None
-) -> RationalFunction:
-    """The exact right-hand side for the (n, d) instance: either 0 or
-    sign * (ratio of q-shifted factorials) * [n]^{0,1} * q^{shift}."""
-    concrete = concretize_closed_form(branches, n, d)
-    return build_concrete_closed_form(concrete, n)
-
-
-def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> RationalFunction:
-    if concrete.kind == "zero":
-        return RationalFunction.zero()
-    num = LaurentPoly.one()
-    for c, s, length in concrete.num:
-        num = num * q_pochhammer(c, s, length)
-    den = LaurentPoly.one()
-    for c, s, length in concrete.den:
-        factor = q_pochhammer(c, s, length)
-        if factor.is_zero:
-            raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
-        den = den * factor
-    if concrete.n_multiplier:
-        num = num * q_integer(n)
-    num = num.shift(concrete.shift)
-    if concrete.sign < 0:
-        num = -num
-    return RationalFunction(num, den)
 
 
 def modulus_support(spec: ModulusSpec, n: int) -> dict[int, int]:

@@ -1,0 +1,201 @@
+"""Reference builders shared by the tests, none of which the package uses.
+
+The q-shifted factorial builders are a third route, independent of the
+engine's integer rings and of its oracle: each factorial is built as a
+whole ``LaurentPoly``, a free parameter a as ``ParamRational``
+coefficients, and every term and closed form as a reduced
+``RationalFunction``, so tests compare the engine against values in normal
+form.  Beside them sit two one-value views of package code the tests
+check (the engine's telescoped product as a rational function, and Gamma_p
+at one argument) and the quadratic-summation parameter grid.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Optional
+
+from supercong.engine import _rational, _Ring, _telescoped_sides_int
+from supercong.padic import PadicContext, PadicResidue, padic_gamma_many
+from supercong.paramfield import ParamRational
+from supercong.polys import LaurentPoly, RationalFunction
+from supercong.qobjects import (
+    ClosedFormBranch,
+    ConcreteClosedForm,
+    ConcreteFactor,
+    ConcreteSummand,
+    DegenerateFactor,
+    SpecError,
+    concretize_closed_form,
+    one_minus_q_power,
+    q_bracket,
+    q_integer,
+)
+from supercong.registry import SpecializedProduct
+
+
+# ---------------------------------------------------------------------------
+# q-shifted factorials and the terms and closed forms built from them
+# ---------------------------------------------------------------------------
+
+def q_pochhammer(c: int, s: int, k: int) -> LaurentPoly:
+    """(q^c; q^s)_k = prod_{j=0}^{k-1} (1 - q^{c+js}); empty product for k=0.
+
+    c may be negative (Laurent), s must be positive.
+    """
+    if s < 1:
+        raise ValueError("pochhammer step must be positive")
+    if k < 0:
+        raise ValueError("pochhammer length must be nonnegative")
+    out = LaurentPoly.one()
+    for j in range(k):
+        out = out * one_minus_q_power(c + j * s)
+    return out
+
+
+_PARAM_A = ParamRational.generator()
+
+
+def _one_plus_coeff_q_power(coeff: ParamRational, e: int) -> LaurentPoly:
+    """1 + coeff * q^e over Q(a) coefficients."""
+    if e == 0:
+        return LaurentPoly((1 + coeff,))
+    if e > 0:
+        return LaurentPoly([1] + [0] * (e - 1) + [coeff], 0)
+    return LaurentPoly([coeff] + [0] * (-e - 1) + [1], e)
+
+
+def param_pochhammer(c: int, s: int, k: int, kind: str) -> LaurentPoly:
+    """(a q^c; q^s)_k or (q^c / a; q^s)_k with ParamRational coefficients."""
+    if kind == "aq":
+        coeff = -_PARAM_A
+    elif kind == "q_div_a":
+        coeff = -(ParamRational.const(1) / _PARAM_A)
+    else:
+        raise SpecError(f"unknown parametric factor kind {kind!r}")
+    out = LaurentPoly((ParamRational.const(1),))
+    for j in range(k):
+        out = out * _one_plus_coeff_q_power(coeff, c + j * s)
+    return out
+
+
+def _materialize_factor(cf: ConcreteFactor, k: int, n: int, a_mode: Optional[str]) -> LaurentPoly:
+    if cf.param == "":
+        return q_pochhammer(cf.c, cf.s, k) ** cf.power
+    if a_mode == "symbolic":
+        return param_pochhammer(cf.c, cf.s, k, "aq" if cf.param == "aq" else "q_div_a") ** cf.power
+    if a_mode == "qn":
+        shift = n if cf.param == "aq" else -n
+    elif a_mode == "q-n":
+        shift = -n if cf.param == "aq" else n
+    else:
+        raise SpecError("parametric factor in a non-parametric build")
+    return q_pochhammer(cf.c + shift, cf.s, k) ** cf.power
+
+
+def build_concrete_summand(
+    concrete: ConcreteSummand, k: int, n: int, a_mode: Optional[str] = None
+) -> RationalFunction:
+    """The exact k-th term as a reduced rational function.
+
+    a_mode selects how parametric factors are treated: None (must be absent),
+    "symbolic" (coefficients in Q(a)), or "qn"/"q-n" (specialize a to q^{+n}
+    or q^{-n}).  Raises DegenerateFactor if a denominator factor vanishes
+    identically.
+    """
+    num = q_bracket(concrete.prefactor_index(k))
+    if num.is_zero:
+        return RationalFunction.zero()
+    for cf in concrete.num:
+        num = num * _materialize_factor(cf, k, n, a_mode)
+        if num.is_zero:
+            return RationalFunction.zero()
+    den = LaurentPoly.one()
+    for cf in concrete.den:
+        factor = _materialize_factor(cf, k, n, a_mode)
+        if factor.is_zero:
+            raise DegenerateFactor(
+                f"denominator factor (q^{cf.c}; q^{cf.s})_{k} vanishes"
+            )
+        den = den * factor
+    num = num.shift(concrete.exponent(k))
+    return RationalFunction(num, den)
+
+
+def build_closed_form(
+    branches: tuple[ClosedFormBranch, ...], n: int, d: Optional[int] = None
+) -> RationalFunction:
+    """The exact right-hand side for the (n, d) instance: either 0 or
+    sign * (ratio of q-shifted factorials) * [n]^{0,1} * q^{shift}."""
+    concrete = concretize_closed_form(branches, n, d)
+    return build_concrete_closed_form(concrete, n)
+
+
+def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> RationalFunction:
+    if concrete.kind == "zero":
+        return RationalFunction.zero()
+    num = LaurentPoly.one()
+    for c, s, length in concrete.num:
+        num = num * q_pochhammer(c, s, length)
+    den = LaurentPoly.one()
+    for c, s, length in concrete.den:
+        factor = q_pochhammer(c, s, length)
+        if factor.is_zero:
+            raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
+        den = den * factor
+    if concrete.n_multiplier:
+        num = num * q_integer(n)
+    num = num.shift(concrete.shift)
+    if concrete.sign < 0:
+        num = -num
+    return RationalFunction(num, den)
+
+
+# ---------------------------------------------------------------------------
+# the engine's telescoping and Gamma_p, one value at a time
+# ---------------------------------------------------------------------------
+
+def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
+    """The finite form of the infinite-product right side (see
+    engine._telescoped_sides_int) as a reduced rational function."""
+    return _rational(*_telescoped_sides_int(sp, n, d, _Ring()))
+
+
+def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:
+    return padic_gamma_many([x], ctx)[0]
+
+
+# ---------------------------------------------------------------------------
+# quadratic-summation parameters
+# ---------------------------------------------------------------------------
+
+def rahman_grid(count: int = 20, seed: int = 20240817) -> list[tuple[float, float, float, float]]:
+    """Deterministic (q, a, b, d) grid with q in {0.1..0.6} and parameters
+    drawn in [-0.9, 0.9], resampled when any right-side denominator factor
+    or the (1-a) prefactor gets within 1e-6 of zero."""
+    rng = random.Random(seed)
+    qs = [0.1 + 0.5 * i / (count - 1) for i in range(count)]
+    grid = []
+    for q in qs:
+        while True:
+            a = rng.uniform(-0.9, 0.9)
+            b = rng.uniform(-0.9, 0.9)
+            d = rng.uniform(-0.9, 0.9)
+            if abs(1.0 - a) < 1e-3 or abs(b) < 1e-3 or abs(d) < 1e-3:
+                continue
+            if _rahman_well_posed(q, a, b, d):
+                grid.append((q, a, b, d))
+                break
+    return grid
+
+
+def _rahman_well_posed(q: float, a: float, b: float, d: float) -> bool:
+    q2 = q * q
+    for x in (q, q2 * a / b, q2 * a / d, q * b * d, a * q2, q * b, q * d, a * q2 / (b * d)):
+        term = x
+        while abs(term) > 1e-12:
+            if abs(1.0 - term) < 1e-6:
+                return False
+            term *= q2
+    return True

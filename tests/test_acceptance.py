@@ -13,11 +13,11 @@ import dataclasses
 import time
 from fractions import Fraction
 
+from reference import build_closed_form, build_concrete_summand, rahman_grid
 from supercong.analytic import (
     check_gamma_limit,
     check_identity_numeric,
     check_pi_formula,
-    rahman_grid,
 )
 from supercong.engine import (
     verify_congruence,
@@ -105,8 +105,6 @@ def test_criterion_04_general_family_mod_phi_cubed(registry):
         if result.status != "pass":
             violations.append(f"thm4 {params}: {result.status}")
     # d = 2 coincidence: identical terms and identical verdicts
-    from supercong.qobjects import build_concrete_summand, build_closed_form
-
     thm1 = registry.get("thm1_1")
     thm3 = registry.get("thm3_1")
     s1 = concretize_summand(thm1.summand, None)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import rahman_grid
 from supercong.analytic import (
     check_gamma_limit,
     check_identity_numeric,
@@ -12,7 +13,6 @@ from supercong.analytic import (
     exact_partial_sums,
     pi_target,
     q_product_infinite,
-    rahman_grid,
     richardson_extrapolate,
     verify_analytic_case,
 )

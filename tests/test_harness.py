@@ -231,9 +231,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
 
-    def test_unknown_format(self):
-        with pytest.raises(ConfigError):
-            RunConfig(report_format="xml")
+    def test_unknown_format(self, capsys):
+        # the report format is the CLI's own argument, checked by argparse
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--case", "thm1_1", "--n", "5", "--no-cache", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestCli:
@@ -282,8 +285,10 @@ class TestCli:
         assert "no jobs" in capsys.readouterr().err
 
     def test_negative_tolerance_is_config_error(self, capsys):
-        assert main(["analytic", "--case", "chu1", "--tol", "-1", "--no-cache"]) == 2
-        assert "tolerance" in capsys.readouterr().err
+        # an infinite tolerance would pass every numeric check
+        for tol in ("-1", "inf"):
+            assert main(["analytic", "--case", "chu1", "--tol", tol, "--no-cache"]) == 2
+            assert "tolerance" in capsys.readouterr().err
 
     def test_verdicts_survive_optimized_interpreter(self, tmp_path):
         # invariants raise exceptions rather than asserting, so -O decides alike
@@ -319,3 +324,9 @@ class TestCli:
             "--report", "/nonexistent-dir/report.json",
         ])
         assert code == 2
+
+    def test_unwritable_cache_path(self, tmp_path, capsys):
+        # a missing directory, and a directory where the cache file should be
+        for cache in (tmp_path / "missing" / "c.jsonl", tmp_path):
+            assert main(["verify", "--case", "thm1_1", "--n", "5", "--cache", str(cache)]) == 2
+            assert "cannot write the result cache" in capsys.readouterr().err

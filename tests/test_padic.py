@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import padic_gamma
 from supercong.padic import (
     PadicContext,
     PadicResidue,
     is_odd_prime,
-    padic_gamma,
     padic_gamma_many,
     padic_valuation,
     real_sum,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import param_pochhammer
 from supercong.paramfield import ParamRational
 from supercong.polys import (
     LaurentPoly,
@@ -17,7 +18,7 @@ from supercong.polys import (
     poly_gcdex,
     residue_reduce,
 )
-from supercong.qobjects import cyclotomic, param_pochhammer
+from supercong.qobjects import cyclotomic
 
 
 def P(*coeffs, low=0):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import build_concrete_closed_form, build_concrete_summand, q_pochhammer
 from supercong.polys import LaurentPoly, RationalFunction, poly_divrem
 from supercong.qobjects import (
     DegenerateFactor,
     SpecError,
-    build_concrete_closed_form,
-    build_concrete_summand,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -20,7 +19,6 @@ from supercong.qobjects import (
     one_minus_q_power,
     q_bracket,
     q_integer,
-    q_pochhammer,
 )
 
 
