@@ -18,7 +18,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .engine import CaseResult, case_result
-from .exprs import eval_fraction, eval_int
+from .exprs import eval_fraction
+from .padic import real_partial_sums
 from .qobjects import ConcreteSummand, concretize_summand
 from .registry import CaseDefinition
 
@@ -33,13 +34,7 @@ def q_product_infinite(c: float, s: float, q: float, tol: float = 1e-15) -> floa
         raise ValueError("|q| must be below 1 for infinite products")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    out = 1.0
-    power = q ** c
-    step = q ** s
-    while abs(power) >= tol:
-        out *= 1.0 - power
-        power *= step
-    return out
+    return _base_product_infinite(q ** c, q ** s, tol)
 
 
 def _base_product_infinite(x: float, step_q: float, tol: float = 1e-15) -> float:
@@ -181,33 +176,6 @@ def pi_target(name: str) -> float:
     raise ValueError(f"unknown pi-series target {name!r}")
 
 
-def exact_partial_sums(case: CaseDefinition, n_terms: int) -> list[Fraction]:
-    """S_0 .. S_N as exact rationals (the series terms are rational)."""
-    spec = case.real_lhs
-    m = eval_int(spec.prefactor[0])
-    r = eval_int(spec.prefactor[1])
-    geo = eval_fraction(spec.geometric_base)
-    bases = [(eval_fraction(base), power) for base, power in spec.rising]
-    sums = []
-    total = Fraction(0)
-    rising = [Fraction(1)] * len(bases)
-    factorial = Fraction(1)
-    geo_pow = Fraction(1)
-    for k in range(n_terms + 1):
-        if k:
-            for i, (base, _) in enumerate(bases):
-                rising[i] *= base + (k - 1)
-            factorial *= k
-            geo_pow *= geo
-        term = Fraction(m * k + r)
-        for i, (_, power) in enumerate(bases):
-            term *= rising[i] ** power
-        term /= geo_pow * factorial ** spec.factorial_power
-        total += term
-        sums.append(total)
-    return sums
-
-
 def richardson_extrapolate(partials: Sequence[Fraction], order: int) -> Fraction:
     """Neville extrapolation of S_k to k -> inf on nodes 1/(k+1), exact.
 
@@ -250,7 +218,7 @@ def check_pi_formula(case: CaseDefinition, n_terms: int, tol: Optional[float] = 
         raise ValueError("need at least the k = 0 term")
     tol = tol if tol is not None else (case.tol or 1e-9)
     target = pi_target(case.target)
-    partials = exact_partial_sums(case, n_terms)
+    partials = real_partial_sums(case.real_lhs, n_terms)
     raw = partials[-1]
     gap_raw = abs(float(raw) - target)
     if n_terms >= 12 and abs(partials[-1] - partials[-6]) > Fraction(1, 10 ** 13):

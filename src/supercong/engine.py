@@ -22,9 +22,13 @@ sparser factor, so multiplying by an atom costs linear time, and a bracket
 [t] is multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
-monic with integer coefficients, so remainders stay integral).  Failures
-are reclassified through the exact rational-function oracle, which is also
-the independent second route for the strategy cross-check.
+monic with integer coefficients, so remainders stay integral).  A failure
+of the q lane, of the Phi_n leg of the parametric lane or of the q_pair
+lane is classified by one routine, ``_classify``: both sides over explicit
+full denominators, one cross-multiplied difference, cyclotomic valuations
+by exact division, and the exact residue of the difference as witness.
+``oracle_congruence`` feeds it a congruence's sum and closed form; it is
+also the independent second route the tests check the fast path against.
 """
 
 from __future__ import annotations
@@ -623,6 +627,48 @@ def _closed_form_polys(closed: ConcreteClosedForm, n: int) -> tuple[LaurentPoly,
     return rn, rd
 
 
+def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False):
+    """left - right modulo M = prod Phi_m^support[m], for two fractions
+    (num, den) of explicit polynomials: the one failure route of every lane.
+
+    Writing the difference cross-multiplied as DIFF / DEN, it vanishes
+    modulo M iff v_m(DIFF) - v_m(DEN) >= support[m] at every m; a negative
+    difference of valuations is a pole, where the congruence is not even
+    well posed.  Valuations are read off by repeated exact division, so no
+    gcd is ever computed.
+
+    Returns None when DIFF is identically zero, else (poles, fails, witness,
+    scaled): poles lists (m, order) and fails lists (m, valuation).  Only a
+    failure without poles has a witness: with Phi_m^v_m(DEN) cancelled from
+    both sides, DEN is a unit modulo M and the witness is the exact residue
+    of DIFF / DEN.  For a ``parametric`` difference modulo M of degree above
+    6 that inversion would swell over Q(a), so the witness is the cancelled
+    DIFF modulo M instead, a unit multiple of the residue, and ``scaled``
+    is True.
+    """
+    (num_l, den_l), (num_r, den_r) = left, right
+    diff, den = num_l * den_r - num_r * den_l, den_l * den_r
+    if diff.is_zero:
+        return None
+    diff_p, den_p = diff.poly_part(), den.poly_part()
+    poles, fails, orders = [], [], {}
+    for m in sorted(support):
+        phi = cyclotomic(m)
+        orders[m] = _phi_valuation(den_p, phi)
+        v = _phi_valuation(diff_p, phi) - orders[m]
+        if v < 0:
+            poles.append((m, -v))
+        elif v < support[m]:
+            fails.append((m, v))
+    if poles or not fails:
+        return poles, fails, None, False
+    num_c, den_c = _cancel(diff_p, den_p, orders)
+    modulus = modulus_from_support(support)
+    if parametric and modulus.span > 6:
+        return poles, fails, poly_divrem(num_c, modulus)[1], True
+    return poles, fails, residue_reduce(num_c.shift(diff.low - den.low), den_c, modulus), False
+
+
 def oracle_congruence(
     summand: ConcreteSummand,
     bound: int,
@@ -631,34 +677,15 @@ def oracle_congruence(
     n: int,
 ) -> tuple[str, Optional[LaurentPoly], str]:
     """Brute-force verdict: the whole sum over one common denominator minus
-    the closed form, decided by cyclotomic valuation counting.
-
-    Writing the difference as DIFF / DEN with explicit polynomials, the
-    congruence holds iff v_m(DIFF) - v_m(DEN) >= e_m for every cyclotomic
-    index m in the modulus; a negative difference of valuations is a pole,
-    i.e. the congruence is not even well posed there.  Valuations are read
-    off by repeated exact division, so no gcd is ever computed.
+    the closed form, classified by ``_classify``.
 
     Returns (status, witness, detail).
     """
-    total, d_full = _term_parts(summand, bound)
-    rn, rd = _closed_form_polys(closed, n)
-    diff = total * rd - rn * d_full
-    if diff.is_zero:
+    verdict = _classify(_term_parts(summand, bound), _closed_form_polys(closed, n), support,
+                        parametric=any(f.param for f in summand.num + summand.den))
+    if verdict is None:
         return "pass", None, "difference is identically zero"
-    den = (d_full * rd).poly_part()
-    diff_p = diff.poly_part()
-    poles, fails = [], []
-    cancellations = {}
-    for m in sorted(support):
-        phi = cyclotomic(m)
-        v_diff = _phi_valuation(diff_p, phi)
-        v_den = _phi_valuation(den, phi)
-        cancellations[m] = v_den
-        if v_diff < v_den:
-            poles.append((m, v_den - v_diff))
-        elif v_diff - v_den < support[m]:
-            fails.append((m, v_diff - v_den))
+    poles, fails, witness, scaled = verdict
     if poles:
         detail = "; ".join(
             f"pole of order {order} at the order-{m} cyclotomic" for m, order in poles
@@ -666,20 +693,10 @@ def oracle_congruence(
         return "obstruction", None, detail + ": congruence ill-posed"
     if not fails:
         return "pass", None, "difference divisible by the modulus"
-    num_c, den_c = _cancel(diff_p, den, cancellations)
-    modulus = modulus_from_support(support)
     detail = "; ".join(
         f"valuation {v} < {support[m]} at the order-{m} cyclotomic" for m, v in fails
     )
-    parametric = any(f.param for f in summand.num + summand.den)
-    if parametric and modulus.span > 6:
-        # the exact residue would need a Q(a) inversion, which swells; a
-        # unit multiple of it is still a faithful nonvanishing certificate
-        _, witness = poly_divrem(num_c, modulus)
-        detail += " (witness scaled by a unit)"
-    else:
-        witness = residue_reduce(RationalFunction(num_c, den_c, reduce=False), modulus).value
-    return "fail", witness, detail
+    return "fail", witness, detail + (" (witness scaled by a unit)" if scaled else "")
 
 
 # ---------------------------------------------------------------------------
@@ -698,17 +715,13 @@ def verify_congruence(
     n: int,
     d: Optional[int] = None,
     bound: Optional[str] = None,
-    strategy: str = "fast",
 ) -> CaseResult:
-    """Check one univariate congruence instance exactly (no tolerance).
-
-    strategy "fast" runs the cross-multiplied integer path and falls back to
-    the rational-function oracle only to classify failures; "oracle" runs
-    the brute-force route unconditionally.
-    """
+    """Check one univariate congruence instance exactly (no tolerance): the
+    cross-multiplied integer path decides, and the rational-function oracle
+    runs only to classify a failure."""
     bound_expr = bound if bound is not None else case.bounds[0]
     params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
-    done = partial(case_result, case, params, strategy=strategy, start=time.perf_counter())
+    done = partial(case_result, case, params, strategy="fast", start=time.perf_counter())
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
     try:
@@ -722,16 +735,13 @@ def verify_congruence(
     if _degenerate_den(summand, k_max):
         return done("obstruction", detail="zero denominator factor in a term")
 
-    if strategy == "fast":
-        try:
-            if _congruence_holds(summand, k_max, closed, support, n, [_plain_factor]):
-                return done("pass")
-        except DegenerateFactor as exc:
-            return done("obstruction", detail=str(exc))
-        status, witness, detail = oracle_congruence(summand, k_max, closed, support, n)
-        return done(status, strategy="fast+oracle", witness=witness, detail=detail)
+    try:
+        if _congruence_holds(summand, k_max, closed, support, n, [_plain_factor]):
+            return done("pass")
+    except DegenerateFactor as exc:
+        return done("obstruction", detail=str(exc))
     status, witness, detail = oracle_congruence(summand, k_max, closed, support, n)
-    return done(status, witness=witness, detail=detail)
+    return done(status, strategy="fast+oracle", witness=witness, detail=detail)
 
 
 def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_bound: int,
@@ -764,24 +774,12 @@ def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
     if _pair_holds(lhs, lhs_bound, rhs, rhs_bound, support, n):
         return done("pass")
 
-    # classify exactly by the oracle's route: each sum over its full
-    # denominator, one cross-multiplied difference, valuations by repeated
-    # exact division; the residue is unique, so cancelling first gives the
-    # witness of the reduced difference
-    (total_l, den_l), (total_r, den_r) = _term_parts(lhs, lhs_bound), _term_parts(rhs, rhs_bound)
-    diff, den = total_l * den_r - total_r * den_l, den_l * den_r
-    if diff.is_zero:
-        return done("pass", strategy="fast+oracle")
-    diff_p, den_p = diff.poly_part(), den.poly_part()
-    orders = {m: _phi_valuation(den_p, cyclotomic(m)) for m in sorted(support)}
-    for m in sorted(support):
-        if _phi_valuation(diff_p, cyclotomic(m)) < orders[m]:
-            return done("obstruction", strategy="fast+oracle",
-                        detail=f"difference has a pole at the order-{m} cyclotomic")
-    num_c, den_c = _cancel(diff_p, den_p, orders)
-    witness = residue_reduce(RationalFunction(num_c.shift(diff.low - den.low), den_c, reduce=False),
-                             modulus_from_support(support)).value
-    if witness.is_zero:
+    poles, fails, witness, _ = _classify(_term_parts(lhs, lhs_bound), _term_parts(rhs, rhs_bound),
+                                         support) or ([], [], None, False)
+    if poles:
+        return done("obstruction", strategy="fast+oracle",
+                    detail=f"difference has a pole at the order-{poles[0][0]} cyclotomic")
+    if not fails:
         return done("pass", strategy="fast+oracle")
     return done("fail", strategy="fast+oracle", witness=witness, detail="sums disagree")
 

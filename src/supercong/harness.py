@@ -14,6 +14,7 @@ import logging
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -295,15 +296,22 @@ def _load_cache(path: str, digest: str) -> dict[str, dict]:
     return cache
 
 
-def _append_cache(path: str, entries: dict[str, dict]) -> None:
-    if not entries:
-        return
+def _open_cache(path: str):
+    """The cache file opened for appending, before any job runs, so that an
+    unwritable path ends the run at once."""
     try:
-        with open(path, "a", encoding="utf-8") as handle:
-            for key in sorted(entries):
-                handle.write(json.dumps({"key": key, "result": entries[key]}, sort_keys=True) + "\n")
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write the result cache to {path}: {exc}") from exc
+
+
+def _append_cache(handle, entries: dict[str, dict]) -> None:
+    try:
+        for key in sorted(entries):
+            handle.write(json.dumps({"key": key, "result": entries[key]}, sort_keys=True) + "\n")
+        handle.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write the result cache to {handle.name}: {exc}") from exc
 
 
 def _strip_timing(result: dict) -> dict:
@@ -319,19 +327,18 @@ def _strip_timing(result: dict) -> dict:
 def run(config: RunConfig, registry: Optional[Registry] = None) -> Report:
     registry = registry or load_registry(config.registry_path)
     jobs = plan_jobs(registry, config)
+    with _open_cache(config.cache_path) if config.use_cache else nullcontext() as cache_file:
+        cache = _load_cache(config.cache_path, registry.digest) if config.use_cache else {}
+        cached_results: dict[tuple[str, str], dict] = {}
+        to_compute: list[tuple[str, dict]] = []
+        for case_id, params in jobs:
+            key = _cache_key(case_id, params, registry.digest)
+            if key in cache:
+                cached_results[(case_id, json.dumps(params, sort_keys=True))] = cache[key]
+            else:
+                to_compute.append((case_id, params))
 
-    cache = _load_cache(config.cache_path, registry.digest) if config.use_cache else {}
-    cached_results: dict[tuple[str, str], dict] = {}
-    to_compute: list[tuple[str, dict]] = []
-    for case_id, params in jobs:
-        key = _cache_key(case_id, params, registry.digest)
-        if key in cache:
-            cached_results[(case_id, json.dumps(params, sort_keys=True))] = cache[key]
-        else:
-            to_compute.append((case_id, params))
-
-    computed: dict[tuple[str, str], dict] = {}
-    if to_compute:
+        computed: dict[tuple[str, str], dict] = {}
         if config.jobs > 1 and len(to_compute) > 1:
             args = [
                 (config.registry_path, case_id, params, config.tol, config.include_timing)
@@ -347,26 +354,26 @@ def run(config: RunConfig, registry: Optional[Registry] = None) -> Report:
                     config.include_timing
                 )
 
-    if config.use_cache and cached_results:
-        _audit_cache(registry, config, cached_results)
+        if config.use_cache and cached_results:
+            _audit_cache(registry, config, cached_results)
 
-    results = []
-    new_cache_entries: dict[str, dict] = {}
-    for case_id, params in jobs:
-        key = (case_id, json.dumps(params, sort_keys=True))
-        if key in cached_results:
-            result = dict(cached_results[key])
-            if not config.include_timing:
-                result = _strip_timing(result)
-        else:
-            result = computed[key]
-            if result["status"] != "error":   # an error is retried, never cached
-                cache_key = _cache_key(case_id, params, registry.digest)
-                new_cache_entries[cache_key] = _strip_timing(result)
-        results.append(result)
+        results = []
+        new_cache_entries: dict[str, dict] = {}
+        for case_id, params in jobs:
+            key = (case_id, json.dumps(params, sort_keys=True))
+            if key in cached_results:
+                result = dict(cached_results[key])
+                if not config.include_timing:
+                    result = _strip_timing(result)
+            else:
+                result = computed[key]
+                if result["status"] != "error":   # an error is retried, never cached
+                    cache_key = _cache_key(case_id, params, registry.digest)
+                    new_cache_entries[cache_key] = _strip_timing(result)
+            results.append(result)
 
-    if config.use_cache:
-        _append_cache(config.cache_path, new_cache_entries)
+        if cache_file is not None:
+            _append_cache(cache_file, new_cache_entries)
 
     return Report(
         version=__version__,

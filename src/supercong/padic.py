@@ -118,14 +118,16 @@ def padic_gamma_many(xs: Sequence[Fraction], ctx: PadicContext) -> list[PadicRes
 # registry-driven verification
 # ---------------------------------------------------------------------------
 
-def real_sum(spec: RealSumSpec, bound: int, p: Optional[int] = None) -> Fraction:
-    """Exact value of the truncated real series described by ``spec``."""
+def real_partial_sums(spec: RealSumSpec, bound: int, p: Optional[int] = None) -> list[Fraction]:
+    """S_0 .. S_bound, the exact partial sums of the real series described
+    by ``spec`` (a 'sum' spec; its expressions may name the prime p)."""
     if spec.kind != "sum":
-        raise ValueError("real_sum needs a 'sum' spec")
+        raise ValueError("real_partial_sums needs a 'sum' spec")
     m = eval_int(spec.prefactor[0], p=p)
     r = eval_int(spec.prefactor[1], p=p)
     geo = eval_fraction(spec.geometric_base, p=p)
     bases = [(eval_fraction(base, p=p), power) for base, power in spec.rising]
+    sums = []
     total = Fraction(0)
     term_rising = [Fraction(1)] * len(bases)
     factorial = Fraction(1)
@@ -141,7 +143,8 @@ def real_sum(spec: RealSumSpec, bound: int, p: Optional[int] = None) -> Fraction
             term *= term_rising[i] ** power
         term /= geo_pow * factorial ** spec.factorial_power
         total += term
-    return total
+        sums.append(total)
+    return sums
 
 
 def rising_ratio_value(spec: RealSumSpec, p: int) -> Fraction:
@@ -200,7 +203,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
     threshold = case.threshold
     if case.real_lhs.kind == "sum":
         bound = eval_int(case.padic_bound, p=p)
-        lhs = real_sum(case.real_lhs, bound, p=p)
+        lhs = real_partial_sums(case.real_lhs, bound, p=p)[-1]
     else:
         lhs = rising_ratio_value(case.real_lhs, p)
 

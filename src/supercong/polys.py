@@ -1,5 +1,5 @@
 """Dense exact univariate arithmetic: Laurent polynomials, rational
-functions, and quotient-ring residues.
+functions, and the residue of a quotient modulo a polynomial.
 
 Coefficients are duck typed over an exact field.  Plain ``fractions.Fraction``
 coefficients serve the cyclotomic polynomials, the witnesses and the oracle;
@@ -405,130 +405,34 @@ class RationalFunction:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-class Residue:
-    """Element of F[q]/(M(q)) with a fully reduced representative.
+def residue_reduce(num: LaurentPoly, den: LaurentPoly, modulus: LaurentPoly) -> LaurentPoly:
+    """The residue r of num / den in F[q]/(modulus): r * den == num, and r
+    is a plain polynomial of degree below that of the modulus.
 
-    Two residues combine only when their moduli are identical; the modulus
-    must be a plain nonzero polynomial with nonzero constant term (all the
-    cyclotomic-product moduli used here qualify), which makes q itself a
-    unit and lets Laurent numerators reduce cleanly.
-    """
+    The modulus must be a plain nonconstant polynomial with nonzero constant
+    term (every cyclotomic product here qualifies), so q is a unit and
+    Laurent num and den reduce too.  As in von zur Gathen & Gerhard, Modern
+    Computer Algebra, 4.3: the inverse of den by the extended Euclidean
+    algorithm, then one product and one remainder (num and den are reduced
+    first, so the product is of two residues).
 
-    __slots__ = ("modulus", "value")
-
-    def __init__(self, modulus: LaurentPoly, value: LaurentPoly, *, _reduced: bool = False):
-        if modulus.is_zero or modulus.low != 0 or modulus.span < 1:
-            raise ValueError("modulus must be a plain nonconstant polynomial")
-        self.modulus = modulus
-        if _reduced:
-            self.value = value
-        else:
-            self.value = _reduce_laurent(value, modulus)
-
-    @classmethod
-    def of(cls, value: LaurentPoly, modulus: LaurentPoly) -> "Residue":
-        return cls(modulus, value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("residue arithmetic across distinct moduli")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.modulus, self.value + other.value)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.modulus, self.value - other.value)
-
-    def __mul__(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            self._check(other)
-            return Residue(self.modulus, self.value * other.value)
-        return Residue(self.modulus, self.value * other)
-
-    def __rmul__(self, other) -> "Residue":
-        return self.__mul__(other)
-
-    def inverse(self) -> "Residue":
-        if self.value.is_zero:
-            raise NonUnitDenominator(self.modulus)
-        g, u, _ = poly_gcdex(self.value.poly_part(), self.modulus)
-        if g.span != 0:
-            raise NonUnitDenominator(g)
-        # g is the monic monomial q^k (a unit, as M(0) != 0), so
-        # u * value.poly_part() == q^k (mod M)
-        inv = u
-        shift = -(self.value.low + g.low)
-        if shift:
-            inv = inv * _q_power_residue(self.modulus, shift)
-        return Residue(self.modulus, inv)
-
-    def __pow__(self, n: int) -> "Residue":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Residue(self.modulus, LaurentPoly.one(), _reduced=True)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Residue):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.modulus, self.value))
-
-    def __repr__(self) -> str:
-        return f"[{self.value!r}] mod ({self.modulus!r})"
-
-
-def _reduce_laurent(p: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
-    """Representative of p in F[q]/(m); negative exponents go through q^-1."""
-    if p.is_zero:
-        return p
-    _, r = poly_divrem(p.poly_part(), m)
-    if p.low > 0:
-        _, r = poly_divrem(r.shift(p.low), m)
-    elif p.low < 0:
-        _, r = poly_divrem(r * _q_power_residue(m, p.low), m)
-    return r
-
-
-def _q_power_residue(m: LaurentPoly, k: int) -> LaurentPoly:
-    """q^k reduced mod m, valid for negative k when m(0) != 0."""
-    if k >= 0:
-        _, r = poly_divrem(LaurentPoly.monomial(Fraction(1), k), m)
-        return r
-    c0 = m.coefficient(0)
-    if c0 == 0:
-        raise NonUnitDenominator(LaurentPoly.monomial(Fraction(1), 1))
-    # m = c0 + q*t(q)  =>  q * (-t/c0) == 1 (mod m)
-    tail = LaurentPoly(m.coeffs[1:], 0)
-    inv_q = tail.scale(-(1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0))
-    acc = LaurentPoly.one()
-    for _ in range(-k):
-        _, acc = poly_divrem(acc * inv_q, m)
-    return acc
-
-
-def residue_reduce(p: RationalFunction, m: LaurentPoly) -> Residue:
-    """Unique residue r with r = num(p) * den(p)^-1 in F[q]/(m).
-
-    Raises NonUnitDenominator when gcd(den(p), m) != 1: the congruence is
+    Raises NonUnitDenominator when gcd(den, modulus) != 1: the congruence is
     not well posed at this modulus and the caller must report that.
     """
-    den = Residue(m, p.den)
-    den_inv = den.inverse()  # raises NonUnitDenominator on shared factors
-    return Residue(m, p.num) * den_inv
+    if modulus.low != 0 or modulus.span < 1:
+        raise ValueError("modulus must be a plain nonconstant polynomial with nonzero constant term")
+    _, num_r = poly_divrem(num.poly_part(), modulus)
+    _, den_r = poly_divrem(den.poly_part(), modulus)
+    g, u, _ = poly_gcdex(den_r, modulus)
+    if g.span != 0:
+        raise NonUnitDenominator(g)
+    # g = q^k (the Euclidean algorithm runs over F[q, 1/q]), so
+    # u * den == q^(den.low + k) and num / den == num * u * q^-(den.low + k)
+    _, r = poly_divrem(num_r * u, modulus)
+    r = r.shift(num.low - den.low - g.low)
+    # each step up from a negative exponent cancels the lowest coefficient
+    # against a multiple q^low * modulus; the span stays below the modulus's
+    while r.low < 0:
+        r = r - modulus.shift(r.low).scale(r.coeffs[0] / modulus.coeffs[0])
+    _, r = poly_divrem(r, modulus)
+    return r

@@ -157,25 +157,22 @@ class Registry:
 
 
 def _summand_from_json(obj: dict) -> SummandSpec:
-    try:
-        factors = tuple(
-            PochFactor(
-                exp=f["exp"],
-                step=f["step"],
-                side=f["side"],
-                power=int(f.get("power", 1)),
-                param=f.get("param", ""),
-            )
-            for f in obj["factors"]
+    factors = tuple(
+        PochFactor(
+            exp=f["exp"],
+            step=f["step"],
+            side=f["side"],
+            power=int(f.get("power", 1)),
+            param=f.get("param", ""),
         )
-        return SummandSpec(
-            prefactor_m=obj["prefactor"][0],
-            prefactor_r=obj["prefactor"][1],
-            q_exp=tuple(obj["q_exp"]),
-            factors=factors,
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise RegistryError(f"malformed summand spec: {exc}") from exc
+        for f in obj["factors"]
+    )
+    return SummandSpec(
+        prefactor_m=obj["prefactor"][0],
+        prefactor_r=obj["prefactor"][1],
+        q_exp=tuple(obj["q_exp"]),
+        factors=factors,
+    )
 
 
 def _closed_form_from_json(obj: list) -> tuple[ClosedFormBranch, ...]:
@@ -364,13 +361,25 @@ def load_registry(path: Optional[Path | str] = None) -> Registry:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "cases" not in doc:
-        raise RegistryError("registry document must be an object with a 'cases' list")
-    cases = [_case_from_json(obj) for obj in doc["cases"]]
-    registry = Registry(cases, digest, path)
-    for case in registry:
+    if (not isinstance(doc, dict) or not isinstance(doc.get("cases"), list)
+            or not all(isinstance(obj, dict) for obj in doc["cases"])):
+        raise RegistryError("registry document must be an object with a 'cases' list of objects")
+    return Registry([_read_case(obj) for obj in doc["cases"]], digest, path)
+
+
+def _read_case(obj: dict) -> CaseDefinition:
+    """One record, parsed and validated; a missing field or a value of the
+    wrong type or form anywhere in it is a RegistryError naming the record."""
+    try:
+        case = _case_from_json(obj)
         _validate_case(case)
-    return registry
+        return case
+    except RegistryError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise RegistryError(
+            f"{obj.get('id')}: malformed record: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def iter_sweep_params(case: CaseDefinition) -> list[dict]:

@@ -25,7 +25,7 @@ from supercong.engine import (
     verify_parametric,
 )
 from supercong.harness import RunConfig, run
-from supercong.padic import real_sum, verify_padic_case
+from supercong.padic import real_partial_sums, verify_padic_case
 from supercong.qobjects import concretize_summand
 from supercong.registry import iter_sweep_params
 
@@ -202,7 +202,7 @@ def test_criterion_10_g2_supercongruence(registry):
     start = time.perf_counter()
     violations = []
     case = registry.get("vanhamme_g2")
-    if real_sum(case.real_lhs, 1, p=5) != Fraction(265, 256):
+    if real_partial_sums(case.real_lhs, 1, p=5)[-1] != Fraction(265, 256):
         violations.append("spot value of the p=5 truncated sum is off")
     for p in (5, 13, 17, 29):
         result = verify_padic_case(case, p)
@@ -222,7 +222,7 @@ def test_criterion_11_rational_right_side(registry):
         result = verify_padic_case(case, p)
         if result.status != "pass":
             violations.append(f"p={p}: {result.status}")
-    lhs = real_sum(case.real_lhs, 2, p=5)
+    lhs = real_partial_sums(case.real_lhs, 2, p=5)[-1]
     from supercong.padic import rising_ratio_value
     from supercong.registry import RealSumSpec
 
@@ -272,7 +272,7 @@ def test_criterion_14_vanishing_mod_p2_and_stronger_conjecture(registry):
         result = verify_padic_case(case, p)
         if result.status != "pass" or result.valuation < 2:
             violations.append(f"corollary1 p={p}: {result.status} v={result.valuation}")
-    if real_sum(case.real_lhs, 1, p=5) != Fraction(525, 512):
+    if real_partial_sums(case.real_lhs, 1, p=5)[-1] != Fraction(525, 512):
         violations.append("p=5 truncated sum is not exactly 525/512")
     if verify_padic_case(case, 5).valuation != 2:
         violations.append("p=5 valuation is not exactly 2")
@@ -363,7 +363,7 @@ def test_criterion_18_oracle_equivalence(registry):
         is_parametric_case,
         oracle_congruence,
     )
-    from supercong.qobjects import concretize_closed_form
+    from supercong.qobjects import concretize_closed_form, modulus_support
     from supercong.exprs import eval_int
 
     start = time.perf_counter()
@@ -377,14 +377,17 @@ def test_criterion_18_oracle_equivalence(registry):
                 continue
             n, d = params["n"], params.get("d")
             if not is_parametric_case(case):
+                summand = concretize_summand(case.summand, d)
+                closed = concretize_closed_form(case.closed_form, n, d)
+                support = modulus_support(case.modulus, n)
                 for bound in case.bounds:
-                    fast = verify_congruence(case, n, d, bound=bound, strategy="fast")
-                    slow = verify_congruence(case, n, d, bound=bound, strategy="oracle")
+                    fast = verify_congruence(case, n, d, bound=bound)
+                    status, _, _ = oracle_congruence(
+                        summand, eval_int(bound, n=n, d=d), closed, support, n
+                    )
                     checked += 1
-                    if fast.status != slow.status:
-                        violations.append(
-                            f"{case.id} {params} {bound}: {fast.status} vs {slow.status}"
-                        )
+                    if fast.status != status:
+                        violations.append(f"{case.id} {params} {bound}: {fast.status} vs {status}")
             elif case.modulus.cyclotomic_power():
                 summand = concretize_summand(case.summand, d)
                 closed = concretize_closed_form(case.closed_form, n, d)

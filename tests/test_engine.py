@@ -30,6 +30,8 @@ from supercong.engine import (
 from supercong.exprs import eval_int
 from supercong.polys import LaurentPoly, RationalFunction, residue_reduce
 from supercong.qobjects import (
+    PochFactor,
+    SummandSpec,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -37,7 +39,7 @@ from supercong.qobjects import (
     modulus_support,
     one_minus_q_power,
 )
-from supercong.registry import SpecializedProduct, iter_sweep_params
+from supercong.registry import PairSide, SpecializedProduct, iter_sweep_params
 
 
 def perturbed_exponent_case(registry):
@@ -79,10 +81,14 @@ class TestVerifyCongruence:
 
     def test_fast_and_oracle_agree_on_failures(self, registry):
         case = perturbed_exponent_case(registry)
-        fast = verify_congruence(case, 5, strategy="fast")
-        slow = verify_congruence(case, 5, strategy="oracle")
-        assert fast.status == slow.status == "fail"
-        assert fast.witness == slow.witness
+        fast = verify_congruence(case, 5)
+        summand = concretize_summand(case.summand, None)
+        closed = concretize_closed_form(case.closed_form, 5, None)
+        support = modulus_support(case.modulus, 5)
+        status, witness, _ = oracle_congruence(summand, eval_int(case.bounds[0], n=5), closed,
+                                               support, 5)
+        assert fast.status == status == "fail"
+        assert fast.witness == witness
 
     def test_modulus_monotonicity(self, registry):
         # passing modulo Phi^3 implies passing modulo Phi^2 for the same data
@@ -226,6 +232,102 @@ class TestDeskFindings:
         # where the base-q^2 and base-q^d readings diverge, only q^d survives
         assert verify_parametric(registry.get("lemma2"), 15, 4).status == "fail"
         assert verify_parametric(registry.get("lemma2_qd"), 15, 4).status == "pass"
+
+
+def lemma2_record(cid, d, n, status, note, digest):
+    return {"id": cid, "kind": "lemma", "family": "q", "params": {"d": d, "n": n},
+            "status": status, "strategy": "parametric_crt", "observe": False,
+            "witness_digest": digest, "valuation": None, "residual": None, "elapsed": 0.0,
+            "detail": f"mod Phi_n: {status} ({note})", "flags": ["base_reading_ambiguity"]}
+
+
+def thm7_record(n, digest):
+    return {"id": "thm7", "kind": "theorem", "family": "q",
+            "params": {"bound": "(n-1)/d", "d": 3, "n": n}, "status": "fail",
+            "strategy": "fast+oracle", "observe": False, "witness_digest": digest,
+            "valuation": None, "residual": None, "elapsed": 0.0,
+            "detail": f"valuation 0 < 2 at the order-{n} cyclotomic", "flags": ["degenerate_at_d3"]}
+
+
+# the seven failing or obstructed q-records of the catalog, byte for byte as
+# the two separate failure routes reported them
+FAILURE_RECORDS = [
+    lemma2_record("lemma2", 3, 5, "fail", "valuation 0 < 1 at the order-5 cyclotomic",
+                  "1bad6b8cf97131fc"),
+    lemma2_record("lemma2", 3, 11, "obstruction",
+                  "pole of order 1 at the order-11 cyclotomic: congruence ill-posed", None),
+    lemma2_record("lemma2", 4, 15, "fail",
+                  "valuation 0 < 1 at the order-15 cyclotomic (witness scaled by a unit)",
+                  "33bd6c9ae81ca6a3"),
+    lemma2_record("lemma2_qd", 3, 5, "fail", "valuation 0 < 1 at the order-5 cyclotomic",
+                  "1bad6b8cf97131fc"),
+    lemma2_record("lemma2_qd", 3, 11, "fail",
+                  "valuation 0 < 1 at the order-11 cyclotomic (witness scaled by a unit)",
+                  "39897d81cc968124"),
+    thm7_record(4, "1bad6b8cf97131fc"),
+    thm7_record(10, "1bad6b8cf97131fc"),
+]
+
+
+class TestFailureRoute:
+    """One routine classifies the failures of every q lane; its records
+    keep their bytes and its witness is the exact residue."""
+
+    @pytest.mark.parametrize("expected", FAILURE_RECORDS,
+                             ids=[f"{r['id']}-d{r['params']['d']}-n{r['params']['n']}"
+                                  for r in FAILURE_RECORDS])
+    def test_catalog_failure_records(self, registry, expected):
+        case, (d, n) = registry.get(expected["id"]), (expected["params"]["d"],
+                                                      expected["params"]["n"])
+        verify = verify_congruence if expected["id"] == "thm7" else verify_parametric
+        assert verify(case, n, d).to_dict(include_timing=False) == expected
+
+    def test_witness_keeps_the_q_shift(self, registry):
+        # thm1_1 with the k-th term multiplied by q^(-2k): the difference
+        # starts at q^-2, and without that shift the witness would be
+        # 5 + 7q + 19q^2 + ..., a unit multiple of the residue
+        case = registry.get("thm1_1")
+        case = dataclasses.replace(case, summand=dataclasses.replace(case.summand,
+                                                                     q_exp=("1", "0", "-2")))
+        summand = concretize_summand(case.summand, None)
+        closed = concretize_closed_form(case.closed_form, 5, None)
+        support = modulus_support(case.modulus, 5)
+        total, d_full = _term_parts(summand, 2)
+        rn, rd = engine._closed_form_polys(closed, 5)
+        diff, den = total * rd - rn * d_full, d_full * rd
+        assert (diff.low, den.low) == (-2, 0)
+        status, witness, _ = oracle_congruence(summand, 2, closed, support, 5)
+        assert status == "fail"
+        assert witness == residue_reduce(diff, den, modulus_from_support(support))
+        assert witness.coeffs[:3] == (13, 33, 52)
+        assert verify_congruence(case, 5).witness == witness
+
+    def test_pair_pole_names_the_first_cyclotomic(self, registry):
+        # sum_{k<=n} 1/(q;q)_k against its k = 0 term: the k = n term has a
+        # pole at every Phi_m with m | n, and nothing cancels it
+        inverse_q = SummandSpec(prefactor_m="0", prefactor_r="1", q_exp=("0", "0", "0"),
+                                factors=(PochFactor(exp="1", step="1", side="den"),))
+        case = dataclasses.replace(registry.get("conj1a"), lhs_pair=PairSide("n", inverse_q),
+                                   rhs_pair=PairSide("0", inverse_q))
+        for n, m in ((5, 5), (9, 3)):
+            result = verify_conjecture_pair(case, n)
+            assert (result.status, result.strategy) == ("obstruction", "fast+oracle")
+            assert result.detail == f"difference has a pole at the order-{m} cyclotomic"
+
+    def test_every_lane_classifies_through_one_routine(self, registry, monkeypatch):
+        calls = []
+        classify = engine._classify
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_classify", counted)
+        assert verify_congruence(registry.get("thm7"), 4, 3).status == "fail"
+        assert verify_parametric(registry.get("lemma2"), 11, 3).status == "obstruction"
+        pair = verify_conjecture_pair(perturbed_pair(registry.get("conj1a"), cut=1), 5)
+        assert (pair.status, pair.strategy) == ("fail", "fast+oracle")
+        assert calls == [{4: 2}, {11: 1}, modulus_support(registry.get("conj1a").modulus, 5)]
 
 
 class TestOracle:
@@ -657,7 +759,7 @@ def rational_pair(case, n):
     for m in sorted(support):
         if _phi_valuation(diff.den, cyclotomic(m)) > 0:
             return "obstruction", None, f"difference has a pole at the order-{m} cyclotomic"
-    witness = residue_reduce(diff, modulus_from_support(support)).value
+    witness = residue_reduce(diff.num, diff.den, modulus_from_support(support))
     if witness.is_zero:
         return "pass", None, ""
     return "fail", witness, "sums disagree"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from supercong import harness
 from supercong.cli import main
 from supercong.harness import (
     CacheMismatch,
@@ -18,7 +19,7 @@ from supercong.harness import (
     plan_jobs,
     run,
 )
-from supercong.registry import load_registry
+from supercong.registry import default_registry_path, load_registry
 
 
 def config(**kwargs):
@@ -239,6 +240,23 @@ class TestConfigValidation:
         assert "--format" in capsys.readouterr().err
 
 
+def _edited(doc, case_id, edit):
+    edit(next(obj for obj in doc["cases"] if obj["id"] == case_id))
+    return doc
+
+
+# each edit of the shipped catalog once ended in a traceback and exit 1
+MALFORMED_RECORDS = {
+    "q_without_bounds": lambda doc: _edited(doc, "thm1_1", lambda obj: obj.pop("bounds")),
+    "modulus_power_x": lambda doc: _edited(
+        doc, "thm1_1", lambda obj: obj["modulus"]["factors"][0].update(power="x")),
+    "d_values_not_a_list": lambda doc: _edited(doc, "thm3_1", lambda obj: obj.update(d_values=5)),
+    "padic_without_threshold": lambda doc: _edited(
+        doc, "vanhamme_g2", lambda obj: obj.pop("threshold")),
+    "cases_not_a_list": lambda doc: {"cases": "oops"},
+}
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -325,8 +343,21 @@ class TestCli:
         ])
         assert code == 2
 
-    def test_unwritable_cache_path(self, tmp_path, capsys):
-        # a missing directory, and a directory where the cache file should be
+    def test_unwritable_cache_path(self, tmp_path, capsys, monkeypatch):
+        # a missing directory, and a directory where the cache file should be;
+        # either is found before the first job runs
+        def no_job(*args):
+            pytest.fail("a job ran before the cache was opened")
+
+        monkeypatch.setattr(harness, "execute_job", no_job)
         for cache in (tmp_path / "missing" / "c.jsonl", tmp_path):
             assert main(["verify", "--case", "thm1_1", "--n", "5", "--cache", str(cache)]) == 2
             assert "cannot write the result cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_RECORDS))
+    def test_malformed_registry_exits_2(self, edit, tmp_path, capsys):
+        doc = json.loads(default_registry_path().read_text())
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(MALFORMED_RECORDS[edit](doc)))
+        assert main(["list", "--registry", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err

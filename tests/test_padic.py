@@ -14,7 +14,7 @@ from supercong.padic import (
     is_odd_prime,
     padic_gamma_many,
     padic_valuation,
-    real_sum,
+    real_partial_sums,
     rising_factorial,
     verify_padic_case,
 )
@@ -135,7 +135,7 @@ class TestPadicGamma:
 class TestCaseDriver:
     def test_g2_spot_value(self, registry):
         case = registry.get("vanhamme_g2")
-        assert real_sum(case.real_lhs, 1, p=5) == Fraction(265, 256)
+        assert real_partial_sums(case.real_lhs, 1, p=5)[-1] == Fraction(265, 256)
         result = verify_padic_case(case, 5)
         assert result.status == "pass"
         assert result.valuation == 3
@@ -151,7 +151,7 @@ class TestCaseDriver:
 
     def test_corollary_spot_value(self, registry):
         case = registry.get("corollary1")
-        assert real_sum(case.real_lhs, 1, p=5) == Fraction(525, 512)
+        assert real_partial_sums(case.real_lhs, 1, p=5)[-1] == Fraction(525, 512)
         result = verify_padic_case(case, 5)
         assert result.status == "pass"
         assert result.valuation == 2

@@ -12,7 +12,6 @@ from supercong.polys import (
     LaurentPoly,
     NonUnitDenominator,
     RationalFunction,
-    Residue,
     poly_divrem,
     poly_gcd,
     poly_gcdex,
@@ -125,44 +124,48 @@ class TestGcd:
         assert poly_gcd(a * g, b * g) == g.poly_part().monic()
 
 
+def reduced(p, n):
+    """The residue of p modulo Phi_n."""
+    return residue_reduce(p, one, cyclotomic(n))
+
+
 class TestResidues:
     def test_inverse_of_one_minus_q(self):
         phi3 = cyclotomic(3)
-        r = residue_reduce(RationalFunction(one, P(1, -1)), phi3)
-        assert r.value == LaurentPoly([Fraction(2, 3), Fraction(1, 3)])
+        r = residue_reduce(one, P(1, -1), phi3)
+        assert r == LaurentPoly([Fraction(2, 3), Fraction(1, 3)])
         # check (1-q)(q+2)/3 == 1 mod phi3
-        back = Residue(phi3, P(1, -1)) * r
-        assert back.value == one
+        assert reduced(P(1, -1) * r, 3) == one
 
     def test_root_of_unity_power(self):
-        assert Residue(cyclotomic(3), P(0, 0, 0, 1)).value == one
+        assert reduced(P(0, 0, 0, 1), 3) == one
 
     def test_zero_reduces_to_zero(self):
-        assert residue_reduce(RationalFunction.zero(), cyclotomic(7)).is_zero
+        assert residue_reduce(LaurentPoly(), P(1, 1), cyclotomic(7)).is_zero
 
     def test_add_zero_and_inverse_contract(self):
-        phi5 = cyclotomic(5)
-        x = Residue(phi5, P(3, 1, 0, 2))
-        zero = Residue(phi5, LaurentPoly())
-        assert (x + zero).value == x.value
-        assert (x * x.inverse()).value == one
+        x = P(3, 1, 0, 2)
+        assert reduced(x + LaurentPoly(), 5) == reduced(x, 5)
+        assert reduced(x * residue_reduce(one, x, cyclotomic(5)), 5) == one
 
     def test_q_squared_at_i(self):
-        phi4 = cyclotomic(4)
-        rq = Residue(phi4, q)
-        assert (rq * rq).value == P(-1)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            Residue(cyclotomic(3), q) + Residue(cyclotomic(4), q)
+        assert reduced(q * q, 4) == P(-1)
 
     def test_non_unit_denominator_reported(self):
         with pytest.raises(NonUnitDenominator):
-            residue_reduce(RationalFunction(one, P(1, 0, -1)), cyclotomic(2))
+            residue_reduce(one, P(1, 0, -1), cyclotomic(2))
+
+    def test_modulus_must_keep_q_a_unit(self):
+        # zero, a constant, and a modulus divisible by q
+        for modulus in (LaurentPoly(), P(2), q * cyclotomic(3)):
+            with pytest.raises(ValueError):
+                residue_reduce(one, one, modulus)
 
     def test_negative_exponent_reduction(self):
-        phi3 = cyclotomic(3)
-        assert Residue(phi3, P(1, low=-1)).value == Residue(phi3, P(0, 0, 1)).value
+        assert reduced(P(1, low=-1), 3) == reduced(P(0, 0, 1), 3)
+        # a Laurent denominator: 1 / q == q^2 == -1 - q modulo Phi_3
+        assert residue_reduce(one, q, cyclotomic(3)) == P(-1, -1)
+        assert residue_reduce(P(1, low=-2), P(1, low=-1), cyclotomic(3)) == reduced(P(1, low=-1), 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,12 +174,9 @@ class TestResidues:
         st.sampled_from([3, 4, 5, 7, 12]),
     )
     def test_reduction_is_multiplicative(self, ac, bc, n):
-        phi = cyclotomic(n)
         a = LaurentPoly([Fraction(c) for c in ac])
         b = LaurentPoly([Fraction(c) for c in bc])
-        left = Residue(phi, a * b)
-        right = Residue(phi, a) * Residue(phi, b)
-        assert left.value == right.value
+        assert reduced(a * b, n) == reduced(reduced(a, n) * reduced(b, n), n)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -185,13 +185,39 @@ class TestResidues:
     )
     @example(coeffs=[3, 0, 3], n=7)  # extended Euclid ends on the monomial q, not 1
     def test_every_unit_inverts_exactly(self, coeffs, n):
-        phi = cyclotomic(n)
-        u = Residue(phi, LaurentPoly([Fraction(c) for c in coeffs]))
+        u = LaurentPoly([Fraction(c) for c in coeffs])
         try:
-            inverse = u.inverse()
+            inverse = residue_reduce(one, u, cyclotomic(n))
         except NonUnitDenominator:
             return  # not a unit: outside the contract
-        assert (u * inverse).value == one
+        assert reduced(u * inverse, n) == one
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+        st.integers(-12, 12),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+        st.integers(-12, 12),
+        st.sampled_from([1, 3, 4, 5, 7, 12]),
+        st.integers(1, 3),
+    )
+    def test_residue_times_denominator_is_numerator(self, nc, nlow, dc, dlow, n, e):
+        # checked by division alone: q is a unit modulo Phi_n^e, so
+        # r * den == num there iff Phi_n^e divides q^k (r * den - num)
+        num = LaurentPoly([Fraction(c) for c in nc], nlow)
+        den = LaurentPoly([Fraction(c) for c in dc], dlow)
+        modulus = cyclotomic(n) ** e
+        if den.is_zero:
+            return
+        try:
+            r = residue_reduce(num, den, modulus)
+        except NonUnitDenominator:
+            assert poly_gcd(den, modulus).span > 0
+            return
+        assert r.is_zero or (r.low >= 0 and r.degree < modulus.degree)
+        check = r * den - num
+        _, rem = poly_divrem(check.shift(-min(check.low, 0)), modulus)
+        assert rem.is_zero
 
 
 class TestRationalFunction:
@@ -218,26 +244,23 @@ class TestBivariate:
         # a*q reduced mod q+1 is -a
         a = ParamRational.generator()
         value = LaurentPoly([ParamRational.const(0), a])
-        r = Residue(cyclotomic(2), value)
-        assert r.value == LaurentPoly((-a,))
+        assert reduced(value, 2) == LaurentPoly((-a,))
 
     def test_evaluation_at_q_equals_one(self):
         # 1/(1-aq) mod q-1 = 1/(1-a)
         a = ParamRational.generator()
         den = LaurentPoly([ParamRational.const(1), -a])
-        f = RationalFunction(LaurentPoly((ParamRational.const(1),)), den, reduce=False)
-        r = residue_reduce(f, cyclotomic(1))
+        r = residue_reduce(LaurentPoly((ParamRational.const(1),)), den, cyclotomic(1))
         expected = ParamRational.const(1) / (ParamRational.const(1) - a)
-        assert r.value == LaurentPoly((expected,))
+        assert r == LaurentPoly((expected,))
 
     def test_pochhammer_pair_mod_phi3(self):
         # (1-aq)(1-q/a) mod phi_3, against the hand-expanded reduction:
         # 1 - (a + 1/a) q + q^2 == -(a^2 + a + 1)/a * q  (using q^2 = -1 - q)
         a = ParamRational.generator()
         product = param_pochhammer(1, 2, 1, "aq") * param_pochhammer(1, 2, 1, "q_div_a")
-        r = Residue(cyclotomic(3), product)
         expected = -((a * a + a + 1) / a)
-        assert r.value == LaurentPoly([ParamRational.const(0), expected])
+        assert reduced(product, 3) == LaurentPoly([ParamRational.const(0), expected])
 
     def test_param_rational_field_axioms(self):
         a = ParamRational.generator()
