@@ -11,7 +11,6 @@ for monotone convergence along q -> 1^-.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -286,7 +285,7 @@ def check_gamma_limit(x: float, q_sequence: Sequence[float]) -> GammaLimitCheck:
 # ---------------------------------------------------------------------------
 
 def verify_analytic_case(case: CaseDefinition, params: dict, tol: Optional[float] = None) -> CaseResult:
-    done = partial(case_result, case, params, strategy="numeric", start=time.perf_counter())
+    done = partial(case_result, case, params, strategy="numeric")
     if case.family == "analytic_identity":
         check = check_identity_numeric(case, params["q"], tol=tol)
         return done(

@@ -18,7 +18,6 @@ import argparse
 import sys
 from typing import Optional
 
-from .exprs import ExpressionError
 from .harness import (
     ANALYTIC_FAMILIES,
     SYMBOLIC_FAMILIES,
@@ -123,7 +122,6 @@ def _config_from_args(args, families) -> RunConfig:
         include_timing=not args.no_timing,
         use_cache=not args.no_cache,
         cache_path=args.cache,
-        registry_path=args.registry,
     )
 
 
@@ -131,8 +129,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        registry = load_registry(args.registry)
         if args.command == "list":
-            sys.stdout.write(list_cases(load_registry(args.registry)))
+            sys.stdout.write(list_cases(registry))
             return 0
         families = {
             "verify": SYMBOLIC_FAMILIES,
@@ -140,7 +139,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "sweep": SYMBOLIC_FAMILIES + ANALYTIC_FAMILIES,
         }[args.command]
         config = _config_from_args(args, families)
-        registry = load_registry(config.registry_path)
         if not plan_jobs(registry, config):
             raise ConfigError(
                 "the selection plans no jobs: check the case ids against the command's "
@@ -151,7 +149,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.report:
             emit_report(report, args.report, args.format)
         return report.exit_code
-    except (ConfigError, RegistryError, CacheMismatch, ExpressionError) as exc:
+    except (ConfigError, RegistryError, CacheMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

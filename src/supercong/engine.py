@@ -34,7 +34,6 @@ also the independent second route the tests check the fast path against.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
@@ -108,13 +107,13 @@ def _digest_witness(witness) -> Optional[str]:
 
 
 def case_result(case: CaseDefinition, params: dict, status: str, strategy: str,
-                start: Optional[float] = None, witness=None, **fields) -> CaseResult:
+                witness=None, **fields) -> CaseResult:
     """The result of ``case`` at ``params``, the one place results are made.
 
-    Identity, observe mode and flags come from the case, ``elapsed`` runs
-    from ``start`` (a time.perf_counter() reading; 0 without one) and the
-    digest is that of ``witness``.  ``fields`` sets valuation, residual or
-    detail.
+    Identity, observe mode and flags come from the case and the digest is
+    that of ``witness``.  ``fields`` sets valuation, residual or detail;
+    ``elapsed`` stays 0 until ``harness.execute_job``, which times every
+    lane call, sets it.
     """
     return CaseResult(
         case_id=case.id,
@@ -126,7 +125,6 @@ def case_result(case: CaseDefinition, params: dict, status: str, strategy: str,
         observe=case.observe,
         witness=witness,
         witness_digest=_digest_witness(witness),
-        elapsed=0.0 if start is None else time.perf_counter() - start,
         flags=case.flags,
         **fields,
     )
@@ -721,7 +719,7 @@ def verify_congruence(
     runs only to classify a failure."""
     bound_expr = bound if bound is not None else case.bounds[0]
     params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
-    done = partial(case_result, case, params, strategy="fast", start=time.perf_counter())
+    done = partial(case_result, case, params, strategy="fast")
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
     try:
@@ -757,7 +755,7 @@ def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_
 
 def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
     """Two truncated sums agree modulo M: computed cross-multiplied, exact."""
-    done = partial(case_result, case, {"n": n}, strategy="fast", start=time.perf_counter())
+    done = partial(case_result, case, {"n": n}, strategy="fast")
     if not case.applies(n=n):
         return done("skipped", detail="condition not satisfied")
     try:
@@ -978,7 +976,7 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
     classified by the Q(a) oracle).  The instance passes iff every leg does.
     """
     params = {"n": n, **({"d": d} if d is not None else {})}
-    done = partial(case_result, case, params, strategy="parametric_crt", start=time.perf_counter())
+    done = partial(case_result, case, params, strategy="parametric_crt")
     if not case.applies(n=n, d=d):
         return done("skipped", detail="condition not satisfied")
 

@@ -1,10 +1,14 @@
-"""Run scheduling, result caching, and report emission.
+"""Run planning, execution, result caching, and report emission.
 
-A run plans one job per applicable (case, parameter) pair, executes the
-jobs with up to the requested number of worker processes, and aggregates
-results in a deterministic order (sorted by case id and parameters, never
-by completion order).  Reports round-trip as stable JSON; with timing
-suppressed two runs over the same registry produce byte-identical files.
+A run plans each (case, parameter) pair once.  Every job takes one path:
+its lane decides the verdict, a skip included, ``execute_job`` times it,
+and one loop runs the jobs that miss the cache in plan order, serially or
+on a pool of worker processes that each receive the run's registry once.
+Each result but an error is appended to the cache as it arrives, so a
+killed run keeps what it computed.  Results are reported in plan order
+(sorted by case id and parameters, never by completion order).  Reports
+round-trip as stable JSON; with timing suppressed two runs over the same
+registry produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import json
 import logging
 import math
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,8 +27,7 @@ from typing import Optional
 from . import __version__
 from .analytic import verify_analytic_case
 from .engine import CaseResult, case_result, verify_q_case
-from .exprs import ExpressionError
-from .padic import is_odd_prime, verify_padic_case
+from .padic import verify_padic_case
 from .registry import CaseDefinition, Registry, iter_sweep_params, load_registry
 
 _log = logging.getLogger(__name__)
@@ -52,7 +56,6 @@ class RunConfig:
     include_timing: bool = True
     use_cache: bool = False
     cache_path: str = ".supercong-cache.jsonl"
-    registry_path: Optional[str] = None
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -153,24 +156,6 @@ def _modulus_text(case: CaseDefinition) -> str:
 # planning
 # ---------------------------------------------------------------------------
 
-def _case_condition_holds(case: CaseDefinition, params: dict) -> Optional[str]:
-    """None when the instance applies, else the skip reason."""
-    if case.family == "padic":
-        p = params["p"]
-        if not is_odd_prime(p):
-            return "p is not an odd prime"
-        if not case.applies(p=p):
-            return "residue condition not satisfied"
-        return None
-    if case.family in ("q", "q_pair"):
-        try:
-            if not case.applies(n=params["n"], d=params.get("d")):
-                return "condition not satisfied"
-        except ExpressionError as exc:
-            raise ConfigError(f"{case.id}: {exc}") from exc
-    return None
-
-
 def _job_sort_key(case_id: str, params: dict) -> tuple:
     return (
         case_id,
@@ -184,19 +169,15 @@ def _job_sort_key(case_id: str, params: dict) -> tuple:
 
 
 def plan_jobs(registry: Registry, config: RunConfig) -> list[tuple[str, dict]]:
-    """Every scheduled (case id, params) pair, ordered by id then n, d, p."""
-    if config.case_ids is not None:
-        cases = [registry.get(cid) for cid in config.case_ids]
-    else:
-        cases = [case for case in registry if case.family in config.families]
-    jobs: list[tuple[str, dict]] = []
-    for case in cases:
-        if case.family not in config.families:
-            continue
-        for params in _param_grid(case, config):
-            jobs.append((case.id, params))
-    jobs.sort(key=lambda job: _job_sort_key(*job))
-    return jobs
+    """Every scheduled (case id, params) pair once, ordered by id then n, d, p."""
+    cases = registry if config.case_ids is None else [registry.get(cid) for cid in config.case_ids]
+    jobs = {
+        (case.id, json.dumps(params, sort_keys=True)): (case.id, params)
+        for case in cases
+        if case.family in config.families
+        for params in _param_grid(case, config)
+    }
+    return sorted(jobs.values(), key=lambda job: _job_sort_key(*job))
 
 
 def _param_grid(case: CaseDefinition, config: RunConfig) -> list[dict]:
@@ -233,47 +214,61 @@ def _param_grid(case: CaseDefinition, config: RunConfig) -> list[dict]:
 # execution
 # ---------------------------------------------------------------------------
 
-_WORKER_REGISTRIES: dict[str, Registry] = {}
-
-
-def _registry_for(path: Optional[str]) -> Registry:
-    key = path or "<default>"
-    if key not in _WORKER_REGISTRIES:
-        _WORKER_REGISTRIES[key] = load_registry(path)
-    return _WORKER_REGISTRIES[key]
-
-
 def execute_job(registry: Registry, case_id: str, params: dict, tol: Optional[float]) -> CaseResult:
-    """One instance's result.  An unexpected exception inside a lane
-    becomes a result of status ``error`` with detail "<Type>: <message>",
-    so one crashing instance does not lose the rest of a sweep."""
+    """One instance's result, timed.  The lane decides the verdict, a skip
+    included; an unexpected exception inside it becomes a result of status
+    ``error`` with detail "<Type>: <message>", so one crashing instance
+    does not lose the rest of a sweep."""
     case = registry.get(case_id)
-    reason = _case_condition_holds(case, params)
-    if reason is not None:
-        return case_result(case, params, "skipped", "none", detail=reason)
+    start = time.perf_counter()
     try:
         if case.family in ("q", "q_pair"):
-            return verify_q_case(case, params)
-        if case.family == "padic":
-            return verify_padic_case(case, params["p"])
-        return verify_analytic_case(case, params, tol=tol)
+            result = verify_q_case(case, params)
+        elif case.family == "padic":
+            result = verify_padic_case(case, params["p"])
+        else:
+            result = verify_analytic_case(case, params, tol=tol)
     except Exception as exc:
         _log.exception("%s %s raised", case_id, json.dumps(params, sort_keys=True))
-        return case_result(case, params, "error", "none", detail=f"{type(exc).__name__}: {exc}")
+        result = case_result(case, params, "error", "none", detail=f"{type(exc).__name__}: {exc}")
+    result.elapsed = time.perf_counter() - start
+    return result
 
 
-def _pool_worker(args: tuple) -> dict:
-    registry_path, case_id, params, tol, include_timing = args
-    registry = _registry_for(registry_path)
-    return execute_job(registry, case_id, params, tol).to_dict(include_timing)
+# The registry that ``_run_job`` reads: the run sets it, and so does each
+# pool worker's initializer, once, so that no task carries it.
+_run_registry: Optional[Registry] = None
+
+
+def _use_registry(registry: Registry) -> None:
+    global _run_registry
+    _run_registry = registry
+
+
+def _run_job(job: tuple) -> dict:
+    case_id, params, tol = job
+    return execute_job(_run_registry, case_id, params, tol).to_dict()
+
+
+@contextmanager
+def _job_map(registry: Registry, workers: int, count: int):
+    """A map that yields job results in plan order: the builtin one, or a
+    pool's when there are several workers and several jobs."""
+    _use_registry(registry)
+    if workers == 1 or count < 2:
+        yield map
+        return
+    with ProcessPoolExecutor(workers, initializer=_use_registry, initargs=(registry,)) as pool:
+        yield pool.map
 
 
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
 
-def _cache_key(case_id: str, params: dict, digest: str) -> str:
-    return f"{case_id}|{digest}|{json.dumps(params, sort_keys=True)}"
+def _cache_key(job: tuple[str, str], digest: str) -> str:
+    case_id, params_json = job
+    return f"{case_id}|{digest}|{params_json}"
 
 
 def _load_cache(path: str, digest: str) -> dict[str, dict]:
@@ -305,10 +300,10 @@ def _open_cache(path: str):
         raise ConfigError(f"cannot write the result cache to {path}: {exc}") from exc
 
 
-def _append_cache(handle, entries: dict[str, dict]) -> None:
+def _append_cache(handle, key: str, result: dict) -> None:
+    """One entry, flushed, so that a killed run keeps what it computed."""
     try:
-        for key in sorted(entries):
-            handle.write(json.dumps({"key": key, "result": entries[key]}, sort_keys=True) + "\n")
+        handle.write(json.dumps({"key": key, "result": result}, sort_keys=True) + "\n")
         handle.flush()
     except OSError as exc:
         raise ConfigError(f"cannot write the result cache to {handle.name}: {exc}") from exc
@@ -325,56 +320,31 @@ def _strip_timing(result: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def run(config: RunConfig, registry: Optional[Registry] = None) -> Report:
-    registry = registry or load_registry(config.registry_path)
-    jobs = plan_jobs(registry, config)
+    """The report over every planned job, in plan order, for ``registry``
+    (the shipped catalog by default).  Cache hits are reused and a sample
+    of them recomputed; the other jobs run through one loop, serial or
+    pooled, and each result but an error is cached as it arrives."""
+    registry = registry or load_registry()
+    jobs = {(case_id, json.dumps(params, sort_keys=True)): params
+            for case_id, params in plan_jobs(registry, config)}
     with _open_cache(config.cache_path) if config.use_cache else nullcontext() as cache_file:
         cache = _load_cache(config.cache_path, registry.digest) if config.use_cache else {}
-        cached_results: dict[tuple[str, str], dict] = {}
-        to_compute: list[tuple[str, dict]] = []
-        for case_id, params in jobs:
-            key = _cache_key(case_id, params, registry.digest)
-            if key in cache:
-                cached_results[(case_id, json.dumps(params, sort_keys=True))] = cache[key]
-            else:
-                to_compute.append((case_id, params))
+        keys = {job: _cache_key(job, registry.digest) for job in jobs}
+        hits = {job: cache[key] for job, key in keys.items() if key in cache}
+        misses = [job for job in jobs if job not in hits]
+        tasks = [(case_id, jobs[case_id, params_json], config.tol) for case_id, params_json in misses]
+        fresh: dict[tuple[str, str], dict] = {}
+        with _job_map(registry, config.jobs, len(tasks)) as job_map:
+            for job, result in zip(misses, job_map(_run_job, tasks)):
+                fresh[job] = result
+                if cache_file is not None and result["status"] != "error":  # an error is retried
+                    _append_cache(cache_file, keys[job], _strip_timing(result))
+        if hits:
+            _audit_cache(registry, config, hits)
 
-        computed: dict[tuple[str, str], dict] = {}
-        if config.jobs > 1 and len(to_compute) > 1:
-            args = [
-                (config.registry_path, case_id, params, config.tol, config.include_timing)
-                for case_id, params in to_compute
-            ]
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                for (case_id, params), result in zip(to_compute, pool.map(_pool_worker, args)):
-                    computed[(case_id, json.dumps(params, sort_keys=True))] = result
-        else:
-            for case_id, params in to_compute:
-                result = execute_job(registry, case_id, params, config.tol)
-                computed[(case_id, json.dumps(params, sort_keys=True))] = result.to_dict(
-                    config.include_timing
-                )
-
-        if config.use_cache and cached_results:
-            _audit_cache(registry, config, cached_results)
-
-        results = []
-        new_cache_entries: dict[str, dict] = {}
-        for case_id, params in jobs:
-            key = (case_id, json.dumps(params, sort_keys=True))
-            if key in cached_results:
-                result = dict(cached_results[key])
-                if not config.include_timing:
-                    result = _strip_timing(result)
-            else:
-                result = computed[key]
-                if result["status"] != "error":   # an error is retried, never cached
-                    cache_key = _cache_key(case_id, params, registry.digest)
-                    new_cache_entries[cache_key] = _strip_timing(result)
-            results.append(result)
-
-        if cache_file is not None:
-            _append_cache(cache_file, new_cache_entries)
-
+    results = [hits[job] if job in hits else fresh[job] for job in jobs]
+    if not config.include_timing:
+        results = [_strip_timing(result) for result in results]
     return Report(
         version=__version__,
         registry_digest=registry.digest,

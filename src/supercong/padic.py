@@ -10,7 +10,6 @@ rational truncated sum against a residue right side in the valuation sense
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -194,7 +193,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
     exactly; for Gamma_p residues it is capped at the threshold because the
     excess depends on the choice of lift.
     """
-    done = partial(case_result, case, {"p": p}, strategy="padic", start=time.perf_counter())
+    done = partial(case_result, case, {"p": p}, strategy="padic")
     if not is_odd_prime(p):
         return done("skipped", detail="p is not an odd prime")
     if not case.applies(p=p):

@@ -29,6 +29,9 @@ from .qobjects import (
 
 KINDS = ("theorem", "lemma", "corollary", "conjecture")
 FAMILIES = ("q", "q_pair", "padic", "analytic_identity", "pi_series", "gamma_limit")
+# the parameter each family sweeps over; a q record sweeps n, or [d, n] pairs
+SWEEP_KEYS = {"q": ("grid", "n"), "q_pair": ("n",), "padic": ("p",),
+              "analytic_identity": ("q",), "pi_series": ("N",), "gamma_limit": ()}
 
 
 class RegistryError(ValueError):
@@ -213,6 +216,32 @@ def _real_sum_from_json(obj: dict) -> RealSumSpec:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _sweep_value_ok(key: str, value) -> bool:
+    if key == "grid":
+        return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+    if key == "q":
+        return _is_int(value) or isinstance(value, float)
+    return _is_int(value)
+
+
+def _sweep_from_json(case_id: str, family: str, sweep) -> dict:
+    """The record's default grid: an object whose one key, if its family
+    has one, is the parameter it sweeps over, holding a list of values."""
+    keys = SWEEP_KEYS[family]
+    if not isinstance(sweep, dict) or not set(sweep) <= set(keys) or len(sweep) != min(len(keys), 1):
+        expected = " or ".join(repr(key) for key in keys) or "no key"
+        raise RegistryError(f"{case_id}: sweep must be an object with {expected}, got {sweep!r}")
+    for key, values in sweep.items():
+        if not isinstance(values, list) or not all(_sweep_value_ok(key, v) for v in values):
+            raise RegistryError(f"{case_id}: sweep {key!r} must be a list of "
+                                + {"grid": "[d, n] integer pairs", "q": "numbers"}.get(key, "integers"))
+    return sweep
+
+
 def _case_from_json(obj: dict) -> CaseDefinition:
     case_id = obj.get("id")
     if not case_id or not isinstance(case_id, str):
@@ -232,7 +261,7 @@ def _case_from_json(obj: dict) -> CaseDefinition:
         notes=obj.get("notes", ""),
         condition=obj.get("condition", "True"),
         flags=tuple(obj.get("flags", ())),
-        sweep=obj.get("sweep", {}),
+        sweep=_sweep_from_json(case_id, family, obj.get("sweep", {})),
     )
 
     if family in ("q",):
@@ -384,15 +413,9 @@ def _read_case(obj: dict) -> CaseDefinition:
 
 def iter_sweep_params(case: CaseDefinition) -> list[dict]:
     """The registry's default parameter grid for a case, as param dicts."""
-    sweep = case.sweep or {}
-    if "grid" in sweep:
-        return [{"d": d, "n": n} for d, n in sweep["grid"]]
-    if "n" in sweep:
-        return [{"n": n} for n in sweep["n"]]
-    if "p" in sweep:
-        return [{"p": p} for p in sweep["p"]]
-    if "q" in sweep:
-        return [{"q": q} for q in sweep["q"]]
-    if "N" in sweep:
-        return [{"N": N} for N in sweep["N"]]
-    return [{}]
+    if not case.sweep:
+        return [{}]
+    if "grid" in case.sweep:
+        return [{"d": d, "n": n} for d, n in case.sweep["grid"]]
+    [(key, values)] = case.sweep.items()
+    return [{key: value} for value in values]

@@ -50,6 +50,26 @@ class TestPlanning:
         assert report.summary["skipped"] == 1
         assert report.summary["total"] == 1
 
+    def test_skipped_record_carries_its_lane_strategy(self, registry):
+        # the lane makes the skip decision, so the record names the lane
+        [q_skip] = run(config(case_ids=["thm1_1"], n_values=[4])).results
+        [padic_skip] = run(config(case_ids=["vanhamme_g2"], primes=[9])).results
+        assert (q_skip["status"], q_skip["strategy"]) == ("skipped", "fast")
+        assert q_skip["detail"] == "condition not satisfied"
+        assert (padic_skip["status"], padic_skip["strategy"]) == ("skipped", "padic")
+        assert padic_skip["detail"] == "p is not an odd prime"
+
+    def test_raising_condition_is_an_error_result(self, tmp_path):
+        doc = json.loads(default_registry_path().read_text())
+        [entry] = [case for case in doc["cases"] if case["id"] == "thm1_1"]
+        entry["condition"] = "n % (n - 5) == 1"
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc))
+        report = run(config(case_ids=["thm1_1"], n_values=[5, 7]), load_registry(path))
+        assert [r["status"] for r in report.results] == ["error", "pass"]
+        assert report.results[0]["strategy"] == "none"
+        assert report.exit_code == 2
+
     def test_multi_bound_cases_fan_out(self, registry):
         jobs = plan_jobs(registry, config(case_ids=["qG2"], n_values=[5]))
         assert len(jobs) == 2
@@ -62,6 +82,17 @@ class TestPlanning:
     def test_d_override_intersects_registry(self, registry):
         jobs = plan_jobs(registry, config(case_ids=["thm3_1"], n_values=[7], d_values=[3, 9]))
         assert jobs == [("thm3_1", {"d": 3, "n": 7})]
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "thm1_1,thm1_1", "--n", "5"],
+        ["--case", "vanhamme_g2", "--primes", "5,5"],
+        ["--case", "thm4", "--d", "3", "--d", "3", "--n", "7"],
+    ])
+    def test_repeated_selection_plans_once(self, argv, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["verify", *argv, "--no-cache", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["summary"]["total"] == 1
+        assert "total: 1 " in capsys.readouterr().out
 
 
 class TestRun:
@@ -169,6 +200,27 @@ class TestCache:
         with pytest.raises(CacheMismatch):
             run(cfg)
 
+    def test_interrupted_run_keeps_finished_results(self, registry, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        cfg = config(case_ids=["thm1_1"], n_values=[5, 7, 9, 11], use_cache=True,
+                     cache_path=str(cache))
+        execute, calls = harness.execute_job, []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return execute(*args)
+
+        monkeypatch.setattr(harness, "execute_job", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg)
+        assert len(cache.read_text().splitlines()) == 2
+        monkeypatch.setattr(harness, "execute_job", execute)
+        rerun = run(cfg)
+        assert rerun.to_json() == run(config(case_ids=["thm1_1"], n_values=[5, 7, 9, 11])).to_json()
+        assert len(cache.read_text().splitlines()) == 4
+
     def test_torn_cache_lines_tolerated(self, registry, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("{torn line\n")
@@ -190,10 +242,12 @@ def crashing_registry(tmp_path):
 class TestCrashingJob:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_result_keeps_the_sweep(self, tmp_path, jobs):
+        # pool workers use the registry handed to run, not the shipped one
         cache = tmp_path / "cache.jsonl"
         cfg = config(case_ids=["thm1_1"], n_values=[5, 7, 9], jobs=jobs, use_cache=True,
-                     cache_path=str(cache), registry_path=crashing_registry(tmp_path))
-        report = run(cfg)
+                     cache_path=str(cache))
+        crashing = load_registry(crashing_registry(tmp_path))
+        report = run(cfg, crashing)
         assert [r["status"] for r in report.results] == ["pass", "error", "pass"]
         error = report.results[1]
         assert error["detail"] == "ExpressionError: division by zero in registry expression"
@@ -208,7 +262,7 @@ class TestCrashingJob:
         keys = [json.loads(line)["key"] for line in cache.read_text().splitlines()]
         assert sorted(key.split("|")[2] for key in keys) == ['{"n": 5}', '{"n": 9}']
         # a rerun hits the cache for both and retries the error
-        assert run(cfg).results == report.results
+        assert run(cfg, crashing).results == report.results
         assert len(cache.read_text().splitlines()) == 2
 
     def test_cli_exits_2_and_still_reports(self, tmp_path, capsys):
@@ -254,6 +308,13 @@ MALFORMED_RECORDS = {
     "padic_without_threshold": lambda doc: _edited(
         doc, "vanhamme_g2", lambda obj: obj.pop("threshold")),
     "cases_not_a_list": lambda doc: {"cases": "oops"},
+    "sweep_a_list": lambda doc: _edited(doc, "thm1_1", lambda obj: obj.update(sweep=[1, 2])),
+    "sweep_n_not_integers": lambda doc: _edited(
+        doc, "thm1_1", lambda obj: obj.update(sweep={"n": "abc"})),
+    "sweep_grid_not_pairs": lambda doc: _edited(
+        doc, "thm1_1", lambda obj: obj.update(sweep={"grid": [[3]]})),
+    "sweep_key_of_another_family": lambda doc: _edited(
+        doc, "thm1_1", lambda obj: obj.update(sweep={"p": ["x"]})),
 }
 
 
@@ -361,3 +422,6 @@ class TestCli:
         path.write_text(json.dumps(MALFORMED_RECORDS[edit](doc)))
         assert main(["list", "--registry", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        if edit.startswith("sweep"):
+            assert main(["sweep", "--case", "thm1_1", "--no-cache", "--registry", str(path)]) == 2
+            assert "error: thm1_1: sweep" in capsys.readouterr().err
