@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from functools import lru_cache
 
 
 class ExpressionError(ValueError):
@@ -109,13 +110,21 @@ def _as_int(value: Fraction) -> int:
     return value.numerator
 
 
-def eval_expr(text: str, **names) -> Fraction | bool:
-    """Evaluate ``text`` with the given name bindings, exactly."""
+@lru_cache(maxsize=1024)
+def _parse(text: str) -> ast.Expression:
+    """The tree of ``text``, parsed once per process: a registry holds few
+    texts (the catalog 65) and each is evaluated at many bindings.  A text
+    that fails to parse raises on every call, since an exception is never
+    cached."""
     try:
-        tree = ast.parse(text, mode="eval")
+        return ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
-    return _eval_node(tree, names)
+
+
+def eval_expr(text: str, **names) -> Fraction | bool:
+    """Evaluate ``text`` with the given name bindings, exactly."""
+    return _eval_node(_parse(text), names)
 
 
 def eval_fraction(text: str, **names) -> Fraction:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,9 +168,26 @@ def _job_sort_key(case_id: str, params: dict) -> tuple:
     )
 
 
+# Each parameter override, the flag that sets it, and the records it applies to.
+_OVERRIDES = (
+    ("n_values", "--n/--n-range", lambda case: case.family in ("q", "q_pair")),
+    ("d_values", "--d", lambda case: case.family == "q" and bool(case.d_values)),
+    ("primes", "--primes", lambda case: case.family == "padic"),
+)
+
+
 def plan_jobs(registry: Registry, config: RunConfig) -> list[tuple[str, dict]]:
-    """Every scheduled (case id, params) pair once, ordered by id then n, d, p."""
-    cases = registry if config.case_ids is None else [registry.get(cid) for cid in config.case_ids]
+    """Every scheduled (case id, params) pair once, ordered by id then n, d, p.
+    An override applies to every selected record it fits; one that fits none
+    of the cases named in ``case_ids`` is a ``ConfigError``."""
+    if config.case_ids is None:
+        cases = registry
+    else:
+        cases = [registry.get(cid) for cid in config.case_ids]
+        for field, flag, applies in _OVERRIDES:
+            if getattr(config, field) is not None and not any(map(applies, cases)):
+                named = ", ".join(dict.fromkeys(config.case_ids))
+                raise ConfigError(f"{flag} does not apply to the named case(s) {named}")
     jobs = {
         (case.id, json.dumps(params, sort_keys=True)): (case.id, params)
         for case in cases
@@ -181,11 +198,8 @@ def plan_jobs(registry: Registry, config: RunConfig) -> list[tuple[str, dict]]:
 
 
 def _param_grid(case: CaseDefinition, config: RunConfig) -> list[dict]:
-    overridden = (
-        (config.n_values is not None and case.family in ("q", "q_pair"))
-        or (config.primes is not None and case.family == "padic")
-        or (config.d_values is not None and case.family == "q")
-    )
+    overridden = any(getattr(config, field) is not None and applies(case)
+                     for field, _, applies in _OVERRIDES)
     if not overridden:
         grids = iter_sweep_params(case)
     elif case.family == "padic":
@@ -258,6 +272,9 @@ def _job_map(registry: Registry, workers: int, count: int):
     if workers == 1 or count < 2:
         yield map
         return
+    # imported here, so that a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers, initializer=_use_registry, initargs=(registry,)) as pool:
         yield pool.map
 
@@ -272,7 +289,10 @@ def _cache_key(job: tuple[str, str], digest: str) -> str:
 
 
 def _load_cache(path: str, digest: str) -> dict[str, dict]:
+    """The entries of ``digest``'s registry.  A line that is not an entry,
+    such as one torn by a killed run, is skipped and counted in a warning."""
     cache: dict[str, dict] = {}
+    unreadable = 0
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
@@ -281,21 +301,32 @@ def _load_cache(path: str, digest: str) -> dict[str, dict]:
                     continue
                 try:
                     entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # tolerate a torn final line in the append-only file
-                key = entry.get("key", "")
+                    key, result = str(entry["key"]), entry["result"]
+                except (json.JSONDecodeError, TypeError, KeyError):
+                    unreadable += 1
+                    continue
                 if f"|{digest}|" in key:
-                    cache[key] = entry["result"]
+                    cache[key] = result
     except OSError:
         pass
+    if unreadable:
+        _log.warning("skipped %d unreadable line(s) in the result cache %s", unreadable, path)
     return cache
 
 
 def _open_cache(path: str):
     """The cache file opened for appending, before any job runs, so that an
-    unwritable path ends the run at once."""
+    unwritable path ends the run at once.  A last line left without its
+    newline by a killed run is ended first, so that the next entry starts a
+    line of its own instead of being lost with the torn one."""
     try:
-        return open(path, "a", encoding="utf-8")
+        handle = open(path, "ab+")
+        if handle.tell():
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+                handle.flush()
+        return handle
     except OSError as exc:
         raise ConfigError(f"cannot write the result cache to {path}: {exc}") from exc
 
@@ -303,7 +334,7 @@ def _open_cache(path: str):
 def _append_cache(handle, key: str, result: dict) -> None:
     """One entry, flushed, so that a killed run keeps what it computed."""
     try:
-        handle.write(json.dumps({"key": key, "result": result}, sort_keys=True) + "\n")
+        handle.write(json.dumps({"key": key, "result": result}, sort_keys=True).encode() + b"\n")
         handle.flush()
     except OSError as exc:
         raise ConfigError(f"cannot write the result cache to {handle.name}: {exc}") from exc

@@ -315,8 +315,13 @@ def modulus_from_support(support: dict[int, int]) -> LaurentPoly:
     return out
 
 
-def validate_summand_exponents(spec: SummandSpec, d: Optional[int], k_max: int = 40) -> None:
-    """The q-exponent e(k) must be an integer for every k; checked at load."""
+def validate_summand_exponents(spec: SummandSpec, d: Optional[int]) -> None:
+    """The q-exponent e(k) must be an integer for every k; checked at load.
+
+    e is quadratic, so e(k) = e(0) + k*D1 + C(k, 2)*D2 with the forward
+    differences D1 = e(1) - e(0) and D2 = e(2) - 2e(1) + e(0): integers at
+    k = 0, 1, 2 make e integral at every k, and the first k where it is not
+    is at most 2."""
     concrete = concretize_summand(spec, d)
-    for k in range(k_max + 1):
+    for k in range(3):
         concrete.exponent(k)  # raises SpecError on non-integrality

@@ -1,9 +1,12 @@
 """Harness behavior: planning, caching, reports, CLI surface."""
 
 import json
+import logging
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,9 @@ from supercong.harness import (
     run,
 )
 from supercong.registry import default_registry_path, load_registry
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def config(**kwargs):
@@ -227,6 +233,81 @@ class TestCache:
         cfg = config(case_ids=["thm1_1"], n_values=[5], use_cache=True, cache_path=str(cache))
         assert run(cfg).summary["pass"] == 1
 
+    def test_lines_that_are_not_entries_are_counted(self, registry, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        key = f'thm1_1|{registry.digest}|{{"n": 5}}'
+        cache.write_text("[1]\n\"x\"\n" + json.dumps({"key": key}) + "\n")
+        cfg = config(case_ids=["thm1_1"], n_values=[5], use_cache=True, cache_path=str(cache))
+        with caplog.at_level(logging.WARNING, logger="supercong.harness"):
+            assert run(cfg).summary["pass"] == 1
+        assert caplog.messages == [f"skipped 3 unreadable line(s) in the result cache {cache}"]
+
+    def test_torn_last_line_is_ended_and_counted(self, registry, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        cfg = config(case_ids=["thm1_1"], n_values=[5, 7, 9], use_cache=True,
+                     cache_path=str(cache))
+        uncached = run(config(case_ids=["thm1_1"], n_values=[5, 7, 9])).to_json()
+        run(cfg)
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 3
+        torn = lines[1][: len(lines[1]) // 2]
+        cache.write_text(lines[0] + "\n" + torn)  # killed while writing its second entry
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="supercong.harness"):
+                assert run(cfg).to_json() == uncached
+            assert caplog.messages == [f"skipped 1 unreadable line(s) in the result cache {cache}"]
+        final = cache.read_text().splitlines()
+        assert final[:2] == [lines[0], torn]
+        assert sorted(final[2:]) == sorted(lines[1:])
+
+
+class TestKilledSweep:
+    """A sweep killed by SIGKILL keeps what it computed, and a rerun adds
+    only the rest."""
+
+    ARGS = ["verify", "--case", "thm1_2", "--n-range", "61..99", "--no-timing"]
+
+    @pytest.fixture(scope="class")
+    def uncached(self):
+        return run(config(case_ids=["thm1_2"], n_values=list(range(61, 100)))).to_json()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rerun_adds_only_the_rest(self, jobs, tmp_path, uncached):
+        cache = tmp_path / "cache.jsonl"
+        argv = [*self.ARGS, "--jobs", str(jobs), "--cache", str(cache)]
+        # a session of its own, so that killing its group takes the pool workers too
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supercong.cli", *argv], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (cache.exists() and cache.read_text().count("\n") >= 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        killed = [line for line in cache.read_text().splitlines(keepends=True)
+                  if line.endswith("\n")]
+        assert 2 <= len(killed) < 39
+
+        report = tmp_path / "r.json"
+        assert main([*argv, "--report", str(report)]) == 0
+        assert report.read_text() == uncached
+        final = cache.read_text().splitlines(keepends=True)
+        assert final[:len(killed)] == killed
+        keys = []
+        for line in final:
+            try:
+                keys.append(json.loads(line)["key"])
+            except json.JSONDecodeError:
+                pass  # a line torn by the kill, counted and skipped
+        assert len(keys) == len(set(keys)) == 39
+
 
 def crashing_registry(tmp_path):
     """The shipped catalog with thm1_1's bound dividing by zero at n = 7,
@@ -371,8 +452,7 @@ class TestCli:
 
     def test_verdicts_survive_optimized_interpreter(self, tmp_path):
         # invariants raise exceptions rather than asserting, so -O decides alike
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "supercong.cli", "verify", "--case", "thm2,thm7",
              "--n", "4", "--n", "5", "--d", "3", "--no-cache", "--no-timing"],
@@ -396,6 +476,34 @@ class TestCli:
         assert "thm7 d=3 n=4: fail, witness = -1" in lines
         assert "thm7 d=3 n=7: pass (both sides are the constant -1)" in lines
         assert "thm7_1 p=5: fail, achieved valuation 2 (threshold 3)" in lines
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--case", "vanhamme_g2", "--n", "5"], "--n/--n-range"),
+        (["--case", "thm1_1", "--primes", "5"], "--primes"),
+        (["--case", "thm1_1", "--d", "3", "--n", "5"], "--d"),
+    ])
+    def test_override_that_fits_no_named_case_exits_2(self, argv, flag, capsys):
+        assert main(["verify", *argv, "--no-cache"]) == 2
+        case_id = argv[1]
+        assert f"error: {flag} does not apply to the named case(s) {case_id}" in capsys.readouterr().err
+
+    def test_override_that_fits_the_named_case_applies(self, capsys):
+        assert main(["verify", "--case", "thm4", "--d", "3", "--n", "7", "--no-cache"]) == 0
+        assert "total: 1 " in capsys.readouterr().out
+
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from supercong.cli import main\n"
+            "main(['verify', '--case', 'thm1_1', '--n', '5', '--no-cache'])\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_unwritable_report_path(self, capsys):
         code = main([

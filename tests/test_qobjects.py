@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import build_concrete_closed_form, build_concrete_summand, q_pochhammer
@@ -11,6 +11,7 @@ from supercong.polys import LaurentPoly, RationalFunction, poly_divrem
 from supercong.qobjects import (
     DegenerateFactor,
     SpecError,
+    SummandSpec,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -19,6 +20,7 @@ from supercong.qobjects import (
     one_minus_q_power,
     q_bracket,
     q_integer,
+    validate_summand_exponents,
 )
 
 
@@ -127,6 +129,29 @@ class TestSummandCompilation:
                     concrete = concretize_summand(spec, d)
                     for k in range(41):
                         concrete.exponent(k)  # raises on non-integrality
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=3, max_size=3))
+    @example([(1, 3), (2, 3), (0, 1)])  # integral at k = 0, 1 only
+    @example([(1, 2), (1, 2), (0, 1)])  # k(k + 1)/2: integral everywhere
+    def test_three_points_decide_integrality(self, coeffs):
+        # e(k) is quadratic, so k = 0, 1, 2 decide what k = 0..40 decides
+        spec = SummandSpec(prefactor_m="1", prefactor_r="0",
+                           q_exp=tuple(f"{num}/{den}" for num, den in coeffs), factors=())
+
+        def message(check):
+            try:
+                check()
+            except SpecError as exc:
+                return str(exc)
+            return None
+
+        def forty_one_points():
+            concrete = concretize_summand(spec, None)
+            for k in range(41):
+                concrete.exponent(k)
+
+        assert message(lambda: validate_summand_exponents(spec, None)) == message(forty_one_points)
 
     def test_first_family_term(self, registry):
         # [7] (1-q)(1-q)^3 / ((1-q^2)(1-q^4)^3) * q^2, assembled independently

@@ -38,6 +38,12 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             eval_int("1/(n-3)", n=3)
 
+    def test_malformed_expression_raises_on_every_call(self):
+        # parsed trees are cached, exceptions are not
+        for _ in range(3):
+            with pytest.raises(ExpressionError, match="cannot parse"):
+                eval_int("(n-1)/", n=5)
+
     def test_power_tower_refused_quickly(self):
         start = time.perf_counter()
         with pytest.raises(ExpressionError):
