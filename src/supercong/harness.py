@@ -19,6 +19,7 @@ import math
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,9 +273,6 @@ def _job_map(registry: Registry, workers: int, count: int):
     if workers == 1 or count < 2:
         yield map
         return
-    # imported here, so that a run without a pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     with ProcessPoolExecutor(workers, initializer=_use_registry, initargs=(registry,)) as pool:
         yield pool.map
 

@@ -491,20 +491,6 @@ class TestCli:
         assert main(["verify", "--case", "thm4", "--d", "3", "--n", "7", "--no-cache"]) == 0
         assert "total: 1 " in capsys.readouterr().out
 
-    def test_serial_run_loads_no_process_pool(self, tmp_path):
-        code = (
-            "import sys\n"
-            "from supercong.cli import main\n"
-            "main(['verify', '--case', 'thm1_1', '--n', '5', '--no-cache'])\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-
     def test_unwritable_report_path(self, capsys):
         code = main([
             "verify", "--case", "thm1_1", "--n", "5", "--no-cache",
