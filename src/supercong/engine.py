@@ -26,7 +26,9 @@ monic with integer coefficients, so remainders stay integral).  A failure
 of the q lane, of the Phi_n leg of the parametric lane or of the q_pair
 lane is classified by one routine, ``_classify``: both sides over explicit
 full denominators, one cross-multiplied difference, cyclotomic valuations
-by exact division, and the exact residue of the difference as witness.
+by one pass of exact divisions per cyclotomic, and the exact residue of
+the difference as witness, folded through the lift before the final
+reduction.
 ``oracle_congruence`` feeds it a congruence's sum and closed form; it is
 also the independent second route the tests check the fast path against.
 """
@@ -37,7 +39,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .exprs import eval_int
@@ -197,17 +199,19 @@ def _bracket_int(t: int) -> tuple[list, int]:
 
 
 class _Ring:
-    """Shift-tracked arithmetic modulo Phi_m^e, or in Z[q, 1/q] when
-    ``modulus`` is None: elements are (coeffs, shift), representing
-    coeffs(q) * q^shift.
+    """Shift-tracked arithmetic modulo Phi_m^e, or in Z[q, 1/q] when e is 0:
+    elements are (coeffs, shift), representing coeffs(q) * q^shift.
 
-    With a modulus Phi_m^e, coeffs are kept reduced modulo the sparse
-    multiple L = (q^m - 1)^e = sum_j C(e, j) (-1)^(e - j) q^(mj), which is
-    monic of degree me.  Z[q] -> Z[q]/(L) -> Z[q]/(Phi_m^e) are ring maps
-    and q is a unit in both, so every sum and product computed here maps
-    to the one modulo Phi_m^e; only ``same_ratio`` reduces modulo Phi_m^e
-    itself.  An element that is zero here is zero modulo Phi_m^e, but not
-    conversely.
+    For e >= 1, coeffs are kept reduced modulo the sparse multiple
+    L = (q^m - 1)^e = sum_j C(e, j) (-1)^(e - j) q^(mj), which is monic of
+    degree me.  Z[q] -> Z[q]/(L) -> Z[q]/(Phi_m^e) are ring maps and q is a
+    unit in both, so every sum and product computed here maps to the one
+    modulo Phi_m^e; only ``same_ratio`` reduces modulo ``modulus``, the
+    dense Phi_m^e itself.  An element that is zero here is zero modulo
+    Phi_m^e, but not conversely.  The fold only adds and scales by
+    integers, so it reduces coefficients of any exact type; ``_classify``
+    uses it alone, with no ``modulus``, to fold a witness modulo
+    (q^N - 1)^E.
     """
 
     def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0):
@@ -221,7 +225,7 @@ class _Ring:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        if self.m is None:
+        if not self.lift:
             return coeffs
         # q^(top + i) == -sum_j lift[j] q^(mj + i): fold the top m
         # coefficients at a time; each lands at least m places lower
@@ -544,33 +548,19 @@ def _congruence_holds(
 # exact rational-function oracle (independent slow route)
 # ---------------------------------------------------------------------------
 
-def _phi_valuation(p: LaurentPoly, phi: LaurentPoly) -> int:
-    v = 0
-    current = p
-    while not current.is_zero:
-        quo, rem = poly_divrem(current, phi)
+def _divide_out(p: LaurentPoly, phi: LaurentPoly, limit: Optional[int] = None,
+                keep: Optional[int] = None) -> tuple[int, LaurentPoly]:
+    """(v, p / phi^min(v, keep)), where v counts the exact divisions of p
+    by phi, stopping at ``limit``; without ``keep``, p / phi^v."""
+    v, kept = 0, p
+    while not p.is_zero and (limit is None or v < limit):
+        quo, rem = poly_divrem(p, phi)
         if not rem.is_zero:
-            return v
-        v += 1
-        current = quo
-    return v
-
-
-def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    quo, rem = poly_divrem(p, d)
-    if not rem.is_zero:
-        raise ArithmeticError(f"expected exact division of {p!r} by {d!r}")
-    return quo
-
-
-def _cancel(num: LaurentPoly, den: LaurentPoly, orders: dict) -> tuple[LaurentPoly, LaurentPoly]:
-    """num and den, both divided exactly by Phi_m^orders[m] for every m."""
-    for m in sorted(orders):
-        phi = cyclotomic(m)
-        for _ in range(orders[m]):
-            num = _exact_div(num, phi)
-            den = _exact_div(den, phi)
-    return num, den
+            break
+        v, p = v + 1, quo
+        if keep is None or v <= keep:
+            kept = p
+    return v, kept
 
 
 def _term_parts(summand: ConcreteSummand, bound: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -633,38 +623,49 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
     modulo M iff v_m(DIFF) - v_m(DEN) >= support[m] at every m; a negative
     difference of valuations is a pole, where the congruence is not even
     well posed.  Valuations are read off by repeated exact division, so no
-    gcd is ever computed.
+    gcd is ever computed, in one pass per m: DEN is divided by Phi_m until
+    a remainder appears, DIFF at most v_m(DEN) + support[m] times (nothing
+    reads more), and the pair keeps going as DIFF / Phi_m^v_m(DEN) and
+    DEN / Phi_m^v_m(DEN).  The Phi_m are pairwise coprime, so the later
+    valuations are those of the undivided pair.
 
     Returns None when DIFF is identically zero, else (poles, fails, witness,
     scaled): poles lists (m, order) and fails lists (m, valuation).  Only a
-    failure without poles has a witness: with Phi_m^v_m(DEN) cancelled from
-    both sides, DEN is a unit modulo M and the witness is the exact residue
-    of DIFF / DEN.  For a ``parametric`` difference modulo M of degree above
-    6 that inversion would swell over Q(a), so the witness is the cancelled
+    failure without poles has a witness: with the Phi_m^v_m(DEN) cancelled,
+    DEN is a unit modulo M and the witness is the exact residue of
+    DIFF / DEN.  For a ``parametric`` difference modulo M of degree above 6
+    that inversion would swell over Q(a), so the witness is the cancelled
     DIFF modulo M instead, a unit multiple of the residue, and ``scaled``
-    is True.
+    is True.  The cancelled sides are first folded modulo the sparse
+    multiple (q^N - 1)^E of M (N the lcm of the m, E the largest power; see
+    _Ring); the remainder modulo M is unique, so the witness is the same.
     """
     (num_l, den_l), (num_r, den_r) = left, right
     diff, den = num_l * den_r - num_r * den_l, den_l * den_r
     if diff.is_zero:
         return None
-    diff_p, den_p = diff.poly_part(), den.poly_part()
-    poles, fails, orders = [], [], {}
+    diff_c, den_c = diff.poly_part(), den.poly_part()
+    poles, fails = [], []
     for m in sorted(support):
-        phi = cyclotomic(m)
-        orders[m] = _phi_valuation(den_p, phi)
-        v = _phi_valuation(diff_p, phi) - orders[m]
+        order, den_c = _divide_out(den_c, cyclotomic(m))
+        v, diff_c = _divide_out(diff_c, cyclotomic(m), order + support[m], keep=order)
+        v -= order
         if v < 0:
             poles.append((m, -v))
         elif v < support[m]:
             fails.append((m, v))
     if poles or not fails:
         return poles, fails, None, False
-    num_c, den_c = _cancel(diff_p, den_p, orders)
+    lift = _Ring(None, lcm(*support), max(support.values()))
+
+    def folded(p: LaurentPoly) -> LaurentPoly:
+        return LaurentPoly(lift.of([0] * p.low + list(p.coeffs))[0])
+
     modulus = modulus_from_support(support)
     if parametric and modulus.span > 6:
-        return poles, fails, poly_divrem(num_c, modulus)[1], True
-    return poles, fails, residue_reduce(num_c.shift(diff.low - den.low), den_c, modulus), False
+        return poles, fails, poly_divrem(folded(diff_c), modulus)[1], True
+    return poles, fails, residue_reduce(folded(diff_c).shift(diff.low - den.low),
+                                        folded(den_c), modulus), False
 
 
 def oracle_congruence(

@@ -5,6 +5,13 @@ factorials, the Morita Gamma function computed by its defining product over
 an integer representative, and the verification driver comparing an exact
 rational truncated sum against a residue right side in the valuation sense
 (v_p(LHS - lift(RHS)) >= m is independent of the chosen lift).
+
+The defining product of Gamma_p runs over the integers below a
+representative r < p^m, and it is taken a whole block of p at a time: the
+p - 1 integers bp < j < (b+1)p multiply to F(bp) with
+F(x) = (x+1)(x+2)...(x+p-1), and (bp)^m == 0 mod p^m, so F truncated below
+x^m gives every block in O(m) (Cohen, Number Theory II, GTM 240, 11.5).
+A sweep then costs O(p^(m-1) m + p m) steps instead of O(p^m).
 """
 
 from __future__ import annotations
@@ -92,23 +99,46 @@ def _representative(x: Fraction, ctx: PadicContext) -> int:
     return (x.numerator % mod) * pow(x.denominator, -1, mod) % mod
 
 
+def _block_coefficients(ctx: PadicContext) -> list[int]:
+    """d_0 .. d_(m-1) with (bp+1)(bp+2)...(bp+p-1) == sum_k d_k b^k mod p^m
+    for every integer b: the coefficients c_k of F(x) = (x+1)...(x+p-1)
+    below x^m, times p^k."""
+    p, m, mod = ctx.p, ctx.m, ctx.modulus
+    coeffs = [1] + [0] * (m - 1)
+    for i in range(1, p):
+        coeffs = [(i * c + (coeffs[k - 1] if k else 0)) % mod for k, c in enumerate(coeffs)]
+    return [c * p ** k % mod for k, c in enumerate(coeffs)]
+
+
 def padic_gamma_many(xs: Sequence[Fraction], ctx: PadicContext) -> list[PadicResidue]:
     """Morita Gamma at several p-integral arguments with one shared product
     sweep: Gamma_p(r) = (-1)^r * prod of j for 0 < j < r, p !| j, reduced
     mod p^m, where r is the representative of x.  Continuity of Gamma_p
     makes the value mod p^m depend only on r mod p^m.
+
+    The sweep visits the sorted representatives in turn, one integer at a
+    time except where a whole block bp < j < (b+1)p lies below r: that
+    block enters as one value of _block_coefficients, by Horner in b.
     """
     reps = [_representative(x, ctx) for x in xs]
     order = sorted(set(reps))
-    mod = ctx.modulus
+    p, mod = ctx.p, ctx.modulus
+    block = _block_coefficients(ctx)[::-1]
     values: dict[int, int] = {}
     product = 1
     j = 1
     for r in order:
         while j < r:
-            if j % ctx.p:
-                product = product * j % mod
-            j += 1
+            if j % p == 0 and j + p <= r:
+                value = 0
+                for d in block:
+                    value = value * (j // p) + d
+                product = product * value % mod
+                j += p
+            else:
+                if j % p:
+                    product = product * j % mod
+                j += 1
         values[r] = (-product if r % 2 else product) % mod
     return [PadicResidue(ctx, values[r]) for r in reps]
 

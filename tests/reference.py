@@ -5,9 +5,10 @@ engine's integer rings and of its oracle: each factorial is built as a
 whole ``LaurentPoly``, a free parameter a as ``ParamRational``
 coefficients, and every term and closed form as a reduced
 ``RationalFunction``, so tests compare the engine against values in normal
-form.  Beside them sit two one-value views of package code the tests
-check (the engine's telescoped product as a rational function, and Gamma_p
-at one argument) and the quadratic-summation parameter grid.
+form.  Beside them sit the engine's telescoped product as a rational
+function, Gamma_p at one argument by its defining product, the failure
+classifier's route by whole exact divisions, and the quadratic-summation
+parameter grid.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from fractions import Fraction
 from typing import Optional
 
 from supercong.engine import _rational, _Ring, _telescoped_sides_int
-from supercong.padic import PadicContext, PadicResidue, padic_gamma_many
+from supercong.padic import PadicContext, PadicResidue, _representative
 from supercong.paramfield import ParamRational
-from supercong.polys import LaurentPoly, RationalFunction
+from supercong.polys import LaurentPoly, RationalFunction, poly_divrem, residue_reduce
 from supercong.qobjects import (
     ClosedFormBranch,
     ConcreteClosedForm,
@@ -28,6 +29,8 @@ from supercong.qobjects import (
     DegenerateFactor,
     SpecError,
     concretize_closed_form,
+    cyclotomic,
+    modulus_from_support,
     one_minus_q_power,
     q_bracket,
     q_integer,
@@ -153,7 +156,7 @@ def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> Rational
 
 
 # ---------------------------------------------------------------------------
-# the engine's telescoping and Gamma_p, one value at a time
+# the engine's telescoping, Gamma_p and failure witnesses by slower routes
 # ---------------------------------------------------------------------------
 
 def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
@@ -163,7 +166,61 @@ def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> Rati
 
 
 def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:
-    return padic_gamma_many([x], ctx)[0]
+    """Gamma_p(x) mod p^m by its defining product, one integer at a time:
+    (-1)^r times the product of the j with 0 < j < r and p !| j, for the
+    representative r of x."""
+    r = _representative(x, ctx)
+    product = 1
+    for j in range(1, r):
+        if j % ctx.p:
+            product = product * j % ctx.modulus
+    return PadicResidue(ctx, -product if r % 2 else product)
+
+
+def _phi_valuation(p: LaurentPoly, phi: LaurentPoly) -> int:
+    """The number of times phi divides p, by repeated exact division."""
+    v = 0
+    current = p
+    while not current.is_zero:
+        quo, rem = poly_divrem(current, phi)
+        if not rem.is_zero:
+            return v
+        v += 1
+        current = quo
+    return v
+
+
+def classify_by_full_division(left: tuple, right: tuple, support: dict,
+                              parametric: bool = False):
+    """engine._classify by whole exact divisions: every valuation counted in
+    full on the undivided difference, Phi_m^v_m(DEN) then divided out of
+    both sides one exact division at a time, and the witness reduced
+    modulo M directly, with no fold onto a sparse multiple."""
+    (num_l, den_l), (num_r, den_r) = left, right
+    diff, den = num_l * den_r - num_r * den_l, den_l * den_r
+    if diff.is_zero:
+        return None
+    num_c, den_c = diff.poly_part(), den.poly_part()
+    poles, fails, orders = [], [], {}
+    for m in sorted(support):
+        orders[m] = _phi_valuation(den_c, cyclotomic(m))
+        v = _phi_valuation(num_c, cyclotomic(m)) - orders[m]
+        if v < 0:
+            poles.append((m, -v))
+        elif v < support[m]:
+            fails.append((m, v))
+    if poles or not fails:
+        return poles, fails, None, False
+    for m in sorted(orders):
+        for _ in range(orders[m]):
+            (num_c, num_r), (den_c, den_r) = (poly_divrem(num_c, cyclotomic(m)),
+                                              poly_divrem(den_c, cyclotomic(m)))
+            if not (num_r.is_zero and den_r.is_zero):
+                raise ArithmeticError(f"Phi_{m} does not divide both sides")
+    modulus = modulus_from_support(support)
+    if parametric and modulus.span > 6:
+        return poles, fails, poly_divrem(num_c, modulus)[1], True
+    return poles, fails, residue_reduce(num_c.shift(diff.low - den.low), den_c, modulus), False
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import build_concrete_closed_form, build_concrete_summand, telescoped_product
+from reference import (
+    _phi_valuation,
+    build_concrete_closed_form,
+    build_concrete_summand,
+    classify_by_full_division,
+    telescoped_product,
+)
 from supercong import engine
 from supercong.engine import (
     _a_degree,
@@ -17,7 +23,6 @@ from supercong.engine import (
     _congruence_holds,
     _factor_rings,
     _pair_holds,
-    _phi_valuation,
     _plain_factor,
     _term_parts,
     is_parametric_case,
@@ -328,6 +333,75 @@ class TestFailureRoute:
         pair = verify_conjecture_pair(perturbed_pair(registry.get("conj1a"), cut=1), 5)
         assert (pair.status, pair.strategy) == ("fail", "fast+oracle")
         assert calls == [{4: 2}, {11: 1}, modulus_support(registry.get("conj1a").modulus, 5)]
+
+
+def classify_inputs(case, n, d=None):
+    """The arguments the engine hands ``_classify`` for a failing instance:
+    a pair's two sums, or a congruence's sum and closed form over the
+    modulus of its Phi_n leg (parametric cases) or of the whole statement."""
+    if case.family == "q_pair":
+        return ([_term_parts(concretize_summand(pair.summand, None), eval_int(pair.bound, n=n))
+                 for pair in (case.lhs_pair, case.rhs_pair)]
+                + [modulus_support(case.modulus, n), False])
+    summand = concretize_summand(case.summand, d)
+    closed = concretize_closed_form(case.closed_form, n, d)
+    support = ({n: case.modulus.cyclotomic_power()} if is_parametric_case(case)
+               else modulus_support(case.modulus, n))
+    return [_term_parts(summand, eval_int(case.bounds[0], n=n, d=d)),
+            engine._closed_form_polys(closed, n), support,
+            any(f.param for f in summand.num + summand.den)]
+
+
+def classify_both_routes(inputs):
+    """``_classify``'s verdict, checked byte for byte against the route by
+    whole exact divisions and a direct reduction modulo M."""
+    verdict = engine._classify(*inputs)
+    assert repr(verdict) == repr(classify_by_full_division(*inputs))
+    return verdict
+
+
+class TestWitnessRoute:
+    """One division pass per cyclotomic and the fold onto (q^N - 1)^E give
+    the verdicts and witnesses of whole exact divisions and a direct
+    reduction modulo M."""
+
+    @pytest.mark.parametrize("cid, d, n, route", [
+        ("lemma2", 3, 5, "residue"), ("lemma2", 3, 11, "pole"), ("lemma2", 4, 15, "scaled"),
+        ("lemma2_qd", 3, 5, "residue"), ("lemma2_qd", 3, 11, "scaled"),
+        ("lemma2_qd", 4, 15, "pass"), ("thm7", 3, 4, "residue"), ("thm7", 3, 10, "residue"),
+    ])
+    def test_catalog_failures(self, registry, cid, d, n, route):
+        poles, fails, witness, scaled = classify_both_routes(
+            classify_inputs(registry.get(cid), n, d))
+        assert route == ("pole" if poles else "pass" if not fails
+                         else "scaled" if scaled else "residue")
+        assert (witness is not None) == (route in ("residue", "scaled"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        # the modulus [n] Phi_n^2 of thm1_1 and thm1_2 has two or three
+        # cyclotomic factors; a failing lemma1 or thm2 leg takes the exact
+        # residue over Q(a) at Phi_9 and Phi_5, the unit-scaled witness
+        # once raised to Phi_9^2 and Phi_5^2
+        st.sampled_from([("thm1_1", None, 9), ("thm1_1", None, 15), ("thm1_2", None, 9),
+                         ("lemma1", 2, 9), ("thm2", None, 5)]),
+        st.integers(-1, 1),
+        st.integers(0, 2),
+        st.sampled_from([1, -1]),
+        st.integers(0, 1),
+    )
+    def test_perturbed_instances(self, registry, instance, shift, cut, sign, power):
+        cid, d, n = instance
+        case = perturbed(registry.get(cid), shift, cut, sign=sign, power=power)
+        classify_both_routes(classify_inputs(case, n, d))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([("conj1a", 9), ("conj1b", 5)]), st.integers(0, 2),
+           st.integers(-1, 1), st.integers(0, 1))
+    def test_perturbed_pairs(self, registry, instance, cut, exponent, power):
+        cid, n = instance
+        case = perturbed_pair(registry.get(cid), cut + (cid == "conj1b"), exponent, power)
+        classify_both_routes(classify_inputs(case, n))
 
 
 class TestOracle:

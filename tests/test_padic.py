@@ -1,7 +1,12 @@
 """p-adic lane: valuations, Morita Gamma, and the q -> 1 case driver."""
 
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,26 @@ from supercong.padic import (
 )
 
 PRIMES = (3, 5, 7, 13)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@st.composite
+def gamma_batches(draw):
+    """(ctx, xs): an odd prime p <= 31, m <= 4, and a batch of p-integral
+    arguments in any order whose representatives r include the edges of
+    the sweep's blocks of p: r = 0, r == 0, 1 or p - 1 mod p, and p^m - 1."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    ctx = PadicContext(p, draw(st.integers(1, 4)))
+    mod, blocks = ctx.modulus, ctx.modulus // p
+    edge = st.builds(lambda b, offset: b * p + offset % p,
+                     st.integers(0, blocks - 1), st.sampled_from([0, 1, -1]))
+    reps = draw(st.lists(st.one_of(st.just(0), st.just(mod - 1), edge, st.integers(0, mod - 1)),
+                         min_size=1, max_size=6))
+    # x = (r den + t p^m) / den has representative r
+    dens = st.integers(1, 12).filter(lambda den: den % p)
+    return ctx, [Fraction(r * den + draw(st.integers(-2, 2)) * mod, den)
+                 for r, den in zip(reps, draw(st.lists(dens, min_size=len(reps),
+                                                       max_size=len(reps))))]
 
 
 class TestValuation:
@@ -91,6 +116,12 @@ class TestPadicGamma:
         batch = padic_gamma_many(xs, ctx)
         for x, residue in zip(xs, batch):
             assert residue.value == padic_gamma(x, ctx).value
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma_batches())
+    def test_block_sweep_matches_defining_product(self, batch):
+        ctx, xs = batch
+        assert padic_gamma_many(xs, ctx) == [padic_gamma(x, ctx) for x in xs]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -168,6 +199,20 @@ class TestCaseDriver:
         # whenever the p multiplier is present
         for p in (5, 13, 17, 29):
             assert verify_padic_case(registry.get("liu"), p).status == "pass"
+
+    def test_large_prime_finishes(self, tmp_path):
+        # Gamma_p mod p^3 at p = 1009 sweeps representatives near 10^9: one
+        # step per integer took more than 100 s
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercong.cli", "verify", "--case", "liu", "--primes", "1009",
+             "--no-cache", "--no-timing"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 0, proc.stderr
+        assert "liu  pass=1" in proc.stdout
 
     def test_observed_gamma_branch_valuation_gap(self, registry):
         # desk finding: without the p multiplier the bridge transfers only
