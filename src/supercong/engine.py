@@ -43,12 +43,7 @@ from math import comb, lcm
 from typing import Optional
 
 from .exprs import eval_int
-from .polys import (
-    LaurentPoly,
-    RationalFunction,
-    poly_divrem,
-    residue_reduce,
-)
+from .polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
 from .paramfield import ParamRational
 from .qobjects import (
     ConcreteClosedForm,
@@ -831,11 +826,21 @@ def _telescoped_sides_int(sp: SpecializedProduct, n: int, d: Optional[int], ring
     return num, den
 
 
-def _rational(num, den) -> RationalFunction:
-    """num / den, two elements of Z[q, 1/q], as a reduced rational function."""
-    return RationalFunction(
-        LaurentPoly.from_int_coeffs(num[0], num[1]), LaurentPoly.from_int_coeffs(den[0], den[1])
-    )
+def _witness(ring: _Ring, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentPoly]:
+    """num1/den1 - num2/den2, ratios of Z[q, 1/q] elements, as the normal
+    form (num, den) of a reduced rational function: den is plain with a
+    nonzero constant term, monic and coprime to num, and num carries all
+    monomial content.  The form is unique (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 3 and 4.3)."""
+    num = LaurentPoly.from_int_coeffs(*ring.sub(ring.mul(num1, den2), ring.mul(num2, den1)))
+    den = LaurentPoly.from_int_coeffs(*ring.mul(den1, den2))
+    num, den = num.shift(-den.low), den.poly_part()
+    g = poly_gcd(num, den)
+    (num, num_r), (den, den_r) = poly_divrem(num, g), poly_divrem(den, g)
+    if not (num_r.is_zero and den_r.is_zero):
+        raise ArithmeticError(f"gcd {g!r} does not divide {num!r} / {den!r}")
+    inv = 1 / den.leading
+    return num.scale(inv), den.scale(inv)
 
 
 def _specialized_factor(summand: ConcreteSummand, bound: int, shift: int):
@@ -857,10 +862,10 @@ def verify_identity_specialized(
     """Exact check of the terminating identity at a = q^n (which="qn") or
     a = q^-n (which="q-n").
 
-    Returns {"equal": bool, "witness": RationalFunction | None, "detail": str}.
+    Returns {"equal": bool, "witness": (num, den) | None, "detail": str}.
     The sum must equal both the telescoped infinite product and the case's
     closed form.  Both equalities are decided cross-multiplied in Z[q, 1/q];
-    only a mismatch builds the reduced rational-function witness.
+    only a mismatch builds the witness, the difference in normal form.
     """
     summand = concretize_summand(case.summand, d)
     bound = _resolve_bound(case.bounds[0], n, d)
@@ -876,13 +881,13 @@ def verify_identity_specialized(
     if not ring.same_ratio(ss, dacc, pn, pd):
         return {
             "equal": False,
-            "witness": _rational(ss, dacc) - _rational(pn, pd),
+            "witness": _witness(ring, ss, dacc, pn, pd),
             "detail": f"sum at a = q^{'+' if which == 'qn' else '-'}n differs from the telescoped product",
         }
     if not ring.same_ratio(pn, pd, rn, rd):
         return {
             "equal": False,
-            "witness": _rational(pn, pd) - _rational(rn, rd),
+            "witness": _witness(ring, pn, pd, rn, rd),
             "detail": "telescoped product differs from the closed form",
         }
     return {"equal": True, "witness": None, "detail": "terminating identity holds"}
@@ -984,14 +989,13 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
     parametric_kinds = case.modulus.parametric_kinds()
     legs = []
     try:
-        if "a_minus_qn" in parametric_kinds:
-            outcome = verify_identity_specialized(case, n, d, "qn")
-            legs.append(("a=q^n", "pass" if outcome["equal"] else "fail",
-                         outcome["detail"], outcome["witness"]))
-        if "one_minus_a_qn" in parametric_kinds:
-            outcome = verify_identity_specialized(case, n, d, "q-n")
-            legs.append(("a=q^-n", "pass" if outcome["equal"] else "fail",
-                         outcome["detail"], outcome["witness"]))
+        for kind, which, name in (("a_minus_qn", "qn", "a=q^n"),
+                                  ("one_minus_a_qn", "q-n", "a=q^-n")):
+            if kind in parametric_kinds:
+                outcome = verify_identity_specialized(case, n, d, which)
+                witness = outcome["witness"]
+                legs.append((name, "pass" if outcome["equal"] else "fail",
+                             outcome["detail"], witness and witness[0]))
         cyc_power = case.modulus.cyclotomic_power()
         if cyc_power:
             summand = concretize_summand(case.summand, d)
@@ -1014,10 +1018,7 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
         return done("obstruction", detail=detail)
     for name, status, note, witness in legs:
         if status == "fail":
-            w = witness
-            if isinstance(w, RationalFunction):
-                w = w.num
-            return done("fail", witness=w, detail=detail)
+            return done("fail", witness=witness, detail=detail)
     return done("pass", detail=detail)
 
 

@@ -268,12 +268,14 @@ def _run_job(job: tuple) -> dict:
 @contextmanager
 def _job_map(registry: Registry, workers: int, count: int):
     """A map that yields job results in plan order: the builtin one, or a
-    pool's when there are several workers and several jobs."""
+    pool's when there are several workers and several jobs.  The pool has
+    no more workers than jobs, since each worker is started up front."""
     _use_registry(registry)
     if workers == 1 or count < 2:
         yield map
         return
-    with ProcessPoolExecutor(workers, initializer=_use_registry, initargs=(registry,)) as pool:
+    with ProcessPoolExecutor(min(workers, count), initializer=_use_registry,
+                             initargs=(registry,)) as pool:
         yield pool.map
 
 

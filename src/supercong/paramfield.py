@@ -66,10 +66,6 @@ class ParamRational:
         """The transcendental a itself."""
         return cls(LaurentPoly((Fraction(0), Fraction(1))), _ONE, reduce=False)
 
-    @classmethod
-    def const(cls, value) -> "ParamRational":
-        return cls(LaurentPoly((Fraction(value),)), _ONE, reduce=False)
-
     # -- field arithmetic ------------------------------------------------
 
     @property
@@ -145,16 +141,6 @@ class ParamRational:
         if self.den == _ONE:
             return num
         return f"({num})/({repr(self.den).replace('q', 'a')})"
-
-    def substitute(self, value: Fraction) -> Fraction:
-        """Evaluate at a rational a (used by tests as an independent probe)."""
-        den = self.den(value)
-        if den == 0:
-            raise ZeroDivisionError("parameter value hits a pole")
-        return Fraction(self.num(value)) / den
-
-
-A = ParamRational.generator()
 
 
 # ---------------------------------------------------------------------------

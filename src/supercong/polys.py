@@ -1,5 +1,5 @@
-"""Dense exact univariate arithmetic: Laurent polynomials, rational
-functions, and the residue of a quotient modulo a polynomial.
+"""Dense exact univariate arithmetic: Laurent polynomials, their division
+and gcd, and the residue of a quotient modulo a polynomial.
 
 Coefficients are duck typed over an exact field.  Plain ``fractions.Fraction``
 coefficients serve the cyclotomic polynomials, the witnesses and the oracle;
@@ -7,6 +7,8 @@ coefficients serve the cyclotomic polynomials, the witnesses and the oracle;
 statements carrying the free parameter a (the fast routes run on integers).
 The integers 0 and 1 act as the additive and multiplicative identities for
 either coefficient type, which keeps one implementation serving both.
+A rational function is kept by its caller as a (numerator, denominator)
+pair; ``poly_gcd`` and ``poly_divrem`` bring one to normal form.
 
 Polynomials are immutable after construction and safe to share across
 workers.  Storage is dense: every modulus in this project has degree below
@@ -69,10 +71,6 @@ class LaurentPoly:
         return cls((Fraction(1),))
 
     @classmethod
-    def monomial(cls, coeff, exponent: int = 0) -> "LaurentPoly":
-        return cls((coeff,), exponent)
-
-    @classmethod
     def from_int_coeffs(cls, coeffs: Sequence[int], low: int = 0) -> "LaurentPoly":
         return cls([Fraction(c) for c in coeffs], low)
 
@@ -99,12 +97,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def coefficient(self, exponent: int):
-        i = exponent - self.low
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
 
     def poly_part(self) -> "LaurentPoly":
         """The same coefficients anchored at exponent 0."""
@@ -154,9 +146,6 @@ class LaurentPoly:
         # scalar from the coefficient field
         return LaurentPoly([c * other for c in self.coeffs], self.low)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -179,17 +168,6 @@ class LaurentPoly:
         if lead == 1:
             return self
         return LaurentPoly([c / lead for c in self.coeffs], self.low)
-
-    def __call__(self, x):
-        """Evaluate at a scalar (Horner on the polynomial part)."""
-        if self.is_zero:
-            return 0
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if self.low:
-            acc = acc * x ** self.low
-        return acc
 
     # -- comparisons ----------------------------------------------------
 
@@ -286,125 +264,6 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return x.monic()
 
 
-def poly_gcdex(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """Extended Euclid on plain polynomials: returns (g, u, v) with
-    u*a + v*b = g and g monic."""
-    if a.low < 0 or b.low < 0:
-        raise ValueError("extended gcd expects plain polynomials")
-    r0, r1 = a, b
-    u0, u1 = LaurentPoly.one(), LaurentPoly.zero()
-    v0, v1 = LaurentPoly.zero(), LaurentPoly.one()
-    while not r1.is_zero:
-        q, r = poly_divrem(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    lead = r0.leading
-    inv = 1 / lead if not isinstance(lead, Fraction) else Fraction(1) / lead
-    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
-
-
-class RationalFunction:
-    """Reduced quotient of Laurent polynomials.
-
-    Normal form: den is a plain polynomial (lowest exponent 0) with leading
-    coefficient 1, gcd(num, den) = 1, and all monomial content lives in num.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = None, *, reduce: bool = True):
-        if den is None:
-            den = LaurentPoly.one()
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.one()
-            return
-        num = num.shift(-den.low)
-        den = den.poly_part()
-        if reduce and den.span > 0:
-            g = poly_gcd(num, den)
-            if g.span > 0:
-                num, num_r = poly_divrem(num, g)
-                den, den_r = poly_divrem(den, g)
-                if not (num_r.is_zero and den_r.is_zero):
-                    raise ArithmeticError(f"gcd {g!r} does not divide {num!r} / {den!r}")
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead if not isinstance(lead, Fraction) else Fraction(1) / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p, LaurentPoly.one(), reduce=False)
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(LaurentPoly(), LaurentPoly.one(), reduce=False)
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(LaurentPoly.one(), LaurentPoly.one(), reduce=False)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        if isinstance(other, LaurentPoly):
-            return RationalFunction(self.num * other, self.den)
-        return RationalFunction(self.num * other, self.den)
-
-    def __rmul__(self, other) -> "RationalFunction":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return self == RationalFunction(
-                other if isinstance(other, LaurentPoly) else LaurentPoly.monomial(Fraction(other)),
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
-    def __repr__(self) -> str:
-        if self.den == LaurentPoly.one():
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
-
-
 def residue_reduce(num: LaurentPoly, den: LaurentPoly, modulus: LaurentPoly) -> LaurentPoly:
     """The residue r of num / den in F[q]/(modulus): r * den == num, and r
     is a plain polynomial of degree below that of the modulus.
@@ -423,7 +282,16 @@ def residue_reduce(num: LaurentPoly, den: LaurentPoly, modulus: LaurentPoly) -> 
         raise ValueError("modulus must be a plain nonconstant polynomial with nonzero constant term")
     _, num_r = poly_divrem(num.poly_part(), modulus)
     _, den_r = poly_divrem(den.poly_part(), modulus)
-    g, u, _ = poly_gcdex(den_r, modulus)
+    # extended Euclid on (den_r, modulus), keeping only den_r's cofactor:
+    # u * den_r == g modulo the modulus, with g the monic gcd
+    r0, r1 = den_r, modulus
+    u0, u1 = LaurentPoly.one(), LaurentPoly()
+    while not r1.is_zero:
+        quo, rem = poly_divrem(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, u0 - quo * u1
+    inv = 1 / r0.leading
+    g, u = r0.scale(inv), u0.scale(inv)
     if g.span != 0:
         raise NonUnitDenominator(g)
     # g = q^k (the Euclidean algorithm runs over F[q, 1/q]), so

@@ -125,10 +125,6 @@ class CaseDefinition:
         """Conjectures run in observe mode: recorded, never suite errors."""
         return self.kind == "conjecture"
 
-    @property
-    def theorem_kind(self) -> bool:
-        return self.kind in ("theorem", "lemma", "corollary")
-
     def applies(self, **params) -> bool:
         return eval_bool(self.condition, **{"n": None, "d": None, "p": None, **params})
 

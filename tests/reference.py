@@ -1,14 +1,16 @@
 """Reference builders shared by the tests, none of which the package uses.
 
-The q-shifted factorial builders are a third route, independent of the
-engine's integer rings and of its oracle: each factorial is built as a
-whole ``LaurentPoly``, a free parameter a as ``ParamRational``
-coefficients, and every term and closed form as a reduced
-``RationalFunction``, so tests compare the engine against values in normal
-form.  Beside them sit the engine's telescoped product as a rational
-function, Gamma_p at one argument by its defining product, the failure
-classifier's route by whole exact divisions, and the quadratic-summation
-parameter grid.
+``RationalFunction`` is the tests' normal form of a quotient of Laurent
+polynomials: every value is reduced by a gcd as it is built, so two values
+are equal exactly when their numerators and denominators are.  The q-shifted
+factorial builders are a third route, independent of the engine's integer
+rings and of its oracle: each factorial is built as a whole ``LaurentPoly``,
+a free parameter a as ``ParamRational`` coefficients, and every term and
+closed form as a ``RationalFunction``, so tests compare the engine against
+values in normal form.  Beside them sit the engine's telescoped product as a
+rational function, Gamma_p at one argument by its defining product, the
+failure classifier's route by whole exact divisions, and the
+quadratic-summation parameter grid.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from supercong.engine import _rational, _Ring, _telescoped_sides_int
+from supercong.engine import _Ring, _telescoped_sides_int
 from supercong.padic import PadicContext, PadicResidue, _representative
 from supercong.paramfield import ParamRational
-from supercong.polys import LaurentPoly, RationalFunction, poly_divrem, residue_reduce
+from supercong.polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
 from supercong.qobjects import (
     ClosedFormBranch,
     ConcreteClosedForm,
@@ -36,6 +38,59 @@ from supercong.qobjects import (
     q_integer,
 )
 from supercong.registry import SpecializedProduct
+
+
+# ---------------------------------------------------------------------------
+# rational functions in normal form
+# ---------------------------------------------------------------------------
+
+class RationalFunction:
+    """Reduced quotient of Laurent polynomials.
+
+    Normal form: den is a plain polynomial (lowest exponent 0) with leading
+    coefficient 1, gcd(num, den) = 1, and all monomial content lives in num.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: Optional[LaurentPoly] = None):
+        if den is None:
+            den = LaurentPoly.one()
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero:
+            self.num, self.den = LaurentPoly(), LaurentPoly.one()
+            return
+        num, den = num.shift(-den.low), den.poly_part()
+        if den.span > 0:
+            g = poly_gcd(num, den)
+            (num, num_r), (den, den_r) = poly_divrem(num, g), poly_divrem(den, g)
+            if not (num_r.is_zero and den_r.is_zero):
+                raise ArithmeticError(f"gcd {g!r} does not divide {num!r} / {den!r}")
+        inv = 1 / den.leading
+        self.num, self.den = num.scale(inv), den.monic()
+
+    @classmethod
+    def zero(cls) -> "RationalFunction":
+        return cls(LaurentPoly())
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __repr__(self) -> str:
+        return f"({self.num!r}) / ({self.den!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +113,7 @@ def q_pochhammer(c: int, s: int, k: int) -> LaurentPoly:
 
 
 _PARAM_A = ParamRational.generator()
+_PARAM_ONE = ParamRational(LaurentPoly.one())
 
 
 def _one_plus_coeff_q_power(coeff: ParamRational, e: int) -> LaurentPoly:
@@ -74,10 +130,10 @@ def param_pochhammer(c: int, s: int, k: int, kind: str) -> LaurentPoly:
     if kind == "aq":
         coeff = -_PARAM_A
     elif kind == "q_div_a":
-        coeff = -(ParamRational.const(1) / _PARAM_A)
+        coeff = -(_PARAM_ONE / _PARAM_A)
     else:
         raise SpecError(f"unknown parametric factor kind {kind!r}")
-    out = LaurentPoly((ParamRational.const(1),))
+    out = LaurentPoly((_PARAM_ONE,))
     for j in range(k):
         out = out * _one_plus_coeff_q_power(coeff, c + j * s)
     return out
@@ -162,7 +218,8 @@ def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> Rational
 def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
     """The finite form of the infinite-product right side (see
     engine._telescoped_sides_int) as a reduced rational function."""
-    return _rational(*_telescoped_sides_int(sp, n, d, _Ring()))
+    num, den = _telescoped_sides_int(sp, n, d, _Ring())
+    return RationalFunction(LaurentPoly.from_int_coeffs(*num), LaurentPoly.from_int_coeffs(*den))
 
 
 def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:

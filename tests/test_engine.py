@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    RationalFunction,
     _phi_valuation,
     build_concrete_closed_form,
     build_concrete_summand,
@@ -33,7 +34,7 @@ from supercong.engine import (
     verify_parametric,
 )
 from supercong.exprs import eval_int
-from supercong.polys import LaurentPoly, RationalFunction, residue_reduce
+from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
     PochFactor,
     SummandSpec,
@@ -126,7 +127,8 @@ class TestParametric:
         case = dataclasses.replace(registry.get("thm2"), bounds=("(n-3)/2",))
         outcome = verify_identity_specialized(case, 5, None, "qn")
         assert not outcome["equal"]
-        assert outcome["witness"] is not None and not outcome["witness"].is_zero
+        num, den = outcome["witness"]
+        assert not num.is_zero and den.low == 0 and den.leading == 1
 
     def test_specialized_identity_both_signs(self, registry):
         case = registry.get("thm2")
@@ -494,10 +496,12 @@ def rational_specialized(case, n, d, which):
     closed = build_concrete_closed_form(concretize_closed_form(case.closed_form, n, d), n)
     if total != product:
         sign = "+" if which == "qn" else "-"
-        return {"equal": False, "witness": total - product,
+        witness = total - product
+        return {"equal": False, "witness": (witness.num, witness.den),
                 "detail": f"sum at a = q^{sign}n differs from the telescoped product"}
     if product != closed:
-        return {"equal": False, "witness": product - closed,
+        witness = product - closed
+        return {"equal": False, "witness": (witness.num, witness.den),
                 "detail": "telescoped product differs from the closed form"}
     return {"equal": True, "witness": None, "detail": "terminating identity holds"}
 
@@ -527,6 +531,18 @@ class TestIntegerParametricLegs:
         assert fast["detail"] == slow["detail"]
         assert fast["witness"] == slow["witness"]
         assert repr(fast["witness"]) == repr(slow["witness"])
+
+    def test_failing_leg_witness_is_pinned(self, registry):
+        # thm2 at n = 5 with its bound lowered by one: the a = q^n sum misses
+        # its last term
+        outcome = verify_identity_specialized(perturbed(registry.get("thm2"), cut=1), 5, None, "qn")
+        assert [repr(p) for p in outcome["witness"]] == [
+            "1*q + 1*q^3 + 1*q^4 + 1*q^5 + 1*q^7", "1 + 1*q^2 + 1*q^3 + 1*q^5 + 1*q^6 + 1*q^8"]
+        # with the closed form's q-shift moved by one, the monomial content
+        # q^-1 stays in the numerator, which is the instance's witness
+        result = verify_parametric(perturbed(registry.get("thm2"), shift=1), 5)
+        assert (result.status, repr(result.witness)) == ("fail", "1*q^-1 + -1*q^4")
+        assert result.witness_digest == "28a5d2e5673f181d"
 
     def test_evaluation_leg_matches_oracle_on_catalog(self, registry):
         verdicts = {}

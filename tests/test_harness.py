@@ -125,6 +125,31 @@ class TestRun:
         assert len(keys) == len(set(keys))
         assert report.summary["total"] == len(plan_jobs(load_registry(), cfg))
 
+    def test_pool_has_no_more_workers_than_jobs(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process,
+            so no worker process is started."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        report = run(config(case_ids=["thm1_1"], n_values=[3, 5], jobs=1000))
+        assert sizes == [2]
+        assert report.summary["pass"] == 2
+
     def test_summary_counts_match_results(self, registry):
         report = run(config(case_ids=["lemma2"]))
         tallies = {"pass": 0, "fail": 0, "skipped": 0, "obstruction": 0}

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import build_concrete_closed_form, build_concrete_summand, q_pochhammer
-from supercong.polys import LaurentPoly, RationalFunction, poly_divrem
+from reference import (
+    RationalFunction,
+    build_concrete_closed_form,
+    build_concrete_summand,
+    q_pochhammer,
+)
+from supercong.polys import LaurentPoly, poly_divrem
 from supercong.qobjects import (
     DegenerateFactor,
     SpecError,
@@ -111,7 +116,7 @@ class TestSummandCompilation:
                 concrete = concretize_summand(case.summand, d)
                 term = build_concrete_summand(concrete, 0, n=5, a_mode="symbolic" if any(
                     f.param for f in case.summand.factors) else None)
-                expected = RationalFunction.from_poly(
+                expected = RationalFunction(
                     q_bracket(concrete.prefactor_index(0)).shift(concrete.exponent(0))
                 )
                 assert term == expected, case.id

@@ -69,7 +69,7 @@ class TestShippedRegistry:
     def test_conjectures_are_observe_mode(self, registry):
         for cid in ("conj1a", "conj1b", "conj2", "conj3", "thm7_1"):
             case = registry.get(cid)
-            assert case.observe and not case.theorem_kind
+            assert case.observe and case.kind not in ("theorem", "lemma", "corollary")
 
     def test_digest_is_stable(self, registry):
         again = load_registry()

@@ -1,7 +1,11 @@
-"""Source hygiene: every definition in the package is used by the package."""
+"""Source hygiene and the suite's own guards: every definition in the
+package is used by the package, and a hung test fails."""
 
 import ast
+import time
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "supercong"
 
@@ -16,24 +20,42 @@ def _names(node):
             yield sub.attr
 
 
+def _definitions(tree):
+    """(name, node) of each module-level function, class and constant, and
+    of each non-dunder method or property of a module-level class."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield top.name, top
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            for target in top.targets if isinstance(top, ast.Assign) else (top.target,):
+                for name in _names(target):
+                    if not name.startswith("__"):
+                        yield name, top
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("__")):
+                    yield f"{top.name}.{member.name}", member
+
+
 def unreferenced_definitions(src=SRC):
-    """(module, name) of each module-level function or class that nothing
-    in ``src`` refers to outside its own definition.  Such code serves only
-    the tests, or nobody, and belongs under tests/ or nowhere."""
+    """(module, name) of each definition that nothing in ``src`` refers to
+    outside the definition itself.  Such code serves only the tests, or
+    nobody, and belongs under tests/ or nowhere."""
     modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(src.glob("*.py"))}
-    used: dict[str, set] = {}   # name -> the top-level nodes that mention it
+    mentions: dict[str, int] = {}   # name -> how often the package mentions it
     for tree in modules.values():
-        for top in tree.body:
-            for name in _names(top):
-                used.setdefault(name, set()).add(id(top))
-    return [
-        (module, top.name)
-        for module, tree in modules.items()
-        for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not used.get(top.name, set()) - {id(top)}
-    ]
+        for name in _names(tree):
+            mentions[name] = mentions.get(name, 0) + 1
+    unused = []
+    for module, tree in modules.items():
+        for name, node in _definitions(tree):
+            attr = name.rpartition(".")[2]
+            inside = sum(1 for own in _names(node) if own == attr)
+            if mentions.get(attr, 0) == inside:
+                unused.append((module, name))
+    return unused
 
 
 def test_every_definition_is_referenced_in_src():
@@ -42,9 +64,27 @@ def test_every_definition_is_referenced_in_src():
 
 def test_guard_flags_a_definition_used_only_by_itself(tmp_path):
     (tmp_path / "a.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "LIMIT = 3\nLONELY = 4\n\n\n"
+        "def used():\n    return LIMIT\n\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
-        "class Lonely:\n    pass\n"
+        "class Lonely:\n    pass\n\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.value = self.get()\n\n"
+        "    def get(self):\n        return 1\n\n"
+        "    def lonely(self):\n        return self.lonely()\n\n"
+        "    @property\n    def alone(self):\n        return 2\n"
     )
-    (tmp_path / "b.py").write_text("from .a import used\n\nX = used\n")
-    assert unreferenced_definitions(tmp_path) == [("a.py", "recursive"), ("a.py", "Lonely")]
+    (tmp_path / "b.py").write_text("from .a import Box, used\n\nX = used\nY = Box().value\nprint(X, Y)\n")
+    assert unreferenced_definitions(tmp_path) == [
+        ("a.py", "LONELY"), ("a.py", "recursive"), ("a.py", "Lonely"),
+        ("a.py", "Box.lonely"), ("a.py", "Box.alone"),
+    ]
+
+
+def test_wall_clock_guard_fails_a_hang(time_limit):
+    start = time.monotonic()
+    with pytest.raises(BaseException, match="wall-clock limit of 0.1 s exceeded") as info:
+        with time_limit(0.1):
+            time.sleep(5)
+    assert type(info.value).__name__ == "WallClockExceeded"
+    assert time.monotonic() - start < 2
