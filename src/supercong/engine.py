@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from math import comb, lcm
 from typing import Optional
 
@@ -50,6 +50,8 @@ from .qobjects import (
     ConcreteSummand,
     DegenerateFactor,
     SpecError,
+    atom,
+    bracket,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -173,24 +175,6 @@ def _int_poly(p: LaurentPoly) -> list:
     if p.low != 0 or any(c.denominator != 1 for c in p.coeffs):
         raise ValueError(f"expected a plain integer polynomial, got {p!r}")
     return [int(c) for c in p.coeffs]
-
-
-def _one_minus_pow(e: int) -> tuple[list, int]:
-    """1 - q^e as (plain int coeffs, shift): value = coeffs * q^shift."""
-    if e == 0:
-        return [], 0
-    if e > 0:
-        return [1] + [0] * (e - 1) + [-1], 0
-    return [-1] + [0] * (-e - 1) + [1], e
-
-
-def _bracket_int(t: int) -> tuple[list, int]:
-    """[t] as (plain int coeffs, shift)."""
-    if t == 0:
-        return [], 0
-    if t > 0:
-        return [1] * t, 0
-    return [-1] * (-t), t
 
 
 class _Ring:
@@ -454,7 +438,7 @@ def _plain_factor(f, j: int) -> tuple[list, int]:
     """The j-th factor 1 - q^e of a Pochhammer without the parameter a."""
     if f.param:
         raise SpecError("integer fast path cannot carry parametric factors")
-    return _one_minus_pow(f.exponent_at(j))
+    return atom(f.exponent_at(j))
 
 
 def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_plain_factor,
@@ -486,8 +470,8 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_p
         t = summand.prefactor_index(k)
         if not t or ring.is_zero(pnum):
             continue  # the term is zero
-        bracket, vb = _stripped(_bracket_int(t), t, strip)
-        term = ring.mul(ring.of(*bracket), pnum) if vb else ring.mul_bracket(pnum, t)
+        stripped, vb = _stripped(bracket(t), t, strip)
+        term = ring.mul(ring.of(*stripped), pnum) if vb else ring.mul_bracket(pnum, t)
         if strip is not None:
             scale = strip.power(v + vb)
             if scale is None:
@@ -505,10 +489,10 @@ def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
         return ring.of([], 0), ring.one
 
     def atoms(lengths):
-        return ((_one_minus_pow(a + s * j), a + s * j, 1) for a, s, length in lengths
+        return ((atom(a + s * j), a + s * j, 1) for a, s, length in lengths
                 for j in range(length))
 
-    multiplier = [(_bracket_int(n), n, 1)] if closed.n_multiplier else []
+    multiplier = [(bracket(n), n, 1)] if closed.n_multiplier else []
     rn, v_num = _product(ring, chain(atoms(closed.num), multiplier), strip)
     rd, v_den = _product(ring, atoms(closed.den), strip)
     if strip is not None:
@@ -782,48 +766,33 @@ def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
 # parametric lane: terminating specializations + cyclotomic leg in a
 # ---------------------------------------------------------------------------
 
-def _telescoped_sides_int(sp: SpecializedProduct, n: int, d: Optional[int], ring: _Ring):
-    """Collapse the infinite-product right side to its finite form, as
-    (numerator with sign, denominator) ring elements.
+def _telescoped_form(sp: SpecializedProduct, n: int, d: Optional[int]) -> ConcreteClosedForm:
+    """The infinite-product right side as the finite ratio it telescopes to.
 
-    Numerator and denominator exponent lists (mod the base step) must pair
-    up; the ratio of the two tails telescopes to a finite product of
-    (1 - q^e) factors counted with multiplicity.  A nonpositive numerator
-    exponent divisible by the step makes the whole product zero; the same
-    situation in the denominator is degenerate.
+    Within each residue class mod the base s, numerator and denominator
+    exponents pair up smallest with smallest, and
+    (q^a; q^s)_inf / (q^b; q^s)_inf is (q^a; q^s)_((b-a)/s) when a <= b and
+    1 / (q^b; q^s)_((a-b)/s) otherwise.  A nonpositive numerator exponent
+    divisible by s makes the whole product zero; the same situation in the
+    denominator is degenerate.
     """
     base = eval_int(sp.base, n=n, d=d)
     if base < 1:
         raise SpecError("product base step must be positive")
-    nums = [eval_int(e, n=n, d=d) for e in sp.num]
-    dens = [eval_int(e, n=n, d=d) for e in sp.den]
+    nums = sorted((eval_int(e, n=n, d=d) for e in sp.num), key=lambda e: (e % base, e))
+    dens = sorted((eval_int(e, n=n, d=d) for e in sp.den), key=lambda e: (e % base, e))
     if any(b <= 0 and b % base == 0 for b in dens):
         raise DegenerateFactor("infinite product has a vanishing denominator factor")
     if any(a <= 0 and a % base == 0 for a in nums):
-        return ring.of([], 0), ring.one
-    by_class_num: dict[int, list] = {}
-    by_class_den: dict[int, list] = {}
-    for a in nums:
-        by_class_num.setdefault(a % base, []).append(a)
-    for b in dens:
-        by_class_den.setdefault(b % base, []).append(b)
-    if {r: len(v) for r, v in by_class_num.items()} != {r: len(v) for r, v in by_class_den.items()}:
+        return ConcreteClosedForm(kind="zero")
+    if [a % base for a in nums] != [b % base for b in dens]:
         raise SpecError("infinite-product spec does not telescope to a finite form")
-    num, den = ring.one, ring.one
-    for r, class_nums in by_class_num.items():
-        class_dens = by_class_den[r]
-        lo = min(class_nums + class_dens)
-        hi = max(class_nums + class_dens)
-        for e in range(lo, hi, base):
-            mult = sum(1 for a in class_nums if a <= e) - sum(1 for b in class_dens if b <= e)
-            x = ring.of(*_one_minus_pow(e))
-            for _ in range(mult):
-                num = ring.mul(num, x)
-            for _ in range(-mult):
-                den = ring.mul(den, x)
-    if sp.sign < 0:
-        num = ring.neg(num)
-    return num, den
+    return ConcreteClosedForm(
+        kind="ratio",
+        sign=sp.sign,
+        num=tuple((a, base, (b - a) // base) for a, b in zip(nums, dens) if a < b),
+        den=tuple((b, base, (a - b) // base) for a, b in zip(nums, dens) if b < a),
+    )
 
 
 def _witness(ring: _Ring, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentPoly]:
@@ -853,7 +822,7 @@ def _specialized_factor(summand: ConcreteSummand, bound: int, shift: int):
                 raise DegenerateFactor(
                     f"denominator factor hits q^0 under the a = q^{shift} specialization"
                 )
-    return lambda f, j: _one_minus_pow(f.exponent_at(j) + offset[f.param])
+    return lambda f, j: atom(f.exponent_at(j) + offset[f.param])
 
 
 def verify_identity_specialized(
@@ -871,68 +840,39 @@ def verify_identity_specialized(
     bound = _resolve_bound(case.bounds[0], n, d)
     factor = _specialized_factor(summand, bound, {"qn": n, "q-n": -n}[which])
     ring = _Ring()
-    ss, dacc = _horner_sum_int(summand, bound, ring, factor)
-    pn, pd = _telescoped_sides_int(case.specialized_product, n, d, ring)
-    closed = concretize_closed_form(case.closed_form, n, d)
-    for c, s, length in closed.den:
-        if any(c + s * j == 0 for j in range(length)):
-            raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
-    rn, rd = _closed_form_sides_int(closed, n, ring)
-    if not ring.same_ratio(ss, dacc, pn, pd):
-        return {
-            "equal": False,
-            "witness": _witness(ring, ss, dacc, pn, pd),
-            "detail": f"sum at a = q^{'+' if which == 'qn' else '-'}n differs from the telescoped product",
-        }
-    if not ring.same_ratio(pn, pd, rn, rd):
-        return {
-            "equal": False,
-            "witness": _witness(ring, pn, pd, rn, rd),
-            "detail": "telescoped product differs from the closed form",
-        }
+    sides = (_horner_sum_int(summand, bound, ring, factor),
+             _closed_form_sides_int(_telescoped_form(case.specialized_product, n, d), n, ring),
+             _closed_form_sides_int(concretize_closed_form(case.closed_form, n, d), n, ring))
+    details = (f"sum at a = q^{'+' if which == 'qn' else '-'}n differs from the telescoped product",
+               "telescoped product differs from the closed form")
+    for (left, right), detail in zip(pairwise(sides), details):
+        if not ring.same_ratio(*left, *right):
+            return {"equal": False, "witness": _witness(ring, *left, *right), "detail": detail}
     return {"equal": True, "witness": None, "detail": "terminating identity holds"}
 
 
 _PARAM_A = ParamRational.generator()
 
 
+def _avatar(param: str, a) -> tuple:
+    """(x, y) of the avatar x - y q^e of a factor carrying ``param`` at the
+    parameter value a: 1 - q^e stays, 1 - a q^e stays, and 1 - q^e / a
+    becomes a - q^e; the stripped 1/a units cancel between numerator and
+    denominator because the registry keeps them balanced."""
+    return {"": (1, 1), "aq": (1, a), "q_div_a": (a, 1)}[param]
+
+
 def _param_avatar(f, j: int) -> LaurentPoly:
-    """Polynomial stand-ins for parametric factors: (1 - a q^e) stays as is,
-    (1 - q^e / a) becomes (a - q^e); the stripped 1/a units cancel between
-    numerator and denominator because the registry keeps them balanced."""
-    e = f.exponent_at(j)
-    if f.param == "aq":
-        if e == 0:
-            return LaurentPoly((1 - _PARAM_A,))
-        if e > 0:
-            return LaurentPoly([1] + [0] * (e - 1) + [-_PARAM_A], 0)
-        return LaurentPoly([-_PARAM_A] + [0] * (-e - 1) + [1], e)
-    if f.param == "q_div_a":
-        if e == 0:
-            return LaurentPoly((_PARAM_A - 1,))
-        if e > 0:
-            return LaurentPoly([_PARAM_A] + [0] * (e - 1) + [-1], 0)
-        return LaurentPoly([-1] + [0] * (-e - 1) + [_PARAM_A], e)
-    return one_minus_q_power(e)
+    """The polynomial stand-in of the j-th factor of f over Q(a).  Plain
+    atoms keep Fraction coefficients, which poly_divrem divides exactly."""
+    if not f.param:
+        return one_minus_q_power(f.exponent_at(j))
+    return LaurentPoly(*atom(f.exponent_at(j), *_avatar(f.param, _PARAM_A)))
 
 
 def _avatar_factor(t: int):
-    """Factor map for _horner_sum_int: the avatars of _param_avatar at the
-    integer a = t, i.e. 1 - t q^e for (a q^c; q^s) and t - q^e for
-    (q^c / a; q^s)."""
-
-    def factor(f, j: int) -> tuple[list, int]:
-        e = f.exponent_at(j)
-        if not f.param:
-            return _one_minus_pow(e)
-        x, y = (1, t) if f.param == "aq" else (t, 1)   # x - y q^e
-        if e == 0:
-            return [x - y], 0
-        if e > 0:
-            return [x] + [0] * (e - 1) + [-y], 0
-        return [-y] + [0] * (-e - 1) + [x], e
-
-    return factor
+    """Factor map for _horner_sum_int: the avatars at the integer a = t."""
+    return lambda f, j: atom(f.exponent_at(j), *_avatar(f.param, t))
 
 
 def _a_degree(summand: ConcreteSummand, bound: int) -> int:

@@ -23,7 +23,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .engine import CaseResult, case_result
-from .exprs import eval_bool, eval_fraction, eval_int
+from .exprs import ExpressionError, eval_bool, eval_fraction, eval_int
+from .qobjects import SpecError
 from .registry import CaseDefinition, PadicRhsBranch, RealSumSpec
 
 
@@ -84,7 +85,7 @@ def padic_valuation(x: Fraction, p: int) -> float:
 def rising_factorial(x: Fraction, k: int) -> Fraction:
     """(x)_k = x (x+1) ... (x+k-1); empty product for k = 0."""
     if k < 0:
-        raise ValueError("rising factorial length must be nonnegative")
+        raise SpecError(f"negative rising-factorial length {k}")
     out = Fraction(1)
     for j in range(k):
         out *= x + j
@@ -95,7 +96,7 @@ def _representative(x: Fraction, ctx: PadicContext) -> int:
     """The integer in [0, p^m) congruent to x; requires x p-integral."""
     mod = ctx.modulus
     if x.denominator % ctx.p == 0:
-        raise ValueError(f"{x} is not p-integral at p={ctx.p}")
+        raise SpecError(f"{x} is not p-integral at p={ctx.p}")
     return (x.numerator % mod) * pow(x.denominator, -1, mod) % mod
 
 
@@ -190,7 +191,7 @@ def _rhs_branch(branches, p: int) -> PadicRhsBranch:
     for branch in branches:
         if branch.when == "True" or eval_bool(branch.when, p=p):
             return branch
-    raise ValueError(f"no p-adic right side applies at p={p}")
+    raise SpecError(f"no p-adic right side applies at p={p}")
 
 
 def _rhs_value(branch: PadicRhsBranch, p: int, threshold: int):
@@ -221,7 +222,9 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
 
     For exact-rational right sides the achieved valuation is reported
     exactly; for Gamma_p residues it is capped at the threshold because the
-    excess depends on the choice of lift.
+    excess depends on the choice of lift.  A value that is out of its
+    domain at this p (a negative bound or length, a Gamma_p argument that
+    is not p-integral) is an obstruction.
     """
     done = partial(case_result, case, {"p": p}, strategy="padic")
     if not is_odd_prime(p):
@@ -230,14 +233,17 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
         return done("skipped", detail="residue condition not satisfied")
 
     threshold = case.threshold
-    if case.real_lhs.kind == "sum":
-        bound = eval_int(case.padic_bound, p=p)
-        lhs = real_partial_sums(case.real_lhs, bound, p=p)[-1]
-    else:
-        lhs = rising_ratio_value(case.real_lhs, p)
-
-    branch = _rhs_branch(case.padic_rhs, p)
-    mode, rhs = _rhs_value(branch, p, threshold)
+    try:
+        if case.real_lhs.kind == "sum":
+            bound = eval_int(case.padic_bound, p=p)
+            if bound < 0:
+                raise SpecError(f"negative truncation bound {bound}")
+            lhs = real_partial_sums(case.real_lhs, bound, p=p)[-1]
+        else:
+            lhs = rising_ratio_value(case.real_lhs, p)
+        mode, rhs = _rhs_value(_rhs_branch(case.padic_rhs, p), p, threshold)
+    except (SpecError, ExpressionError) as exc:
+        return done("obstruction", detail=str(exc))
     diff = lhs - Fraction(rhs) if mode == "exact" else lhs - rhs
     v = padic_valuation(diff, p)
     achieved = None if v == math.inf else int(v)

@@ -1,7 +1,8 @@
 """q-objects and the declarative statement specs built from them.
 
 Covers the construction side of the verification engine: cyclotomic
-polynomials, q-integers and the atoms 1 - q^e, and the compilation of
+polynomials, the one (coeffs, shift) layout of the atoms x - y q^e and of
+the brackets [t] (``atom``, ``bracket``), and the compilation of
 declarative summand / closed-form / modulus specs (as shipped in the JSON
 registry) at fixed n and d.  Specs compile to concrete exponent data (the
 (c, s, power) of every q-shifted factorial, the q-exponent of the k-th
@@ -63,33 +64,43 @@ def cyclotomic(n: int) -> LaurentPoly:
     return quotient
 
 
-def q_integer(n: int) -> LaurentPoly:
-    """[n] = 1 + q + ... + q^(n-1)."""
-    if n < 1:
-        raise ValueError("q-integer index must be positive")
-    return LaurentPoly.from_int_coeffs([1] * n)
+def atom(e: int, x=1, y=1) -> tuple[list, int]:
+    """x - y q^e as (coeffs, shift), whose value is coeffs(q) q^shift: the
+    one layout of the atoms 1 - q^e and of their avatars x - y q^e in a free
+    parameter (zero, as no coefficients, when e == 0 and x == y)."""
+    if e > 0:
+        return [x] + [0] * (e - 1) + [-y], 0
+    if e < 0:
+        return [-y] + [0] * (-e - 1) + [x], e
+    return ([x - y] if x != y else []), 0
 
 
-def q_bracket(t: int) -> LaurentPoly:
-    """[t] = (1 - q^t)/(1 - q) for any integer t.
+def bracket(t: int) -> tuple[list, int]:
+    """[t] = (1 - q^t)/(1 - q) for any integer t, as (coeffs, shift).
 
     For t < 0 this is the Laurent value -q^t [-t]; [0] = 0.  Needed because
     prefactors like [6k - 1] start at [-1] = -1/q when k = 0.
     """
-    if t > 0:
-        return q_integer(t)
-    if t == 0:
-        return LaurentPoly.zero()
-    return LaurentPoly.from_int_coeffs([-1] * (-t), t)
+    if t >= 0:
+        return [1] * t, 0
+    return [-1] * (-t), t
+
+
+def q_integer(n: int) -> LaurentPoly:
+    """[n] = 1 + q + ... + q^(n-1)."""
+    if n < 1:
+        raise ValueError("q-integer index must be positive")
+    return LaurentPoly.from_int_coeffs(*bracket(n))
+
+
+def q_bracket(t: int) -> LaurentPoly:
+    """[t] as an exact Laurent polynomial (see ``bracket``)."""
+    return LaurentPoly.from_int_coeffs(*bracket(t))
 
 
 def one_minus_q_power(e: int) -> LaurentPoly:
     """1 - q^e as an exact Laurent polynomial (zero when e == 0)."""
-    if e == 0:
-        return LaurentPoly.zero()
-    if e > 0:
-        return LaurentPoly.from_int_coeffs([1] + [0] * (e - 1) + [-1])
-    return LaurentPoly.from_int_coeffs([-1] + [0] * (-e - 1) + [1], e)
+    return LaurentPoly.from_int_coeffs(*atom(e))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +164,14 @@ class ClosedFormBranch:
 
 @dataclass(frozen=True)
 class ModulusFactor:
-    kind: str                       # "cyclotomic" | "q_integer" | "one_minus_a_qn" | "a_minus_qn"
+    kind: str
     power: int = 1
+
+    def __post_init__(self):
+        if self.kind not in ("cyclotomic", "q_integer", "one_minus_a_qn", "a_minus_qn"):
+            raise SpecError(f"unknown modulus factor kind {self.kind!r}")
+        if self.power < 1:
+            raise SpecError("modulus factor power must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -277,6 +294,9 @@ def _concretize_closed_form(
                     raise SpecError(f"negative closed-form length {length}")
                 if s < 1:
                     raise SpecError("closed-form step must be positive")
+            for c, s, length in den:   # a factor 1 - q^0 leaves the ratio undefined
+                if c <= 0 and c % s == 0 and -c < s * length:
+                    raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
             return ConcreteClosedForm(
                 kind="ratio",
                 sign=branch.sign,
@@ -290,7 +310,8 @@ def _concretize_closed_form(
 
 def modulus_support(spec: ModulusSpec, n: int) -> dict[int, int]:
     """Cyclotomic index -> multiplicity for the univariate part of the
-    modulus.  [n] contributes every divisor of n above 1 exactly once."""
+    modulus.  [n] contributes every divisor of n above 1 exactly once; the
+    parametric factors contribute nothing."""
     if n < 2:
         raise SpecError("modulus requires n >= 2")
     support: dict[int, int] = {}
@@ -301,10 +322,6 @@ def modulus_support(spec: ModulusSpec, n: int) -> dict[int, int]:
             for m in range(2, n + 1):
                 if n % m == 0:
                     support[m] = support.get(m, 0) + f.power
-        elif f.kind in ("one_minus_a_qn", "a_minus_qn"):
-            continue
-        else:
-            raise SpecError(f"unknown modulus factor kind {f.kind!r}")
     return support
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .exprs import eval_bool
+from .exprs import eval_bool, eval_fraction
 from .qobjects import (
     ClosedFormBranch,
     ClosedLen,
@@ -368,6 +368,11 @@ def _validate_case(case: CaseDefinition) -> None:
                 raise RegistryError(f"{case.id}: unknown p-adic rhs kind {branch.kind!r}")
         if case.real_lhs.kind not in ("sum", "rising_ratio"):
             raise RegistryError(f"{case.id}: unknown p-adic lhs kind {case.real_lhs.kind!r}")
+        if case.real_lhs.kind == "sum" and not isinstance(case.padic_bound, str):
+            raise RegistryError(f"{case.id}: a p-adic sum needs a bound expression")
+    if case.real_lhs is not None and case.real_lhs.kind == "sum" \
+            and eval_fraction(case.real_lhs.geometric_base) == 0:
+        raise RegistryError(f"{case.id}: zero geometric base")
 
 
 def default_registry_path() -> Path:

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from supercong.engine import _Ring, _telescoped_sides_int
+from supercong.engine import _telescoped_form
 from supercong.padic import PadicContext, PadicResidue, _representative
 from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
@@ -217,9 +217,8 @@ def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> Rational
 
 def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
     """The finite form of the infinite-product right side (see
-    engine._telescoped_sides_int) as a reduced rational function."""
-    num, den = _telescoped_sides_int(sp, n, d, _Ring())
-    return RationalFunction(LaurentPoly.from_int_coeffs(*num), LaurentPoly.from_int_coeffs(*den))
+    engine._telescoped_form) built as a reduced rational function."""
+    return build_concrete_closed_form(_telescoped_form(sp, n, d), n)
 
 
 def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:

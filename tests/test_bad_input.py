@@ -1,0 +1,58 @@
+"""Malformed registry values end in a message and an exit status, never in a
+traceback: a value that is wrong at every parameter is refused at load
+(exit 2), and one that is out of its domain at the swept parameter is an
+obstruction (exit 1)."""
+
+import json
+
+import pytest
+
+from supercong.cli import main
+from supercong.registry import default_registry_path
+
+# (row id, case id, [(path in the record, new value)], verify arguments,
+#  exit status, message in stderr (exit 2) or in the instance's detail)
+BAD_INPUTS = [
+    ("closed_form_den_vanishes", "thm1_1",
+     [(("closed_form", 0, "den", 0, "exp"), "n-5")],
+     ["--n", "5"], 1, "closed-form denominator (q^0; q^4)_1 vanishes"),
+    ("modulus_power_negative", "thm1_1",
+     [(("summand", "q_exp"), ["1", "0", "0"]),
+      (("modulus", "factors"), [{"kind": "cyclotomic", "power": -1}])],
+     ["--n", "5"], 2, "thm1_1: malformed record: SpecError: modulus factor power must be >= 1"),
+    ("modulus_kind_unknown", "thm1_1", [(("modulus", "factors", 1, "kind"), "cyclotomik")],
+     ["--n", "5"], 2, "thm1_1: malformed record: SpecError: unknown modulus factor kind 'cyclotomik'"),
+    ("geometric_base_zero", "vanhamme_g2", [(("lhs", "geometric_base"), "0")],
+     ["--primes", "5"], 2, "vanhamme_g2: zero geometric base"),
+    ("padic_bound_negative", "vanhamme_g2", [(("bound",), "-3")],
+     ["--primes", "5"], 1, "negative truncation bound -3"),
+    ("padic_bound_missing", "vanhamme_g2", [(("bound",), None)],
+     ["--primes", "5"], 2, "vanhamme_g2: a p-adic sum needs a bound expression"),
+    ("gamma_argument_not_p_integral", "liu", [(("rhs", 0, "num", 0), "1/5")],
+     ["--primes", "5"], 1, "1/5 is not p-integral at p=5"),
+    ("rising_length_negative", "liu", [(("lhs", "num", 0, 1), "(p-9)/4")],
+     ["--primes", "5"], 1, "negative rising-factorial length -1"),
+]
+
+
+@pytest.mark.parametrize("case_id, edits, argv, status, message",
+                         [row[1:] for row in BAD_INPUTS], ids=[row[0] for row in BAD_INPUTS])
+def test_bad_input_exits_with_a_message(case_id, edits, argv, status, message,
+                                        tmp_path, capsys, caplog):
+    doc = json.loads(default_registry_path().read_text())
+    [record] = [case for case in doc["cases"] if case["id"] == case_id]
+    for (*parents, last), value in edits:
+        target = record
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    registry, report = tmp_path / "cases.json", tmp_path / "report.json"
+    registry.write_text(json.dumps(doc))
+    assert main(["verify", "--registry", str(registry), "--case", case_id, *argv,
+                 "--no-cache", "--report", str(report)]) == status
+    if status == 2:
+        assert f"error: {message}" in capsys.readouterr().err
+    else:
+        [result] = json.loads(report.read_text())["results"]
+        assert (result["status"], result["detail"]) == ("obstruction", message)
+    assert not [record for record in caplog.records if record.exc_info]

@@ -3,6 +3,7 @@
 import dataclasses
 import time
 from itertools import zip_longest
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from reference import (
     telescoped_product,
 )
 from supercong import engine
+from supercong.analytic import q_product_infinite
 from supercong.engine import (
     _a_degree,
     _a_values,
@@ -38,6 +40,8 @@ from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
     PochFactor,
     SummandSpec,
+    atom,
+    bracket,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -180,6 +184,33 @@ class TestTelescopedProduct:
             one_minus_q_power(-1) * one_minus_q_power(4),
         )
         assert product == expected
+
+    def test_finite_form_matches_the_infinite_products(self, registry):
+        # the pairing against the infinite products themselves, in floats at
+        # q = 0.3, over every grid point of every record that telescopes
+        q, checked = 0.3, 0
+        for case in registry:
+            sp = case.specialized_product
+            if sp is None:
+                continue
+            for params in iter_sweep_params(case):
+                n, d = params["n"], params.get("d")
+                if not case.applies(n=n, d=d):
+                    continue
+                form = engine._telescoped_form(sp, n, d)
+                base = eval_int(sp.base, n=n, d=d)
+                infinite = sp.sign * (
+                    prod(q_product_infinite(eval_int(e, n=n, d=d), base, q) for e in sp.num)
+                    / prod(q_product_infinite(eval_int(e, n=n, d=d), base, q) for e in sp.den))
+                if form.kind == "zero":
+                    assert abs(infinite) < 1e-9, (case.id, params)
+                else:
+                    finite = form.sign * (
+                        prod(1 - q ** (c + s * j) for c, s, length in form.num for j in range(length))
+                        / prod(1 - q ** (c + s * j) for c, s, length in form.den for j in range(length)))
+                    assert abs(finite - infinite) < 1e-9 * abs(infinite), (case.id, params)
+                checked += 1
+        assert checked >= 30
 
 
 class TestConjecturePair:
@@ -777,7 +808,7 @@ class TestLiftedRing:
         ref_p, ref_h = [1], []
         for kind, value in steps:
             if kind == "atom":
-                p = ring.mul(p, ring.of(*engine._one_minus_pow(value)))
+                p = ring.mul(p, ring.of(*atom(value)))
                 ref_p = ints.mul(ref_p, ints.atom(value))
             elif kind == "shift":
                 p = ring.shift(p, value)
@@ -788,17 +819,17 @@ class TestLiftedRing:
                 for _ in range(value):
                     ref_p = ints.mul(ref_p, ints.phi)
             elif kind == "fold":
-                h = ring.mul(h, ring.of(*engine._one_minus_pow(value)))
+                h = ring.mul(h, ring.of(*atom(value)))
                 ref_h = ints.mul(ref_h, ints.atom(value))
             else:
                 term = (ring.mul_bracket(p, value) if kind == "bracket"
-                        else ring.mul(p, ring.of(*engine._bracket_int(value))))
+                        else ring.mul(p, ring.of(*bracket(value))))
                 h = ring.add(h, term)
                 ref_h = ints.add(ref_h, ints.mul(ref_p, ints.bracket(value)))
             assert len(p[0]) <= m * e and len(h[0]) <= m * e
         for x, ref in ((p, ref_p), (h, ref_h)):
             assert ints.shift(ints.reduce(x[0]), x[1]) == ref
-            assert ring.same_ratio(x, ring.one, ring.of(*engine._one_minus_pow(m)), ring.one) == (
+            assert ring.same_ratio(x, ring.one, ring.of(*atom(m)), ring.one) == (
                 ref == ints.atom(m))
 
     def test_zero_only_after_the_final_reduction(self):

@@ -17,6 +17,7 @@ from supercong.qobjects import (
     DegenerateFactor,
     SpecError,
     SummandSpec,
+    atom,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -85,6 +86,14 @@ class TestQInteger:
         # (1 - q^t)/(1 - q) identity for negative t
         for t in (-1, -2, -5):
             assert q_bracket(t) * P(1, -1) == P(1) - P(1, low=t)
+
+    def test_atom_layout(self):
+        # x - y q^e as (coeffs, shift), the avatars' layout as well
+        assert atom(3, 2, 5) == ([2, 0, 0, -5], 0)
+        assert atom(-2, 2, 5) == ([-5, 0, 2], -2)
+        assert atom(0, 3, 1) == ([2], 0)
+        assert atom(0) == ([], 0)
+        assert one_minus_q_power(-2) == P(-1, 0, 1, low=-2)
 
 
 class TestPochhammer:
