@@ -22,7 +22,10 @@ sparser factor, so multiplying by an atom costs linear time, and a bracket
 [t] is multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
-monic with integer coefficients, so remainders stay integral).  A failure
+monic with integer coefficients, so remainders stay integral).  The Phi_n
+leg of a parametric statement runs the same sum once with coefficients in
+Z[a] (``_ParamRing``): the lift and Phi_n^E are free of a, so each power of
+a is reduced alone and the leg is exact with no evaluation at a.  A failure
 of the q lane, of the Phi_n leg of the parametric lane or of the q_pair
 lane is classified by one routine, ``_classify``: both sides over explicit
 full denominators, one cross-multiplied difference, cyclotomic valuations
@@ -42,7 +45,7 @@ from itertools import accumulate, chain, pairwise
 from math import comb, lcm
 from typing import Optional
 
-from .exprs import eval_int
+from .exprs import ExpressionError, eval_int
 from .polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
 from .paramfield import ParamRational
 from .qobjects import (
@@ -275,6 +278,59 @@ class _Ring:
         reduction modulo Phi_m^e."""
         diff = self.sub(self.mul(num1, den2), self.mul(num2, den1))[0]
         return not (diff if self.m is None else _irem(diff, self.m))
+
+
+class _ParamRing:
+    """The ring ``base`` (a _Ring) with coefficients in Z[a]: ({i: coeffs},
+    shift) stands for sum_i a^i coeffs(q) q^shift, no part zero.  The lift
+    (q^m - 1)^e and Phi_m^e are monic and free of a, so reducing acts on
+    each power of a alone, and an element vanishes modulo Phi_m^e iff every
+    part does.  So all but ``mul``, which convolves the parts, work part by
+    part through the base ring."""
+
+    def __init__(self, base: _Ring):
+        self.base = base
+
+    one = property(lambda self: ({0: [1]}, 0))
+    shift, is_zero = _Ring.shift, _Ring.is_zero
+
+    def _each(self, x, op):
+        """op, a base-ring map moving every shift alike, on each part."""
+        parts, shift = {}, x[1]
+        for i, coeffs in x[0].items():
+            coeffs, shift = op((coeffs, x[1]))
+            if coeffs:
+                parts[i] = coeffs
+        return parts, shift
+
+    def of(self, coeffs, shift: int = 0):
+        """An element from its parts, or from the one list of its a^0 part."""
+        parts = coeffs if isinstance(coeffs, dict) else {0: coeffs}
+        return self._each((parts, shift), lambda x: self.base.of(*x))
+
+    def mul(self, x, y):
+        """x * y, each part reduced once; y may be the bare (coeffs, shift)
+        that _Strip.power returns."""
+        out, y = {}, y if isinstance(y[0], dict) else self.of(*y)
+        for i, c in x[0].items():
+            for j, d in y[0].items():
+                out[i + j] = self.base.add((out.get(i + j, []), 0), (_imul(c, d), 0))[0]
+        return self.of(out, x[1] + y[1])
+
+    def mul_bracket(self, x, t: int):
+        return self._each(x, lambda p: self.base.mul_bracket(p, t))
+
+    def add(self, x, y):
+        parts = {i: self.base.add((x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
+                 for i in x[0].keys() | y[0].keys()}
+        return {i: c for i, c in parts.items() if c}, min(x[1], y[1])
+
+    def neg(self, x):
+        return self._each(x, self.base.neg)
+
+    def same_ratio(self, num1, den1, num2, den2) -> bool:
+        diff = self.add(self.mul(num1, den2), self.neg(self.mul(num2, den1)))[0]
+        return not any(_irem(coeffs, self.base.m) for coeffs in diff.values())
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +566,16 @@ def _congruence_holds(
     closed: ConcreteClosedForm,
     support: dict,
     n: int,
-    factors,
+    free_a: bool = False,
 ) -> bool:
     """Sum == closed form mod the modulus, one cyclotomic factor of it at a
-    time, for every factor map in ``factors`` (stops at the first
-    disagreement)."""
+    time (stops at the first disagreement); with ``free_a``, over Z[a] with
+    the parametric factors as their avatars."""
     for ring, strip in _factor_rings(support, closed, n, (summand, bound)):
-        rn, rd = _closed_form_sides_int(closed, n, ring, strip)
-        for factor in factors:
-            if not ring.same_ratio(*_horner_sum_int(summand, bound, ring, factor, strip), rn, rd):
-                return False
+        ring, factor = (_ParamRing(ring), _free_factor) if free_a else (ring, _plain_factor)
+        if not ring.same_ratio(*_horner_sum_int(summand, bound, ring, factor, strip),
+                               *_closed_form_sides_int(closed, n, ring, strip)):
+            return False
     return True
 
 
@@ -681,8 +737,16 @@ def oracle_congruence(
 # public verification operations
 # ---------------------------------------------------------------------------
 
+def _spec_int(expr: str, n: int, d: Optional[int]) -> int:
+    """eval_int, failing with SpecError (an obstruction) as concretize_* do."""
+    try:
+        return eval_int(expr, n=n, d=d)
+    except ExpressionError as exc:
+        raise SpecError(str(exc)) from exc
+
+
 def _resolve_bound(expr: str, n: int, d: Optional[int]) -> int:
-    bound = eval_int(expr, n=n, d=d)
+    bound = _spec_int(expr, n, d)
     if bound < 0:
         raise SpecError(f"negative truncation bound {bound}")
     return bound
@@ -714,7 +778,7 @@ def verify_congruence(
         return done("obstruction", detail="zero denominator factor in a term")
 
     try:
-        if _congruence_holds(summand, k_max, closed, support, n, [_plain_factor]):
+        if _congruence_holds(summand, k_max, closed, support, n):
             return done("pass")
     except DegenerateFactor as exc:
         return done("obstruction", detail=str(exc))
@@ -776,11 +840,11 @@ def _telescoped_form(sp: SpecializedProduct, n: int, d: Optional[int]) -> Concre
     divisible by s makes the whole product zero; the same situation in the
     denominator is degenerate.
     """
-    base = eval_int(sp.base, n=n, d=d)
+    base = _spec_int(sp.base, n, d)
     if base < 1:
         raise SpecError("product base step must be positive")
-    nums = sorted((eval_int(e, n=n, d=d) for e in sp.num), key=lambda e: (e % base, e))
-    dens = sorted((eval_int(e, n=n, d=d) for e in sp.den), key=lambda e: (e % base, e))
+    nums = sorted((_spec_int(e, n, d) for e in sp.num), key=lambda e: (e % base, e))
+    dens = sorted((_spec_int(e, n, d) for e in sp.den), key=lambda e: (e % base, e))
     if any(b <= 0 and b % base == 0 for b in dens):
         raise DegenerateFactor("infinite product has a vanishing denominator factor")
     if any(a <= 0 and a % base == 0 for a in nums):
@@ -870,26 +934,14 @@ def _param_avatar(f, j: int) -> LaurentPoly:
     return LaurentPoly(*atom(f.exponent_at(j), *_avatar(f.param, _PARAM_A)))
 
 
-def _avatar_factor(t: int):
-    """Factor map for _horner_sum_int: the avatars at the integer a = t."""
-    return lambda f, j: atom(f.exponent_at(j), *_avatar(f.param, t))
-
-
-def _a_degree(summand: ConcreteSummand, bound: int) -> int:
-    """D = bound x max(P_num, P_den), the total powers of the parametric
-    numerator and denominator factors: a bound on the degree in a of the
-    reduced cross-multiplied difference.  Each avatar has degree 1 in a; the
-    Horner term N_k prod_{j>k} D_j has degree at most
-    k P_num + (bound - k) P_den, Dacc at most bound P_den, and the closed
-    form none."""
-    p_num = sum(f.power for f in summand.num if f.param)
-    p_den = sum(f.power for f in summand.den if f.param)
-    return bound * max(p_num, p_den)
-
-
-def _a_values(degree: int) -> list[int]:
-    """degree + 1 distinct integers: 0, 1, -1, 2, -2, ..."""
-    return [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(degree + 1)]
+def _free_factor(f, j: int):
+    """Factor map over _ParamRing: 1 - q^e as it is, and an avatar
+    x - y q^e (x, y of degree at most 1 in a) split into its a^0 and a^1 parts."""
+    if not f.param:
+        return atom(f.exponent_at(j))
+    (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
+    low, shift = atom(f.exponent_at(j), x0, y0)
+    return {0: low, 1: atom(f.exponent_at(j), x1 - x0, y1 - y0)[0]}, shift
 
 
 def _bivariate_congruence_holds(
@@ -899,27 +951,19 @@ def _bivariate_congruence_holds(
     cyc_power: int,
     n: int,
 ) -> bool:
-    """The congruence mod Phi_n^cyc_power with a free, by exact evaluation.
-
-    The avatars are polynomials in a and units modulo Phi_n over Q(a); the
-    working modulus Phi_n^(cyc_power + c) and its lift (q^n - 1)^(cyc_power
-    + c) are monic and free of a, and cancelling Phi_n from the plain atoms
-    adds no degree in a.  So the
-    reduced cross-multiplied difference is a polynomial in a of degree at
-    most D = _a_degree, and reduction commutes with substituting an integer
-    for a.  A nonzero polynomial of degree at most D has at most D roots,
-    so the difference vanishes iff it vanishes at D + 1 distinct integers.
-    """
-    factors = [_avatar_factor(t) for t in _a_values(_a_degree(summand, bound))]
-    return _congruence_holds(summand, bound, closed, {n: cyc_power}, n, factors)
+    """The congruence mod Phi_n^cyc_power with a free, in one exact pass
+    over Z[a] (see _ParamRing).  The avatars are polynomials in a and units
+    modulo Phi_n over Q(a), and cancelling Phi_n from the plain atoms adds
+    no degree in a."""
+    return _congruence_holds(summand, bound, closed, {n: cyc_power}, n, free_a=True)
 
 
 def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> CaseResult:
     """Parametric statements are split over the pairwise coprime modulus
     factors: (a - q^n) and (1 - a q^n) become the two terminating
     specializations a = q^{+-n}, and the cyclotomic factor is checked with
-    a free by exact evaluation at integer values of a (failures are
-    classified by the Q(a) oracle).  The instance passes iff every leg does.
+    a free over Z[a] (failures are classified by the Q(a) oracle).
+    The instance passes iff every leg does.
     """
     params = {"n": n, **({"d": d} if d is not None else {})}
     done = partial(case_result, case, params, strategy="parametric_crt")

@@ -81,13 +81,6 @@ class LaurentPoly:
         return not self.coeffs
 
     @property
-    def degree(self) -> int:
-        """Top exponent.  Undefined (raises) for the zero polynomial."""
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return self.low + len(self.coeffs) - 1
-
-    @property
     def span(self) -> int:
         """Degree spread: top exponent minus bottom exponent; -1 for zero."""
         return len(self.coeffs) - 1

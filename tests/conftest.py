@@ -3,8 +3,13 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import Phase, settings
 
 from supercong.registry import load_registry
+
+# scripts/mutants.py runs the tests under this profile: one failing example
+# kills a mutant, so shrinking it only costs time.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 # Each test fails once it has run this long, so that a hang fails the suite
 # instead of stalling it.  The slowest test takes about a minute.

@@ -9,7 +9,8 @@ a free parameter a as ``ParamRational`` coefficients, and every term and
 closed form as a ``RationalFunction``, so tests compare the engine against
 values in normal form.  Beside them sit the engine's telescoped product as a
 rational function, Gamma_p at one argument by its defining product, the
-failure classifier's route by whole exact divisions, and the
+failure classifier's route by whole exact divisions, the parametric Phi_n
+leg by exact evaluation at integer values of a, and the
 quadratic-summation parameter grid.
 """
 
@@ -19,7 +20,12 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from supercong.engine import _telescoped_form
+from supercong.engine import (
+    _closed_form_sides_int,
+    _factor_rings,
+    _horner_sum_int,
+    _telescoped_form,
+)
 from supercong.padic import PadicContext, PadicResidue, _representative
 from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
@@ -30,6 +36,7 @@ from supercong.qobjects import (
     ConcreteSummand,
     DegenerateFactor,
     SpecError,
+    atom,
     concretize_closed_form,
     cyclotomic,
     modulus_from_support,
@@ -277,6 +284,35 @@ def classify_by_full_division(left: tuple, right: tuple, support: dict,
     if parametric and modulus.span > 6:
         return poles, fails, poly_divrem(num_c, modulus)[1], True
     return poles, fails, residue_reduce(num_c.shift(diff.low - den.low), den_c, modulus), False
+
+
+def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteClosedForm,
+                         cyc_power: int, n: int) -> bool:
+    """The parametric Phi_n leg by exact evaluation at integer values of a.
+
+    Each avatar has degree 1 in a, so the Horner term N_k prod_{j>k} D_j
+    has degree at most k P_num + (bound - k) P_den in a, with P_num and
+    P_den the total powers of the parametric numerator and denominator
+    factors; Dacc has at most bound P_den and the closed form none.  The
+    modulus and its lift are monic and free of a, so the reduced
+    cross-multiplied difference is a polynomial in a of degree at most
+    D = bound max(P_num, P_den), and reduction commutes with substituting
+    an integer for a.  A nonzero polynomial of degree at most D has at most
+    D roots, so the difference vanishes iff it vanishes at the D + 1
+    integers 0, 1, -1, 2, -2, ...
+    """
+    p_num = sum(f.power for f in summand.num if f.param)
+    p_den = sum(f.power for f in summand.den if f.param)
+    values = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(bound * max(p_num, p_den) + 1)]
+    for ring, strip in _factor_rings({n: cyc_power}, closed, n, (summand, bound)):
+        rn, rd = _closed_form_sides_int(closed, n, ring, strip)
+        for t in values:
+            avatars = {"": (1, 1), "aq": (1, t), "q_div_a": (t, 1)}
+            sides = _horner_sum_int(summand, bound, ring,
+                                    lambda f, j: atom(f.exponent_at(j), *avatars[f.param]), strip)
+            if not ring.same_ratio(*sides, rn, rd):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

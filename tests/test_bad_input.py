@@ -32,6 +32,11 @@ BAD_INPUTS = [
      ["--primes", "5"], 1, "1/5 is not p-integral at p=5"),
     ("rising_length_negative", "liu", [(("lhs", "num", 0, 1), "(p-9)/4")],
      ["--primes", "5"], 1, "negative rising-factorial length -1"),
+    ("bound_not_integral", "thm1_1", [(("bounds",), ["(n-1)/4"])],
+     ["--n", "7"], 1, "non-integral value 3/2"),
+    ("specialized_exponent_not_integral", "thm2",
+     [(("specialized_product", "num", 2), "(3-n)/4")],
+     ["--n", "5"], 1, "non-integral value -1/2"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from supercong.engine import _congruence_holds, _degenerate_den, _plain_factor, oracle_congruence
+from supercong.engine import _congruence_holds, _degenerate_den, oracle_congruence
 from supercong.qobjects import ConcreteClosedForm, ConcreteFactor, ConcreteSummand
 
 sp = pytest.importorskip("sympy")
@@ -100,5 +100,4 @@ def test_fast_route_oracle_and_sympy_agree(congruence):
     summand, bound, closed, support, n = congruence
     status, _, _ = oracle_congruence(summand, bound, closed, support, n)
     assert status == sympy_status(summand, bound, closed, support, n)
-    assert _congruence_holds(summand, bound, closed, support, n, [_plain_factor]) == (
-        status == "pass")
+    assert _congruence_holds(summand, bound, closed, support, n) == (status == "pass")

@@ -15,18 +15,16 @@ from reference import (
     build_concrete_closed_form,
     build_concrete_summand,
     classify_by_full_division,
+    evaluation_leg_holds,
     telescoped_product,
 )
 from supercong import engine
 from supercong.analytic import q_product_infinite
 from supercong.engine import (
-    _a_degree,
-    _a_values,
     _bivariate_congruence_holds,
     _congruence_holds,
     _factor_rings,
     _pair_holds,
-    _plain_factor,
     _term_parts,
     is_parametric_case,
     oracle_congruence,
@@ -38,6 +36,7 @@ from supercong.engine import (
 from supercong.exprs import eval_int
 from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
+    ConcreteFactor,
     PochFactor,
     SummandSpec,
     atom,
@@ -537,6 +536,26 @@ def rational_specialized(case, n, d, which):
     return {"equal": True, "witness": None, "detail": "terminating identity holds"}
 
 
+PERTURBED_LEGS = given(
+    st.sampled_from([("lemma1", 2, 5), ("lemma1", 2, 9), ("thm2", None, 5), ("thm2", None, 7),
+                     ("thm4", 2, 5), ("lemma2", 3, 11)]),
+    st.integers(-1, 1),
+    st.integers(0, 1),
+    st.integers(-1, 1),
+    st.sampled_from([1, -1]),
+    st.integers(0, 1),
+)
+
+
+def perturbed_leg(registry, instance, shift, cut, exponent, sign, raised):
+    """The Phi_n leg's arguments (summand, bound, closed, power, n) for a
+    perturbed parametric instance."""
+    cid, d, n = instance
+    case = perturbed(registry.get(cid), shift, cut, exponent, sign, raised)
+    return (concretize_summand(case.summand, d), eval_int(case.bounds[0], n=n, d=d),
+            concretize_closed_form(case.closed_form, n, d), case.modulus.cyclotomic_power(), n)
+
+
 SPECIALIZED_INSTANCES = [("thm2", None, 5), ("thm2", None, 7), ("thm2", None, 9),
                          ("thm4", 2, 5), ("thm4", 2, 9), ("thm4", 3, 7)]
 
@@ -595,35 +614,42 @@ class TestIntegerParametricLegs:
         assert len(verdicts) >= 12
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.sampled_from([("lemma1", 2, 5), ("lemma1", 2, 9), ("thm2", None, 5), ("thm2", None, 7),
-                         ("thm4", 2, 5), ("lemma2", 3, 11)]),
-        st.integers(-1, 1),
-        st.integers(0, 1),
-        st.integers(-1, 1),
-        st.sampled_from([1, -1]),
-        st.integers(0, 1),
-    )
+    @PERTURBED_LEGS
     def test_evaluation_leg_matches_oracle_when_perturbed(self, registry, instance,
                                                           shift, cut, exponent, sign, raised):
-        cid, d, n = instance
-        case = perturbed(registry.get(cid), shift, cut, exponent, sign, raised)
-        power = case.modulus.cyclotomic_power()
-        summand = concretize_summand(case.summand, d)
-        bound = eval_int(case.bounds[0], n=n, d=d)
-        closed = concretize_closed_form(case.closed_form, n, d)
+        summand, bound, closed, power, n = perturbed_leg(registry, instance, shift, cut,
+                                                         exponent, sign, raised)
         holds = _bivariate_congruence_holds(summand, bound, closed, power, n)
         status, _, _ = oracle_congruence(summand, bound, closed, {n: power}, n)
         assert holds == (status == "pass"), status
 
-    def test_degree_bound_and_evaluation_points(self, registry, monkeypatch):
-        # thm2 at n=5: bound 2, two parametric factors of power 1 on each
-        # side, so D = 2 x max(2, 2) = 4
-        case = registry.get("thm2")
-        summand = concretize_summand(case.summand, None)
-        closed = concretize_closed_form(case.closed_form, 5, None)
-        assert _a_degree(summand, 2) == 4
-        assert _a_values(4) == [0, 1, -1, 2, -2]
+    def test_one_pass_matches_evaluation_route_on_catalog(self, registry):
+        verdicts = {}
+        for cid in ("lemma1", "lemma2", "lemma2_qd", "thm2", "thm4"):
+            case = registry.get(cid)
+            power = case.modulus.cyclotomic_power()
+            for params in iter_sweep_params(case):
+                n, d = params["n"], params.get("d")
+                if n > 21 or not case.applies(n=n, d=d):
+                    continue
+                leg = (concretize_summand(case.summand, d), eval_int(case.bounds[0], n=n, d=d),
+                       concretize_closed_form(case.closed_form, n, d), power, n)
+                verdicts[cid, d, n] = _bivariate_congruence_holds(*leg)
+                assert verdicts[cid, d, n] == evaluation_leg_holds(*leg), (cid, params)
+        assert len(verdicts) >= 30
+        assert not verdicts["lemma2", 3, 11] and verdicts["thm4", 5, 21]
+
+    @settings(max_examples=30, deadline=None)
+    @PERTURBED_LEGS
+    def test_one_pass_matches_evaluation_route_when_perturbed(self, registry, instance,
+                                                              shift, cut, exponent, sign, raised):
+        leg = perturbed_leg(registry, instance, shift, cut, exponent, sign, raised)
+        assert _bivariate_congruence_holds(*leg) == evaluation_leg_holds(*leg)
+
+    def test_one_horner_pass_per_factor_ring(self, registry, monkeypatch):
+        # the leg no longer evaluates at D + 1 values of a: thm2 at n=5
+        # (passes) and lemma2 at d=3, n=5 (fails) each build the Horner sum
+        # once in the one factor ring of Phi_n
         calls = []
         horner = engine._horner_sum_int
 
@@ -632,15 +658,14 @@ class TestIntegerParametricLegs:
             return horner(*args)
 
         monkeypatch.setattr(engine, "_horner_sum_int", counted)
-        assert _bivariate_congruence_holds(summand, 2, closed, 1, 5)
-        assert len(calls) == 5
-        # a failing instance stops at the first nonzero value: a = 0
-        calls.clear()
-        lemma2 = registry.get("lemma2")
-        summand = concretize_summand(lemma2.summand, 3)
-        closed = concretize_closed_form(lemma2.closed_form, 5, 3)
-        assert not _bivariate_congruence_holds(summand, 1, closed, 1, 5)
-        assert len(calls) == 1
+        for cid, d, bound, holds in (("thm2", None, 2, True), ("lemma2", 3, 1, False)):
+            case = registry.get(cid)
+            summand = concretize_summand(case.summand, d)
+            closed = concretize_closed_form(case.closed_form, 5, d)
+            rings = list(_factor_rings({5: 1}, closed, 5, (summand, bound)))
+            calls.clear()
+            assert _bivariate_congruence_holds(summand, bound, closed, 1, 5) == holds
+            assert len(calls) == len(rings) == 1
 
 
 CONGRUENCE_INSTANCES = [("thm1_1", None, 9), ("thm1_1", None, 15), ("thm1_2", None, 9),
@@ -667,7 +692,7 @@ class TestPerFactorRoute:
         bound = eval_int(case.bounds[0], n=n, d=d)
         closed = concretize_closed_form(case.closed_form, n, d)
         support = modulus_support(case.modulus, n)
-        holds = _congruence_holds(summand, bound, closed, support, n, [_plain_factor])
+        holds = _congruence_holds(summand, bound, closed, support, n)
         status, _, _ = oracle_congruence(summand, bound, closed, support, n)
         assert holds == (status == "pass"), status
 
@@ -862,6 +887,82 @@ class TestLiftedRing:
             expected[i] += c
             expected[i + 3] -= c
         assert engine._imul(dense, [1, 0, 0, -1]) == expected
+
+
+PARAM_ELEMENTS = st.tuples(
+    st.dictionaries(st.integers(0, 2), st.lists(st.integers(-9, 9), max_size=30), max_size=3),
+    st.integers(-5, 5),
+)
+
+
+def at(x, t):
+    """The Z[a] ring element x = ({i: coeffs}, shift) with a = t."""
+    total = []
+    for i, coeffs in x[0].items():
+        total = [u + t ** i * v for u, v in zip_longest(total, coeffs, fillvalue=0)]
+    return total, x[1]
+
+
+class TestParamRing:
+    """The Phi_n leg's ring over Z[a] works part by part through its base
+    ring: at any integer a = t, each operation agrees with the base ring's
+    on the operands at a = t."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 3), st.integers(-3, 3), PARAM_ELEMENTS,
+           PARAM_ELEMENTS, st.integers(-30, 60).filter(bool), st.integers(-5, 5))
+    def test_parts_evaluate_to_the_base_ring(self, m, e, t, x, y, t_bracket, k):
+        powers = engine._phi_powers(m, e)
+        base = engine._Ring(powers[-1], m, e)
+        ring = engine._ParamRing(base)
+        ints = IntResidues(m, e)
+
+        def residue(z):
+            return ints.shift(ints.reduce(z[0]), z[1])
+
+        def check(z, expected):
+            assert all(z[0].values()), "a zero part is kept"
+            assert residue(at(z, t)) == residue(expected)
+
+        px, py = ring.of(*x), ring.of(*y)
+        bx, by = at(px, t), at(py, t)
+        check(px, base.of(*at(x, t)))
+        check(ring.mul(px, py), base.mul(bx, by))
+        check(ring.mul(py, px), base.mul(by, bx))
+        bare = at(y, 1)
+        check(ring.mul(px, bare), base.mul(bx, base.of(*bare)))
+        check(ring.mul_bracket(px, t_bracket), base.mul_bracket(bx, t_bracket))
+        check(ring.add(px, py), base.add(bx, by))
+        check(ring.neg(px), base.neg(bx))
+        check(ring.shift(px, k), base.shift(bx, k))
+        check(ring.one, base.one)
+        # same_ratio compares every part modulo Phi_m^e
+        parts = px[0].keys() | py[0].keys()
+        equal = all(residue((px[0].get(i, []), px[1])) == residue((py[0].get(i, []), py[1]))
+                    for i in parts)
+        assert ring.same_ratio(px, ring.one, py, ring.one) == equal
+        if ring.same_ratio(px, py, py, px):
+            assert base.same_ratio(bx, by, by, bx)
+        assert ring.same_ratio(ring.mul(px, py), py, px, ring.one)
+        for i in range(3):
+            multiple = ring.add(px, ring.of({i: powers[-1]}, k))
+            assert ring.same_ratio(multiple, ring.one, px, ring.one)
+            assert not ring.same_ratio(ring.add(px, ring.of({i: [1]}, k)), ring.one, px, ring.one)
+        assert ring.is_zero(ring.add(px, ring.neg(px)))
+
+    def test_avatars_split_into_powers_of_a(self):
+        # the factors at j = 1 of (q; q^2), (aq; q^2) and (q/a; q^2), and of
+        # (q^-5; q^2) and (a q^-5; q^2), in Z[a][q, 1/q]
+        ring = engine._ParamRing(engine._Ring())
+
+        def factor(c, param):
+            return ring.of(*engine._free_factor(ConcreteFactor(c, 2, 1, param), 1))
+
+        assert factor(1, "") == ({0: [1, 0, 0, -1]}, 0)         # 1 - q^3
+        assert factor(1, "aq") == ({0: [1], 1: [0, 0, 0, -1]}, 0)   # 1 - a q^3
+        assert factor(1, "q_div_a") == ({0: [0, 0, 0, -1], 1: [1]}, 0)  # a - q^3
+        assert factor(-5, "") == ({0: [-1, 0, 0, 1]}, -3)       # 1 - q^-3
+        assert factor(-5, "aq") == ({0: [0, 0, 0, 1], 1: [-1]}, -3)  # 1 - a q^-3
 
 
 def rational_pair(case, n):

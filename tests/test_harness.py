@@ -335,11 +335,11 @@ class TestKilledSweep:
 
 
 def crashing_registry(tmp_path):
-    """The shipped catalog with thm1_1's bound dividing by zero at n = 7,
-    which raises inside the engine instead of yielding a verdict."""
+    """The shipped catalog with thm1_1's condition dividing by zero at n = 7,
+    which raises inside the lane instead of yielding a verdict."""
     doc = json.loads(Path(load_registry().path).read_text())
     [entry] = [case for case in doc["cases"] if case["id"] == "thm1_1"]
-    entry["bounds"] = ["(n-1)/2 + 0 // (n - 7)"]
+    entry["condition"] += " and 0 // (n - 7) == 0"
     path = tmp_path / "crashing.json"
     path.write_text(json.dumps(doc))
     return str(path)

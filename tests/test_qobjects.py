@@ -69,7 +69,7 @@ class TestCyclotomic:
 
     def test_degree_is_totient_up_to_60(self):
         for n in range(1, 61):
-            assert cyclotomic(n).degree == totient(n), n
+            assert cyclotomic(n).span == totient(n), n
 
 
 class TestQInteger:
@@ -250,7 +250,7 @@ class TestModulus:
         spec = registry.get("thm1_1").modulus
         modulus = modulus_from_support(modulus_support(spec, 9))
         assert modulus == q_integer(9) * cyclotomic(9) ** 2
-        assert modulus.degree == 8 + 2 * 6
+        assert modulus.span == 8 + 2 * 6
 
     def test_support_matches_product(self, registry):
         spec = registry.get("conj1b").modulus  # [n] phi^4
