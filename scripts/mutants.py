@@ -94,6 +94,29 @@ MUTANTS = (
         ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",
          "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed"),
     ),
+    Mutant(
+        "oracle_exactness_on_part_zero_only",
+        ENGINE,
+        "if any(rem for _, rem in divided.values()):",
+        "if divided.get(0, ((), ()))[1]:",
+        ("tests/test_engine.py::TestOracleDivision::test_division_pass_matches_division_over_qa",),
+    ),
+    Mutant(
+        "oracle_keeps_quotient_after_v_divisions",
+        ENGINE,
+        "if keep is None or v <= keep:",
+        "if True:",
+        ("tests/test_engine.py::TestOracleDivision::test_division_pass_matches_division_over_qa",
+         "tests/test_engine.py::TestWitnessRoute::test_perturbed_instances"),
+    ),
+    Mutant(
+        "oracle_witness_always_fraction",
+        ENGINE,
+        "    if not parametric:\n        if parts.keys() - {0}:",
+        "    if True:\n        if parts.keys() - {0}:",
+        ("tests/test_engine.py::TestOracleDivision::test_witness_keeps_its_statements_coefficient_type",
+         "tests/test_engine.py::TestFailureRoute::test_catalog_failure_records"),
+    ),
 )
 
 

@@ -28,10 +28,11 @@ Z[a] (``_ParamRing``): the lift and Phi_n^E are free of a, so each power of
 a is reduced alone and the leg is exact with no evaluation at a.  A failure
 of the q lane, of the Phi_n leg of the parametric lane or of the q_pair
 lane is classified by one routine, ``_classify``: both sides over explicit
-full denominators, one cross-multiplied difference, cyclotomic valuations
-by one pass of exact divisions per cyclotomic, and the exact residue of
-the difference as witness, folded through the lift before the final
-reduction.
+full denominators, read once into integer lists per power of a, one
+cross-multiplied difference, cyclotomic valuations by one pass of exact
+divisions per cyclotomic (Phi_m is monic and free of a, so no field is
+needed), and the exact residue of the difference as witness, folded
+through the lift before the final reduction.
 ``oracle_congruence`` feeds it a congruence's sum and closed form; it is
 also the independent second route the tests check the fast path against.
 """
@@ -583,19 +584,94 @@ def _congruence_holds(
 # exact rational-function oracle (independent slow route)
 # ---------------------------------------------------------------------------
 
-def _divide_out(p: LaurentPoly, phi: LaurentPoly, limit: Optional[int] = None,
-                keep: Optional[int] = None) -> tuple[int, LaurentPoly]:
-    """(v, p / phi^min(v, keep)), where v counts the exact divisions of p
-    by phi, stopping at ``limit``; without ``keep``, p / phi^v."""
-    v, kept = 0, p
-    while not p.is_zero and (limit is None or v < limit):
-        quo, rem = poly_divrem(p, phi)
-        if not rem.is_zero:
+def _oracle_parts(p: LaurentPoly, low: int) -> dict:
+    """p / q^low (low <= p.low) over Z[a]: one integer coefficient list
+    from q^0 per power of a, none zero.  Raises ArithmeticError at a
+    coefficient outside Z[a]."""
+    parts, pad = {}, p.low - low
+    for k, c in enumerate(p.coeffs, pad):
+        if isinstance(c, ParamRational):
+            if c.den != 1:
+                raise ArithmeticError(f"coefficient {c!r} is not in Z[a]")
+            terms = enumerate(c.num.coeffs, c.num.low)
+        else:
+            terms = ((0, c),)
+        for i, x in terms:
+            if x.denominator != 1:
+                raise ArithmeticError(f"coefficient {c!r} is not in Z[a]")
+            if x:
+                parts.setdefault(i, [0] * (pad + len(p.coeffs)))[k] = int(x)
+    return {i: _trimmed(coeffs) for i, coeffs in parts.items()}
+
+
+def _trimmed(coeffs: list) -> list:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _parts_muladd(acc: dict, x: dict, y: dict, sign: int = 1) -> dict:
+    """acc + sign * x * y over Z[a][q], schoolbook over the nonzero
+    coefficients of x; the lists of acc are updated in place."""
+    for i, c in x.items():
+        for j, d in y.items():
+            out = acc.setdefault(i + j, [])
+            out.extend([0] * (len(c) + len(d) - 1 - len(out)))
+            for k, u in enumerate(c):
+                if u:
+                    u *= sign
+                    out[k:k + len(d)] = [s + u * v for s, v in zip(out[k:k + len(d)], d)]
+    return {i: coeffs for i, coeffs in acc.items() if _trimmed(coeffs)}
+
+
+def _monic_divmod(a: list, m: list) -> tuple[list, list]:
+    """(quotient, remainder) of the integer polynomial a by the monic
+    integer polynomial m, both with no trailing zeros."""
+    rem, dm = list(a), len(m) - 1
+    terms = [(j, c) for j, c in enumerate(m[:dm]) if c]
+    quo = [0] * max(len(a) - dm, 0)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = rem[i]
+        if c:
+            base = i - dm
+            quo[base] = c
+            for j, x in terms:
+                rem[base + j] -= c * x
+    return _trimmed(quo), _trimmed(rem[:dm])
+
+
+def _count_divisions(parts: dict, phi: list, limit: Optional[int] = None,
+                     keep: Optional[int] = None) -> tuple[int, dict]:
+    """(v, parts / phi^min(v, keep)), where v counts the exact divisions of
+    the Z[a][q] element ``parts`` by the monic phi in Z[q], stopping at
+    ``limit``; without ``keep``, parts / phi^v.  phi is free of a, so a
+    division acts on each part alone and is exact iff every part's
+    remainder is zero."""
+    v, kept = 0, parts
+    while any(map(any, parts.values())) and (limit is None or v < limit):
+        divided = {i: _monic_divmod(coeffs, phi) for i, coeffs in parts.items()}
+        if any(rem for _, rem in divided.values()):
             break
-        v, p = v + 1, quo
+        v, parts = v + 1, {i: quo for i, (quo, _) in divided.items() if quo}
         if keep is None or v <= keep:
-            kept = p
+            kept = parts
     return v, kept
+
+
+def _from_parts(parts: dict, parametric: bool) -> LaurentPoly:
+    """The polynomial from q^0 with these parts, over Q(a) for a
+    ``parametric`` statement and Q otherwise: witnesses are digested by
+    repr, where a constant -1/3 prints as ((-1/3)) over Q(a), (-1/3) over Q."""
+    if not parametric:
+        if parts.keys() - {0}:
+            raise ArithmeticError("a power of a in a statement without the parameter")
+        return LaurentPoly.from_int_coeffs(parts.get(0, []))
+    width = max(parts, default=0) + 1
+    return LaurentPoly([
+        ParamRational(LaurentPoly.from_int_coeffs(
+            [parts[i][k] if k < len(parts.get(i, ())) else 0 for i in range(width)]))
+        for k in range(max(map(len, parts.values()), default=0))
+    ])
 
 
 def _term_parts(summand: ConcreteSummand, bound: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -652,38 +728,50 @@ def _closed_form_polys(closed: ConcreteClosedForm, n: int) -> tuple[LaurentPoly,
 
 def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False):
     """left - right modulo M = prod Phi_m^support[m], for two fractions
-    (num, den) of explicit polynomials: the one failure route of every lane.
+    (num, den) of explicit polynomials over Z[a]: the one failure route of
+    every lane.
 
-    Writing the difference cross-multiplied as DIFF / DEN, it vanishes
+    Both fractions are read once into integer parts, one per power of a
+    (_oracle_parts), and cross-multiplied there as DIFF / DEN.  It vanishes
     modulo M iff v_m(DIFF) - v_m(DEN) >= support[m] at every m; a negative
     difference of valuations is a pole, where the congruence is not even
-    well posed.  Valuations are read off by repeated exact division, so no
-    gcd is ever computed, in one pass per m: DEN is divided by Phi_m until
-    a remainder appears, DIFF at most v_m(DEN) + support[m] times (nothing
-    reads more), and the pair keeps going as DIFF / Phi_m^v_m(DEN) and
-    DEN / Phi_m^v_m(DEN).  The Phi_m are pairwise coprime, so the later
-    valuations are those of the undivided pair.
+    well posed.  Phi_m is monic in Z[q] and free of a, so exact division by
+    it acts on each part alone and needs no field or gcd (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 2).  One pass per m: DEN is
+    divided by Phi_m until a remainder appears, DIFF at most
+    v_m(DEN) + support[m] times (nothing reads more), and the pair keeps
+    going as DIFF / Phi_m^v_m(DEN) and DEN / Phi_m^v_m(DEN); the Phi_m are
+    pairwise coprime, so the later valuations are those of the undivided
+    pair.
 
     Returns None when DIFF is identically zero, else (poles, fails, witness,
     scaled): poles lists (m, order) and fails lists (m, valuation).  Only a
     failure without poles has a witness: with the Phi_m^v_m(DEN) cancelled,
     DEN is a unit modulo M and the witness is the exact residue of
-    DIFF / DEN.  For a ``parametric`` difference modulo M of degree above 6
-    that inversion would swell over Q(a), so the witness is the cancelled
-    DIFF modulo M instead, a unit multiple of the residue, and ``scaled``
-    is True.  The cancelled sides are first folded modulo the sparse
-    multiple (q^N - 1)^E of M (N the lcm of the m, E the largest power; see
-    _Ring); the remainder modulo M is unique, so the witness is the same.
+    DIFF / DEN, over Q(a) for a ``parametric`` statement.  Modulo an M of
+    degree above 6 that inversion would swell over Q(a), so a parametric
+    witness is then the cancelled DIFF modulo the monic M, part by part, a
+    unit multiple of the residue, and ``scaled`` is True.  The cancelled
+    sides are first folded modulo the sparse multiple (q^N - 1)^E of M (N
+    the lcm of the m, E the largest power; see _Ring); the remainder modulo
+    M is unique, so the witness is the same.
     """
-    (num_l, den_l), (num_r, den_r) = left, right
-    diff, den = num_l * den_r - num_r * den_l, den_l * den_r
-    if diff.is_zero:
+    sides = (*left, *right)
+    low = min(p.low for p in sides)
+    num_l, den_l, num_r, den_r = (_oracle_parts(p, low) for p in sides)
+    del left, right, sides   # the parts replace the Q(a) polynomials
+    diff = _parts_muladd(_parts_muladd({}, num_l, den_r), num_r, den_l, -1)
+    if not diff:
         return None
-    diff_c, den_c = diff.poly_part(), den.poly_part()
+    den = _parts_muladd({}, den_l, den_r)
+    # DIFF / DEN = q^lead diff / den, diff starting at its lowest term
+    lead = min(next(k for k, c in enumerate(coeffs) if c) for coeffs in diff.values())
+    diff = {i: coeffs[lead:] for i, coeffs in diff.items()}
     poles, fails = [], []
     for m in sorted(support):
-        order, den_c = _divide_out(den_c, cyclotomic(m))
-        v, diff_c = _divide_out(diff_c, cyclotomic(m), order + support[m], keep=order)
+        phi = _int_poly(cyclotomic(m))
+        order, den = _count_divisions(den, phi)
+        v, diff = _count_divisions(diff, phi, order + support[m], keep=order)
         v -= order
         if v < 0:
             poles.append((m, -v))
@@ -692,15 +780,15 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
     if poles or not fails:
         return poles, fails, None, False
     lift = _Ring(None, lcm(*support), max(support.values()))
-
-    def folded(p: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(lift.of([0] * p.low + list(p.coeffs))[0])
-
+    diff, den = ({i: folded for i, coeffs in parts.items() if (folded := lift.of(coeffs)[0])}
+                 for parts in (diff, den))
     modulus = modulus_from_support(support)
     if parametric and modulus.span > 6:
-        return poles, fails, poly_divrem(folded(diff_c), modulus)[1], True
-    return poles, fails, residue_reduce(folded(diff_c).shift(diff.low - den.low),
-                                        folded(den_c), modulus), False
+        monic = _int_poly(modulus)
+        return poles, fails, _from_parts({i: _monic_divmod(coeffs, monic)[1]
+                                          for i, coeffs in diff.items()}, True), True
+    return poles, fails, residue_reduce(_from_parts(diff, parametric).shift(lead),
+                                        _from_parts(den, parametric), modulus), False
 
 
 def oracle_congruence(
@@ -764,9 +852,9 @@ def verify_congruence(
     bound_expr = bound if bound is not None else case.bounds[0]
     params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
     done = partial(case_result, case, params, strategy="fast")
-    if not case.applies(n=n, d=d):
-        return done("skipped", detail="condition not satisfied")
     try:
+        if not case.applies(n=n, d=d):
+            return done("skipped", detail="condition not satisfied")
         summand = concretize_summand(case.summand, d)
         k_max = _resolve_bound(bound_expr, n, d)
         closed = concretize_closed_form(case.closed_form, n, d)
@@ -800,9 +888,9 @@ def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_
 def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
     """Two truncated sums agree modulo M: computed cross-multiplied, exact."""
     done = partial(case_result, case, {"n": n}, strategy="fast")
-    if not case.applies(n=n):
-        return done("skipped", detail="condition not satisfied")
     try:
+        if not case.applies(n=n):
+            return done("skipped", detail="condition not satisfied")
         lhs = concretize_summand(case.lhs_pair.summand, None)
         rhs = concretize_summand(case.rhs_pair.summand, None)
         lhs_bound = _resolve_bound(case.lhs_pair.bound, n, None)
@@ -967,12 +1055,11 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
     """
     params = {"n": n, **({"d": d} if d is not None else {})}
     done = partial(case_result, case, params, strategy="parametric_crt")
-    if not case.applies(n=n, d=d):
-        return done("skipped", detail="condition not satisfied")
-
     parametric_kinds = case.modulus.parametric_kinds()
     legs = []
     try:
+        if not case.applies(n=n, d=d):
+            return done("skipped", detail="condition not satisfied")
         for kind, which, name in (("a_minus_qn", "qn", "a=q^n"),
                                   ("one_minus_a_qn", "q-n", "a=q^-n")):
             if kind in parametric_kinds:

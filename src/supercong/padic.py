@@ -223,17 +223,16 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
     For exact-rational right sides the achieved valuation is reported
     exactly; for Gamma_p residues it is capped at the threshold because the
     excess depends on the choice of lift.  A value that is out of its
-    domain at this p (a negative bound or length, a Gamma_p argument that
-    is not p-integral) is an obstruction.
+    domain at this p (a condition dividing by zero, a negative bound or
+    length, a Gamma_p argument that is not p-integral) is an obstruction.
     """
     done = partial(case_result, case, {"p": p}, strategy="padic")
     if not is_odd_prime(p):
         return done("skipped", detail="p is not an odd prime")
-    if not case.applies(p=p):
-        return done("skipped", detail="residue condition not satisfied")
-
     threshold = case.threshold
     try:
+        if not case.applies(p=p):
+            return done("skipped", detail="residue condition not satisfied")
         if case.real_lhs.kind == "sum":
             bound = eval_int(case.padic_bound, p=p)
             if bound < 0:

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .exprs import eval_bool, eval_fraction
+from .exprs import ExpressionError, eval_bool, eval_fraction
 from .qobjects import (
     ClosedFormBranch,
     ClosedLen,
@@ -126,7 +126,13 @@ class CaseDefinition:
         return self.kind == "conjecture"
 
     def applies(self, **params) -> bool:
-        return eval_bool(self.condition, **{"n": None, "d": None, "p": None, **params})
+        """The condition at ``params``.  A condition out of its domain there
+        (a division by zero, say) raises SpecError, which every lane reports
+        as an obstruction."""
+        try:
+            return eval_bool(self.condition, **{"n": None, "d": None, "p": None, **params})
+        except ExpressionError as exc:
+            raise SpecError(str(exc)) from exc
 
 
 class Registry:

@@ -242,15 +242,23 @@ def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:
 
 def _phi_valuation(p: LaurentPoly, phi: LaurentPoly) -> int:
     """The number of times phi divides p, by repeated exact division."""
-    v = 0
-    current = p
-    while not current.is_zero:
-        quo, rem = poly_divrem(current, phi)
+    return divide_out(p, phi)[0]
+
+
+def divide_out(p: LaurentPoly, phi: LaurentPoly, limit: Optional[int] = None,
+               keep: Optional[int] = None) -> tuple[int, LaurentPoly]:
+    """(v, p / phi^min(v, keep)), where v counts the exact divisions of p by
+    phi with poly_divrem over the coefficient field, stopping at ``limit``;
+    without ``keep``, p / phi^v."""
+    v, kept = 0, p
+    while not p.is_zero and (limit is None or v < limit):
+        quo, rem = poly_divrem(p, phi)
         if not rem.is_zero:
-            return v
-        v += 1
-        current = quo
-    return v
+            break
+        v, p = v + 1, quo
+        if keep is None or v <= keep:
+            kept = p
+    return v, kept
 
 
 def classify_by_full_division(left: tuple, right: tuple, support: dict,

@@ -37,6 +37,19 @@ BAD_INPUTS = [
     ("specialized_exponent_not_integral", "thm2",
      [(("specialized_product", "num", 2), "(3-n)/4")],
      ["--n", "5"], 1, "non-integral value -1/2"),
+    # a condition dividing by zero at the swept parameter, in each lane
+    ("condition_fails_in_congruence_lane", "thm1_1",
+     [(("condition",), "n > 1 and n % 2 == 1 and 0 // (n - 7) == 0")],
+     ["--n", "7"], 1, "division by zero in registry expression"),
+    ("condition_fails_in_pair_lane", "conj1a",   # as a theorem: a conjecture exits 0
+     [(("kind",), "theorem"), (("condition",), "n > 1 and n % 4 == 1 and 0 // (n - 9) == 0")],
+     ["--n", "9"], 1, "division by zero in registry expression"),
+    ("condition_fails_in_parametric_lane", "thm2",
+     [(("condition",), "n > 1 and n % 2 == 1 and 0 // (n - 5) == 0")],
+     ["--n", "5"], 1, "division by zero in registry expression"),
+    ("condition_fails_in_padic_lane", "vanhamme_g2",
+     [(("condition",), "p % 4 == 1 and 0 // (p - 5) == 0")],
+     ["--primes", "5"], 1, "division by zero in registry expression"),
 ]
 
 

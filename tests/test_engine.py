@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+from fractions import Fraction
 from itertools import zip_longest
 from math import prod
 
@@ -15,6 +16,7 @@ from reference import (
     build_concrete_closed_form,
     build_concrete_summand,
     classify_by_full_division,
+    divide_out,
     evaluation_leg_holds,
     telescoped_product,
 )
@@ -34,6 +36,7 @@ from supercong.engine import (
     verify_parametric,
 )
 from supercong.exprs import eval_int
+from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
     ConcreteFactor,
@@ -434,6 +437,63 @@ class TestWitnessRoute:
         cid, n = instance
         case = perturbed_pair(registry.get(cid), cut + (cid == "conj1b"), exponent, power)
         classify_both_routes(classify_inputs(case, n))
+
+
+def over_qa(parts):
+    """sum_i a^i parts[i](q) as a LaurentPoly over Q(a)."""
+    total, power = LaurentPoly(), ParamRational(LaurentPoly.one())
+    for i in range(max(parts, default=-1) + 1):
+        total = total + LaurentPoly.from_int_coeffs(parts.get(i, [])).scale(power)
+        power = power * ParamRational.generator()
+    return total
+
+
+# up to three powers of a, each part an integer list (zero parts and
+# leading zeros allowed) to be multiplied by Phi_m^k and padded with zeros
+ORACLE_PARTS = st.dictionaries(
+    st.integers(0, 2),
+    st.tuples(st.lists(st.integers(-9, 9), max_size=40), st.integers(0, 3), st.integers(0, 3)),
+    min_size=1, max_size=3,
+)
+
+
+class TestOracleDivision:
+    """The oracle counts valuations on integer parts, one per power of a,
+    with no field arithmetic: Phi_m is monic and free of a."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), ORACLE_PARTS, st.none() | st.integers(0, 5),
+           st.none() | st.integers(0, 3))
+    def test_division_pass_matches_division_over_qa(self, m, drawn, limit, keep):
+        phi = [int(c) for c in cyclotomic(m).coeffs]
+        parts = {}
+        for i, (coeffs, k, pad) in drawn.items():
+            for _ in range(k):
+                coeffs = IntResidues.times(coeffs, phi)
+            parts[i] = coeffs + [0] * pad
+        v, kept = engine._count_divisions(parts, phi, limit, keep)
+        expected_v, expected_kept = divide_out(over_qa(parts), cyclotomic(m), limit, keep)
+        assert v == expected_v
+        assert over_qa(kept) == expected_kept
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 3), ParamRational(
+        LaurentPoly.one(), LaurentPoly.from_int_coeffs([0, 1]))], ids=["third", "one_over_a"])
+    def test_parts_refuse_a_coefficient_outside_z_a(self, coeff):
+        # an ArithmeticError, not an assert that -O would drop
+        with pytest.raises(ArithmeticError, match="is not in Z\\[a\\]"):
+            engine._oracle_parts(LaurentPoly([Fraction(1), coeff]), 0)
+
+    @pytest.mark.parametrize("parametric", [False, True])
+    def test_witness_keeps_its_statements_coefficient_type(self, parametric):
+        # 1/2 - 0 fails modulo Phi_5 with the residue 1/2, which prints as
+        # (1/2) with Fraction and as ((1/2)) with ParamRational coefficients
+        def constant(c):
+            return LaurentPoly([ParamRational(LaurentPoly([Fraction(c)])) if parametric
+                                else Fraction(c)])
+
+        inputs = [(constant(1), constant(2)), (LaurentPoly(), constant(1)), {5: 1}, parametric]
+        _, _, witness, _ = classify_both_routes(inputs)
+        assert repr(witness) == ("((1/2))" if parametric else "(1/2)")
 
 
 class TestOracle:

@@ -65,16 +65,17 @@ class TestPlanning:
         assert (padic_skip["status"], padic_skip["strategy"]) == ("skipped", "padic")
         assert padic_skip["detail"] == "p is not an odd prime"
 
-    def test_raising_condition_is_an_error_result(self, tmp_path):
+    def test_raising_condition_is_an_obstruction(self, tmp_path):
         doc = json.loads(default_registry_path().read_text())
         [entry] = [case for case in doc["cases"] if case["id"] == "thm1_1"]
         entry["condition"] = "n % (n - 5) == 1"
         path = tmp_path / "cases.json"
         path.write_text(json.dumps(doc))
         report = run(config(case_ids=["thm1_1"], n_values=[5, 7]), load_registry(path))
-        assert [r["status"] for r in report.results] == ["error", "pass"]
-        assert report.results[0]["strategy"] == "none"
-        assert report.exit_code == 2
+        assert [r["status"] for r in report.results] == ["obstruction", "pass"]
+        assert report.results[0]["strategy"] == "fast"
+        assert report.results[0]["detail"] == "division by zero in registry expression"
+        assert report.exit_code == 1
 
     def test_multi_bound_cases_fan_out(self, registry):
         jobs = plan_jobs(registry, config(case_ids=["qG2"], n_values=[5]))
@@ -335,11 +336,13 @@ class TestKilledSweep:
 
 
 def crashing_registry(tmp_path):
-    """The shipped catalog with thm1_1's condition dividing by zero at n = 7,
-    which raises inside the lane instead of yielding a verdict."""
+    """The shipped catalog with thm1_1's closed form at n = 3 mod 4 (n = 7
+    here) bent from zero to q^(10^40): the fast lane cannot pad a list that
+    long and raises OverflowError instead of yielding a verdict."""
     doc = json.loads(Path(load_registry().path).read_text())
     [entry] = [case for case in doc["cases"] if case["id"] == "thm1_1"]
-    entry["condition"] += " and 0 // (n - 7) == 0"
+    entry["closed_form"][1] = {"when": "n % 4 == 3", "kind": "ratio", "num": [], "den": [],
+                               "q_shift": "10**40"}
     path = tmp_path / "crashing.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -356,11 +359,11 @@ class TestCrashingJob:
         report = run(cfg, crashing)
         assert [r["status"] for r in report.results] == ["pass", "error", "pass"]
         error = report.results[1]
-        assert error["detail"] == "ExpressionError: division by zero in registry expression"
+        assert error["detail"] == "OverflowError: cannot fit 'int' into an index-sized integer"
         assert error["strategy"] == "none"
         assert report.summary["pass"] == 2 and report.summary["total"] == 3
         assert report.summary["errors"] == [
-            'thm1_1 {"n": 7} -> error: ExpressionError: division by zero in registry expression'
+            "thm1_1 {\"n\": 7} -> error: OverflowError: cannot fit 'int' into an index-sized integer"
         ]
         assert report.exit_code == 2
         assert "error=1" in report.to_text() and "ERRORS" in report.to_text()
@@ -377,7 +380,7 @@ class TestCrashingJob:
                      "--no-timing", "--registry", crashing_registry(tmp_path),
                      "--report", str(report)])
         assert code == 2
-        assert "ExpressionError" in capsys.readouterr().out
+        assert "OverflowError" in capsys.readouterr().out
         statuses = [r["status"] for r in json.loads(report.read_text())["results"]]
         assert statuses == ["pass", "error"]
 
