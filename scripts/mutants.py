@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "param_same_ratio_part_zero_only",
         ENGINE,
-        "return not any(_irem(coeffs, self.base.m) for coeffs in diff.values())",
-        "return not _irem(diff.get(0, []), self.base.m)",
+        "return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in diff.values())",
+        "return not _monic_divmod(diff.get(0, []), self.base.m)[1]",
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
     ),
     Mutant(
@@ -116,6 +116,22 @@ MUTANTS = (
         "    if True:\n        if parts.keys() - {0}:",
         ("tests/test_engine.py::TestOracleDivision::test_witness_keeps_its_statements_coefficient_type",
          "tests/test_engine.py::TestFailureRoute::test_catalog_failure_records"),
+    ),
+    Mutant(
+        "cyclotomic_leg_phi_n_only",
+        ENGINE,
+        "_cyclotomic_verdict(summand, bound, closed, support, n)\n",
+        "_cyclotomic_verdict(summand, bound, closed, {n: support[n]}, n)\n",
+        ("tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_leg_checks_every_cyclotomic_of_the_modulus",),
+    ),
+    Mutant(
+        "monic_divmod_drops_constant_term",
+        ENGINE,
+        "enumerate(m[:dm])",
+        "enumerate(m[1:dm], 1)",
+        ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",
+         "tests/test_engine.py::TestWitnessRoute::test_perturbed_instances"),
     ),
 )
 

@@ -4,9 +4,10 @@ The package has three verification lanes:
 
 * symbolic lane (``qobjects``, ``engine``): exact integer arithmetic, one
   cyclotomic factor Phi_m^e of the modulus at a time, with a free
-  parameter a handled by terminating specializations and evaluation at
-  integers; failures are classified by an independent oracle over Q[q]
-  and Q(a)[q] (``polys``, ``paramfield``);
+  parameter a handled by terminating specializations at a = q^(+-n) and
+  by integer coefficients in Z[a] on the cyclotomic part; failures are
+  classified by an independent oracle over Z[q] and Z[a][q], with
+  witnesses over Q and Q(a) (``polys``, ``paramfield``);
 * p-adic lane (``padic``): exact rational truncated sums compared against
   Morita Gamma values modulo prime powers;
 * numeric lane (``analytic``): double-precision confirmation of the

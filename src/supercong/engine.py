@@ -22,17 +22,18 @@ sparser factor, so multiplying by an atom costs linear time, and a bracket
 [t] is multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
-monic with integer coefficients, so remainders stay integral).  The Phi_n
-leg of a parametric statement runs the same sum once with coefficients in
-Z[a] (``_ParamRing``): the lift and Phi_n^E are free of a, so each power of
-a is reduced alone and the leg is exact with no evaluation at a.  A failure
-of the q lane, of the Phi_n leg of the parametric lane or of the q_pair
-lane is classified by one routine, ``_classify``: both sides over explicit
-full denominators, read once into integer lists per power of a, one
-cross-multiplied difference, cyclotomic valuations by one pass of exact
-divisions per cyclotomic (Phi_m is monic and free of a, so no field is
-needed), and the exact residue of the difference as witness, folded
-through the lift before the final reduction.
+monic with integer coefficients, so remainders stay integral).  One loop,
+``_congruence_holds``, decides every lane's cyclotomic part over the
+modulus's whole cyclotomic support; where a sum carries the parameter a it
+runs with coefficients in Z[a] (``_ParamRing``): the lift and Phi_m^E are
+free of a, so each power of a is reduced alone and the check is exact with
+no evaluation at a.  A failure of the q lane, of the cyclotomic leg of the
+parametric lane or of the q_pair lane is classified by one routine,
+``_classify``: both sides over explicit full denominators, read once into
+integer lists per power of a, one cross-multiplied difference, cyclotomic
+valuations by one pass of exact divisions per cyclotomic (Phi_m is monic
+and free of a, so no field is needed), and the exact residue of the
+difference as witness, folded through the lift before the final reduction.
 ``oracle_congruence`` feeds it a congruence's sum and closed form; it is
 also the independent second route the tests check the fast path against.
 """
@@ -159,20 +160,26 @@ def _imul(a: list, b: list) -> list:
     return out
 
 
-def _irem(a: list, m: list) -> list:
-    """Remainder of a by the monic integer polynomial m (in place on a copy)."""
-    a = list(a)
-    dm = len(m) - 1
+def _trimmed(coeffs: list) -> list:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _monic_divmod(a: list, m: list) -> tuple[list, list]:
+    """(quotient, remainder) of the integer polynomial a by the monic
+    integer polynomial m, both with no trailing zeros."""
+    rem, dm = list(a), len(m) - 1
+    terms = [(j, c) for j, c in enumerate(m[:dm]) if c]
+    quo = [0] * max(len(a) - dm, 0)
     for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
+        c = rem[i]
         if c:
-            a[i] = 0
             base = i - dm
-            for j in range(dm):
-                a[base + j] -= c * m[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+            quo[base] = c
+            for j, x in terms:
+                rem[base + j] -= c * x
+    return _trimmed(quo), _trimmed(rem[:dm])
 
 
 def _int_poly(p: LaurentPoly) -> list:
@@ -205,9 +212,7 @@ class _Ring:
         self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
 
     def _reduce(self, coeffs: list) -> list:
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = _trimmed(list(coeffs))
         if not self.lift:
             return coeffs
         # q^(top + i) == -sum_j lift[j] q^(mj + i): fold the top m
@@ -222,9 +227,7 @@ class _Ring:
                 window = coeffs[base:base + len(block)]
                 coeffs[base:base + len(block)] = [u - c * v for u, v in zip(window, block)]
             hi = lo
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
+        return _trimmed(coeffs)
 
     def of(self, coeffs: list, shift: int = 0) -> tuple[list, int]:
         return self._reduce(coeffs), shift
@@ -252,9 +255,7 @@ class _Ring:
             out[i] += c
         for i, c in enumerate(cy):
             out[i] += c
-        while out and out[-1] == 0:
-            out.pop()
-        return out, s
+        return _trimmed(out), s
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -278,7 +279,7 @@ class _Ring:
         """num1/den1 == num2/den2, decided cross-multiplied after the one
         reduction modulo Phi_m^e."""
         diff = self.sub(self.mul(num1, den2), self.mul(num2, den1))[0]
-        return not (diff if self.m is None else _irem(diff, self.m))
+        return not (diff if self.m is None else _monic_divmod(diff, self.m)[1])
 
 
 class _ParamRing:
@@ -331,29 +332,12 @@ class _ParamRing:
 
     def same_ratio(self, num1, den1, num2, den2) -> bool:
         diff = self.add(self.mul(num1, den2), self.neg(self.mul(num2, den1)))[0]
-        return not any(_irem(coeffs, self.base.m) for coeffs in diff.values())
+        return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in diff.values())
 
 
 # ---------------------------------------------------------------------------
 # one cyclotomic factor of the modulus at a time
 # ---------------------------------------------------------------------------
-
-def _idiv(a: list, m: list) -> list:
-    """Exact quotient of a by the monic integer polynomial m."""
-    a = list(a)
-    dm = len(m) - 1
-    quo = [0] * max(len(a) - dm, 0)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            quo[i - dm] = c
-            base = i - dm
-            for j in range(dm + 1):
-                a[base + j] -= c * m[j]
-    if any(a):
-        raise ArithmeticError(f"inexact division by {m!r}: remainder {a!r}")
-    return quo
-
 
 def _divides(m: int, e: int) -> bool:
     """Phi_m | 1 - q^e, and for m >= 2 also Phi_m | [e].  q^e - 1 is the
@@ -394,7 +378,10 @@ def _stripped(x: tuple, e: Optional[int], strip: Optional[_Strip]) -> tuple:
     or [e], given as integer (coeffs, shift), else (x, 0).  e is None for a
     parametric atom, which is never divisible."""
     if strip is not None and e is not None and _divides(strip.m, e):
-        return (_idiv(x[0], strip.phi), x[1]), 1
+        quo, rem = _monic_divmod(x[0], strip.phi)
+        if rem:
+            raise ArithmeticError(f"inexact division by {strip.phi!r}: remainder {rem!r}")
+        return (quo, x[1]), 1
     return x, 0
 
 
@@ -491,22 +478,34 @@ def _degenerate_den(summand: ConcreteSummand, bound: int) -> bool:
 # fast cross-multiplied sweep of one truncated sum
 # ---------------------------------------------------------------------------
 
-def _plain_factor(f, j: int) -> tuple[list, int]:
-    """The j-th factor 1 - q^e of a Pochhammer without the parameter a."""
-    if f.param:
-        raise SpecError("integer fast path cannot carry parametric factors")
-    return atom(f.exponent_at(j))
+def _avatar(param: str, a) -> tuple:
+    """(x, y) of the avatar x - y q^e of a factor carrying ``param`` at the
+    parameter value a: 1 - q^e stays, 1 - a q^e stays, and 1 - q^e / a
+    becomes a - q^e; the stripped 1/a units cancel between numerator and
+    denominator because the registry keeps them balanced."""
+    return {"": (1, 1), "aq": (1, a), "q_div_a": (a, 1)}[param]
 
 
-def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, factor=_plain_factor,
-                    strip: Optional[_Strip] = None):
+def _free_factor(f, j: int):
+    """The j-th factor of the Pochhammer f: 1 - q^e as it is, and an avatar
+    x - y q^e (x, y of degree at most 1 in a) split into its a^0 and a^1
+    parts, an element for _ParamRing."""
+    if not f.param:
+        return atom(f.exponent_at(j))
+    (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
+    low, shift = atom(f.exponent_at(j), x0, y0)
+    return {0: low, 1: atom(f.exponent_at(j), x1 - x0, y1 - y0)[0]}, shift
+
+
+def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
+                    strip: Optional[_Strip] = None, factor=_free_factor):
     """Returns (SS, Dacc) with SS = sum_k N_k prod_{j>k} D_j and
     Dacc = prod_j D_j, both as shift-tracked ring elements.
 
     The k-th exact term is N_k / prod_{j<=k} D_j, so the true sum S equals
     SS / Dacc; comparisons happen cross-multiplied.  ``factor(f, j)`` gives
-    the j-th factor of the Pochhammer f as integer (coeffs, shift); for a
-    factor without the parameter it must be 1 - q^(f.exponent_at(j)).
+    the j-th factor of the Pochhammer f as a ring element (coeffs, shift);
+    for a factor without the parameter it must be 1 - q^(f.exponent_at(j)).
     With ``strip``, the pair is that of Phi_m^c S with Phi_m cancelled from
     every atom: SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
     """
@@ -561,21 +560,22 @@ def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
     return rn, rd
 
 
-def _congruence_holds(
-    summand: ConcreteSummand,
-    bound: int,
-    closed: ConcreteClosedForm,
-    support: dict,
-    n: int,
-    free_a: bool = False,
-) -> bool:
-    """Sum == closed form mod the modulus, one cyclotomic factor of it at a
-    time (stops at the first disagreement); with ``free_a``, over Z[a] with
-    the parametric factors as their avatars."""
-    for ring, strip in _factor_rings(support, closed, n, (summand, bound)):
-        ring, factor = (_ParamRing(ring), _free_factor) if free_a else (ring, _plain_factor)
-        if not ring.same_ratio(*_horner_sum_int(summand, bound, ring, factor, strip),
-                               *_closed_form_sides_int(closed, n, ring, strip)):
+def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict,
+                      n: int) -> bool:
+    """The truncated sum == ``right``, a closed form or a second
+    (summand, bound), mod the modulus of cyclotomic support ``support``, one
+    factor of it at a time (stops at the first disagreement).  Where a sum
+    carries the parameter a, every ring is over Z[a] (_ParamRing) with the
+    parametric factors as their avatars: they are units modulo Phi_m over
+    Q(a), and cancelling Phi_m from the plain atoms adds no degree in a."""
+    closed = right if isinstance(right, ConcreteClosedForm) else None
+    sums = ((summand, bound),) if closed is not None else ((summand, bound), right)
+    parametric = any(f.param for s, _ in sums for f in s.num + s.den)
+    for ring, strip in _factor_rings(support, closed, n, *sums):
+        ring = _ParamRing(ring) if parametric else ring
+        other = (_closed_form_sides_int(closed, n, ring, strip) if closed is not None
+                 else _horner_sum_int(*right, ring, strip))
+        if not ring.same_ratio(*_horner_sum_int(summand, bound, ring, strip), *other):
             return False
     return True
 
@@ -604,12 +604,6 @@ def _oracle_parts(p: LaurentPoly, low: int) -> dict:
     return {i: _trimmed(coeffs) for i, coeffs in parts.items()}
 
 
-def _trimmed(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _parts_muladd(acc: dict, x: dict, y: dict, sign: int = 1) -> dict:
     """acc + sign * x * y over Z[a][q], schoolbook over the nonzero
     coefficients of x; the lists of acc are updated in place."""
@@ -622,22 +616,6 @@ def _parts_muladd(acc: dict, x: dict, y: dict, sign: int = 1) -> dict:
                     u *= sign
                     out[k:k + len(d)] = [s + u * v for s, v in zip(out[k:k + len(d)], d)]
     return {i: coeffs for i, coeffs in acc.items() if _trimmed(coeffs)}
-
-
-def _monic_divmod(a: list, m: list) -> tuple[list, list]:
-    """(quotient, remainder) of the integer polynomial a by the monic
-    integer polynomial m, both with no trailing zeros."""
-    rem, dm = list(a), len(m) - 1
-    terms = [(j, c) for j, c in enumerate(m[:dm]) if c]
-    quo = [0] * max(len(a) - dm, 0)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = rem[i]
-        if c:
-            base = i - dm
-            quo[base] = c
-            for j, x in terms:
-                rem[base + j] -= c * x
-    return _trimmed(quo), _trimmed(rem[:dm])
 
 
 def _count_divisions(parts: dict, phi: list, limit: Optional[int] = None,
@@ -840,15 +818,26 @@ def _resolve_bound(expr: str, n: int, d: Optional[int]) -> int:
     return bound
 
 
+def _cyclotomic_verdict(summand: ConcreteSummand, bound: int, closed: ConcreteClosedForm,
+                        support: dict, n: int) -> tuple:
+    """(strategy, status, witness, detail) of sum == closed form modulo
+    prod Phi_m^support[m]: the per-factor fast check decides, and the oracle
+    runs only to classify a failure."""
+    if _degenerate_den(summand, bound):
+        return "fast", "obstruction", None, "zero denominator factor in a term"
+    if _congruence_holds(summand, bound, closed, support, n):
+        return "fast", "pass", None, ""
+    return ("fast+oracle", *oracle_congruence(summand, bound, closed, support, n))
+
+
 def verify_congruence(
     case: CaseDefinition,
     n: int,
     d: Optional[int] = None,
     bound: Optional[str] = None,
 ) -> CaseResult:
-    """Check one univariate congruence instance exactly (no tolerance): the
-    cross-multiplied integer path decides, and the rational-function oracle
-    runs only to classify a failure."""
+    """Check one univariate congruence instance exactly (no tolerance), by
+    ``_cyclotomic_verdict`` over the whole modulus."""
     bound_expr = bound if bound is not None else case.bounds[0]
     params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
     done = partial(case_result, case, params, strategy="fast")
@@ -861,28 +850,8 @@ def verify_congruence(
         support = modulus_support(case.modulus, n)
     except (SpecError, DegenerateFactor) as exc:
         return done("obstruction", detail=str(exc))
-
-    if _degenerate_den(summand, k_max):
-        return done("obstruction", detail="zero denominator factor in a term")
-
-    try:
-        if _congruence_holds(summand, k_max, closed, support, n):
-            return done("pass")
-    except DegenerateFactor as exc:
-        return done("obstruction", detail=str(exc))
-    status, witness, detail = oracle_congruence(summand, k_max, closed, support, n)
-    return done(status, strategy="fast+oracle", witness=witness, detail=detail)
-
-
-def _pair_holds(lhs: ConcreteSummand, lhs_bound: int, rhs: ConcreteSummand, rhs_bound: int,
-                support: dict, n: int) -> bool:
-    """The two truncated sums agree mod the modulus, one cyclotomic factor
-    of it at a time."""
-    return all(
-        ring.same_ratio(*_horner_sum_int(lhs, lhs_bound, ring, strip=strip),
-                        *_horner_sum_int(rhs, rhs_bound, ring, strip=strip))
-        for ring, strip in _factor_rings(support, None, n, (lhs, lhs_bound), (rhs, rhs_bound))
-    )
+    strategy, status, witness, detail = _cyclotomic_verdict(summand, k_max, closed, support, n)
+    return done(status, strategy=strategy, witness=witness, detail=detail)
 
 
 def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
@@ -901,7 +870,7 @@ def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
     if _degenerate_den(lhs, lhs_bound) or _degenerate_den(rhs, rhs_bound):
         return done("obstruction", detail="zero denominator factor in a term")
 
-    if _pair_holds(lhs, lhs_bound, rhs, rhs_bound, support, n):
+    if _congruence_holds(lhs, lhs_bound, (rhs, rhs_bound), support, n):
         return done("pass")
 
     poles, fails, witness, _ = _classify(_term_parts(lhs, lhs_bound), _term_parts(rhs, rhs_bound),
@@ -992,7 +961,7 @@ def verify_identity_specialized(
     bound = _resolve_bound(case.bounds[0], n, d)
     factor = _specialized_factor(summand, bound, {"qn": n, "q-n": -n}[which])
     ring = _Ring()
-    sides = (_horner_sum_int(summand, bound, ring, factor),
+    sides = (_horner_sum_int(summand, bound, ring, factor=factor),
              _closed_form_sides_int(_telescoped_form(case.specialized_product, n, d), n, ring),
              _closed_form_sides_int(concretize_closed_form(case.closed_form, n, d), n, ring))
     details = (f"sum at a = q^{'+' if which == 'qn' else '-'}n differs from the telescoped product",
@@ -1006,14 +975,6 @@ def verify_identity_specialized(
 _PARAM_A = ParamRational.generator()
 
 
-def _avatar(param: str, a) -> tuple:
-    """(x, y) of the avatar x - y q^e of a factor carrying ``param`` at the
-    parameter value a: 1 - q^e stays, 1 - a q^e stays, and 1 - q^e / a
-    becomes a - q^e; the stripped 1/a units cancel between numerator and
-    denominator because the registry keeps them balanced."""
-    return {"": (1, 1), "aq": (1, a), "q_div_a": (a, 1)}[param]
-
-
 def _param_avatar(f, j: int) -> LaurentPoly:
     """The polynomial stand-in of the j-th factor of f over Q(a).  Plain
     atoms keep Fraction coefficients, which poly_divrem divides exactly."""
@@ -1022,35 +983,12 @@ def _param_avatar(f, j: int) -> LaurentPoly:
     return LaurentPoly(*atom(f.exponent_at(j), *_avatar(f.param, _PARAM_A)))
 
 
-def _free_factor(f, j: int):
-    """Factor map over _ParamRing: 1 - q^e as it is, and an avatar
-    x - y q^e (x, y of degree at most 1 in a) split into its a^0 and a^1 parts."""
-    if not f.param:
-        return atom(f.exponent_at(j))
-    (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
-    low, shift = atom(f.exponent_at(j), x0, y0)
-    return {0: low, 1: atom(f.exponent_at(j), x1 - x0, y1 - y0)[0]}, shift
-
-
-def _bivariate_congruence_holds(
-    summand: ConcreteSummand,
-    bound: int,
-    closed: ConcreteClosedForm,
-    cyc_power: int,
-    n: int,
-) -> bool:
-    """The congruence mod Phi_n^cyc_power with a free, in one exact pass
-    over Z[a] (see _ParamRing).  The avatars are polynomials in a and units
-    modulo Phi_n over Q(a), and cancelling Phi_n from the plain atoms adds
-    no degree in a."""
-    return _congruence_holds(summand, bound, closed, {n: cyc_power}, n, free_a=True)
-
-
 def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> CaseResult:
     """Parametric statements are split over the pairwise coprime modulus
     factors: (a - q^n) and (1 - a q^n) become the two terminating
-    specializations a = q^{+-n}, and the cyclotomic factor is checked with
-    a free over Z[a] (failures are classified by the Q(a) oracle).
+    specializations a = q^{+-n}, and the cyclotomic part, every Phi_m^e of
+    the modulus including those of a factor [n], is decided with a free by
+    ``_cyclotomic_verdict`` (the leg keeps its label "mod Phi_n").
     The instance passes iff every leg does.
     """
     params = {"n": n, **({"d": d} if d is not None else {})}
@@ -1067,19 +1005,13 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
                 witness = outcome["witness"]
                 legs.append((name, "pass" if outcome["equal"] else "fail",
                              outcome["detail"], witness and witness[0]))
-        cyc_power = case.modulus.cyclotomic_power()
-        if cyc_power:
+        support = modulus_support(case.modulus, n)
+        if support:
             summand = concretize_summand(case.summand, d)
             bound = _resolve_bound(case.bounds[0], n, d)
             closed = concretize_closed_form(case.closed_form, n, d)
-            if _degenerate_den(summand, bound):
-                legs.append(("mod Phi_n", "obstruction", "zero denominator factor", None))
-            elif _bivariate_congruence_holds(summand, bound, closed, cyc_power, n):
-                legs.append(("mod Phi_n", "pass", "", None))
-            else:
-                status, witness, detail = oracle_congruence(summand, bound, closed,
-                                                            {n: cyc_power}, n)
-                legs.append(("mod Phi_n", status, detail, witness))
+            _, status, witness, detail = _cyclotomic_verdict(summand, bound, closed, support, n)
+            legs.append(("mod Phi_n", status, detail, witness))
     except (DegenerateFactor, SpecError) as exc:
         return done("obstruction", detail=str(exc))
 

@@ -181,12 +181,6 @@ class ModulusSpec:
     def parametric_kinds(self) -> tuple[str, ...]:
         return tuple(f.kind for f in self.factors if f.kind in ("one_minus_a_qn", "a_minus_qn"))
 
-    def cyclotomic_power(self) -> int:
-        return sum(f.power for f in self.factors if f.kind == "cyclotomic")
-
-    def has_q_integer(self) -> bool:
-        return any(f.kind == "q_integer" for f in self.factors)
-
 
 # ---------------------------------------------------------------------------
 # compiled (concrete) forms for a fixed n, d

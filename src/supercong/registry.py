@@ -335,14 +335,13 @@ def _case_from_json(obj: dict) -> CaseDefinition:
 
 
 def _validate_case(case: CaseDefinition) -> None:
+    summands = [spec for spec in (case.summand, case.lhs_pair and case.lhs_pair.summand,
+                                  case.rhs_pair and case.rhs_pair.summand) if spec is not None]
+    if case.family in ("q_pair", "analytic_identity") \
+            and any(f.param for spec in summands for f in spec.factors):
+        raise RegistryError(f"{case.id}: the parameter a in a {case.family!r} summand "
+                            "(only q records read it)")
     if case.family in ("q", "q_pair"):
-        summands = []
-        if case.summand is not None:
-            summands.append(case.summand)
-        if case.lhs_pair is not None:
-            summands.append(case.lhs_pair.summand)
-        if case.rhs_pair is not None:
-            summands.append(case.rhs_pair.summand)
         d_options = case.d_values or (None,)
         for spec in summands:
             for d in d_options:
@@ -363,8 +362,7 @@ def _validate_case(case: CaseDefinition) -> None:
                 raise RegistryError(f"{case.id}: parametric modulus without parametric summand")
             if parametric and case.specialized_product is None:
                 raise RegistryError(f"{case.id}: parametric modulus needs specialized_product")
-            if case.family == "q" and not parametric and case.modulus.cyclotomic_power() == 0 \
-                    and not case.modulus.has_q_integer():
+            if case.family == "q" and not case.modulus.factors:
                 raise RegistryError(f"{case.id}: empty modulus")
     if case.family == "padic":
         if case.threshold is None or case.threshold < 1:

@@ -295,8 +295,8 @@ def classify_by_full_division(left: tuple, right: tuple, support: dict,
 
 
 def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteClosedForm,
-                         cyc_power: int, n: int) -> bool:
-    """The parametric Phi_n leg by exact evaluation at integer values of a.
+                         support: dict, n: int) -> bool:
+    """The parametric cyclotomic leg by exact evaluation at integer values of a.
 
     Each avatar has degree 1 in a, so the Horner term N_k prod_{j>k} D_j
     has degree at most k P_num + (bound - k) P_den in a, with P_num and
@@ -312,12 +312,12 @@ def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteC
     p_num = sum(f.power for f in summand.num if f.param)
     p_den = sum(f.power for f in summand.den if f.param)
     values = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(bound * max(p_num, p_den) + 1)]
-    for ring, strip in _factor_rings({n: cyc_power}, closed, n, (summand, bound)):
+    for ring, strip in _factor_rings(support, closed, n, (summand, bound)):
         rn, rd = _closed_form_sides_int(closed, n, ring, strip)
         for t in values:
             avatars = {"": (1, 1), "aq": (1, t), "q_div_a": (t, 1)}
-            sides = _horner_sum_int(summand, bound, ring,
-                                    lambda f, j: atom(f.exponent_at(j), *avatars[f.param]), strip)
+            sides = _horner_sum_int(summand, bound, ring, strip,
+                                    lambda f, j: atom(f.exponent_at(j), *avatars[f.param]))
             if not ring.same_ratio(*sides, rn, rd):
                 return False
     return True

@@ -37,6 +37,11 @@ BAD_INPUTS = [
     ("specialized_exponent_not_integral", "thm2",
      [(("specialized_product", "num", 2), "(3-n)/4")],
      ["--n", "5"], 1, "non-integral value -1/2"),
+    # the parameter a is read only by a q record's summand
+    ("parameter_in_pair_summand", "conj1a", [(("lhs", "summand", "factors", 0, "param"), "aq")],
+     ["--n", "9"], 2, "conj1a: the parameter a in a 'q_pair' summand (only q records read it)"),
+    ("parameter_in_analytic_summand", "chu1", [(("summand", "factors", 0, "param"), "aq")],
+     [], 2, "chu1: the parameter a in a 'analytic_identity' summand (only q records read it)"),
     # a condition dividing by zero at the swept parameter, in each lane
     ("condition_fails_in_congruence_lane", "thm1_1",
      [(("condition",), "n > 1 and n % 2 == 1 and 0 // (n - 7) == 0")],

@@ -1,6 +1,7 @@
 """Verification engine behavior: verdicts, negative controls, strategies."""
 
 import dataclasses
+import re
 import time
 from fractions import Fraction
 from itertools import zip_longest
@@ -23,10 +24,8 @@ from reference import (
 from supercong import engine
 from supercong.analytic import q_product_infinite
 from supercong.engine import (
-    _bivariate_congruence_holds,
     _congruence_holds,
     _factor_rings,
-    _pair_holds,
     _term_parts,
     is_parametric_case,
     oracle_congruence,
@@ -40,6 +39,8 @@ from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
     ConcreteFactor,
+    ModulusFactor,
+    ModulusSpec,
     PochFactor,
     SummandSpec,
     atom,
@@ -372,18 +373,16 @@ class TestFailureRoute:
 
 def classify_inputs(case, n, d=None):
     """The arguments the engine hands ``_classify`` for a failing instance:
-    a pair's two sums, or a congruence's sum and closed form over the
-    modulus of its Phi_n leg (parametric cases) or of the whole statement."""
+    a pair's two sums, or a congruence's sum and closed form, over the
+    cyclotomic support of the modulus."""
     if case.family == "q_pair":
         return ([_term_parts(concretize_summand(pair.summand, None), eval_int(pair.bound, n=n))
                  for pair in (case.lhs_pair, case.rhs_pair)]
                 + [modulus_support(case.modulus, n), False])
     summand = concretize_summand(case.summand, d)
     closed = concretize_closed_form(case.closed_form, n, d)
-    support = ({n: case.modulus.cyclotomic_power()} if is_parametric_case(case)
-               else modulus_support(case.modulus, n))
     return [_term_parts(summand, eval_int(case.bounds[0], n=n, d=d)),
-            engine._closed_form_polys(closed, n), support,
+            engine._closed_form_polys(closed, n), modulus_support(case.modulus, n),
             any(f.param for f in summand.num + summand.den)]
 
 
@@ -608,12 +607,12 @@ PERTURBED_LEGS = given(
 
 
 def perturbed_leg(registry, instance, shift, cut, exponent, sign, raised):
-    """The Phi_n leg's arguments (summand, bound, closed, power, n) for a
+    """The cyclotomic leg's arguments (summand, bound, closed, support, n) for a
     perturbed parametric instance."""
     cid, d, n = instance
     case = perturbed(registry.get(cid), shift, cut, exponent, sign, raised)
     return (concretize_summand(case.summand, d), eval_int(case.bounds[0], n=n, d=d),
-            concretize_closed_form(case.closed_form, n, d), case.modulus.cyclotomic_power(), n)
+            concretize_closed_form(case.closed_form, n, d), modulus_support(case.modulus, n), n)
 
 
 SPECIALIZED_INSTANCES = [("thm2", None, 5), ("thm2", None, 7), ("thm2", None, 9),
@@ -658,7 +657,6 @@ class TestIntegerParametricLegs:
         verdicts = {}
         for cid in ("lemma1", "lemma2", "thm2"):
             case = registry.get(cid)
-            power = case.modulus.cyclotomic_power()
             for params in iter_sweep_params(case):
                 n, d = params["n"], params.get("d")
                 if n > 11:
@@ -666,8 +664,9 @@ class TestIntegerParametricLegs:
                 summand = concretize_summand(case.summand, d)
                 bound = eval_int(case.bounds[0], n=n, d=d)
                 closed = concretize_closed_form(case.closed_form, n, d)
-                holds = _bivariate_congruence_holds(summand, bound, closed, power, n)
-                status, _, _ = oracle_congruence(summand, bound, closed, {n: power}, n)
+                support = modulus_support(case.modulus, n)
+                holds = _congruence_holds(summand, bound, closed, support, n)
+                status, _, _ = oracle_congruence(summand, bound, closed, support, n)
                 assert holds == (status == "pass"), (cid, params, status)
                 verdicts[cid, d, n] = status
         assert verdicts["lemma2", 3, 5] == "fail"
@@ -677,24 +676,24 @@ class TestIntegerParametricLegs:
     @PERTURBED_LEGS
     def test_evaluation_leg_matches_oracle_when_perturbed(self, registry, instance,
                                                           shift, cut, exponent, sign, raised):
-        summand, bound, closed, power, n = perturbed_leg(registry, instance, shift, cut,
-                                                         exponent, sign, raised)
-        holds = _bivariate_congruence_holds(summand, bound, closed, power, n)
-        status, _, _ = oracle_congruence(summand, bound, closed, {n: power}, n)
+        summand, bound, closed, support, n = perturbed_leg(registry, instance, shift, cut,
+                                                           exponent, sign, raised)
+        holds = _congruence_holds(summand, bound, closed, support, n)
+        status, _, _ = oracle_congruence(summand, bound, closed, support, n)
         assert holds == (status == "pass"), status
 
     def test_one_pass_matches_evaluation_route_on_catalog(self, registry):
         verdicts = {}
         for cid in ("lemma1", "lemma2", "lemma2_qd", "thm2", "thm4"):
             case = registry.get(cid)
-            power = case.modulus.cyclotomic_power()
             for params in iter_sweep_params(case):
                 n, d = params["n"], params.get("d")
                 if n > 21 or not case.applies(n=n, d=d):
                     continue
                 leg = (concretize_summand(case.summand, d), eval_int(case.bounds[0], n=n, d=d),
-                       concretize_closed_form(case.closed_form, n, d), power, n)
-                verdicts[cid, d, n] = _bivariate_congruence_holds(*leg)
+                       concretize_closed_form(case.closed_form, n, d),
+                       modulus_support(case.modulus, n), n)
+                verdicts[cid, d, n] = _congruence_holds(*leg)
                 assert verdicts[cid, d, n] == evaluation_leg_holds(*leg), (cid, params)
         assert len(verdicts) >= 30
         assert not verdicts["lemma2", 3, 11] and verdicts["thm4", 5, 21]
@@ -704,7 +703,7 @@ class TestIntegerParametricLegs:
     def test_one_pass_matches_evaluation_route_when_perturbed(self, registry, instance,
                                                               shift, cut, exponent, sign, raised):
         leg = perturbed_leg(registry, instance, shift, cut, exponent, sign, raised)
-        assert _bivariate_congruence_holds(*leg) == evaluation_leg_holds(*leg)
+        assert _congruence_holds(*leg) == evaluation_leg_holds(*leg)
 
     def test_one_horner_pass_per_factor_ring(self, registry, monkeypatch):
         # the leg no longer evaluates at D + 1 values of a: thm2 at n=5
@@ -724,8 +723,28 @@ class TestIntegerParametricLegs:
             closed = concretize_closed_form(case.closed_form, 5, d)
             rings = list(_factor_rings({5: 1}, closed, 5, (summand, bound)))
             calls.clear()
-            assert _bivariate_congruence_holds(summand, bound, closed, 1, 5) == holds
+            assert _congruence_holds(summand, bound, closed, {5: 1}, 5) == holds
             assert len(calls) == len(rings) == 1
+
+    @pytest.mark.parametrize("factors, orders", [
+        ((ModulusFactor("q_integer"), ModulusFactor("cyclotomic")), ["3", "9"]),
+        ((ModulusFactor("q_integer"),), ["3"]),
+    ], ids=["bracket_n_times_phi_n", "bracket_n_alone"])
+    def test_leg_checks_every_cyclotomic_of_the_modulus(self, registry, factors, orders):
+        # lemma1 at d=4, n=9 with [9] = Phi_3 Phi_9 in its modulus: the sum
+        # is not divisible by Phi_3, and with Phi_9^2 not by Phi_9^2 either.
+        # A leg reading Phi_n alone misses the first, and with [n] alone
+        # there is no Phi_n factor to read at all.
+        case = dataclasses.replace(registry.get("lemma1"), modulus=ModulusSpec(factors))
+        result = verify_parametric(case, 9, 4)
+        support = modulus_support(case.modulus, 9)
+        status, witness, detail = oracle_congruence(
+            concretize_summand(case.summand, 4), eval_int(case.bounds[0], n=9, d=4),
+            concretize_closed_form(case.closed_form, 9, 4), support, 9)
+        assert (result.status, status) == ("fail", "fail")
+        assert re.findall(r"order-(\d+) cyclotomic", result.detail) == orders
+        assert result.detail == f"mod Phi_n: fail ({detail})"
+        assert repr(result.witness) == repr(witness)
 
 
 CONGRUENCE_INSTANCES = [("thm1_1", None, 9), ("thm1_1", None, 15), ("thm1_2", None, 9),
@@ -769,9 +788,9 @@ class TestPerFactorRoute:
         case = perturbed_pair(registry.get(cid), cut, exponent, power)
         lhs = concretize_summand(case.lhs_pair.summand, None)
         rhs = concretize_summand(case.rhs_pair.summand, None)
-        holds = _pair_holds(lhs, eval_int(case.lhs_pair.bound, n=n),
-                            rhs, eval_int(case.rhs_pair.bound, n=n),
-                            modulus_support(case.modulus, n), n)
+        holds = _congruence_holds(lhs, eval_int(case.lhs_pair.bound, n=n),
+                                  (rhs, eval_int(case.rhs_pair.bound, n=n)),
+                                  modulus_support(case.modulus, n), n)
         status = pair_oracle_status(case, n)
         assert holds == (status == "pass"), status
 

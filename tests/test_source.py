@@ -1,5 +1,6 @@
 """Source hygiene and the suite's own guards: every definition in the
-package is used by the package, and a hung test fails."""
+package is used by the package, every import is read by its module, and a
+hung test fails."""
 
 import ast
 import time
@@ -58,13 +59,34 @@ def unreferenced_definitions(src=SRC):
     return unused
 
 
+def unread_imports(src=SRC):
+    """(module, name) of each name that a module-level import binds and its
+    own module never reads, such as a leftover of deleted code."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for top in tree.body:
+            if isinstance(top, ast.ImportFrom) and top.module == "__future__":
+                continue
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                for alias in top.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append((path.name, name))
+    return unread
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == []
+    assert unread_imports() == []
 
 
 def test_guard_flags_a_definition_used_only_by_itself(tmp_path):
     (tmp_path / "a.py").write_text(
-        "LIMIT = 3\nLONELY = 4\n\n\n"
+        "from __future__ import annotations\n\nimport os.path\nfrom math import comb, lcm\n\n"
+        "LIMIT = lcm(3)\nLONELY = 4\n\n\n"
         "def used():\n    return LIMIT\n\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
         "class Lonely:\n    pass\n\n\n"
@@ -79,6 +101,7 @@ def test_guard_flags_a_definition_used_only_by_itself(tmp_path):
         ("a.py", "LONELY"), ("a.py", "recursive"), ("a.py", "Lonely"),
         ("a.py", "Box.lonely"), ("a.py", "Box.alone"),
     ]
+    assert unread_imports(tmp_path) == [("a.py", "os"), ("a.py", "comb")]
 
 
 def test_wall_clock_guard_fails_a_hang(time_limit):
