@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEADLINE_S = 300
 COPIED = ("src", "tests", "conftest.py", "pyproject.toml")
 ENGINE = "src/supercong/engine.py"
+EXPRS = "src/supercong/exprs.py"
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,14 @@ MUTANTS = (
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
     ),
     Mutant(
-        "expression_error_not_converted",
-        ENGINE,
-        "    try:\n"
-        "        return eval_int(expr, n=n, d=d)\n"
-        "    except ExpressionError as exc:\n"
-        "        raise SpecError(str(exc)) from exc\n",
-        "    return eval_int(expr, n=n, d=d)\n",
-        ("tests/test_bad_input.py::test_bad_input_exits_with_a_message[bound_not_integral]",
-         "tests/test_bad_input.py::test_bad_input_exits_with_a_message"
-         "[specialized_exponent_not_integral]"),
+        "expression_error_not_a_spec_error",
+        EXPRS,
+        "class ExpressionError(SpecError):",
+        "class ExpressionError(ValueError):",
+        tuple(f"tests/test_bad_input.py::test_bad_input_exits_with_a_message[{row}]"
+              for row in ("bound_not_integral", "specialized_exponent_not_integral",
+                          "condition_fails_in_congruence_lane", "condition_fails_in_pair_lane",
+                          "condition_fails_in_parametric_lane", "condition_fails_in_padic_lane")),
     ),
     Mutant(
         "classify_valuation_off_by_one",
@@ -132,6 +131,56 @@ MUTANTS = (
         "enumerate(m[1:dm], 1)",
         ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",
          "tests/test_engine.py::TestWitnessRoute::test_perturbed_instances"),
+    ),
+    Mutant(
+        "pair_right_degenerate_unchecked",
+        ENGINE,
+        "for s, b in _sums(summand, bound, right) for f in s.den",
+        "for s, b in ((summand, bound),) for f in s.den",
+        ("tests/test_bad_input.py::test_bad_input_exits_with_a_message[pair_right_den_vanishes]",),
+    ),
+    Mutant(
+        "pair_oracle_right_bound_short",
+        ENGINE,
+        "_term_parts(*right)",
+        "_term_parts(right[0], right[1] - 1)",
+        ("tests/test_engine.py::TestPairClassification::test_matches_rational_route_when_perturbed",),
+    ),
+    Mutant(
+        "lift_sign",
+        ENGINE,
+        "self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]",
+        "self.lift = [comb(e, j) * (-1) ** (e - j + 1) for j in range(e)]",
+        ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",),
+    ),
+    Mutant(
+        "mul_bracket_window",
+        ENGINE,
+        "zip([0] * (t - 1) + sums, sums[1:])",
+        "zip([0] * t + sums, sums[1:])",
+        ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",),
+    ),
+    Mutant(
+        "same_ratio_no_final_reduction",
+        ENGINE,
+        "return not (diff if self.m is None else _monic_divmod(diff, self.m)[1])",
+        "return not diff",
+        ("tests/test_engine.py::TestLiftedRing::test_zero_only_after_the_final_reduction",),
+    ),
+    Mutant(
+        "witness_drops_lead",
+        ENGINE,
+        "_from_parts(diff, parametric).shift(lead)",
+        "_from_parts(diff, parametric)",
+        ("tests/test_engine.py::TestFailureRoute::test_witness_keeps_the_q_shift",),
+    ),
+    Mutant(
+        "specialized_offset_swapped",
+        ENGINE,
+        'offset = {"": 0, "aq": shift, "q_div_a": -shift}',
+        'offset = {"": 0, "aq": -shift, "q_div_a": shift}',
+        ("tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_specialized_leg_on_unpaired_parametric_factors",),
     ),
 )
 

@@ -27,15 +27,18 @@ monic with integer coefficients, so remainders stay integral).  One loop,
 modulus's whole cyclotomic support; where a sum carries the parameter a it
 runs with coefficients in Z[a] (``_ParamRing``): the lift and Phi_m^E are
 free of a, so each power of a is reduced alone and the check is exact with
-no evaluation at a.  A failure of the q lane, of the cyclotomic leg of the
-parametric lane or of the q_pair lane is classified by one routine,
-``_classify``: both sides over explicit full denominators, read once into
-integer lists per power of a, one cross-multiplied difference, cyclotomic
-valuations by one pass of exact divisions per cyclotomic (Phi_m is monic
-and free of a, so no field is needed), and the exact residue of the
-difference as witness, folded through the lift before the final reduction.
-``oracle_congruence`` feeds it a congruence's sum and closed form; it is
-also the independent second route the tests check the fast path against.
+no evaluation at a.  Every q-lane decides its cyclotomic part through
+``_cyclotomic_verdict``, and a failure of any of them is classified by one
+routine, ``_classify``: both sides over explicit full denominators, read
+once into integer lists per power of a, one cross-multiplied difference,
+cyclotomic valuations by one pass of exact divisions per cyclotomic (Phi_m
+is monic and free of a, so no field is needed), and the exact residue of
+the difference as witness, folded through the lift before the final
+reduction.  ``oracle_congruence`` feeds it a statement's sum and its right
+side, a closed form or a second sum; it is also the independent second
+route the tests check the fast path against.  A spec value out of its
+domain raises SpecError (ExpressionError is one), which every lane reports
+as an obstruction.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from itertools import accumulate, chain, pairwise
 from math import comb, lcm
 from typing import Optional
 
-from .exprs import ExpressionError, eval_int
+from .exprs import eval_int
 from .polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
 from .paramfield import ParamRational
 from .qobjects import (
@@ -465,15 +468,6 @@ def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *
             yield _Ring(_phi_powers(m, support[m])[-1], m, support[m]), None
 
 
-def _degenerate_den(summand: ConcreteSummand, bound: int) -> bool:
-    return any(
-        f.exponent_at(j) == 0
-        for f in summand.den
-        if not f.param
-        for j in range(bound)
-    )
-
-
 # ---------------------------------------------------------------------------
 # fast cross-multiplied sweep of one truncated sum
 # ---------------------------------------------------------------------------
@@ -560,6 +554,12 @@ def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
     return rn, rd
 
 
+def _sums(summand: ConcreteSummand, bound: int, right) -> tuple:
+    """The (summand, bound) of every sum in a statement: the left one, and
+    ``right`` too unless it is a closed form."""
+    return ((summand, bound),) + (() if isinstance(right, ConcreteClosedForm) else (right,))
+
+
 def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict,
                       n: int) -> bool:
     """The truncated sum == ``right``, a closed form or a second
@@ -568,8 +568,8 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
     carries the parameter a, every ring is over Z[a] (_ParamRing) with the
     parametric factors as their avatars: they are units modulo Phi_m over
     Q(a), and cancelling Phi_m from the plain atoms adds no degree in a."""
-    closed = right if isinstance(right, ConcreteClosedForm) else None
-    sums = ((summand, bound),) if closed is not None else ((summand, bound), right)
+    sums = _sums(summand, bound, right)
+    closed = right if len(sums) == 1 else None
     parametric = any(f.param for s, _ in sums for f in s.num + s.den)
     for ring, strip in _factor_rings(support, closed, n, *sums):
         ring = _ParamRing(ring) if parametric else ring
@@ -772,17 +772,20 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
 def oracle_congruence(
     summand: ConcreteSummand,
     bound: int,
-    closed: ConcreteClosedForm,
+    right,
     support: dict,
     n: int,
 ) -> tuple[str, Optional[LaurentPoly], str]:
     """Brute-force verdict: the whole sum over one common denominator minus
-    the closed form, classified by ``_classify``.
+    ``right``, a closed form or a second (summand, bound) over its own,
+    classified by ``_classify``.
 
     Returns (status, witness, detail).
     """
-    verdict = _classify(_term_parts(summand, bound), _closed_form_polys(closed, n), support,
-                        parametric=any(f.param for f in summand.num + summand.den))
+    sums = _sums(summand, bound, right)
+    other = _term_parts(*right) if len(sums) > 1 else _closed_form_polys(right, n)
+    verdict = _classify(_term_parts(summand, bound), other, support,
+                        parametric=any(f.param for s, _ in sums for f in s.num + s.den))
     if verdict is None:
         return "pass", None, "difference is identically zero"
     poles, fails, witness, scaled = verdict
@@ -803,31 +806,26 @@ def oracle_congruence(
 # public verification operations
 # ---------------------------------------------------------------------------
 
-def _spec_int(expr: str, n: int, d: Optional[int]) -> int:
-    """eval_int, failing with SpecError (an obstruction) as concretize_* do."""
-    try:
-        return eval_int(expr, n=n, d=d)
-    except ExpressionError as exc:
-        raise SpecError(str(exc)) from exc
-
-
 def _resolve_bound(expr: str, n: int, d: Optional[int]) -> int:
-    bound = _spec_int(expr, n, d)
+    bound = eval_int(expr, n=n, d=d)
     if bound < 0:
         raise SpecError(f"negative truncation bound {bound}")
     return bound
 
 
-def _cyclotomic_verdict(summand: ConcreteSummand, bound: int, closed: ConcreteClosedForm,
-                        support: dict, n: int) -> tuple:
-    """(strategy, status, witness, detail) of sum == closed form modulo
-    prod Phi_m^support[m]: the per-factor fast check decides, and the oracle
-    runs only to classify a failure."""
-    if _degenerate_den(summand, bound):
+def _cyclotomic_verdict(summand: ConcreteSummand, bound: int, right, support: dict,
+                        n: int) -> tuple:
+    """(strategy, status, witness, detail) of the truncated sum == ``right``,
+    a closed form or a second (summand, bound), modulo prod Phi_m^support[m]:
+    a zero denominator factor in a term of either sum is an obstruction, the
+    per-factor fast check decides, and the oracle runs only to classify a
+    failure, with its own texts."""
+    if any(f.exponent_at(j) == 0 for s, b in _sums(summand, bound, right) for f in s.den
+           if not f.param for j in range(b)):
         return "fast", "obstruction", None, "zero denominator factor in a term"
-    if _congruence_holds(summand, bound, closed, support, n):
+    if _congruence_holds(summand, bound, right, support, n):
         return "fast", "pass", None, ""
-    return ("fast+oracle", *oracle_congruence(summand, bound, closed, support, n))
+    return ("fast+oracle", *oracle_congruence(summand, bound, right, support, n))
 
 
 def verify_congruence(
@@ -855,7 +853,8 @@ def verify_congruence(
 
 
 def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
-    """Two truncated sums agree modulo M: computed cross-multiplied, exact."""
+    """Two truncated sums agree modulo M: decided exactly by
+    ``_cyclotomic_verdict``, with the right sum in place of a closed form."""
     done = partial(case_result, case, {"n": n}, strategy="fast")
     try:
         if not case.applies(n=n):
@@ -867,20 +866,9 @@ def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
         support = modulus_support(case.modulus, n)
     except (SpecError, DegenerateFactor) as exc:
         return done("obstruction", detail=str(exc))
-    if _degenerate_den(lhs, lhs_bound) or _degenerate_den(rhs, rhs_bound):
-        return done("obstruction", detail="zero denominator factor in a term")
-
-    if _congruence_holds(lhs, lhs_bound, (rhs, rhs_bound), support, n):
-        return done("pass")
-
-    poles, fails, witness, _ = _classify(_term_parts(lhs, lhs_bound), _term_parts(rhs, rhs_bound),
-                                         support) or ([], [], None, False)
-    if poles:
-        return done("obstruction", strategy="fast+oracle",
-                    detail=f"difference has a pole at the order-{poles[0][0]} cyclotomic")
-    if not fails:
-        return done("pass", strategy="fast+oracle")
-    return done("fail", strategy="fast+oracle", witness=witness, detail="sums disagree")
+    strategy, status, witness, detail = _cyclotomic_verdict(lhs, lhs_bound, (rhs, rhs_bound),
+                                                            support, n)
+    return done(status, strategy=strategy, witness=witness, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +885,11 @@ def _telescoped_form(sp: SpecializedProduct, n: int, d: Optional[int]) -> Concre
     divisible by s makes the whole product zero; the same situation in the
     denominator is degenerate.
     """
-    base = _spec_int(sp.base, n, d)
+    base = eval_int(sp.base, n=n, d=d)
     if base < 1:
         raise SpecError("product base step must be positive")
-    nums = sorted((_spec_int(e, n, d) for e in sp.num), key=lambda e: (e % base, e))
-    dens = sorted((_spec_int(e, n, d) for e in sp.den), key=lambda e: (e % base, e))
+    nums = sorted((eval_int(e, n=n, d=d) for e in sp.num), key=lambda e: (e % base, e))
+    dens = sorted((eval_int(e, n=n, d=d) for e in sp.den), key=lambda e: (e % base, e))
     if any(b <= 0 and b % base == 0 for b in dens):
         raise DegenerateFactor("infinite product has a vanishing denominator factor")
     if any(a <= 0 and a % base == 0 for a in nums):

@@ -14,8 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class ExpressionError(ValueError):
-    """Malformed, disallowed, or non-integral registry expression."""
+class SpecError(ValueError):
+    """A statement spec is malformed or instantiated outside its domain."""
+
+
+class ExpressionError(SpecError):
+    """Malformed, disallowed, or non-integral registry expression: a spec
+    value out of its domain, so every lane reports it as an obstruction."""
 
 
 # A power is refused before it is computed when its result would need more

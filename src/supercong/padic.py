@@ -23,7 +23,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .engine import CaseResult, case_result
-from .exprs import ExpressionError, eval_bool, eval_fraction, eval_int
+from .exprs import eval_bool, eval_fraction, eval_int
 from .qobjects import SpecError
 from .registry import CaseDefinition, PadicRhsBranch, RealSumSpec
 
@@ -241,7 +241,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
         else:
             lhs = rising_ratio_value(case.real_lhs, p)
         mode, rhs = _rhs_value(_rhs_branch(case.padic_rhs, p), p, threshold)
-    except (SpecError, ExpressionError) as exc:
+    except SpecError as exc:
         return done("obstruction", detail=str(exc))
     diff = lhs - Fraction(rhs) if mode == "exact" else lhs - rhs
     v = padic_valuation(diff, p)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exprs import ExpressionError, eval_bool, eval_fraction, eval_int
+from .exprs import SpecError, eval_bool, eval_fraction, eval_int
 from .polys import LaurentPoly, poly_divrem
 
 
@@ -31,10 +31,6 @@ class DegenerateFactor(ArithmeticError):
     (the factor 1 - q^0), e.g. under an unlucky parameter specialization.
     The statement is undefined there, which is reported, never skipped.
     """
-
-
-class SpecError(ValueError):
-    """A statement spec is malformed or instantiated outside its domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +214,6 @@ class ConcreteSummand:
 
 
 def concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:
-    try:
-        return _concretize_summand(spec, d)
-    except ExpressionError as exc:
-        raise SpecError(str(exc)) from exc
-
-
-def _concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:
     names = {"d": d}
     num, den = [], []
     for f in spec.factors:
@@ -259,15 +248,6 @@ class ConcreteClosedForm:
 
 
 def concretize_closed_form(
-    branches: tuple[ClosedFormBranch, ...], n: int, d: Optional[int]
-) -> ConcreteClosedForm:
-    try:
-        return _concretize_closed_form(branches, n, d)
-    except ExpressionError as exc:
-        raise SpecError(str(exc)) from exc
-
-
-def _concretize_closed_form(
     branches: tuple[ClosedFormBranch, ...], n: int, d: Optional[int]
 ) -> ConcreteClosedForm:
     names = {"n": n, "d": d}

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .exprs import ExpressionError, eval_bool, eval_fraction
+from .exprs import eval_bool, eval_fraction
 from .qobjects import (
     ClosedFormBranch,
     ClosedLen,
@@ -127,12 +127,9 @@ class CaseDefinition:
 
     def applies(self, **params) -> bool:
         """The condition at ``params``.  A condition out of its domain there
-        (a division by zero, say) raises SpecError, which every lane reports
-        as an obstruction."""
-        try:
-            return eval_bool(self.condition, **{"n": None, "d": None, "p": None, **params})
-        except ExpressionError as exc:
-            raise SpecError(str(exc)) from exc
+        (a division by zero, say) raises ExpressionError, a SpecError, which
+        every lane reports as an obstruction."""
+        return eval_bool(self.condition, **{"n": None, "d": None, "p": None, **params})
 
 
 class Registry:
@@ -341,14 +338,14 @@ def _validate_case(case: CaseDefinition) -> None:
             and any(f.param for spec in summands for f in spec.factors):
         raise RegistryError(f"{case.id}: the parameter a in a {case.family!r} summand "
                             "(only q records read it)")
+    for spec in summands:   # an analytic_identity summand is read with d unbound
+        for d in case.d_values or (None,):
+            try:
+                validate_summand_exponents(spec, d)
+            except SpecError as exc:
+                raise RegistryError(f"{case.id}: {exc}") from exc
     if case.family in ("q", "q_pair"):
-        d_options = case.d_values or (None,)
         for spec in summands:
-            for d in d_options:
-                try:
-                    validate_summand_exponents(spec, d)
-                except SpecError as exc:
-                    raise RegistryError(f"{case.id}: {exc}") from exc
             num_div = sum(1 for f in spec.factors if f.side == "num" and f.param == "q_div_a")
             den_div = sum(1 for f in spec.factors if f.side == "den" and f.param == "q_div_a")
             if num_div != den_div:

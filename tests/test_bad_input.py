@@ -42,6 +42,16 @@ BAD_INPUTS = [
      ["--n", "9"], 2, "conj1a: the parameter a in a 'q_pair' summand (only q records read it)"),
     ("parameter_in_analytic_summand", "chu1", [(("summand", "factors", 0, "param"), "aq")],
      [], 2, "chu1: the parameter a in a 'analytic_identity' summand (only q records read it)"),
+    # an analytic_identity summand is read with d unbound, so d in it is refused at load
+    ("analytic_summand_unbound_name", "chu1", [(("summand", "factors", 0, "exp"), "d")],
+     [], 2, "chu1: name 'd' required but not supplied"),
+    # a zero denominator factor in a term of either sum of a pair (as a theorem)
+    ("pair_left_den_vanishes", "conj1a",
+     [(("kind",), "theorem"), (("lhs", "summand", "factors", 2, "exp"), "0")],
+     ["--n", "5"], 1, "zero denominator factor in a term"),
+    ("pair_right_den_vanishes", "conj1a",
+     [(("kind",), "theorem"), (("rhs", "summand", "factors", 1, "exp"), "0")],
+     ["--n", "5"], 1, "zero denominator factor in a term"),
     # a condition dividing by zero at the swept parameter, in each lane
     ("condition_fails_in_congruence_lane", "thm1_1",
      [(("condition",), "n > 1 and n % 2 == 1 and 0 // (n - 7) == 0")],

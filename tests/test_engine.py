@@ -343,17 +343,20 @@ class TestFailureRoute:
         assert witness.coeffs[:3] == (13, 33, 52)
         assert verify_congruence(case, 5).witness == witness
 
-    def test_pair_pole_names_the_first_cyclotomic(self, registry):
+    def test_pair_names_every_pole(self, registry):
         # sum_{k<=n} 1/(q;q)_k against its k = 0 term: the k = n term has a
-        # pole at every Phi_m with m | n, and nothing cancels it
+        # pole of order floor(n/m) at every Phi_m with m | n, and nothing
+        # cancels it
         inverse_q = SummandSpec(prefactor_m="0", prefactor_r="1", q_exp=("0", "0", "0"),
                                 factors=(PochFactor(exp="1", step="1", side="den"),))
         case = dataclasses.replace(registry.get("conj1a"), lhs_pair=PairSide("n", inverse_q),
                                    rhs_pair=PairSide("0", inverse_q))
-        for n, m in ((5, 5), (9, 3)):
+        for n, poles in ((5, "pole of order 1 at the order-5 cyclotomic"),
+                         (9, "pole of order 3 at the order-3 cyclotomic; "
+                             "pole of order 1 at the order-9 cyclotomic")):
             result = verify_conjecture_pair(case, n)
             assert (result.status, result.strategy) == ("obstruction", "fast+oracle")
-            assert result.detail == f"difference has a pole at the order-{m} cyclotomic"
+            assert result.detail == f"{poles}: congruence ill-posed"
 
     def test_every_lane_classifies_through_one_routine(self, registry, monkeypatch):
         calls = []
@@ -640,6 +643,26 @@ class TestIntegerParametricLegs:
         assert fast["detail"] == slow["detail"]
         assert fast["witness"] == slow["witness"]
         assert repr(fast["witness"]) == repr(slow["witness"])
+
+    @pytest.mark.parametrize("which", ["qn", "q-n"])
+    def test_specialized_leg_on_unpaired_parametric_factors(self, registry, which):
+        # thm2 pairs its (aq; q^2) with a (q/a; q^2) of the same exponent,
+        # so a = q^n and a = q^-n give the same sum; with the (aq; q^2)
+        # exponent bent from 1 to 3 they differ, and each leg must put a to
+        # its own power of q
+        case = registry.get("thm2")
+        factors = list(case.summand.factors)
+        assert (factors[2].exp, factors[2].side, factors[2].param) == ("1", "num", "aq")
+        factors[2] = dataclasses.replace(factors[2], exp="3")
+        case = dataclasses.replace(case, summand=dataclasses.replace(case.summand,
+                                                                     factors=tuple(factors)))
+        for n in (5, 7):
+            fast = verify_identity_specialized(case, n, None, which)
+            slow = rational_specialized(case, n, None, which)
+            assert not slow["equal"]
+            assert (fast["equal"], fast["detail"]) == (slow["equal"], slow["detail"])
+            assert fast["witness"] == slow["witness"]
+            assert repr(fast["witness"]) == repr(slow["witness"])
 
     def test_failing_leg_witness_is_pinned(self, registry):
         # thm2 at n = 5 with its bound lowered by one: the a = q^n sum misses
@@ -1047,7 +1070,9 @@ class TestParamRing:
 def rational_pair(case, n):
     """The q_pair failure route before the cross-multiplied one: both sums
     added term by term as reduced rational functions (a gcd at every
-    addition), then poles and the witness read off the reduced difference."""
+    addition), then the oracle's verdict and texts read off the reduced
+    difference: the pole orders from its denominator, the valuations from
+    its numerator (the two are coprime) and the witness as its residue."""
     totals = []
     for pair in (case.lhs_pair, case.rhs_pair):
         summand = concretize_summand(pair.summand, None)
@@ -1057,13 +1082,20 @@ def rational_pair(case, n):
         totals.append(total)
     diff = totals[0] - totals[1]
     support = modulus_support(case.modulus, n)
-    for m in sorted(support):
-        if _phi_valuation(diff.den, cyclotomic(m)) > 0:
-            return "obstruction", None, f"difference has a pole at the order-{m} cyclotomic"
+    if diff.is_zero:
+        return "pass", None, "difference is identically zero"
+    poles = [(m, v) for m in sorted(support) if (v := _phi_valuation(diff.den, cyclotomic(m)))]
+    if poles:
+        return "obstruction", None, "; ".join(
+            f"pole of order {v} at the order-{m} cyclotomic" for m, v in poles
+        ) + ": congruence ill-posed"
+    fails = [(m, v) for m in sorted(support)
+             if (v := _phi_valuation(diff.num.poly_part(), cyclotomic(m))) < support[m]]
+    if not fails:
+        return "pass", None, "difference divisible by the modulus"
     witness = residue_reduce(diff.num, diff.den, modulus_from_support(support))
-    if witness.is_zero:
-        return "pass", None, ""
-    return "fail", witness, "sums disagree"
+    return "fail", witness, "; ".join(
+        f"valuation {v} < {support[m]} at the order-{m} cyclotomic" for m, v in fails)
 
 
 class TestPairClassification:

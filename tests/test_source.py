@@ -1,14 +1,17 @@
 """Source hygiene and the suite's own guards: every definition in the
-package is used by the package, every import is read by its module, and a
-hung test fails."""
+package is used by the package, every import is read by its module, every
+name the benchmark's tracer wraps exists, and a hung test fails."""
 
 import ast
+import importlib
+import importlib.util
 import time
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "supercong"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "supercong"
 
 
 def _names(node):
@@ -102,6 +105,17 @@ def test_guard_flags_a_definition_used_only_by_itself(tmp_path):
         ("a.py", "Box.lonely"), ("a.py", "Box.alone"),
     ]
     assert unread_imports(tmp_path) == [("a.py", "os"), ("a.py", "comb")]
+
+
+def test_every_traced_name_exists():
+    # perfbench/tracing.py wraps these names and raises on a missing one, so
+    # a rename would otherwise fail only the traced benchmark runs
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, attr) for module, attr in tracing.SPANS.values()
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert tracing.SPANS and missing == []
 
 
 def test_wall_clock_guard_fails_a_hang(time_limit):
