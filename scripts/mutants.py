@@ -10,10 +10,10 @@ which stops at the first failing example instead of shrinking it.  The
 whole process group is killed afterwards, so no process outlives its run.
 Mutants run one after another, never in parallel.
 
-A mutant is killed when its tests fail, hung when they pass the deadline,
-and survives when they pass.  Before the mutants, every named test runs
-once on an unmutated copy and must pass; otherwise a kill would prove
-nothing.
+A mutant is killed when its tests fail, hung when they pass the deadline
+(DEADLINE_S, or the mutant's own), and survives when they pass.  Before
+the mutants, every named test runs once on an unmutated copy and must
+pass; otherwise a kill would prove nothing.
 
     python3 scripts/mutants.py                 # every mutant
     python3 scripts/mutants.py --list          # names only
@@ -41,6 +41,9 @@ DEADLINE_S = 300
 COPIED = ("src", "tests", "conftest.py", "pyproject.toml")
 ENGINE = "src/supercong/engine.py"
 EXPRS = "src/supercong/exprs.py"
+PADIC = "src/supercong/padic.py"
+POLYS = "src/supercong/polys.py"
+BLOCK_SWEEP_TEST = "tests/test_padic.py::TestPadicGamma::test_block_sweep_matches_defining_product"
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ class Mutant:
     old: str
     new: str
     tests: tuple[str, ...]
+    deadline: float = DEADLINE_S
 
 
 MUTANTS = (
@@ -119,8 +123,8 @@ MUTANTS = (
     Mutant(
         "cyclotomic_leg_phi_n_only",
         ENGINE,
-        "_cyclotomic_verdict(summand, bound, closed, support, n)\n",
-        "_cyclotomic_verdict(summand, bound, closed, {n: support[n]}, n)\n",
+        "_cyclotomic_verdict(summand, bound, right, support, n)",
+        "_cyclotomic_verdict(summand, bound, right, {n: support[n]}, n)",
         ("tests/test_engine.py::TestIntegerParametricLegs::"
          "test_leg_checks_every_cyclotomic_of_the_modulus",),
     ),
@@ -182,6 +186,58 @@ MUTANTS = (
         ("tests/test_engine.py::TestIntegerParametricLegs::"
          "test_specialized_leg_on_unpaired_parametric_factors",),
     ),
+    Mutant(
+        "leg_aggregation_pass_before_fail",
+        ENGINE,
+        '_WORST_FIRST = ("obstruction", "fail", "pass")',
+        '_WORST_FIRST = ("obstruction", "pass", "fail")',
+        ("tests/test_engine.py::TestVerifyQ::test_a_failing_specialized_leg_fails_the_instance",),
+    ),
+    Mutant(
+        "pole_order_sign",
+        ENGINE,
+        "poles.append((m, -v))",
+        "poles.append((m, v))",
+        ("tests/test_engine.py::TestFailureRoute::test_pair_names_every_pole",),
+    ),
+    Mutant(
+        "block_sweep_horner_order",
+        PADIC,
+        "block = _block_coefficients(ctx)[::-1]",
+        "block = _block_coefficients(ctx)",
+        (BLOCK_SWEEP_TEST,),
+    ),
+    Mutant(
+        "block_sweep_index_off_by_one",
+        PADIC,
+        "value = value * (j // p) + d",
+        "value = value * (j // p + 1) + d",
+        (BLOCK_SWEEP_TEST,),
+    ),
+    Mutant(
+        "block_sweep_past_representative",
+        PADIC,
+        "if j % p == 0 and j + p <= r:",
+        "if j % p == 0 and j + p <= r + 1:",
+        (BLOCK_SWEEP_TEST,),
+    ),
+    Mutant(
+        "block_sweep_step_short",
+        PADIC,
+        "                j += p\n",
+        "                j += p - 1\n",
+        (BLOCK_SWEEP_TEST,),
+    ),
+    # the lift step adds what it should cancel, so its loop never ends: the
+    # row ends hung at its own short deadline
+    Mutant(
+        "residue_lift_step_sign",
+        POLYS,
+        "r = r - modulus.shift(r.low)",
+        "r = r + modulus.shift(r.low)",
+        ("tests/test_engine.py::TestFailureRoute::test_witness_keeps_the_q_shift",),
+        deadline=30,
+    ),
 )
 
 
@@ -204,7 +260,7 @@ def _apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def _run_tests(tree: Path, tests) -> str:
+def _run_tests(tree: Path, tests, deadline: float) -> str:
     """'pass', 'fail', 'hung' or 'error' for pytest on ``tests`` in ``tree``."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -212,7 +268,7 @@ def _run_tests(tree: Path, tests) -> str:
     proc = subprocess.Popen(command, cwd=tree, env=env, start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        code = proc.wait(timeout=DEADLINE_S)
+        code = proc.wait(timeout=deadline)
     except subprocess.TimeoutExpired:
         return "hung"
     finally:
@@ -230,7 +286,7 @@ def _in_copy(mutant, tests) -> str:
         _copy_tree(tree)
         if mutant is not None:
             _apply(tree, mutant)
-        return _run_tests(tree, tests)
+        return _run_tests(tree, tests, mutant.deadline if mutant is not None else DEADLINE_S)
 
 
 def main(argv=None) -> int:

@@ -36,9 +36,11 @@ is monic and free of a, so no field is needed), and the exact residue of
 the difference as witness, folded through the lift before the final
 reduction.  ``oracle_congruence`` feeds it a statement's sum and its right
 side, a closed form or a second sum; it is also the independent second
-route the tests check the fast path against.  A spec value out of its
-domain raises SpecError (ExpressionError is one), which every lane reports
-as an obstruction.
+route the tests check the fast path against.  ``verify_q`` turns every q
+and q_pair instance into a result, one leg per pairwise coprime factor of
+the modulus: the a = q^(+-n) specializations and the cyclotomic verdict.
+A spec value out of its domain raises SpecError (ExpressionError and
+DegenerateFactor are ones), which it reports as an obstruction.
 """
 
 from __future__ import annotations
@@ -828,47 +830,74 @@ def _cyclotomic_verdict(summand: ConcreteSummand, bound: int, right, support: di
     return ("fast+oracle", *oracle_congruence(summand, bound, right, support, n))
 
 
-def verify_congruence(
-    case: CaseDefinition,
-    n: int,
-    d: Optional[int] = None,
-    bound: Optional[str] = None,
-) -> CaseResult:
-    """Check one univariate congruence instance exactly (no tolerance), by
-    ``_cyclotomic_verdict`` over the whole modulus."""
-    bound_expr = bound if bound is not None else case.bounds[0]
-    params = {"n": n, **({"d": d} if d is not None else {}), "bound": bound_expr}
-    done = partial(case_result, case, params, strategy="fast")
+# (modulus factor kind, specialization, label) of the a = q^(+-n) legs
+_SPECIALIZED_LEGS = (("a_minus_qn", "qn", "a=q^n"), ("one_minus_a_qn", "q-n", "a=q^-n"))
+_WORST_FIRST = ("obstruction", "fail", "pass")
+
+
+def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
+    """One q or q_pair instance at params["n"] (and "d"), as the harness
+    plans it: the one place a q-lane result is made.
+
+    One leg per pairwise coprime factor of the modulus (Guo & Zudilin, Adv.
+    Math. 346, 2019): a - q^n and 1 - a q^n by ``verify_identity_specialized``
+    at a = q^(+-n), the cyclotomic part, every Phi_m^e, with a free by
+    ``_cyclotomic_verdict``.  A statement with the parameter a reports
+    parametric_crt and its worst leg, the cyclotomic one labelled "mod
+    Phi_n"; any other reports its one leg as it is.  A SpecError is an
+    obstruction; any other exception escapes.
+    """
+    n, d = params["n"], params.get("d")
+    parametric = is_parametric_case(case)
+    out = {"n": n, **({"d": d} if d is not None else {})}
+    if case.family == "q" and not parametric:
+        out["bound"] = params.get("bound") or case.bounds[0]
+    done = partial(case_result, case, out, strategy="parametric_crt" if parametric else "fast")
+    legs = []   # (label, status, witness, detail)
     try:
         if not case.applies(n=n, d=d):
             return done("skipped", detail="condition not satisfied")
-        summand = concretize_summand(case.summand, d)
-        k_max = _resolve_bound(bound_expr, n, d)
-        closed = concretize_closed_form(case.closed_form, n, d)
+        for kind, which, label in _SPECIALIZED_LEGS:
+            if kind in case.modulus.parametric_kinds():
+                outcome = verify_identity_specialized(case, n, d, which)
+                legs.append((label, "pass" if outcome["equal"] else "fail",
+                             outcome["witness"] and outcome["witness"][0], outcome["detail"]))
         support = modulus_support(case.modulus, n)
-    except (SpecError, DegenerateFactor) as exc:
+        if support or not parametric:
+            sums = ([(side.summand, side.bound) for side in (case.lhs_pair, case.rhs_pair)]
+                    if case.family == "q_pair" else [(case.summand, out.get("bound", case.bounds[0]))])
+            (summand, bound), *rest = [(concretize_summand(spec, d), _resolve_bound(expr, n, d))
+                                       for spec, expr in sums]
+            right = rest[0] if rest else concretize_closed_form(case.closed_form, n, d)
+            strategy, *verdict = _cyclotomic_verdict(summand, bound, right, support, n)
+            legs.append(("mod Phi_n", *verdict))
+    except SpecError as exc:
         return done("obstruction", detail=str(exc))
-    strategy, status, witness, detail = _cyclotomic_verdict(summand, k_max, closed, support, n)
-    return done(status, strategy=strategy, witness=witness, detail=detail)
+    # the first leg of the worst status decides; no leg at all passes
+    _, status, witness, detail = min(legs, key=lambda leg: _WORST_FIRST.index(leg[1]),
+                                     default=("", "pass", None, ""))
+    if not parametric:
+        return done(status, strategy=strategy, witness=witness, detail=detail)
+    return done(status, witness=witness, detail="; ".join(
+        f"{label}: {s}" + (f" ({note})" if note and s != "pass" else "") for label, s, _, note in legs))
+
+
+# One verify_q call each: perfbench/tracing.py times each lane by these
+# names, and verify_q_case dispatches through them so that every instance
+# passes one.  The follow-up to the benchmark refresh (ROADMAP item 1a)
+# deletes them and the dispatch.
+
+def verify_congruence(case: CaseDefinition, n: int, d: Optional[int] = None,
+                      bound: Optional[str] = None) -> CaseResult:
+    return verify_q(case, {"n": n, "d": d, "bound": bound})
 
 
 def verify_conjecture_pair(case: CaseDefinition, n: int) -> CaseResult:
-    """Two truncated sums agree modulo M: decided exactly by
-    ``_cyclotomic_verdict``, with the right sum in place of a closed form."""
-    done = partial(case_result, case, {"n": n}, strategy="fast")
-    try:
-        if not case.applies(n=n):
-            return done("skipped", detail="condition not satisfied")
-        lhs = concretize_summand(case.lhs_pair.summand, None)
-        rhs = concretize_summand(case.rhs_pair.summand, None)
-        lhs_bound = _resolve_bound(case.lhs_pair.bound, n, None)
-        rhs_bound = _resolve_bound(case.rhs_pair.bound, n, None)
-        support = modulus_support(case.modulus, n)
-    except (SpecError, DegenerateFactor) as exc:
-        return done("obstruction", detail=str(exc))
-    strategy, status, witness, detail = _cyclotomic_verdict(lhs, lhs_bound, (rhs, rhs_bound),
-                                                            support, n)
-    return done(status, strategy=strategy, witness=witness, detail=detail)
+    return verify_q(case, {"n": n})
+
+
+def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> CaseResult:
+    return verify_q(case, {"n": n, "d": d})
 
 
 # ---------------------------------------------------------------------------
@@ -971,56 +1000,11 @@ def _param_avatar(f, j: int) -> LaurentPoly:
     return LaurentPoly(*atom(f.exponent_at(j), *_avatar(f.param, _PARAM_A)))
 
 
-def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> CaseResult:
-    """Parametric statements are split over the pairwise coprime modulus
-    factors: (a - q^n) and (1 - a q^n) become the two terminating
-    specializations a = q^{+-n}, and the cyclotomic part, every Phi_m^e of
-    the modulus including those of a factor [n], is decided with a free by
-    ``_cyclotomic_verdict`` (the leg keeps its label "mod Phi_n").
-    The instance passes iff every leg does.
-    """
-    params = {"n": n, **({"d": d} if d is not None else {})}
-    done = partial(case_result, case, params, strategy="parametric_crt")
-    parametric_kinds = case.modulus.parametric_kinds()
-    legs = []
-    try:
-        if not case.applies(n=n, d=d):
-            return done("skipped", detail="condition not satisfied")
-        for kind, which, name in (("a_minus_qn", "qn", "a=q^n"),
-                                  ("one_minus_a_qn", "q-n", "a=q^-n")):
-            if kind in parametric_kinds:
-                outcome = verify_identity_specialized(case, n, d, which)
-                witness = outcome["witness"]
-                legs.append((name, "pass" if outcome["equal"] else "fail",
-                             outcome["detail"], witness and witness[0]))
-        support = modulus_support(case.modulus, n)
-        if support:
-            summand = concretize_summand(case.summand, d)
-            bound = _resolve_bound(case.bounds[0], n, d)
-            closed = concretize_closed_form(case.closed_form, n, d)
-            _, status, witness, detail = _cyclotomic_verdict(summand, bound, closed, support, n)
-            legs.append(("mod Phi_n", status, detail, witness))
-    except (DegenerateFactor, SpecError) as exc:
-        return done("obstruction", detail=str(exc))
-
-    detail = "; ".join(f"{name}: {status}" + (f" ({note})" if note and status != "pass" else "")
-                       for name, status, note, _ in legs)
-    if any(status == "obstruction" for _, status, _, _ in legs):
-        return done("obstruction", detail=detail)
-    for name, status, note, witness in legs:
-        if status == "fail":
-            return done("fail", witness=witness, detail=detail)
-    return done("pass", detail=detail)
-
-
 def is_parametric_case(case: CaseDefinition) -> bool:
     """True when the statement carries the free parameter a, either in the
     modulus (specialization legs) or in the summand (fraction-field leg)."""
-    if case.family != "q":
-        return False
-    if case.modulus.parametric_kinds():
-        return True
-    return any(f.param for f in case.summand.factors)
+    return case.family == "q" and bool(case.modulus.parametric_kinds()
+                                       or any(f.param for f in case.summand.factors))
 
 
 def verify_q_case(case: CaseDefinition, params: dict) -> CaseResult:

@@ -24,12 +24,13 @@ from .exprs import SpecError, eval_bool, eval_fraction, eval_int
 from .polys import LaurentPoly, poly_divrem
 
 
-class DegenerateFactor(ArithmeticError):
+class DegenerateFactor(SpecError):
     """A denominator factor evaluated to the zero polynomial.
 
     Happens when a Pochhammer factor in a denominator reaches exponent 0
     (the factor 1 - q^0), e.g. under an unlucky parameter specialization.
-    The statement is undefined there, which is reported, never skipped.
+    The statement is undefined there: a value out of its domain, so every
+    lane reports it as an obstruction, never skips it.
     """
 
 

@@ -32,6 +32,8 @@ FAMILIES = ("q", "q_pair", "padic", "analytic_identity", "pi_series", "gamma_lim
 # the parameter each family sweeps over; a q record sweeps n, or [d, n] pairs
 SWEEP_KEYS = {"q": ("grid", "n"), "q_pair": ("n",), "padic": ("p",),
               "analytic_identity": ("q",), "pi_series": ("N",), "gamma_limit": ()}
+# the constants analytic.pi_target evaluates, by name
+PI_TARGETS = ("two_sqrt2_over_sqrtpi_gamma34_sq", "neg_sqrt_2pi_over_2_gamma34_sq")
 
 
 class RegistryError(ValueError):
@@ -374,6 +376,30 @@ def _validate_case(case: CaseDefinition) -> None:
     if case.real_lhs is not None and case.real_lhs.kind == "sum" \
             and eval_fraction(case.real_lhs.geometric_base) == 0:
         raise RegistryError(f"{case.id}: zero geometric base")
+    _validate_numeric(case)
+
+
+def _validate_numeric(case: CaseDefinition) -> None:
+    """The numeric families' values lie in the domains analytic.py checks at
+    run time, so a bad one is refused here instead of ending in an error."""
+    for x in case.x_values:
+        try:
+            value = eval_fraction(x)
+        except SpecError as exc:
+            raise RegistryError(f"{case.id}: x value {x!r}: {exc}") from exc
+        if value <= 0:
+            raise RegistryError(f"{case.id}: x value {x!r} is not positive")
+    for q in case.q_values:
+        if not 0 < q < 1:
+            raise RegistryError(f"{case.id}: q value {q!r} is not inside (0, 1)")
+    for q in case.sweep.get("q", ()):
+        if not 0 < abs(q) < 1:
+            raise RegistryError(f"{case.id}: sweep q {q!r} is not inside 0 < |q| < 1")
+    for terms in case.sweep.get("N", ()):
+        if terms < 0:
+            raise RegistryError(f"{case.id}: sweep N {terms} is negative")
+    if case.family == "pi_series" and case.target not in PI_TARGETS:
+        raise RegistryError(f"{case.id}: unknown pi-series target {case.target!r}")
 
 
 def default_registry_path() -> Path:

@@ -16,6 +16,7 @@ from supercong.analytic import (
     verify_analytic_case,
 )
 from supercong.padic import real_partial_sums
+from supercong.registry import PI_TARGETS
 
 
 class TestProducts:
@@ -90,6 +91,13 @@ class TestPiSeries:
             2 * math.sqrt(2) / (math.sqrt(math.pi) * g34 * g34)
         )
         assert pi_target("neg_sqrt_2pi_over_2_gamma34_sq") == pytest.approx(-0.834626, abs=1e-5)
+
+    def test_the_registry_accepts_exactly_the_known_targets(self):
+        # the loader refuses a target outside PI_TARGETS, so every name in it
+        # must evaluate and an unknown one must not
+        assert all(math.isfinite(pi_target(name)) for name in PI_TARGETS)
+        with pytest.raises(ValueError, match="unknown pi-series target"):
+            pi_target("nope")
 
     @pytest.mark.parametrize("cid", ["ram1", "chu3", "thm7_pi"])
     def test_gap_at_60_terms(self, registry, cid):

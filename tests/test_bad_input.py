@@ -65,6 +65,19 @@ BAD_INPUTS = [
     ("condition_fails_in_padic_lane", "vanhamme_g2",
      [(("condition",), "p % 4 == 1 and 0 // (p - 5) == 0")],
      ["--primes", "5"], 1, "division by zero in registry expression"),
+    # numeric-family values outside the domains analytic.py checks at run time
+    ("gamma_limit_x_not_a_number", "gamma_limit", [(("x_values", 0), "1/0")],
+     [], 2, "gamma_limit: x value '1/0': division by zero in registry expression"),
+    ("gamma_limit_x_not_positive", "gamma_limit", [(("x_values", 0), "-1/2")],
+     [], 2, "gamma_limit: x value '-1/2' is not positive"),
+    ("gamma_limit_q_outside_unit_interval", "gamma_limit", [(("q_values", 1), 1.5)],
+     [], 2, "gamma_limit: q value 1.5 is not inside (0, 1)"),
+    ("analytic_sweep_q_outside_unit_disc", "chu1", [(("sweep", "q", 0), 1.5)],
+     [], 2, "chu1: sweep q 1.5 is not inside 0 < |q| < 1"),
+    ("pi_series_sweep_n_negative", "ram1", [(("sweep", "N", 0), -1)],
+     [], 2, "ram1: sweep N -1 is negative"),
+    ("pi_series_target_unknown", "ram1", [(("target",), "nope")],
+     [], 2, "ram1: unknown pi-series target 'nope'"),
 ]
 
 

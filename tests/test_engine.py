@@ -33,6 +33,7 @@ from supercong.engine import (
     verify_conjecture_pair,
     verify_identity_specialized,
     verify_parametric,
+    verify_q,
 )
 from supercong.exprs import eval_int
 from supercong.paramfield import ParamRational
@@ -229,6 +230,85 @@ class TestConjecturePair:
 
     def test_condition_filter(self, registry):
         assert verify_conjecture_pair(registry.get("conj1a"), 7).status == "skipped"
+
+
+def q_results_agree(left, right):
+    assert left.to_dict(include_timing=False) == right.to_dict(include_timing=False)
+    assert repr(left.witness) == repr(right.witness)
+
+
+class TestVerifyQ:
+    """verify_q is the one body behind the three lane names, and keeps the
+    bytes each of them made."""
+
+    @pytest.mark.parametrize("cid, params, entry", [
+        ("thm1_1", {"n": 5}, lambda case: verify_congruence(case, 5)),
+        ("thm3_1", {"n": 9, "d": 2}, lambda case: verify_congruence(case, 9, 2)),
+        ("qG2", {"n": 9, "bound": "n-1"}, lambda case: verify_congruence(case, 9, bound="n-1")),
+        ("thm7", {"n": 4, "d": 3}, lambda case: verify_congruence(case, 4, 3)),
+        ("conj1a", {"n": 5}, lambda case: verify_conjecture_pair(case, 5)),
+        ("thm2", {"n": 5}, lambda case: verify_parametric(case, 5)),
+        ("lemma2", {"n": 5, "d": 3}, lambda case: verify_parametric(case, 5, 3)),
+    ], ids=["q", "q_with_d", "q_second_bound", "q_fails", "q_pair", "parametric",
+            "parametric_fails"])
+    def test_equals_its_entry_point(self, registry, cid, params, entry):
+        case = registry.get(cid)
+        result = verify_q(case, params)
+        q_results_agree(result, entry(case))
+        q_results_agree(result, engine.verify_q_case(case, params))
+
+    def test_result_params(self, registry):
+        # a plain q result always names its bound, the first one by default
+        assert verify_q(registry.get("thm1_1"), {"n": 5}).params == {"n": 5, "bound": "(n-1)/2"}
+        assert verify_q(registry.get("qG2"), {"n": 9}).params == {"n": 9, "bound": "(n-1)/4"}
+        assert verify_q(registry.get("conj1a"), {"n": 5}).params == {"n": 5}
+        assert verify_q(registry.get("thm2"), {"n": 5}).params == {"n": 5}
+        assert verify_q(registry.get("lemma2"), {"n": 5, "d": 3}).params == {"n": 5, "d": 3}
+
+    def test_skip_and_obstruction_strategies(self, registry):
+        # a parametric instance reports parametric_crt whatever its status,
+        # any other reports fast when no leg ran
+        thm2 = registry.get("thm2")
+        product = dataclasses.replace(thm2.specialized_product,
+                                      den=("0",) + thm2.specialized_product.den[1:])
+        outcomes = [
+            (thm2, {"n": 4}, "skipped", "parametric_crt", "condition not satisfied"),
+            (dataclasses.replace(thm2, specialized_product=product), {"n": 5}, "obstruction",
+             "parametric_crt", "infinite product has a vanishing denominator factor"),
+            (registry.get("thm1_1"), {"n": 4}, "skipped", "fast", "condition not satisfied"),
+            (dataclasses.replace(registry.get("thm1_1"), bounds=("n-9",)), {"n": 5},
+             "obstruction", "fast", "negative truncation bound -4"),
+            (registry.get("conj1a"), {"n": 7}, "skipped", "fast", "condition not satisfied"),
+        ]
+        for case, params, status, strategy, detail in outcomes:
+            result = verify_q(case, params)
+            assert (result.status, result.strategy, result.detail) == (status, strategy, detail)
+            assert result.witness is None
+
+    def test_a_failing_specialized_leg_fails_the_instance(self, registry):
+        # thm2 with its telescoping product's sign flipped: both a = q^(+-n)
+        # legs fail, the cyclotomic leg still passes, and the first failing
+        # leg's witness is the instance's
+        case = registry.get("thm2")
+        case = dataclasses.replace(case, specialized_product=dataclasses.replace(
+            case.specialized_product, sign=-1))
+        result = verify_q(case, {"n": 5})
+        leg = verify_identity_specialized(case, 5, None, "qn")
+        assert (result.status, result.strategy) == ("fail", "parametric_crt")
+        assert result.detail == (
+            "a=q^n: fail (sum at a = q^+n differs from the telescoped product); "
+            "a=q^-n: fail (sum at a = q^-n differs from the telescoped product); "
+            "mod Phi_n: pass")
+        assert repr(result.witness) == repr(leg["witness"][0])
+
+    def test_only_a_spec_error_is_an_obstruction(self, registry, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+        monkeypatch.setattr(engine, "_cyclotomic_verdict", overflow)
+        for cid in ("thm1_1", "conj1a", "lemma1"):
+            with pytest.raises(OverflowError):
+                verify_q(registry.get(cid), {"n": 5, "d": 2})
 
 
 class TestDeskFindings:

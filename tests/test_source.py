@@ -1,10 +1,15 @@
 """Source hygiene and the suite's own guards: every definition in the
 package is used by the package, every import is read by its module, every
-name the benchmark's tracer wraps exists, and a hung test fails."""
+name the benchmark's tracer wraps exists and is called by one instance
+per lane, every mutation-table row applies, and a hung test fails."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -107,15 +112,62 @@ def test_guard_flags_a_definition_used_only_by_itself(tmp_path):
     assert unread_imports(tmp_path) == [("a.py", "os"), ("a.py", "comb")]
 
 
+def _script_module(path: Path):
+    """The module at ``path``, outside the package, executed once."""
+    if path.stem not in sys.modules:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        sys.modules[path.stem] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[path.stem])
+    return sys.modules[path.stem]
+
+
 def test_every_traced_name_exists():
     # perfbench/tracing.py wraps these names and raises on a missing one, so
     # a rename would otherwise fail only the traced benchmark runs
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _script_module(ROOT / "perfbench" / "tracing.py")
     missing = [(module, attr) for module, attr in tracing.SPANS.values()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert tracing.SPANS and missing == []
+
+
+# One instance per lane under the benchmark's tracer: a congruence through
+# harness.run, then a pair, a parametric statement (both specialized legs),
+# a failing congruence (the oracle), a p-adic and a numeric instance.
+TRACE_EVERY_LANE = """
+import json
+from tracing import SPANS, Tracer, install, layer_times
+tracer = Tracer()
+install(tracer)
+from supercong import harness, registry
+catalog = registry.load_registry()
+harness.run(harness.RunConfig(case_ids=["thm1_1"], n_values=[5]), catalog)
+for case_id, params in (("conj1a", {"n": 5}), ("thm2", {"n": 5}), ("thm7", {"d": 3, "n": 4}),
+                        ("vanhamme_g2", {"p": 5}), ("chu1", {"q": 0.5})):
+    harness.execute_job(catalog, case_id, params, None)
+calls = layer_times(tracer.spans)
+print(json.dumps({name: calls.get(name, {}).get("calls", 0) for name in SPANS}))
+"""
+
+
+def test_every_traced_name_records_a_call():
+    # a refactor that routes instances around a traced name would leave its
+    # benchmark metrics at zero; the tracer rebinds names for good, so it
+    # runs in a process of its own
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src")))
+    proc = subprocess.run([sys.executable, "-c", TRACE_EVERY_LANE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls and {name: count for name, count in calls.items() if count < 1} == {}
+
+
+def test_every_mutant_applies_once():
+    # scripts/mutants.py refuses a mutant whose old text is not found exactly
+    # once; this finds such a row without running the mutants
+    mutants = _script_module(ROOT / "scripts" / "mutants.py")
+    counts = {m.name: (ROOT / m.file).read_text(encoding="utf-8").count(m.old)
+              for m in mutants.MUTANTS}
+    assert counts and {name: c for name, c in counts.items() if c != 1} == {}
 
 
 def test_wall_clock_guard_fails_a_hang(time_limit):
