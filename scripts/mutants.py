@@ -43,6 +43,8 @@ ENGINE = "src/supercong/engine.py"
 EXPRS = "src/supercong/exprs.py"
 PADIC = "src/supercong/padic.py"
 POLYS = "src/supercong/polys.py"
+QOBJECTS = "src/supercong/qobjects.py"
+REGISTRY = "src/supercong/registry.py"
 BLOCK_SWEEP_TEST = "tests/test_padic.py::TestPadicGamma::test_block_sweep_matches_defining_product"
 
 
@@ -227,6 +229,29 @@ MUTANTS = (
         "                j += p\n",
         "                j += p - 1\n",
         (BLOCK_SWEEP_TEST,),
+    ),
+    Mutant(
+        "select_branch_ignores_when",
+        QOBJECTS,
+        'if branch.when == "True" or eval_bool(branch.when, **names):',
+        "if True:",
+        ("tests/test_qobjects.py::TestClosedForm::test_vanishing_branch",
+         "tests/test_padic.py::TestCaseDriver::test_zero_branch"),
+    ),
+    Mutant(
+        "product_parser_swaps_num_den",
+        REGISTRY,
+        'num=_exprs(obj["num"]), den=_exprs(obj["den"])',
+        'num=_exprs(obj["den"]), den=_exprs(obj["num"])',
+        ("tests/test_analytic.py::TestIdentities::test_q_identities",
+         "tests/test_engine.py::TestTelescopedProduct::test_finite_form_matches_the_infinite_products"),
+    ),
+    Mutant(
+        "expr_integer_off_by_one",
+        REGISTRY,
+        "return str(value)",
+        "return str(value + 1)",
+        ("tests/test_registry.py::TestExpressionFields::test_integers_load_like_their_text",),
     ),
     # the lift step adds what it should cancel, so its loop never ends: the
     # row ends hung at its own short deadline

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .engine import CaseResult, case_result
-from .exprs import eval_fraction
+from .exprs import eval_fraction, eval_int
 from .padic import real_partial_sums
 from .qobjects import ConcreteSummand, concretize_summand
 from .registry import CaseDefinition
@@ -87,12 +87,9 @@ class IdentityCheck:
 
 def _product_spec_value(case: CaseDefinition, q: float) -> float:
     rp = case.rhs_product
-    num = 1.0
-    for e in rp.num:
-        num *= q_product_infinite(e, rp.base, q)
-    den = 1.0
-    for e in rp.den:
-        den *= q_product_infinite(e, rp.base, q)
+    base = eval_int(rp.base)
+    num, den = (math.prod(q_product_infinite(eval_int(e), base, q) for e in side)
+                for side in (rp.num, rp.den))
     return rp.sign * num / den
 
 
@@ -146,7 +143,7 @@ def check_identity_numeric(
     """Evaluate both sides independently; relative residual against tol."""
     if not 0 < abs(q) < 1:
         raise ValueError("identity checks need 0 < |q| < 1")
-    tol = tol if tol is not None else (case.tol or 1e-10)
+    tol = tol if tol is not None else case.tol
     if case.builtin == "rahman":
         p = params or {}
         a = p.get("a", DEFAULT_RAHMAN_PARAMS[0])
@@ -215,7 +212,7 @@ def check_pi_formula(case: CaseDefinition, n_terms: int, tol: Optional[float] = 
     """
     if n_terms < 0:
         raise ValueError("need at least the k = 0 term")
-    tol = tol if tol is not None else (case.tol or 1e-9)
+    tol = tol if tol is not None else case.tol
     target = pi_target(case.target)
     partials = real_partial_sums(case.real_lhs, n_terms)
     raw = partials[-1]

@@ -71,7 +71,7 @@ from .qobjects import (
     q_bracket,
     q_integer,
 )
-from .registry import CaseDefinition, SpecializedProduct
+from .registry import CaseDefinition, ProductSpec
 
 
 @dataclass
@@ -848,7 +848,7 @@ def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
     obstruction; any other exception escapes.
     """
     n, d = params["n"], params.get("d")
-    parametric = is_parametric_case(case)
+    parametric = case.parametric
     out = {"n": n, **({"d": d} if d is not None else {})}
     if case.family == "q" and not parametric:
         out["bound"] = params.get("bound") or case.bounds[0]
@@ -904,7 +904,7 @@ def verify_parametric(case: CaseDefinition, n: int, d: Optional[int] = None) -> 
 # parametric lane: terminating specializations + cyclotomic leg in a
 # ---------------------------------------------------------------------------
 
-def _telescoped_form(sp: SpecializedProduct, n: int, d: Optional[int]) -> ConcreteClosedForm:
+def _telescoped_form(sp: ProductSpec, n: int, d: Optional[int]) -> ConcreteClosedForm:
     """The infinite-product right side as the finite ratio it telescopes to.
 
     Within each residue class mod the base s, numerator and denominator
@@ -1000,17 +1000,10 @@ def _param_avatar(f, j: int) -> LaurentPoly:
     return LaurentPoly(*atom(f.exponent_at(j), *_avatar(f.param, _PARAM_A)))
 
 
-def is_parametric_case(case: CaseDefinition) -> bool:
-    """True when the statement carries the free parameter a, either in the
-    modulus (specialization legs) or in the summand (fraction-field leg)."""
-    return case.family == "q" and bool(case.modulus.parametric_kinds()
-                                       or any(f.param for f in case.summand.factors))
-
-
 def verify_q_case(case: CaseDefinition, params: dict) -> CaseResult:
     """Dispatch one q-family instance (used by the harness)."""
     if case.family == "q_pair":
         return verify_conjecture_pair(case, params["n"])
-    if is_parametric_case(case):
+    if case.parametric:
         return verify_parametric(case, params["n"], params.get("d"))
     return verify_congruence(case, params["n"], params.get("d"), bound=params.get("bound"))

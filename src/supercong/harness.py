@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import random
 import time
@@ -29,7 +28,7 @@ from . import __version__
 from .analytic import verify_analytic_case
 from .engine import CaseResult, case_result, verify_q_case
 from .padic import verify_padic_case
-from .registry import CaseDefinition, Registry, iter_sweep_params, load_registry
+from .registry import CaseDefinition, Registry, iter_sweep_params, load_registry, valid_tolerance
 
 _log = logging.getLogger(__name__)
 
@@ -61,7 +60,7 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ConfigError("worker count must be >= 1")
-        if self.tol is not None and not (self.tol >= 0 and math.isfinite(self.tol)):
+        if self.tol is not None and not valid_tolerance(self.tol):
             raise ConfigError(f"tolerance must be a finite nonnegative number, got {self.tol}")
 
 
@@ -283,9 +282,11 @@ def _job_map(registry: Registry, workers: int, count: int):
 # cache
 # ---------------------------------------------------------------------------
 
-def _cache_key(job: tuple[str, str], digest: str) -> str:
+def _cache_key(job: tuple[str, str], digest: str, tol: Optional[float]) -> str:
+    """The entry's key: a run with a --tol override keys its entries by it,
+    and a run without one keeps the plain key."""
     case_id, params_json = job
-    return f"{case_id}|{digest}|{params_json}"
+    return f"{case_id}|{digest}|{params_json}" + ("" if tol is None else f"|tol={tol!r}")
 
 
 def _load_cache(path: str, digest: str) -> dict[str, dict]:
@@ -360,7 +361,7 @@ def run(config: RunConfig, registry: Optional[Registry] = None) -> Report:
             for case_id, params in plan_jobs(registry, config)}
     with _open_cache(config.cache_path) if config.use_cache else nullcontext() as cache_file:
         cache = _load_cache(config.cache_path, registry.digest) if config.use_cache else {}
-        keys = {job: _cache_key(job, registry.digest) for job in jobs}
+        keys = {job: _cache_key(job, registry.digest, config.tol) for job in jobs}
         hits = {job: cache[key] for job, key in keys.items() if key in cache}
         misses = [job for job in jobs if job not in hits]
         tasks = [(case_id, jobs[case_id, params_json], config.tol) for case_id, params_json in misses]

@@ -23,8 +23,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .engine import CaseResult, case_result
-from .exprs import eval_bool, eval_fraction, eval_int
-from .qobjects import SpecError
+from .exprs import eval_fraction, eval_int
+from .qobjects import SpecError, select_branch
 from .registry import CaseDefinition, PadicRhsBranch, RealSumSpec
 
 
@@ -177,8 +177,9 @@ def real_partial_sums(spec: RealSumSpec, bound: int, p: Optional[int] = None) ->
     return sums
 
 
-def rising_ratio_value(spec: RealSumSpec, p: int) -> Fraction:
-    """p^p_power * prod (x)_L / prod (y)_L, exact."""
+def rising_ratio_value(spec: RealSumSpec | PadicRhsBranch, p: int) -> Fraction:
+    """p^p_power * prod (x)_L / prod (y)_L, exact: a rising-ratio left side
+    or right-side branch, whose num and den are (x, L) pairs."""
     out = Fraction(p) ** spec.p_power
     for base, length in spec.num:
         out *= rising_factorial(eval_fraction(base, p=p), eval_int(length, p=p))
@@ -187,21 +188,12 @@ def rising_ratio_value(spec: RealSumSpec, p: int) -> Fraction:
     return out
 
 
-def _rhs_branch(branches, p: int) -> PadicRhsBranch:
-    for branch in branches:
-        if branch.when == "True" or eval_bool(branch.when, p=p):
-            return branch
-    raise SpecError(f"no p-adic right side applies at p={p}")
-
-
 def _rhs_value(branch: PadicRhsBranch, p: int, threshold: int):
     """Either ("exact", Fraction) or ("residue", int lift)."""
     if branch.kind == "zero":
         return "exact", Fraction(0)
     if branch.kind == "rising_ratio":
-        spec = RealSumSpec(kind="rising_ratio", num=branch.num, den=branch.den,
-                           p_power=branch.p_power)
-        return "exact", Fraction(branch.sign) * rising_ratio_value(spec, p)
+        return "exact", Fraction(branch.sign) * rising_ratio_value(branch, p)
     if branch.kind == "gamma_ratio":
         ctx = PadicContext(p, threshold)
         args = [eval_fraction(b, p=p) for b in branch.num] + [eval_fraction(b, p=p) for b in branch.den]
@@ -240,7 +232,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
             lhs = real_partial_sums(case.real_lhs, bound, p=p)[-1]
         else:
             lhs = rising_ratio_value(case.real_lhs, p)
-        mode, rhs = _rhs_value(_rhs_branch(case.padic_rhs, p), p, threshold)
+        mode, rhs = _rhs_value(select_branch(case.padic_rhs, "p-adic right side", p=p), p, threshold)
     except SpecError as exc:
         return done("obstruction", detail=str(exc))
     diff = lhs - Fraction(rhs) if mode == "exact" else lhs - rhs

@@ -248,39 +248,41 @@ class ConcreteClosedForm:
     den: tuple[tuple[int, int, int], ...] = ()
 
 
+def select_branch(branches, what: str, **names):
+    """The first of ``branches`` whose ``when`` holds at ``names``: the one
+    branch selector of closed forms and p-adic right sides.  When none
+    applies it raises SpecError "no <what> applies at <names>"."""
+    for branch in branches:
+        if branch.when == "True" or eval_bool(branch.when, **names):
+            return branch
+    raise SpecError(f"no {what} applies at " + ", ".join(f"{k}={v}" for k, v in names.items()))
+
+
 def concretize_closed_form(
     branches: tuple[ClosedFormBranch, ...], n: int, d: Optional[int]
 ) -> ConcreteClosedForm:
     names = {"n": n, "d": d}
-    for branch in branches:
-        if branch.when == "True" or eval_bool(branch.when, **names):
-            if branch.kind == "zero":
-                return ConcreteClosedForm(kind="zero")
-            num = tuple(
-                (eval_int(f.exp, **names), eval_int(f.step, **names), eval_int(f.length, **names))
-                for f in branch.num
-            )
-            den = tuple(
-                (eval_int(f.exp, **names), eval_int(f.step, **names), eval_int(f.length, **names))
-                for f in branch.den
-            )
-            for c, s, length in num + den:
-                if length < 0:
-                    raise SpecError(f"negative closed-form length {length}")
-                if s < 1:
-                    raise SpecError("closed-form step must be positive")
-            for c, s, length in den:   # a factor 1 - q^0 leaves the ratio undefined
-                if c <= 0 and c % s == 0 and -c < s * length:
-                    raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
-            return ConcreteClosedForm(
-                kind="ratio",
-                sign=branch.sign,
-                shift=eval_int(branch.q_shift, **names),
-                n_multiplier=branch.n_multiplier,
-                num=num,
-                den=den,
-            )
-    raise SpecError(f"no closed-form branch applies at n={n}, d={d}")
+    branch = select_branch(branches, "closed-form branch", **names)
+    if branch.kind == "zero":
+        return ConcreteClosedForm(kind="zero")
+    num, den = (tuple((eval_int(f.exp, **names), eval_int(f.step, **names), eval_int(f.length, **names))
+                      for f in side) for side in (branch.num, branch.den))
+    for c, s, length in num + den:
+        if length < 0:
+            raise SpecError(f"negative closed-form length {length}")
+        if s < 1:
+            raise SpecError("closed-form step must be positive")
+    for c, s, length in den:   # a factor 1 - q^0 leaves the ratio undefined
+        if c <= 0 and c % s == 0 and -c < s * length:
+            raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
+    return ConcreteClosedForm(
+        kind="ratio",
+        sign=branch.sign,
+        shift=eval_int(branch.q_shift, **names),
+        n_multiplier=branch.n_multiplier,
+        num=num,
+        den=den,
+    )
 
 
 def modulus_support(spec: ModulusSpec, n: int) -> dict[int, int]:

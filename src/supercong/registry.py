@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .exprs import eval_bool, eval_fraction
+from .exprs import eval_bool, eval_fraction, eval_int
 from .qobjects import (
     ClosedFormBranch,
     ClosedLen,
@@ -38,17 +39,6 @@ PI_TARGETS = ("two_sqrt2_over_sqrtpi_gamma34_sq", "neg_sqrt_2pi_over_2_gamma34_s
 
 class RegistryError(ValueError):
     """The registry file is malformed or violates a catalog invariant."""
-
-
-@dataclass(frozen=True)
-class SpecializedProduct:
-    """Telescoping infinite-product right side used at a = q^{+-n}:
-    sign * prod (q^e; q^base)_inf over num / same over den."""
-
-    base: str
-    num: tuple[str, ...]
-    den: tuple[str, ...]
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -83,9 +73,13 @@ class RealSumSpec:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    base: int
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    """sign * prod (q^e; q^base)_inf over num / the same over den: a q
+    record's telescoping right side at a = q^{+-n} (expressions in n and
+    d), or an analytic identity's right side (integers)."""
+
+    base: str
+    num: tuple[str, ...]
+    den: tuple[str, ...]
     sign: int
 
 
@@ -105,7 +99,7 @@ class CaseDefinition:
     summand: Optional[SummandSpec] = None
     closed_form: Optional[tuple[ClosedFormBranch, ...]] = None
     modulus: Optional[ModulusSpec] = None
-    specialized_product: Optional[SpecializedProduct] = None
+    specialized_product: Optional[ProductSpec] = None
     # q_pair family
     lhs_pair: Optional[PairSide] = None
     rhs_pair: Optional[PairSide] = None
@@ -126,6 +120,13 @@ class CaseDefinition:
     def observe(self) -> bool:
         """Conjectures run in observe mode: recorded, never suite errors."""
         return self.kind == "conjecture"
+
+    @property
+    def parametric(self) -> bool:
+        """A q record whose summand or modulus carries the parameter a: its
+        instances run the a = q^(+-n) legs and the cyclotomic leg over Z[a]."""
+        return self.family == "q" and bool(self.modulus.parametric_kinds()
+                                           or any(f.param for f in self.summand.factors))
 
     def applies(self, **params) -> bool:
         """The condition at ``params``.  A condition out of its domain there
@@ -160,40 +161,60 @@ class Registry:
             raise RegistryError(f"unknown case id {case_id!r}") from None
 
 
+def _expr(value) -> str:
+    """The one reading of a registry expression: a string as it is, a JSON
+    integer (not a bool) as its decimal text.  Anything else is refused, and
+    _read_case names the record."""
+    if isinstance(value, str):
+        return value
+    if _is_int(value):
+        return str(value)
+    raise TypeError(f"an expression must be a string or an integer, got {value!r}")
+
+
+def _exprs(values) -> tuple[str, ...]:
+    return tuple(map(_expr, values))
+
+
+def _pairs(values) -> tuple[tuple[str, str], ...]:
+    """(base, length) pairs of rising factorials, as expressions."""
+    return tuple((_expr(base), _expr(length)) for base, length in values)
+
+
 def _summand_from_json(obj: dict) -> SummandSpec:
     factors = tuple(
         PochFactor(
-            exp=f["exp"],
-            step=f["step"],
+            exp=_expr(f["exp"]),
+            step=_expr(f["step"]),
             side=f["side"],
             power=int(f.get("power", 1)),
             param=f.get("param", ""),
         )
         for f in obj["factors"]
     )
-    return SummandSpec(
-        prefactor_m=obj["prefactor"][0],
-        prefactor_r=obj["prefactor"][1],
-        q_exp=tuple(obj["q_exp"]),
-        factors=factors,
-    )
+    m, r = _exprs(obj["prefactor"])
+    return SummandSpec(prefactor_m=m, prefactor_r=r, q_exp=_exprs(obj["q_exp"]), factors=factors)
 
 
 def _closed_form_from_json(obj: list) -> tuple[ClosedFormBranch, ...]:
-    branches = []
-    for b in obj:
-        branches.append(
-            ClosedFormBranch(
-                when=b["when"],
-                kind=b["kind"],
-                num=tuple(ClosedLen(f["exp"], f["step"], f["length"]) for f in b.get("num", ())),
-                den=tuple(ClosedLen(f["exp"], f["step"], f["length"]) for f in b.get("den", ())),
-                n_multiplier=bool(b.get("n_multiplier", False)),
-                q_shift=b.get("q_shift", "0"),
-                sign=int(b.get("sign", 1)),
-            )
+    return tuple(
+        ClosedFormBranch(
+            when=_expr(b["when"]),
+            kind=b["kind"],
+            num=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("num", ())),
+            den=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("den", ())),
+            n_multiplier=bool(b.get("n_multiplier", False)),
+            q_shift=_expr(b.get("q_shift", "0")),
+            sign=int(b.get("sign", 1)),
         )
-    return tuple(branches)
+        for b in obj
+    )
+
+
+def _product_from_json(obj: dict) -> ProductSpec:
+    """A specialized_product or an rhs_product."""
+    return ProductSpec(base=_expr(obj["base"]), num=_exprs(obj["num"]), den=_exprs(obj["den"]),
+                       sign=int(obj.get("sign", 1)))
 
 
 def _modulus_from_json(obj: dict) -> ModulusSpec:
@@ -207,14 +228,22 @@ def _modulus_from_json(obj: dict) -> ModulusSpec:
 def _real_sum_from_json(obj: dict) -> RealSumSpec:
     return RealSumSpec(
         kind=obj["kind"],
-        prefactor=tuple(obj.get("prefactor", ("0", "0"))),
-        rising=tuple((base, int(power)) for base, power in obj.get("rising", ())),
+        prefactor=_exprs(obj.get("prefactor", ("0", "0"))),
+        rising=tuple((_expr(base), int(power)) for base, power in obj.get("rising", ())),
         factorial_power=int(obj.get("factorial_power", 0)),
-        geometric_base=str(obj.get("geometric_base", "1")),
-        num=tuple(tuple(pair) for pair in obj.get("num", ())),
-        den=tuple(tuple(pair) for pair in obj.get("den", ())),
+        geometric_base=_expr(obj.get("geometric_base", "1")),
+        num=_pairs(obj.get("num", ())),
+        den=_pairs(obj.get("den", ())),
         p_power=int(obj.get("p_power", 0)),
     )
+
+
+def _padic_rhs_from_json(obj: dict) -> PadicRhsBranch:
+    # a rising ratio multiplies (base, length) pairs, a Gamma_p ratio arguments
+    read = _pairs if obj["kind"] == "rising_ratio" else _exprs
+    return PadicRhsBranch(when=_expr(obj["when"]), kind=obj["kind"], num=read(obj.get("num", ())),
+                          den=read(obj.get("den", ())), p_power=int(obj.get("p_power", 0)),
+                          sign=int(obj.get("sign", 1)))
 
 
 def _is_int(value) -> bool:
@@ -260,7 +289,7 @@ def _case_from_json(obj: dict) -> CaseDefinition:
         family=family,
         anchor=obj.get("anchor", ""),
         notes=obj.get("notes", ""),
-        condition=obj.get("condition", "True"),
+        condition=_expr(obj.get("condition", "True")),
         flags=tuple(obj.get("flags", ())),
         sweep=_sweep_from_json(case_id, family, obj.get("sweep", {})),
     )
@@ -268,55 +297,32 @@ def _case_from_json(obj: dict) -> CaseDefinition:
     if family in ("q",):
         kwargs.update(
             d_values=tuple(obj["d_values"]) if obj.get("d_values") else None,
-            bounds=tuple(obj["bounds"]),
+            bounds=_exprs(obj["bounds"]),
             summand=_summand_from_json(obj["summand"]),
             closed_form=_closed_form_from_json(obj["closed_form"]),
             modulus=_modulus_from_json(obj["modulus"]),
         )
         if "specialized_product" in obj:
-            sp = obj["specialized_product"]
-            kwargs.update(
-                specialized_product=SpecializedProduct(
-                    base=sp["base"], num=tuple(sp["num"]), den=tuple(sp["den"]), sign=int(sp["sign"])
-                )
-            )
+            kwargs.update(specialized_product=_product_from_json(obj["specialized_product"]))
     elif family == "q_pair":
         kwargs.update(
-            lhs_pair=PairSide(obj["lhs"]["bound"], _summand_from_json(obj["lhs"]["summand"])),
-            rhs_pair=PairSide(obj["rhs"]["bound"], _summand_from_json(obj["rhs"]["summand"])),
+            lhs_pair=PairSide(_expr(obj["lhs"]["bound"]), _summand_from_json(obj["lhs"]["summand"])),
+            rhs_pair=PairSide(_expr(obj["rhs"]["bound"]), _summand_from_json(obj["rhs"]["summand"])),
             modulus=_modulus_from_json(obj["modulus"]),
         )
     elif family == "padic":
         kwargs.update(
             threshold=int(obj["threshold"]),
-            padic_bound=obj.get("bound"),
+            padic_bound=None if obj.get("bound") is None else _expr(obj["bound"]),
             real_lhs=_real_sum_from_json(obj["lhs"]),
-            padic_rhs=tuple(
-                PadicRhsBranch(
-                    when=b["when"],
-                    kind=b["kind"],
-                    num=tuple(tuple(x) if isinstance(x, list) else x for x in b.get("num", ())),
-                    den=tuple(tuple(x) if isinstance(x, list) else x for x in b.get("den", ())),
-                    p_power=int(b.get("p_power", 0)),
-                    sign=int(b.get("sign", 1)),
-                )
-                for b in obj["rhs"]
-            ),
+            padic_rhs=tuple(map(_padic_rhs_from_json, obj["rhs"])),
         )
     elif family == "analytic_identity":
         kwargs.update(builtin=obj.get("builtin"), tol=float(obj.get("tol", 1e-10)))
         if "summand" in obj:
             kwargs.update(summand=_summand_from_json(obj["summand"]))
         if "rhs_product" in obj:
-            rp = obj["rhs_product"]
-            kwargs.update(
-                rhs_product=ProductSpec(
-                    base=int(rp["base"]),
-                    num=tuple(rp["num"]),
-                    den=tuple(rp["den"]),
-                    sign=int(rp.get("sign", 1)),
-                )
-            )
+            kwargs.update(rhs_product=_product_from_json(obj["rhs_product"]))
         if kwargs.get("builtin") is None and "summand" not in obj:
             raise RegistryError(f"{case_id}: analytic identity needs a summand or builtin")
     elif family == "pi_series":
@@ -327,7 +333,7 @@ def _case_from_json(obj: dict) -> CaseDefinition:
         )
     elif family == "gamma_limit":
         kwargs.update(
-            x_values=tuple(obj.get("x_values", ())),
+            x_values=_exprs(obj.get("x_values", ())),
             q_values=tuple(float(v) for v in obj.get("q_values", ())),
         )
     return CaseDefinition(**kwargs)
@@ -363,6 +369,8 @@ def _validate_case(case: CaseDefinition) -> None:
                 raise RegistryError(f"{case.id}: parametric modulus needs specialized_product")
             if case.family == "q" and not case.modulus.factors:
                 raise RegistryError(f"{case.id}: empty modulus")
+    if case.family == "q":
+        _validate_q_plan(case)
     if case.family == "padic":
         if case.threshold is None or case.threshold < 1:
             raise RegistryError(f"{case.id}: p-adic threshold must be >= 1")
@@ -371,12 +379,33 @@ def _validate_case(case: CaseDefinition) -> None:
                 raise RegistryError(f"{case.id}: unknown p-adic rhs kind {branch.kind!r}")
         if case.real_lhs.kind not in ("sum", "rising_ratio"):
             raise RegistryError(f"{case.id}: unknown p-adic lhs kind {case.real_lhs.kind!r}")
-        if case.real_lhs.kind == "sum" and not isinstance(case.padic_bound, str):
+        if case.real_lhs.kind == "sum" and case.padic_bound is None:
             raise RegistryError(f"{case.id}: a p-adic sum needs a bound expression")
     if case.real_lhs is not None and case.real_lhs.kind == "sum" \
             and eval_fraction(case.real_lhs.geometric_base) == 0:
         raise RegistryError(f"{case.id}: zero geometric base")
     _validate_numeric(case)
+
+
+def _validate_q_plan(case: CaseDefinition) -> None:
+    """A q record plans what verify_q decides: one bound when the parameter
+    a is in its summand or modulus (a parametric instance is decided at the
+    first bound), and a [d, n] grid exactly when it has d values, every d
+    of the grid one of them."""
+    if not case.bounds:
+        raise RegistryError(f"{case.id}: a q record needs a bound")
+    if case.parametric and len(case.bounds) > 1:
+        raise RegistryError(f"{case.id}: a parametric record takes one bound, got {len(case.bounds)}")
+    if bool(case.d_values) != ("grid" in case.sweep):
+        raise RegistryError(f"{case.id}: a q record sweeps a [d, n] grid exactly when it has d_values")
+    for d, _ in case.sweep.get("grid", ()):
+        if d not in case.d_values:
+            raise RegistryError(f"{case.id}: sweep d={d} is not one of its d_values {list(case.d_values)}")
+
+
+def valid_tolerance(tol: float) -> bool:
+    """The one rule for a tolerance, a record's tol or a run's --tol."""
+    return tol >= 0 and math.isfinite(tol)
 
 
 def _validate_numeric(case: CaseDefinition) -> None:
@@ -400,6 +429,17 @@ def _validate_numeric(case: CaseDefinition) -> None:
             raise RegistryError(f"{case.id}: sweep N {terms} is negative")
     if case.family == "pi_series" and case.target not in PI_TARGETS:
         raise RegistryError(f"{case.id}: unknown pi-series target {case.target!r}")
+    if case.tol is not None and not valid_tolerance(case.tol):
+        raise RegistryError(f"{case.id}: tolerance must be a finite nonnegative number, got {case.tol}")
+    if case.rhs_product is not None:
+        product = case.rhs_product
+        for entry in (product.base, *product.num, *product.den):
+            try:
+                eval_int(entry)
+            except SpecError as exc:
+                raise RegistryError(f"{case.id}: rhs_product entry {entry!r}: {exc}") from exc
+        if eval_int(product.base) < 1:
+            raise RegistryError(f"{case.id}: rhs_product base {product.base!r} is not positive")
 
 
 def default_registry_path() -> Path:

@@ -44,7 +44,7 @@ from supercong.qobjects import (
     q_bracket,
     q_integer,
 )
-from supercong.registry import SpecializedProduct
+from supercong.registry import ProductSpec
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> Rational
 # the engine's telescoping, Gamma_p and failure witnesses by slower routes
 # ---------------------------------------------------------------------------
 
-def telescoped_product(sp: SpecializedProduct, n: int, d: Optional[int]) -> RationalFunction:
+def telescoped_product(sp: ProductSpec, n: int, d: Optional[int]) -> RationalFunction:
     """The finite form of the infinite-product right side (see
     engine._telescoped_form) built as a reduced rational function."""
     return build_concrete_closed_form(_telescoped_form(sp, n, d), n)

@@ -360,7 +360,6 @@ def test_criterion_18_oracle_equivalence(registry):
     instance with n <= 11."""
     from supercong.engine import (
         _congruence_holds,
-        is_parametric_case,
         oracle_congruence,
     )
     from supercong.qobjects import concretize_closed_form, modulus_support
@@ -376,7 +375,7 @@ def test_criterion_18_oracle_equivalence(registry):
             if params["n"] > 11:
                 continue
             n, d = params["n"], params.get("d")
-            if not is_parametric_case(case):
+            if not case.parametric:
                 summand = concretize_summand(case.summand, d)
                 closed = concretize_closed_form(case.closed_form, n, d)
                 support = modulus_support(case.modulus, n)

@@ -78,6 +78,26 @@ BAD_INPUTS = [
      [], 2, "ram1: sweep N -1 is negative"),
     ("pi_series_target_unknown", "ram1", [(("target",), "nope")],
      [], 2, "ram1: unknown pi-series target 'nope'"),
+    # a q record plans what verify_q decides: a parametric instance is decided
+    # at the first bound, and d comes only from a grid of the record's d values
+    ("q_record_without_bound", "thm1_1", [(("bounds",), [])],
+     ["--n", "5"], 2, "thm1_1: a q record needs a bound"),
+    ("parametric_record_two_bounds", "lemma1", [(("bounds",), ["(n-1)/d", "n-1"])],
+     ["--n", "5", "--d", "2"], 2, "lemma1: a parametric record takes one bound, got 2"),
+    ("d_values_sweep_not_a_grid", "lemma1", [(("sweep",), {"n": [5, 9]})],
+     [], 2, "lemma1: a q record sweeps a [d, n] grid exactly when it has d_values"),
+    ("grid_d_outside_d_values", "lemma1", [(("sweep",), {"grid": [[7, 5]]})],
+     [], 2, "lemma1: sweep d=7 is not one of its d_values [2, 3, 4]"),
+    # a record tol follows the rule of --tol; JSON 1e999 reads as inf
+    ("record_tol_infinite", "chu1", [(("tol",), float("inf"))],
+     [], 2, "chu1: tolerance must be a finite nonnegative number, got inf"),
+    ("record_tol_negative", "chu1", [(("tol",), -1)],
+     [], 2, "chu1: tolerance must be a finite nonnegative number, got -1.0"),
+    # an analytic identity's infinite product has integer entries
+    ("rhs_product_entry_not_integral", "chu1", [(("rhs_product", "num", 0), "1/2")],
+     [], 2, "chu1: rhs_product entry '1/2': non-integral value 1/2"),
+    ("rhs_product_entry_names_n", "chu1", [(("rhs_product", "num", 0), "n")],
+     [], 2, "chu1: rhs_product entry 'n': unbound name 'n'"),
 ]
 
 

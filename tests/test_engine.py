@@ -27,7 +27,6 @@ from supercong.engine import (
     _congruence_holds,
     _factor_rings,
     _term_parts,
-    is_parametric_case,
     oracle_congruence,
     verify_congruence,
     verify_conjecture_pair,
@@ -53,7 +52,7 @@ from supercong.qobjects import (
     modulus_support,
     one_minus_q_power,
 )
-from supercong.registry import PairSide, SpecializedProduct, iter_sweep_params
+from supercong.registry import PairSide, ProductSpec, iter_sweep_params
 
 
 def perturbed_exponent_case(registry):
@@ -161,7 +160,7 @@ class TestParametric:
         case = registry.get("thm2")
         bad = dataclasses.replace(
             case,
-            specialized_product=SpecializedProduct(
+            specialized_product=ProductSpec(
                 base="4", num=("6", "3", "3-n", "3+n"), den=("2", "4", "4-n", "4+n"), sign=1
             ),
         )
@@ -590,9 +589,10 @@ class TestOracle:
         assert witness is not None
 
     def test_parametric_dispatch(self, registry):
-        assert is_parametric_case(registry.get("lemma1"))
-        assert is_parametric_case(registry.get("thm2"))
-        assert not is_parametric_case(registry.get("thm1_1"))
+        assert registry.get("lemma1").parametric
+        assert registry.get("thm2").parametric
+        assert not registry.get("thm1_1").parametric
+        assert not registry.get("conj1a").parametric
 
 
 def raised_modulus(modulus, power):

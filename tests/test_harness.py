@@ -253,6 +253,17 @@ class TestCache:
         assert rerun.to_json() == run(config(case_ids=["thm1_1"], n_values=[5, 7, 9, 11])).to_json()
         assert len(cache.read_text().splitlines()) == 4
 
+    def test_a_tol_override_keys_its_own_entries(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        argv = ["analytic", "--case", "chu1", "--no-timing", "--cache", str(cache)]
+        assert main(argv) == 0
+        # fails at its tolerance, where a default entry would be a CacheMismatch (exit 2)
+        assert main([*argv, "--tol", "1e-30"]) == 1
+        keys = [json.loads(line)["key"] for line in cache.read_text().splitlines()]
+        assert [key.endswith("|tol=1e-30") for key in keys] == [False] * 3 + [True] * 3
+        assert main(argv) == 0
+        assert len(cache.read_text().splitlines()) == 6   # served from the cache
+
     def test_torn_cache_lines_tolerated(self, registry, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("{torn line\n")

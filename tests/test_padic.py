@@ -1,5 +1,6 @@
 """p-adic lane: valuations, Morita Gamma, and the q -> 1 case driver."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -179,6 +180,12 @@ class TestCaseDriver:
     def test_zero_branch(self, registry):
         result = verify_padic_case(registry.get("thm1_4"), 7)
         assert result.status == "pass"
+
+    def test_no_right_side_applies(self, registry):
+        case = registry.get("thm1_4")
+        case = dataclasses.replace(case, padic_rhs=case.padic_rhs[:1])
+        result = verify_padic_case(case, 7)
+        assert (result.status, result.detail) == ("obstruction", "no p-adic right side applies at p=7")
 
     def test_corollary_spot_value(self, registry):
         case = registry.get("corollary1")

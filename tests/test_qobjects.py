@@ -231,6 +231,10 @@ class TestClosedForm:
         )
         assert rhs == expected
 
+    def test_no_branch_applies(self, registry):
+        with pytest.raises(SpecError, match=r"^no closed-form branch applies at n=6, d=None$"):
+            concretize_closed_form(registry.get("thm1_1").closed_form, 6, None)
+
     def test_non_integral_length_rejected(self, registry):
         case = registry.get("qG2")
         with pytest.raises(SpecError):

@@ -1,13 +1,20 @@
 """Registry loading, validation, and the expression evaluator."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from supercong.cli import main
 from supercong.exprs import ExpressionError, eval_bool, eval_fraction, eval_int
-from supercong.registry import RegistryError, iter_sweep_params, load_registry
+from supercong.registry import (
+    RegistryError,
+    default_registry_path,
+    iter_sweep_params,
+    load_registry,
+)
 
 
 class TestExpressions:
@@ -168,3 +175,111 @@ class TestRegistryValidation:
         case["kind"] = "hunch"
         with pytest.raises(RegistryError, match="kind"):
             load_registry(self._write(tmp_path, {"format": 1, "cases": [case]}))
+
+
+# string fields of a record that are names, not expressions
+NOT_EXPRESSIONS = {"id", "kind", "family", "anchor", "notes", "side", "param", "target",
+                   "builtin", "flags"}
+
+
+def _rewritten(value, key=None):
+    """``value`` with each all-digit expression written as a JSON integer,
+    and each rhs_product integer written as a string."""
+    if key == "rhs_product":
+        return {k: v if k == "sign" else
+                [str(e) for e in v] if isinstance(v, list) else str(v) for k, v in value.items()}
+    if isinstance(value, dict):
+        return {k: v if k in NOT_EXPRESSIONS else _rewritten(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rewritten(v, key) for v in value]
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    return value
+
+
+def _catalog():
+    return json.loads(default_registry_path().read_text())
+
+
+def _verify(tmp_path, doc, case_id, argv, name):
+    """(exit status, report or None) of one record run from ``doc``."""
+    registry, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+    registry.write_text(json.dumps(doc))
+    family = next(case["family"] for case in doc["cases"] if case["id"] == case_id)
+    verb = "analytic" if family in ("analytic_identity", "pi_series", "gamma_limit") else "verify"
+    status = main([verb, "--registry", str(registry), "--case", case_id, *argv,
+                   "--no-cache", "--no-timing", "--report", str(report)])
+    return status, json.loads(report.read_text()) if report.exists() else None
+
+
+class TestExpressionFields:
+    """Every expression field reads a string as it is and a JSON integer as
+    its decimal text, so a record loads the same written either way."""
+
+    def test_integers_load_like_their_text(self, tmp_path):
+        doc = _catalog()
+        rewritten = {"cases": [_rewritten(case) for case in doc["cases"]]}
+        by_id = {case["id"]: case for case in rewritten["cases"]}
+        assert by_id["thm1_1"]["summand"]["prefactor"] == [6, 1]
+        assert by_id["chu1"]["rhs_product"]["num"] == ["5", "3", "3", "3"]
+        shipped = load_registry()
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(rewritten))
+        for case, again in zip(shipped, load_registry(path), strict=True):
+            assert again == case, case.id
+
+    @pytest.mark.parametrize("case_id", ["thm2", "conj1a", "thm1_3", "chu1", "chu3",
+                                         "gamma_limit"])
+    def test_one_record_per_family_reports_the_same(self, case_id, tmp_path):
+        doc = _catalog()
+        rewritten = {"cases": [_rewritten(case) for case in doc["cases"]]}
+        first = _verify(tmp_path, doc, case_id, [], "shipped")
+        second = _verify(tmp_path, rewritten, case_id, [], "rewritten")
+        assert first[0] == second[0]
+        assert first[1]["results"] == second[1]["results"]
+        assert first[1]["summary"] == second[1]["summary"]
+
+    # (case id, path, value, its string-written twin or None when the value
+    # is refused at load, verify arguments): one-value bends that ended in
+    # an error result with a traceback before expressions had one reader
+    BENDS = [
+        ("chu1", ("rhs_product", "num", 0), "5", 5, []),
+        ("thm2", ("specialized_product", "num", 0), 5, "5", ["--n", "5"]),
+        ("thm1_1", ("closed_form", 0, "num", 0, "length"), 2, "2", ["--n", "5"]),
+        ("thm1_2", ("bounds",), [3], ["3"], ["--n", "5"]),
+        ("thm1_3", ("rhs", 0, "den", 0, 0), 1, "1", ["--primes", "5"]),
+        ("thm1_4", ("rhs", 0, "when"), True, None, ["--primes", "5"]),
+    ]
+
+    @pytest.mark.parametrize("case_id, path, value, twin, argv", BENDS,
+                             ids=[row[0] for row in BENDS])
+    def test_a_bend_runs_like_its_twin_or_is_refused(self, case_id, path, value, twin, argv,
+                                                     tmp_path, capsys, caplog):
+        def bent(new):
+            doc = _catalog()
+            [record] = [case for case in doc["cases"] if case["id"] == case_id]
+            *parents, last = path
+            for key in parents:
+                record = record[key]
+            record[last] = new
+            return doc
+
+        status, report = _verify(tmp_path, bent(value), case_id, argv, "bent")
+        if twin is None:
+            assert (status, report) == (2, None)
+            assert capsys.readouterr().err.startswith(f"error: {case_id}: ")
+        else:
+            twin_status, twin_report = _verify(tmp_path, bent(twin), case_id, argv, "twin")
+            assert (status, report["results"]) == (twin_status, twin_report["results"])
+            assert all(result["status"] != "error" for result in report["results"])
+        assert not [record for record in caplog.records if record.exc_info]
+
+    def test_rhs_product_base_must_be_positive(self, tmp_path):
+        # a base of 0 would multiply the same factor forever
+        doc = _catalog()
+        [record] = [case for case in doc["cases"] if case["id"] == "chu1"]
+        record["rhs_product"]["base"] = 0
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RegistryError, match="chu1: rhs_product base '0' is not positive"):
+            load_registry(path)
