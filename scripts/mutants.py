@@ -160,6 +160,22 @@ MUTANTS = (
         ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",),
     ),
     Mutant(
+        "strided_fold_stride_off_by_one",
+        ENGINE,
+        "sum(coeffs[i::step])",
+        "sum(coeffs[i::step + 1])",
+        ("tests/test_engine.py::TestLiftedRing::"
+         "test_reduce_matches_the_block_fold_and_the_remainder",),
+    ),
+    Mutant(
+        "denominator_atom_skips_dacc",
+        ENGINE,
+        "dacc, h = ring.mul(dacc, x), ring.mul(h, x)",
+        "h = ring.mul(h, x)",
+        ("tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed",
+         "tests/test_differential.py::test_fast_route_oracle_and_sympy_agree"),
+    ),
+    Mutant(
         "mul_bracket_window",
         ENGINE,
         "zip([0] * (t - 1) + sums, sums[1:])",

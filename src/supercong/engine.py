@@ -16,10 +16,13 @@ term-by-term inversion would falsely obstruct there).
 With E = e_m + c_m, the sums are built in the lift Z[q]/((q^m - 1)^E):
 Phi_m^E divides the sparse (q^m - 1)^E, so reducing modulo it is a ring
 map onto Z[q]/(Phi_m^E), and it folds a coefficient in O(E) where the
-dense Phi_m^E costs O(deg).  Only the final comparison reduces modulo
-Phi_m^E itself.  Products loop over the nonzero coefficients of the
-sparser factor, so multiplying by an atom costs linear time, and a bracket
-[t] is multiplied in by running sums.
+dense Phi_m^E costs O(deg): m coefficients at a time for E >= 2, and for
+E = 1, where q^m == 1, by one strided sum per residue.  Only the final
+comparison reduces modulo Phi_m^E itself.  Atoms enter the Horner states
+one at a time, each stripped and reduced once to at most E + 1 terms; a
+product loops over the nonzero coefficients of the sparser factor, so
+multiplying by an atom costs linear time, and a bracket [t] is multiplied
+in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
 monic with integer coefficients, so remainders stay integral).  One loop,
@@ -148,13 +151,13 @@ def _imul(a: list, b: list) -> list:
     O(len) for an atom or a bracket, schoolbook for two dense factors."""
     if not a or not b:
         return []
+    if len(b) - b.count(0) < len(a) - a.count(0):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
-    terms_a = [(i, x) for i, x in enumerate(a) if x]
-    terms_b = [(i, y) for i, y in enumerate(b) if y]
-    if len(terms_b) < len(terms_a):
-        terms_a, b = terms_b, a
     width = len(b)
-    for i, x in terms_a:
+    for i, x in enumerate(a):
+        if not x:
+            continue
         window = out[i:i + width]
         if x == 1:
             out[i:i + width] = [u + v for u, v in zip(window, b)]
@@ -217,12 +220,17 @@ class _Ring:
         self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
 
     def _reduce(self, coeffs: list) -> list:
-        coeffs = _trimmed(list(coeffs))
-        if not self.lift:
-            return coeffs
+        """coeffs modulo L; the list itself is folded, so callers pass one
+        of their own."""
+        step, top = self.step, self.top
+        if len(coeffs) <= top or not self.lift:
+            return _trimmed(coeffs)
+        if len(self.lift) == 1:
+            # q^m == 1: coefficient i is the sum of those at i + m*K
+            return _trimmed([sum(coeffs[i::step]) for i in range(step)])
         # q^(top + i) == -sum_j lift[j] q^(mj + i): fold the top m
         # coefficients at a time; each lands at least m places lower
-        step, top, hi = self.step, self.top, len(coeffs)
+        hi = len(_trimmed(coeffs))
         while hi > top:
             lo = max(hi - step, top)
             block = coeffs[lo:hi]
@@ -235,7 +243,7 @@ class _Ring:
         return _trimmed(coeffs)
 
     def of(self, coeffs: list, shift: int = 0) -> tuple[list, int]:
-        return self._reduce(coeffs), shift
+        return self._reduce(list(coeffs)), shift
 
     one = property(lambda self: ([1], 0))
 
@@ -255,12 +263,9 @@ class _Ring:
         s = min(x[1], y[1])
         cx = self._upshift(x[0], x[1] - s)
         cy = self._upshift(y[0], y[1] - s)
-        out = [0] * max(len(cx), len(cy))
-        for i, c in enumerate(cx):
-            out[i] += c
-        for i, c in enumerate(cy):
-            out[i] += c
-        return _trimmed(out), s
+        if len(cx) < len(cy):
+            cx, cy = cy, cx
+        return _trimmed([u + v for u, v in zip(cx, cy)] + cx[len(cy):]), s
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -273,8 +278,8 @@ class _Ring:
 
     def _upshift(self, coeffs, k):
         if not coeffs or k == 0:
-            return list(coeffs)
-        return self._reduce([0] * k + list(coeffs))
+            return coeffs
+        return self._reduce([0] * k + coeffs)
 
     def is_zero(self, x) -> bool:
         """x is zero here (sufficient, not necessary, for zero mod Phi_m^e)."""
@@ -378,29 +383,17 @@ class _Strip:
         return (self.powers[i], 0) if i < len(self.powers) else None
 
 
-def _stripped(x: tuple, e: Optional[int], strip: Optional[_Strip]) -> tuple:
-    """(x / Phi_m, 1) when ``strip`` cancels Phi_m from the atom x = 1 - q^e
-    or [e], given as integer (coeffs, shift), else (x, 0).  e is None for a
-    parametric atom, which is never divisible."""
+def _stripped(ring, x: tuple, e: Optional[int], strip: Optional[_Strip]) -> tuple:
+    """The atom x = 1 - q^e or [e], given as integer (coeffs, shift), as an
+    element of ``ring`` reduced once, and the number of Phi_m cancelled from
+    it: (x / Phi_m, 1) where ``strip`` cancels Phi_m, else (x, 0).  e is
+    None for a parametric atom, which is never divisible."""
     if strip is not None and e is not None and _divides(strip.m, e):
         quo, rem = _monic_divmod(x[0], strip.phi)
         if rem:
             raise ArithmeticError(f"inexact division by {strip.phi!r}: remainder {rem!r}")
-        return (quo, x[1]), 1
-    return x, 0
-
-
-def _product(ring: _Ring, atoms, strip: Optional[_Strip]):
-    """The product of ``atoms``, each (x, e, power) as for _stripped, and
-    the number of Phi_m it cancelled."""
-    out, v = ring.one, 0
-    for x, e, power in atoms:
-        x, dv = _stripped(x, e, strip)
-        v += dv * power
-        x = ring.of(*x)
-        for _ in range(power):
-            out = ring.mul(out, x)
-    return out, v
+        return ring.of(quo, x[1]), 1
+    return ring.of(*x), 0
 
 
 def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
@@ -506,24 +499,30 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
     every atom: SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
     """
 
-    def atoms(factors, j):
-        return ((factor(f, j), None if f.param else f.exponent_at(j), f.power) for f in factors)
+    def stripped(f, j):
+        return _stripped(ring, factor(f, j), None if f.param else f.exponent_at(j), strip)
 
     pnum, dacc, h = ring.one, ring.one, ring.of([], 0)
     v = 0   # valuation of the numerator product minus that of the denominators
     for k in range(bound + 1):
         if k:
-            u, vu = _product(ring, atoms(summand.num, k - 1), strip)
-            dk, vd = _product(ring, atoms(summand.den, k - 1), strip)
-            pnum = ring.mul(pnum, u)
-            dacc = ring.mul(dacc, dk)
-            h = ring.mul(h, dk)
-            v += vu - vd
+            # one atom at a time: a reduced atom has at most E + 1 terms
+            for f in summand.num:
+                x, dv = stripped(f, k - 1)
+                v += dv * f.power
+                for _ in range(f.power):
+                    pnum = ring.mul(pnum, x)
+            for f in summand.den:
+                x, dv = stripped(f, k - 1)
+                v -= dv * f.power
+                for _ in range(f.power):
+                    dacc, h = ring.mul(dacc, x), ring.mul(h, x)
         t = summand.prefactor_index(k)
         if not t or ring.is_zero(pnum):
             continue  # the term is zero
-        stripped, vb = _stripped(bracket(t), t, strip)
-        term = ring.mul(ring.of(*stripped), pnum) if vb else ring.mul_bracket(pnum, t)
+        vb = strip is not None and _divides(strip.m, t)
+        term = (ring.mul(pnum, _stripped(ring, bracket(t), t, strip)[0]) if vb
+                else ring.mul_bracket(pnum, t))
         if strip is not None:
             scale = strip.power(v + vb)
             if scale is None:
@@ -541,14 +540,17 @@ def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
         return ring.of([], 0), ring.one
 
     def atoms(lengths):
-        return ((atom(a + s * j), a + s * j, 1) for a, s, length in lengths
-                for j in range(length))
+        return ((atom(a + s * j), a + s * j) for a, s, length in lengths for j in range(length))
 
-    multiplier = [(bracket(n), n, 1)] if closed.n_multiplier else []
-    rn, v_num = _product(ring, chain(atoms(closed.num), multiplier), strip)
-    rd, v_den = _product(ring, atoms(closed.den), strip)
+    rn, rd, v = ring.one, ring.one, 0
+    for x, e in chain(atoms(closed.num), [(bracket(n), n)] if closed.n_multiplier else []):
+        x, dv = _stripped(ring, x, e, strip)
+        rn, v = ring.mul(rn, x), v + dv
+    for x, e in atoms(closed.den):
+        x, dv = _stripped(ring, x, e, strip)
+        rd, v = ring.mul(rd, x), v - dv
     if strip is not None:
-        scale = strip.power(v_num - v_den)
+        scale = strip.power(v)
         rn = ring.mul(rn, scale) if scale is not None else ring.of([], 0)
     rn = ring.shift(rn, closed.shift)
     if closed.sign < 0:

@@ -172,6 +172,15 @@ def _expr(value) -> str:
     raise TypeError(f"an expression must be a string or an integer, got {value!r}")
 
 
+def _int(value) -> int:
+    """The one reading of a registry integer field (a power, sign,
+    threshold or p-power): a JSON integer, not a bool.  Anything else is
+    refused, and _read_case names the record."""
+    if _is_int(value):
+        return value
+    raise TypeError(f"an integer field must be a JSON integer, got {value!r}")
+
+
 def _exprs(values) -> tuple[str, ...]:
     return tuple(map(_expr, values))
 
@@ -187,7 +196,7 @@ def _summand_from_json(obj: dict) -> SummandSpec:
             exp=_expr(f["exp"]),
             step=_expr(f["step"]),
             side=f["side"],
-            power=int(f.get("power", 1)),
+            power=_int(f.get("power", 1)),
             param=f.get("param", ""),
         )
         for f in obj["factors"]
@@ -196,31 +205,32 @@ def _summand_from_json(obj: dict) -> SummandSpec:
     return SummandSpec(prefactor_m=m, prefactor_r=r, q_exp=_exprs(obj["q_exp"]), factors=factors)
 
 
-def _closed_form_from_json(obj: list) -> tuple[ClosedFormBranch, ...]:
-    return tuple(
-        ClosedFormBranch(
-            when=_expr(b["when"]),
-            kind=b["kind"],
-            num=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("num", ())),
-            den=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("den", ())),
-            n_multiplier=bool(b.get("n_multiplier", False)),
-            q_shift=_expr(b.get("q_shift", "0")),
-            sign=int(b.get("sign", 1)),
-        )
-        for b in obj
+def _closed_branch_from_json(b: dict) -> ClosedFormBranch:
+    if b["kind"] not in ("ratio", "zero"):
+        raise ValueError(f"a closed-form kind must be 'ratio' or 'zero', got {b['kind']!r}")
+    if not isinstance(b.get("n_multiplier", False), bool):
+        raise TypeError(f"n_multiplier must be true or false, got {b['n_multiplier']!r}")
+    return ClosedFormBranch(
+        when=_expr(b["when"]),
+        kind=b["kind"],
+        num=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("num", ())),
+        den=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("den", ())),
+        n_multiplier=b.get("n_multiplier", False),
+        q_shift=_expr(b.get("q_shift", "0")),
+        sign=_int(b.get("sign", 1)),
     )
 
 
 def _product_from_json(obj: dict) -> ProductSpec:
     """A specialized_product or an rhs_product."""
     return ProductSpec(base=_expr(obj["base"]), num=_exprs(obj["num"]), den=_exprs(obj["den"]),
-                       sign=int(obj.get("sign", 1)))
+                       sign=_int(obj.get("sign", 1)))
 
 
 def _modulus_from_json(obj: dict) -> ModulusSpec:
     return ModulusSpec(
         factors=tuple(
-            ModulusFactor(kind=f["kind"], power=int(f.get("power", 1))) for f in obj["factors"]
+            ModulusFactor(kind=f["kind"], power=_int(f.get("power", 1))) for f in obj["factors"]
         )
     )
 
@@ -229,12 +239,12 @@ def _real_sum_from_json(obj: dict) -> RealSumSpec:
     return RealSumSpec(
         kind=obj["kind"],
         prefactor=_exprs(obj.get("prefactor", ("0", "0"))),
-        rising=tuple((_expr(base), int(power)) for base, power in obj.get("rising", ())),
-        factorial_power=int(obj.get("factorial_power", 0)),
+        rising=tuple((_expr(base), _int(power)) for base, power in obj.get("rising", ())),
+        factorial_power=_int(obj.get("factorial_power", 0)),
         geometric_base=_expr(obj.get("geometric_base", "1")),
         num=_pairs(obj.get("num", ())),
         den=_pairs(obj.get("den", ())),
-        p_power=int(obj.get("p_power", 0)),
+        p_power=_int(obj.get("p_power", 0)),
     )
 
 
@@ -242,8 +252,8 @@ def _padic_rhs_from_json(obj: dict) -> PadicRhsBranch:
     # a rising ratio multiplies (base, length) pairs, a Gamma_p ratio arguments
     read = _pairs if obj["kind"] == "rising_ratio" else _exprs
     return PadicRhsBranch(when=_expr(obj["when"]), kind=obj["kind"], num=read(obj.get("num", ())),
-                          den=read(obj.get("den", ())), p_power=int(obj.get("p_power", 0)),
-                          sign=int(obj.get("sign", 1)))
+                          den=read(obj.get("den", ())), p_power=_int(obj.get("p_power", 0)),
+                          sign=_int(obj.get("sign", 1)))
 
 
 def _is_int(value) -> bool:
@@ -299,7 +309,7 @@ def _case_from_json(obj: dict) -> CaseDefinition:
             d_values=tuple(obj["d_values"]) if obj.get("d_values") else None,
             bounds=_exprs(obj["bounds"]),
             summand=_summand_from_json(obj["summand"]),
-            closed_form=_closed_form_from_json(obj["closed_form"]),
+            closed_form=tuple(map(_closed_branch_from_json, obj["closed_form"])),
             modulus=_modulus_from_json(obj["modulus"]),
         )
         if "specialized_product" in obj:
@@ -312,7 +322,7 @@ def _case_from_json(obj: dict) -> CaseDefinition:
         )
     elif family == "padic":
         kwargs.update(
-            threshold=int(obj["threshold"]),
+            threshold=_int(obj["threshold"]),
             padic_bound=None if obj.get("bound") is None else _expr(obj["bound"]),
             real_lhs=_real_sum_from_json(obj["lhs"]),
             padic_rhs=tuple(map(_padic_rhs_from_json, obj["rhs"])),

@@ -10,14 +10,15 @@ closed form as a ``RationalFunction``, so tests compare the engine against
 values in normal form.  Beside them sit the engine's telescoped product as a
 rational function, Gamma_p at one argument by its defining product, the
 failure classifier's route by whole exact divisions, the parametric Phi_n
-leg by exact evaluation at integer values of a, and the
-quadratic-summation parameter grid.
+leg by exact evaluation at integer values of a, the lifted ring's block
+fold, and the quadratic-summation parameter grid.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from supercong.engine import (
@@ -321,6 +322,31 @@ def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteC
             if not ring.same_ratio(*sides, rn, rd):
                 return False
     return True
+
+
+def block_fold(coeffs: list, m: int, e: int) -> list:
+    """coeffs modulo L = (q^m - 1)^e (e >= 1), folding the top m
+    coefficients at a time: q^(me + i) == -sum_j lift[j] q^(mj + i), where
+    lift[j] is the coefficient of q^(mj) in L, and each block lands at least
+    m places lower.  The reference for the lifted ring's reduction, which
+    takes strided sums where e = 1."""
+    lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
+    coeffs, top = list(coeffs), m * e
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    hi = len(coeffs)
+    while hi > top:
+        lo = max(hi - m, top)
+        block = coeffs[lo:hi]
+        del coeffs[lo:]
+        for j, c in enumerate(lift):
+            base = lo - top + m * j
+            window = coeffs[base:base + len(block)]
+            coeffs[base:base + len(block)] = [u - c * v for u, v in zip(window, block)]
+        hi = lo
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

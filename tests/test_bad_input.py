@@ -98,6 +98,26 @@ BAD_INPUTS = [
      [], 2, "chu1: rhs_product entry '1/2': non-integral value 1/2"),
     ("rhs_product_entry_names_n", "chu1", [(("rhs_product", "num", 0), "n")],
      [], 2, "chu1: rhs_product entry 'n': unbound name 'n'"),
+    # an integer field takes a JSON integer only, never a fraction or a bool
+    ("factor_power_fractional", "thm1_1", [(("summand", "factors", 1, "power"), 3.7)],
+     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: an integer field must be a JSON "
+                      "integer, got 3.7"),
+    ("factor_power_bool", "thm1_1", [(("summand", "factors", 1, "power"), True)],
+     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: an integer field must be a JSON "
+                      "integer, got True"),
+    ("modulus_power_fractional", "thm1_1", [(("modulus", "factors", 1, "power"), 2.5)],
+     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: an integer field must be a JSON "
+                      "integer, got 2.5"),
+    ("padic_threshold_fractional", "vanhamme_g2", [(("threshold",), 3.9)],
+     ["--primes", "5"], 2, "vanhamme_g2: malformed record: TypeError: an integer field must be "
+                           "a JSON integer, got 3.9"),
+    # a closed-form branch is a ratio or zero, and its multiplier a JSON bool
+    ("closed_form_kind_unknown", "thm1_1", [(("closed_form", 1, "kind"), "zeroo")],
+     ["--n", "7"], 2, "thm1_1: malformed record: ValueError: a closed-form kind must be 'ratio' "
+                      "or 'zero', got 'zeroo'"),
+    ("closed_form_multiplier_not_bool", "thm1_1", [(("closed_form", 0, "n_multiplier"), "false")],
+     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: n_multiplier must be true or false, "
+                      "got 'false'"),
 ]
 
 

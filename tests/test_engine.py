@@ -5,7 +5,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import zip_longest
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from reference import (
     RationalFunction,
     _phi_valuation,
+    block_fold,
     build_concrete_closed_form,
     build_concrete_summand,
     classify_by_full_division,
@@ -1038,6 +1039,20 @@ class TestLiftedRing:
             assert ints.shift(ints.reduce(x[0]), x[1]) == ref
             assert ring.same_ratio(x, ring.one, ring.of(*atom(m)), ring.one) == (
                 ref == ints.atom(m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 30), st.randoms())
+    def test_reduce_matches_the_block_fold_and_the_remainder(self, m, e, blocks, rnd):
+        # strided sums at e = 1, the block fold above; both are the
+        # remainder modulo the expanded (q^m - 1)^e
+        coeffs = [rnd.choice((0, 1, -1, rnd.randint(-10**9, 10**9)))
+                  for _ in range(rnd.randint(0, blocks * m))]
+        folded = engine._Ring(None, m, e)._reduce(list(coeffs))
+        assert folded == block_fold(coeffs, m, e)
+        lift = [0] * (m * e + 1)
+        for j in range(e + 1):
+            lift[m * j] = comb(e, j) * (-1) ** (e - j)
+        assert folded == engine._monic_divmod(trimmed(coeffs), lift)[1]
 
     def test_zero_only_after_the_final_reduction(self):
         # Phi_4^2 = (1 + q^2)^2 is a nonzero element of Z[q]/((q^4 - 1)^2)
