@@ -205,6 +205,20 @@ MUTANTS = (
          "test_specialized_leg_on_unpaired_parametric_factors",),
     ),
     Mutant(
+        "specialized_leg_product_closed_swapped",
+        ENGINE,
+        "verify_identity_specialized(summand, bound, product, right, sign * n)",
+        "verify_identity_specialized(summand, bound, right, product, sign * n)",
+        ("tests/test_engine.py::TestVerifyQ::test_a_failing_specialized_leg_fails_the_instance",),
+    ),
+    Mutant(
+        "specialized_leg_sign_swapped",
+        ENGINE,
+        '_SPECIALIZED_LEGS = (("a_minus_qn", 1, "a=q^n"), ("one_minus_a_qn", -1, "a=q^-n"))',
+        '_SPECIALIZED_LEGS = (("a_minus_qn", -1, "a=q^n"), ("one_minus_a_qn", 1, "a=q^-n"))',
+        ("tests/test_engine.py::TestVerifyQ::test_a_failing_specialized_leg_fails_the_instance",),
+    ),
+    Mutant(
         "leg_aggregation_pass_before_fail",
         ENGINE,
         '_WORST_FIRST = ("obstruction", "fail", "pass")',

@@ -40,8 +40,9 @@ the difference as witness, folded through the lift before the final
 reduction.  ``oracle_congruence`` feeds it a statement's sum and its right
 side, a closed form or a second sum; it is also the independent second
 route the tests check the fast path against.  ``verify_q`` turns every q
-and q_pair instance into a result, one leg per pairwise coprime factor of
-the modulus: the a = q^(+-n) specializations and the cyclotomic verdict.
+and q_pair instance into a result: it compiles the statement once and runs
+one leg per pairwise coprime factor of the modulus on it, the
+a = q^(+-n) specializations and the cyclotomic verdict.
 A spec value out of its domain raises SpecError (ExpressionError and
 DegenerateFactor are ones), which it reports as an obstruction.
 """
@@ -73,6 +74,7 @@ from .qobjects import (
     one_minus_q_power,
     q_bracket,
     q_integer,
+    resolve_bound,
 )
 from .registry import CaseDefinition, ProductSpec
 
@@ -810,13 +812,6 @@ def oracle_congruence(
 # public verification operations
 # ---------------------------------------------------------------------------
 
-def _resolve_bound(expr: str, n: int, d: Optional[int]) -> int:
-    bound = eval_int(expr, n=n, d=d)
-    if bound < 0:
-        raise SpecError(f"negative truncation bound {bound}")
-    return bound
-
-
 def _cyclotomic_verdict(summand: ConcreteSummand, bound: int, right, support: dict,
                         n: int) -> tuple:
     """(strategy, status, witness, detail) of the truncated sum == ``right``,
@@ -832,22 +827,23 @@ def _cyclotomic_verdict(summand: ConcreteSummand, bound: int, right, support: di
     return ("fast+oracle", *oracle_congruence(summand, bound, right, support, n))
 
 
-# (modulus factor kind, specialization, label) of the a = q^(+-n) legs
-_SPECIALIZED_LEGS = (("a_minus_qn", "qn", "a=q^n"), ("one_minus_a_qn", "q-n", "a=q^-n"))
+# (modulus factor kind, sign of n in a = q^(+-n), label) of the specialized legs
+_SPECIALIZED_LEGS = (("a_minus_qn", 1, "a=q^n"), ("one_minus_a_qn", -1, "a=q^-n"))
 _WORST_FIRST = ("obstruction", "fail", "pass")
 
 
 def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
     """One q or q_pair instance at params["n"] (and "d"), as the harness
-    plans it: the one place a q-lane result is made.
+    plans it: the one reader of a q record, which compiles its statement
+    once, and the one place a q-lane result is made.
 
     One leg per pairwise coprime factor of the modulus (Guo & Zudilin, Adv.
-    Math. 346, 2019): a - q^n and 1 - a q^n by ``verify_identity_specialized``
-    at a = q^(+-n), the cyclotomic part, every Phi_m^e, with a free by
-    ``_cyclotomic_verdict``.  A statement with the parameter a reports
-    parametric_crt and its worst leg, the cyclotomic one labelled "mod
-    Phi_n"; any other reports its one leg as it is.  A SpecError is an
-    obstruction; any other exception escapes.
+    Math. 346, 2019), each on the compiled statement: a - q^n and 1 - a q^n
+    by ``verify_identity_specialized`` at a = q^(+-n), the cyclotomic part,
+    every Phi_m^e, with a free by ``_cyclotomic_verdict``.  A statement
+    with the parameter a reports parametric_crt and its worst leg, the
+    cyclotomic one labelled "mod Phi_n"; any other reports its one leg as it
+    is.  A SpecError is an obstruction; any other exception escapes.
     """
     n, d = params["n"], params.get("d")
     parametric = case.parametric
@@ -859,18 +855,20 @@ def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
     try:
         if not case.applies(n=n, d=d):
             return done("skipped", detail="condition not satisfied")
-        for kind, which, label in _SPECIALIZED_LEGS:
-            if kind in case.modulus.parametric_kinds():
-                outcome = verify_identity_specialized(case, n, d, which)
-                legs.append((label, "pass" if outcome["equal"] else "fail",
-                             outcome["witness"] and outcome["witness"][0], outcome["detail"]))
         support = modulus_support(case.modulus, n)
+        sums = ([(side.summand, side.bound) for side in (case.lhs_pair, case.rhs_pair)]
+                if case.family == "q_pair" else [(case.summand, out.get("bound", case.bounds[0]))])
+        (summand, bound), *rest = [(concretize_summand(spec, d), resolve_bound(expr, n=n, d=d))
+                                   for spec, expr in sums]
+        specialized = [(sign, label) for kind, sign, label in _SPECIALIZED_LEGS
+                       if kind in case.modulus.parametric_kinds()]
+        product = _telescoped_form(case.specialized_product, n, d) if specialized else None
+        right = rest[0] if rest else concretize_closed_form(case.closed_form, n, d)
+        for sign, label in specialized:
+            outcome = verify_identity_specialized(summand, bound, product, right, sign * n)
+            legs.append((label, "pass" if outcome["equal"] else "fail",
+                         outcome["witness"] and outcome["witness"][0], outcome["detail"]))
         if support or not parametric:
-            sums = ([(side.summand, side.bound) for side in (case.lhs_pair, case.rhs_pair)]
-                    if case.family == "q_pair" else [(case.summand, out.get("bound", case.bounds[0]))])
-            (summand, bound), *rest = [(concretize_summand(spec, d), _resolve_bound(expr, n, d))
-                                       for spec, expr in sums]
-            right = rest[0] if rest else concretize_closed_form(case.closed_form, n, d)
             strategy, *verdict = _cyclotomic_verdict(summand, bound, right, support, n)
             legs.append(("mod Phi_n", *verdict))
     except SpecError as exc:
@@ -952,38 +950,28 @@ def _witness(ring: _Ring, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentP
     return num.scale(inv), den.scale(inv)
 
 
-def _specialized_factor(summand: ConcreteSummand, bound: int, shift: int):
-    """Factor map for _horner_sum_int at a = q^shift: (a q^c; q^s) becomes
-    (q^{c+shift}; q^s) and (q^c / a; q^s) becomes (q^{c-shift}; q^s)."""
-    offset = {"": 0, "aq": shift, "q_div_a": -shift}
-    for f in summand.den:
-        for j in range(bound):
-            if f.exponent_at(j) + offset[f.param] == 0:
-                raise DegenerateFactor(
-                    f"denominator factor hits q^0 under the a = q^{shift} specialization"
-                )
-    return lambda f, j: atom(f.exponent_at(j) + offset[f.param])
-
-
-def verify_identity_specialized(
-    case: CaseDefinition, n: int, d: Optional[int], which: str
-) -> dict:
-    """Exact check of the terminating identity at a = q^n (which="qn") or
-    a = q^-n (which="q-n").
+def verify_identity_specialized(summand: ConcreteSummand, bound: int, product: ConcreteClosedForm,
+                                closed: ConcreteClosedForm, shift: int) -> dict:
+    """Exact check of the terminating identity at a = q^shift, shift = +-n:
+    the sum of ``summand`` to ``bound``, where (a q^c; q^s) becomes
+    (q^{c+shift}; q^s) and (q^c / a; q^s) becomes (q^{c-shift}; q^s), must
+    equal both the telescoped infinite product ``product`` and the closed
+    form ``closed``.
 
     Returns {"equal": bool, "witness": (num, den) | None, "detail": str}.
-    The sum must equal both the telescoped infinite product and the case's
-    closed form.  Both equalities are decided cross-multiplied in Z[q, 1/q];
-    only a mismatch builds the witness, the difference in normal form.
+    Both equalities are decided cross-multiplied in Z[q, 1/q]; only a
+    mismatch builds the witness, the difference in normal form.
     """
-    summand = concretize_summand(case.summand, d)
-    bound = _resolve_bound(case.bounds[0], n, d)
-    factor = _specialized_factor(summand, bound, {"qn": n, "q-n": -n}[which])
+    offset = {"": 0, "aq": shift, "q_div_a": -shift}
+    if any(f.exponent_at(j) + offset[f.param] == 0 for f in summand.den for j in range(bound)):
+        raise DegenerateFactor(
+            f"denominator factor hits q^0 under the a = q^{shift} specialization")
     ring = _Ring()
-    sides = (_horner_sum_int(summand, bound, ring, factor=factor),
-             _closed_form_sides_int(_telescoped_form(case.specialized_product, n, d), n, ring),
-             _closed_form_sides_int(concretize_closed_form(case.closed_form, n, d), n, ring))
-    details = (f"sum at a = q^{'+' if which == 'qn' else '-'}n differs from the telescoped product",
+    sides = (_horner_sum_int(summand, bound, ring,
+                             factor=lambda f, j: atom(f.exponent_at(j) + offset[f.param])),
+             _closed_form_sides_int(product, abs(shift), ring),
+             _closed_form_sides_int(closed, abs(shift), ring))
+    details = (f"sum at a = q^{'+' if shift > 0 else '-'}n differs from the telescoped product",
                "telescoped product differs from the closed form")
     for (left, right), detail in zip(pairwise(sides), details):
         if not ring.same_ratio(*left, *right):

@@ -101,18 +101,14 @@ class Report:
             f"skipped={s['skipped']} obstruction={s['obstruction']}"
             + (f" error={len(s['errors'])}" if "errors" in s else "")
         )
-        if s["observe_failures"]:
-            lines.append("observed failures (conjecture statements, not suite errors):")
-            for entry in s["observe_failures"]:
-                lines.append(f"  {entry}")
-        if s["theorem_failures"]:
-            lines.append("FAILED statements:")
-            for entry in s["theorem_failures"]:
-                lines.append(f"  {entry}")
-        if "errors" in s:
-            lines.append("ERRORS (the instance could not be checked):")
-            for entry in s["errors"]:
-                lines.append(f"  {entry}")
+        for key, heading in (
+            ("observe_failures", "observed failures (conjecture statements, not suite errors):"),
+            ("theorem_failures", "FAILED statements:"),
+            ("errors", "ERRORS (the instance could not be checked):"),
+        ):
+            if s.get(key):
+                lines.append(heading)
+                lines.extend(f"  {entry}" for entry in s[key])
         return "\n".join(lines) + "\n"
 
     @property
@@ -136,20 +132,17 @@ def list_cases(registry: Registry) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each modulus factor kind as `supercong list` writes it
+_MODULUS_TEXT = {"cyclotomic": "Phi_n", "q_integer": "[n]", "one_minus_a_qn": "(1-aq^n)",
+                 "a_minus_qn": "(a-q^n)"}
+
+
 def _modulus_text(case: CaseDefinition) -> str:
     if case.modulus is None:
         return "-"
-    parts = []
-    for f in case.modulus.factors:
-        if f.kind == "cyclotomic":
-            parts.append("Phi_n" + (f"^{f.power}" if f.power > 1 else ""))
-        elif f.kind == "q_integer":
-            parts.append("[n]")
-        elif f.kind == "one_minus_a_qn":
-            parts.append("(1-aq^n)")
-        elif f.kind == "a_minus_qn":
-            parts.append("(a-q^n)")
-    return "*".join(parts)
+    return "*".join(
+        _MODULUS_TEXT[f.kind] + (f"^{f.power}" if f.kind == "cyclotomic" and f.power > 1 else "")
+        for f in case.modulus.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .engine import CaseResult, case_result
 from .exprs import eval_fraction, eval_int
-from .qobjects import SpecError, select_branch
+from .qobjects import SpecError, resolve_bound, select_branch
 from .registry import CaseDefinition, PadicRhsBranch, RealSumSpec
 
 
@@ -226,10 +226,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
         if not case.applies(p=p):
             return done("skipped", detail="residue condition not satisfied")
         if case.real_lhs.kind == "sum":
-            bound = eval_int(case.padic_bound, p=p)
-            if bound < 0:
-                raise SpecError(f"negative truncation bound {bound}")
-            lhs = real_partial_sums(case.real_lhs, bound, p=p)[-1]
+            lhs = real_partial_sums(case.real_lhs, resolve_bound(case.padic_bound, p=p), p=p)[-1]
         else:
             lhs = rising_ratio_value(case.real_lhs, p)
         mode, rhs = _rhs_value(select_branch(case.padic_rhs, "p-adic right side", p=p), p, threshold)

@@ -258,6 +258,14 @@ def select_branch(branches, what: str, **names):
     raise SpecError(f"no {what} applies at " + ", ".join(f"{k}={v}" for k, v in names.items()))
 
 
+def resolve_bound(expr: str, **names) -> int:
+    """The truncation bound ``expr`` at ``names``; a negative one is out of its domain."""
+    bound = eval_int(expr, **names)
+    if bound < 0:
+        raise SpecError(f"negative truncation bound {bound}")
+    return bound
+
+
 def concretize_closed_form(
     branches: tuple[ClosedFormBranch, ...], n: int, d: Optional[int]
 ) -> ConcreteClosedForm:

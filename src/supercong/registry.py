@@ -33,6 +33,8 @@ FAMILIES = ("q", "q_pair", "padic", "analytic_identity", "pi_series", "gamma_lim
 # the parameter each family sweeps over; a q record sweeps n, or [d, n] pairs
 SWEEP_KEYS = {"q": ("grid", "n"), "q_pair": ("n",), "padic": ("p",),
               "analytic_identity": ("q",), "pi_series": ("N",), "gamma_limit": ()}
+# the identities analytic.check_identity_numeric evaluates by code, by name
+ANALYTIC_BUILTINS = ("rahman",)
 # the constants analytic.pi_target evaluates, by name
 PI_TARGETS = ("two_sqrt2_over_sqrtpi_gamma34_sq", "neg_sqrt_2pi_over_2_gamma34_sq")
 
@@ -181,6 +183,14 @@ def _int(value) -> int:
     raise TypeError(f"an integer field must be a JSON integer, got {value!r}")
 
 
+def _number(value) -> float:
+    """The one reading of a registry number field (a tol or a q value): a
+    JSON integer or float, not a bool or a string, else refused."""
+    if _is_number(value):
+        return float(value)
+    raise TypeError(f"a number field must be a JSON number, got {value!r}")
+
+
 def _exprs(values) -> tuple[str, ...]:
     return tuple(map(_expr, values))
 
@@ -260,11 +270,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _sweep_value_ok(key: str, value) -> bool:
     if key == "grid":
         return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
     if key == "q":
-        return _is_int(value) or isinstance(value, float)
+        return _is_number(value)
     return _is_int(value)
 
 
@@ -328,23 +342,22 @@ def _case_from_json(obj: dict) -> CaseDefinition:
             padic_rhs=tuple(map(_padic_rhs_from_json, obj["rhs"])),
         )
     elif family == "analytic_identity":
-        kwargs.update(builtin=obj.get("builtin"), tol=float(obj.get("tol", 1e-10)))
-        if "summand" in obj:
-            kwargs.update(summand=_summand_from_json(obj["summand"]))
-        if "rhs_product" in obj:
-            kwargs.update(rhs_product=_product_from_json(obj["rhs_product"]))
-        if kwargs.get("builtin") is None and "summand" not in obj:
-            raise RegistryError(f"{case_id}: analytic identity needs a summand or builtin")
+        kwargs.update(builtin=obj.get("builtin"), tol=_number(obj.get("tol", 1e-10)))
+        if kwargs["builtin"] is None:   # a summand against an infinite product
+            kwargs.update(summand=_summand_from_json(obj["summand"]),
+                          rhs_product=_product_from_json(obj["rhs_product"]))
+        elif kwargs["builtin"] not in ANALYTIC_BUILTINS:
+            raise RegistryError(f"{case_id}: unknown analytic builtin {kwargs['builtin']!r}")
     elif family == "pi_series":
         kwargs.update(
             real_lhs=_real_sum_from_json(obj["lhs"]),
             target=obj["target"],
-            tol=float(obj.get("tol", 1e-9)),
+            tol=_number(obj.get("tol", 1e-9)),
         )
     elif family == "gamma_limit":
         kwargs.update(
             x_values=_exprs(obj.get("x_values", ())),
-            q_values=tuple(float(v) for v in obj.get("q_values", ())),
+            q_values=tuple(map(_number, obj.get("q_values", ()))),
         )
     return CaseDefinition(**kwargs)
 
@@ -370,15 +383,14 @@ def _validate_case(case: CaseDefinition) -> None:
                 raise RegistryError(
                     f"{case.id}: unbalanced q/a factors ({num_div} num vs {den_div} den)"
                 )
-        if case.modulus is not None:
-            parametric = case.modulus.parametric_kinds()
-            has_params = any(f.param for f in (case.summand.factors if case.summand else ()))
-            if parametric and not has_params:
-                raise RegistryError(f"{case.id}: parametric modulus without parametric summand")
-            if parametric and case.specialized_product is None:
-                raise RegistryError(f"{case.id}: parametric modulus needs specialized_product")
-            if case.family == "q" and not case.modulus.factors:
-                raise RegistryError(f"{case.id}: empty modulus")
+        parametric = case.modulus.parametric_kinds()
+        has_params = any(f.param for f in (case.summand.factors if case.summand else ()))
+        if parametric and not has_params:
+            raise RegistryError(f"{case.id}: parametric modulus without parametric summand")
+        if parametric and case.specialized_product is None:
+            raise RegistryError(f"{case.id}: parametric modulus needs specialized_product")
+        if not case.modulus.factors:
+            raise RegistryError(f"{case.id}: empty modulus")
     if case.family == "q":
         _validate_q_plan(case)
     if case.family == "padic":

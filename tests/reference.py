@@ -8,7 +8,8 @@ rings and of its oracle: each factorial is built as a whole ``LaurentPoly``,
 a free parameter a as ``ParamRational`` coefficients, and every term and
 closed form as a ``RationalFunction``, so tests compare the engine against
 values in normal form.  Beside them sit the engine's telescoped product as a
-rational function, Gamma_p at one argument by its defining product, the
+rational function, the engine's specialized leg on a record's statement
+(``specialized_leg``), Gamma_p at one argument by its defining product, the
 failure classifier's route by whole exact divisions, the parametric Phi_n
 leg by exact evaluation at integer values of a, the lifted ring's block
 fold, and the quadratic-summation parameter grid.
@@ -26,6 +27,7 @@ from supercong.engine import (
     _factor_rings,
     _horner_sum_int,
     _telescoped_form,
+    verify_identity_specialized,
 )
 from supercong.padic import PadicContext, PadicResidue, _representative
 from supercong.paramfield import ParamRational
@@ -39,13 +41,15 @@ from supercong.qobjects import (
     SpecError,
     atom,
     concretize_closed_form,
+    concretize_summand,
     cyclotomic,
     modulus_from_support,
     one_minus_q_power,
     q_bracket,
     q_integer,
+    resolve_bound,
 )
-from supercong.registry import ProductSpec
+from supercong.registry import CaseDefinition, ProductSpec
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +231,15 @@ def telescoped_product(sp: ProductSpec, n: int, d: Optional[int]) -> RationalFun
     """The finite form of the infinite-product right side (see
     engine._telescoped_form) built as a reduced rational function."""
     return build_concrete_closed_form(_telescoped_form(sp, n, d), n)
+
+
+def specialized_leg(case: CaseDefinition, n: int, d: Optional[int], sign: int) -> dict:
+    """The engine's a = q^(sign n) leg on a parametric q record at (n, d),
+    its statement compiled as engine.verify_q compiles it."""
+    return verify_identity_specialized(
+        concretize_summand(case.summand, d), resolve_bound(case.bounds[0], n=n, d=d),
+        _telescoped_form(case.specialized_product, n, d),
+        concretize_closed_form(case.closed_form, n, d), sign * n)
 
 
 def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:

@@ -13,7 +13,7 @@ import dataclasses
 import time
 from fractions import Fraction
 
-from reference import build_closed_form, build_concrete_summand, rahman_grid
+from reference import build_closed_form, build_concrete_summand, rahman_grid, specialized_leg
 from supercong.analytic import (
     check_gamma_limit,
     check_identity_numeric,
@@ -21,7 +21,6 @@ from supercong.analytic import (
 )
 from supercong.engine import (
     verify_congruence,
-    verify_identity_specialized,
     verify_parametric,
 )
 from supercong.harness import RunConfig, run
@@ -346,7 +345,7 @@ def test_criterion_17_negative_controls(registry):
     if result.status != "fail" or result.witness is None or result.witness.is_zero:
         violations.append("perturbed-exponent control did not fail with a witness")
     truncated = dataclasses.replace(registry.get("thm2"), bounds=("(n-3)/2",))
-    if verify_identity_specialized(truncated, 5, None, "qn")["equal"]:
+    if specialized_leg(truncated, 5, None, 1)["equal"]:
         violations.append("truncated-bound control did not break the specialized leg")
     check = check_identity_numeric(registry.get("rahman"), 0.5, perturb_rhs=True)
     if check.passed:

@@ -10,6 +10,9 @@ import pytest
 from supercong.cli import main
 from supercong.registry import default_registry_path
 
+# a new value that deletes its key from the record
+MISSING = object()
+
 # (row id, case id, [(path in the record, new value)], verify arguments,
 #  exit status, message in stderr (exit 2) or in the instance's detail)
 BAD_INPUTS = [
@@ -118,6 +121,25 @@ BAD_INPUTS = [
     ("closed_form_multiplier_not_bool", "thm1_1", [(("closed_form", 0, "n_multiplier"), "false")],
      ["--n", "5"], 2, "thm1_1: malformed record: TypeError: n_multiplier must be true or false, "
                       "got 'false'"),
+    # every q-lane record has a modulus to decide: an empty one would pass
+    # the pair below, whose right sum is bent
+    ("pair_modulus_empty", "conj1a",
+     [(("modulus", "factors"), []), (("rhs", "summand", "q_exp", 1), "3")],
+     ["--n", "5"], 2, "conj1a: empty modulus"),
+    # a tolerance or a q value is a JSON number, never a bool or a string:
+    # a tol of true read as 1.0 would pass chu1 with its product bent
+    ("record_tol_bool", "chu1", [(("tol",), True), (("rhs_product", "num", 0), 6)],
+     [], 2, "chu1: malformed record: TypeError: a number field must be a JSON number, got True"),
+    ("record_tol_string", "chu1", [(("tol",), "1e-9")],
+     [], 2, "chu1: malformed record: TypeError: a number field must be a JSON number, got '1e-9'"),
+    ("gamma_limit_q_string", "gamma_limit", [(("q_values", 0), "0.9")],
+     [], 2, "gamma_limit: malformed record: TypeError: a number field must be a JSON number, "
+            "got '0.9'"),
+    # an analytic identity is a builtin the lane knows, or a summand and a product
+    ("analytic_builtin_unknown", "rahman", [(("builtin",), "rahmann")],
+     [], 2, "rahman: unknown analytic builtin 'rahmann'"),
+    ("analytic_summand_without_product", "chu1", [(("rhs_product",), MISSING)],
+     [], 2, "chu1: malformed record: KeyError: 'rhs_product'"),
 ]
 
 
@@ -131,7 +153,10 @@ def test_bad_input_exits_with_a_message(case_id, edits, argv, status, message,
         target = record
         for key in parents:
             target = target[key]
-        target[last] = value
+        if value is MISSING:
+            del target[last]
+        else:
+            target[last] = value
     registry, report = tmp_path / "cases.json", tmp_path / "report.json"
     registry.write_text(json.dumps(doc))
     assert main(["verify", "--registry", str(registry), "--case", case_id, *argv,

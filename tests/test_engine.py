@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, prod
@@ -20,6 +21,7 @@ from reference import (
     classify_by_full_division,
     divide_out,
     evaluation_leg_holds,
+    specialized_leg,
     telescoped_product,
 )
 from supercong import engine
@@ -31,7 +33,6 @@ from supercong.engine import (
     oracle_congruence,
     verify_congruence,
     verify_conjecture_pair,
-    verify_identity_specialized,
     verify_parametric,
     verify_q,
 )
@@ -133,25 +134,25 @@ class TestParametric:
 
     def test_truncated_bound_breaks_specialized_leg(self, registry):
         case = dataclasses.replace(registry.get("thm2"), bounds=("(n-3)/2",))
-        outcome = verify_identity_specialized(case, 5, None, "qn")
+        outcome = specialized_leg(case, 5, None, 1)
         assert not outcome["equal"]
         num, den = outcome["witness"]
         assert not num.is_zero and den.low == 0 and den.leading == 1
 
     def test_specialized_identity_both_signs(self, registry):
         case = registry.get("thm2")
-        for which in ("qn", "q-n"):
-            assert verify_identity_specialized(case, 5, None, which)["equal"]
+        for sign in (1, -1):
+            assert specialized_leg(case, 5, None, sign)["equal"]
 
     def test_specialized_identity_general_d(self, registry):
-        assert verify_identity_specialized(registry.get("thm4"), 7, 3, "qn")["equal"]
+        assert specialized_leg(registry.get("thm4"), 7, 3, 1)["equal"]
 
     def test_shifted_closed_form_detected(self, registry):
         # right side q-shift off by one: the specialized leg must reject it
         case = registry.get("thm2")
         branch = dataclasses.replace(case.closed_form[0], q_shift="(1-n)/4 + 1")
         bad = dataclasses.replace(case, closed_form=(branch,) + case.closed_form[1:])
-        outcome = verify_identity_specialized(bad, 5, None, "qn")
+        outcome = specialized_leg(bad, 5, None, 1)
         assert not outcome["equal"]
         assert "closed form" in outcome["detail"]
 
@@ -293,13 +294,38 @@ class TestVerifyQ:
         case = dataclasses.replace(case, specialized_product=dataclasses.replace(
             case.specialized_product, sign=-1))
         result = verify_q(case, {"n": 5})
-        leg = verify_identity_specialized(case, 5, None, "qn")
+        leg = specialized_leg(case, 5, None, 1)
         assert (result.status, result.strategy) == ("fail", "parametric_crt")
         assert result.detail == (
             "a=q^n: fail (sum at a = q^+n differs from the telescoped product); "
             "a=q^-n: fail (sum at a = q^-n differs from the telescoped product); "
             "mod Phi_n: pass")
         assert repr(result.witness) == repr(leg["witness"][0])
+
+    @pytest.mark.parametrize("cid, params, detail", [
+        ("thm2", {"n": 5}, "a=q^n: pass; a=q^-n: pass; mod Phi_n: pass"),
+        ("thm7_par", {"n": 5, "d": 2}, "a=q^n: pass; a=q^-n: pass"),
+        ("conj1a", {"n": 5}, ""),
+    ], ids=["legs_and_cyclotomic", "legs_only", "two_sums"])
+    def test_each_spec_is_compiled_once(self, registry, monkeypatch, cid, params, detail):
+        # every leg reads the statement verify_q compiled before the first
+        # leg ran: one compile per spec, whichever legs the modulus asks for
+        compiled = []
+        for name in ("concretize_summand", "concretize_closed_form", "_telescoped_form"):
+            def recorded(spec, *args, name=name, compile_=getattr(engine, name)):
+                compiled.append((name, id(spec)))
+                return compile_(spec, *args)
+
+            monkeypatch.setattr(engine, name, recorded)
+        case = registry.get(cid)
+        result = verify_q(case, params)
+        specs = ([("concretize_summand", side.summand) for side in (case.lhs_pair, case.rhs_pair)]
+                 if case.family == "q_pair" else
+                 [("concretize_summand", case.summand),
+                  ("concretize_closed_form", case.closed_form),
+                  ("_telescoped_form", case.specialized_product)])
+        assert (result.status, result.detail) == ("pass", detail)
+        assert Counter(compiled) == Counter((name, id(spec)) for name, spec in specs)
 
     def test_only_a_spec_error_is_an_obstruction(self, registry, monkeypatch):
         def overflow(*args):
@@ -657,21 +683,20 @@ def pair_oracle_status(case, n):
     return status
 
 
-def rational_specialized(case, n, d, which):
+def rational_specialized(case, n, d, sign):
     """The specialized leg through reduced rational functions: the sum term
     by term with a specialized by the qobjects builder, the telescoped
     product and the closed-form builder, compared by normal form."""
     summand = concretize_summand(case.summand, d)
     total = RationalFunction.zero()
     for k in range(eval_int(case.bounds[0], n=n, d=d) + 1):
-        total = total + build_concrete_summand(summand, k, n, which)
+        total = total + build_concrete_summand(summand, k, n, {1: "qn", -1: "q-n"}[sign])
     product = telescoped_product(case.specialized_product, n, d)
     closed = build_concrete_closed_form(concretize_closed_form(case.closed_form, n, d), n)
     if total != product:
-        sign = "+" if which == "qn" else "-"
-        witness = total - product
+        witness, plus_minus = total - product, "+" if sign > 0 else "-"
         return {"equal": False, "witness": (witness.num, witness.den),
-                "detail": f"sum at a = q^{sign}n differs from the telescoped product"}
+                "detail": f"sum at a = q^{plus_minus}n differs from the telescoped product"}
     if product != closed:
         witness = product - closed
         return {"equal": False, "witness": (witness.num, witness.den),
@@ -709,24 +734,24 @@ class TestIntegerParametricLegs:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(SPECIALIZED_INSTANCES),
-        st.sampled_from(["qn", "q-n"]),
+        st.sampled_from([1, -1]),
         st.integers(-2, 2),
         st.integers(-1, 2),
         st.integers(-1, 1),
     )
-    def test_specialized_leg_matches_rational_route(self, registry, instance, which,
+    def test_specialized_leg_matches_rational_route(self, registry, instance, sign,
                                                     shift, cut, exponent):
         cid, d, n = instance
         case = perturbed(registry.get(cid), shift, cut, exponent)
-        fast = verify_identity_specialized(case, n, d, which)
-        slow = rational_specialized(case, n, d, which)
+        fast = specialized_leg(case, n, d, sign)
+        slow = rational_specialized(case, n, d, sign)
         assert fast["equal"] == slow["equal"]
         assert fast["detail"] == slow["detail"]
         assert fast["witness"] == slow["witness"]
         assert repr(fast["witness"]) == repr(slow["witness"])
 
-    @pytest.mark.parametrize("which", ["qn", "q-n"])
-    def test_specialized_leg_on_unpaired_parametric_factors(self, registry, which):
+    @pytest.mark.parametrize("sign", [1, -1], ids=["qn", "q-n"])
+    def test_specialized_leg_on_unpaired_parametric_factors(self, registry, sign):
         # thm2 pairs its (aq; q^2) with a (q/a; q^2) of the same exponent,
         # so a = q^n and a = q^-n give the same sum; with the (aq; q^2)
         # exponent bent from 1 to 3 they differ, and each leg must put a to
@@ -738,8 +763,8 @@ class TestIntegerParametricLegs:
         case = dataclasses.replace(case, summand=dataclasses.replace(case.summand,
                                                                      factors=tuple(factors)))
         for n in (5, 7):
-            fast = verify_identity_specialized(case, n, None, which)
-            slow = rational_specialized(case, n, None, which)
+            fast = specialized_leg(case, n, None, sign)
+            slow = rational_specialized(case, n, None, sign)
             assert not slow["equal"]
             assert (fast["equal"], fast["detail"]) == (slow["equal"], slow["detail"])
             assert fast["witness"] == slow["witness"]
@@ -748,7 +773,7 @@ class TestIntegerParametricLegs:
     def test_failing_leg_witness_is_pinned(self, registry):
         # thm2 at n = 5 with its bound lowered by one: the a = q^n sum misses
         # its last term
-        outcome = verify_identity_specialized(perturbed(registry.get("thm2"), cut=1), 5, None, "qn")
+        outcome = specialized_leg(perturbed(registry.get("thm2"), cut=1), 5, None, 1)
         assert [repr(p) for p in outcome["witness"]] == [
             "1*q + 1*q^3 + 1*q^4 + 1*q^5 + 1*q^7", "1 + 1*q^2 + 1*q^3 + 1*q^5 + 1*q^6 + 1*q^8"]
         # with the closed form's q-shift moved by one, the monomial content

@@ -1,7 +1,8 @@
 """Source hygiene and the suite's own guards: every definition in the
 package is used by the package, every import is read by its module, every
 name the benchmark's tracer wraps exists and is called by one instance
-per lane, every mutation-table row applies, and a hung test fails."""
+per lane, every mutation-table row applies and names tests that exist, and
+a hung test fails."""
 
 import ast
 import importlib
@@ -168,6 +169,44 @@ def test_every_mutant_applies_once():
     counts = {m.name: (ROOT / m.file).read_text(encoding="utf-8").count(m.old)
               for m in mutants.MUTANTS}
     assert counts and {name: c for name, c in counts.items() if c != 1} == {}
+
+
+def undefined_tests(tests):
+    """Each of the pytest ids ``tests`` (file::function or
+    file::Class::method) that its file does not define, read from the
+    file's AST; a parameter id in brackets must be a string constant of
+    that file."""
+    undefined = []
+    for test in tests:
+        path, *names = test.split("::")
+        names[-1], _, param = names[-1].removesuffix("]").partition("[")
+        tree = scope = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        for name in names:
+            defined = (node for node in scope.body
+                       if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
+            scope = next(defined, None)
+            if scope is None:
+                break
+        constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        if scope is None or (param and param not in constants):
+            undefined.append(test)
+    return undefined
+
+
+def test_every_mutant_names_tests_that_exist():
+    # a renamed test would otherwise fail only the mutant run, whose
+    # unmutated baseline refuses a test id that collects nothing
+    mutants = _script_module(ROOT / "scripts" / "mutants.py")
+    assert undefined_tests(dict.fromkeys(t for m in mutants.MUTANTS for t in m.tests)) == []
+    rows = "tests/test_bad_input.py::test_bad_input_exits_with_a_message"
+    assert undefined_tests([
+        "tests/test_engine.py::TestVerifyQ::test_result_params",
+        "tests/test_engine.py::TestVerifyQ::test_no_such_test",
+        "tests/test_engine.py::test_result_params",
+        f"{rows}[bound_not_integral]",
+        f"{rows}[no_such_row]",
+    ]) == ["tests/test_engine.py::TestVerifyQ::test_no_such_test",
+           "tests/test_engine.py::test_result_params", f"{rows}[no_such_row]"]
 
 
 def test_wall_clock_guard_fails_a_hang(time_limit):
