@@ -271,10 +271,20 @@ MUTANTS = (
     Mutant(
         "product_parser_swaps_num_den",
         REGISTRY,
-        'num=_exprs(obj["num"]), den=_exprs(obj["den"])',
-        'num=_exprs(obj["den"]), den=_exprs(obj["num"])',
+        '"num": _req(_EXPRS), "den": _req(_EXPRS)',
+        '"num": _req(_EXPRS, "den"), "den": _req(_EXPRS, "num")',
         ("tests/test_analytic.py::TestIdentities::test_q_identities",
          "tests/test_engine.py::TestTelescopedProduct::test_finite_form_matches_the_infinite_products"),
+    ),
+    # the walker reads only the keys it knows and ignores the rest, so a
+    # misspelled optional key falls back to its default
+    Mutant(
+        "walker_ignores_unknown_keys",
+        REGISTRY,
+        'raise _Refused("unknown key", key, names_key=True)\n            if raw',
+        'continue\n            if raw',
+        ("tests/test_registry.py::TestKeyTable::test_each_renamed_or_deleted_key_is_named",
+         "tests/test_bad_input.py::test_bad_input_exits_with_a_message[modulus_power_misspelled]"),
     ),
     Mutant(
         "expr_integer_off_by_one",

@@ -50,8 +50,6 @@ _CMPOPS = {
 
 
 def _eval_node(node: ast.AST, names: dict) -> Fraction | bool:
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, names)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, int):
             raise ExpressionError(f"only integer literals allowed, got {node.value!r}")
@@ -81,9 +79,10 @@ def _eval_node(node: ast.AST, names: dict) -> Fraction | bool:
                     f"power of about {size * right} bits exceeds {MAX_POWER_BITS}"
                 )
         try:
-            return Fraction(_BINOPS[op](left, right))
+            value = _BINOPS[op](left, right)
         except ZeroDivisionError as exc:
             raise ExpressionError("division by zero in registry expression") from exc
+        return value if isinstance(value, Fraction) else Fraction(value)   # // and % give ints
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
             return -_eval_node(node.operand, names)
@@ -116,13 +115,13 @@ def _as_int(value: Fraction) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _parse(text: str) -> ast.Expression:
-    """The tree of ``text``, parsed once per process: a registry holds few
-    texts (the catalog 65) and each is evaluated at many bindings.  A text
-    that fails to parse raises on every call, since an exception is never
-    cached."""
+def _parse(text: str) -> ast.expr:
+    """The expression tree of ``text``, parsed once per process: a registry
+    holds few texts (the catalog 65) and each is evaluated at many
+    bindings.  A text that fails to parse raises on every call, since an
+    exception is never cached."""
     try:
-        return ast.parse(text, mode="eval")
+        return ast.parse(text, mode="eval").body
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
 

@@ -141,7 +141,7 @@ def _modulus_text(case: CaseDefinition) -> str:
     if case.modulus is None:
         return "-"
     return "*".join(
-        _MODULUS_TEXT[f.kind] + (f"^{f.power}" if f.kind == "cyclotomic" and f.power > 1 else "")
+        _MODULUS_TEXT[f.kind] + (f"^{f.power}" if f.power > 1 else "")
         for f in case.modulus.factors)
 
 

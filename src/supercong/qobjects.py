@@ -119,14 +119,6 @@ class PochFactor:
     power: int = 1
     param: str = ""
 
-    def __post_init__(self):
-        if self.side not in ("num", "den"):
-            raise SpecError(f"factor side must be num/den, got {self.side!r}")
-        if self.power < 1:
-            raise SpecError("factor power must be >= 1")
-        if self.param not in ("", "aq", "q_div_a"):
-            raise SpecError(f"unknown param marker {self.param!r}")
-
 
 @dataclass(frozen=True)
 class SummandSpec:
@@ -161,14 +153,8 @@ class ClosedFormBranch:
 
 @dataclass(frozen=True)
 class ModulusFactor:
-    kind: str
+    kind: str      # cyclotomic | q_integer | one_minus_a_qn | a_minus_qn
     power: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("cyclotomic", "q_integer", "one_minus_a_qn", "a_minus_qn"):
-            raise SpecError(f"unknown modulus factor kind {self.kind!r}")
-        if self.power < 1:
-            raise SpecError("modulus factor power must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Statement registry: loading and validation of the JSON case catalog.
 
-Every verified statement is one registry record.  The schema per record is
-id, kind, family, condition, bound(s), summand, closed_form, modulus,
-sweep defaults, notes/anchor, plus family-specific payloads (p-adic right
-sides, numeric product right sides, pi-series targets).
+Every verified statement is one registry record.  Which keys each shape of
+the file may have, which are required and how each value is read is one
+table; calling the reader of a shape walks it.  A key the table does not
+know, a missing required key or a value outside its reader's domain is
+refused at load, naming the record and the key's path.  ``_validate_case``
+then checks what no single key can (a parametric record's one bound, say).
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .exprs import eval_bool, eval_fraction, eval_int
 from .qobjects import (
@@ -29,10 +33,6 @@ from .qobjects import (
 )
 
 KINDS = ("theorem", "lemma", "corollary", "conjecture")
-FAMILIES = ("q", "q_pair", "padic", "analytic_identity", "pi_series", "gamma_limit")
-# the parameter each family sweeps over; a q record sweeps n, or [d, n] pairs
-SWEEP_KEYS = {"q": ("grid", "n"), "q_pair": ("n",), "padic": ("p",),
-              "analytic_identity": ("q",), "pi_series": ("N",), "gamma_limit": ()}
 # the identities analytic.check_identity_numeric evaluates by code, by name
 ANALYTIC_BUILTINS = ("rahman",)
 # the constants analytic.pi_target evaluates, by name
@@ -82,7 +82,7 @@ class ProductSpec:
     base: str
     num: tuple[str, ...]
     den: tuple[str, ...]
-    sign: int
+    sign: int = 1
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ class CaseDefinition:
     id: str
     kind: str
     family: str
-    anchor: str
-    notes: str
-    condition: str
+    anchor: str = ""
+    notes: str = ""
+    condition: str = "True"
     flags: tuple[str, ...] = ()
     sweep: dict = field(default_factory=dict)
     # q family
@@ -163,206 +163,226 @@ class Registry:
             raise RegistryError(f"unknown case id {case_id!r}") from None
 
 
-def _expr(value) -> str:
-    """The one reading of a registry expression: a string as it is, a JSON
-    integer (not a bool) as its decimal text.  Anything else is refused, and
-    _read_case names the record."""
-    if isinstance(value, str):
-        return value
-    if _is_int(value):
-        return str(value)
-    raise TypeError(f"an expression must be a string or an integer, got {value!r}")
+class _Refused(Exception):
+    """A value the key table refuses.  Its path grows from the key at fault
+    outward as the walk unwinds, so a record that loads builds no path."""
 
+    def __init__(self, what: str, *path, names_key: bool = False):
+        super().__init__(what)
+        self.what, self.path, self.names_key = what, list(path), names_key
 
-def _int(value) -> int:
-    """The one reading of a registry integer field (a power, sign,
-    threshold or p-power): a JSON integer, not a bool.  Anything else is
-    refused, and _read_case names the record."""
-    if _is_int(value):
-        return value
-    raise TypeError(f"an integer field must be a JSON integer, got {value!r}")
-
-
-def _number(value) -> float:
-    """The one reading of a registry number field (a tol or a q value): a
-    JSON integer or float, not a bool or a string, else refused."""
-    if _is_number(value):
-        return float(value)
-    raise TypeError(f"a number field must be a JSON number, got {value!r}")
-
-
-def _exprs(values) -> tuple[str, ...]:
-    return tuple(map(_expr, values))
-
-
-def _pairs(values) -> tuple[tuple[str, str], ...]:
-    """(base, length) pairs of rising factorials, as expressions."""
-    return tuple((_expr(base), _expr(length)) for base, length in values)
-
-
-def _summand_from_json(obj: dict) -> SummandSpec:
-    factors = tuple(
-        PochFactor(
-            exp=_expr(f["exp"]),
-            step=_expr(f["step"]),
-            side=f["side"],
-            power=_int(f.get("power", 1)),
-            param=f.get("param", ""),
-        )
-        for f in obj["factors"]
-    )
-    m, r = _exprs(obj["prefactor"])
-    return SummandSpec(prefactor_m=m, prefactor_r=r, q_exp=_exprs(obj["q_exp"]), factors=factors)
-
-
-def _closed_branch_from_json(b: dict) -> ClosedFormBranch:
-    if b["kind"] not in ("ratio", "zero"):
-        raise ValueError(f"a closed-form kind must be 'ratio' or 'zero', got {b['kind']!r}")
-    if not isinstance(b.get("n_multiplier", False), bool):
-        raise TypeError(f"n_multiplier must be true or false, got {b['n_multiplier']!r}")
-    return ClosedFormBranch(
-        when=_expr(b["when"]),
-        kind=b["kind"],
-        num=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("num", ())),
-        den=tuple(ClosedLen(*_exprs((f["exp"], f["step"], f["length"]))) for f in b.get("den", ())),
-        n_multiplier=b.get("n_multiplier", False),
-        q_shift=_expr(b.get("q_shift", "0")),
-        sign=_int(b.get("sign", 1)),
-    )
-
-
-def _product_from_json(obj: dict) -> ProductSpec:
-    """A specialized_product or an rhs_product."""
-    return ProductSpec(base=_expr(obj["base"]), num=_exprs(obj["num"]), den=_exprs(obj["den"]),
-                       sign=_int(obj.get("sign", 1)))
-
-
-def _modulus_from_json(obj: dict) -> ModulusSpec:
-    return ModulusSpec(
-        factors=tuple(
-            ModulusFactor(kind=f["kind"], power=_int(f.get("power", 1))) for f in obj["factors"]
-        )
-    )
-
-
-def _real_sum_from_json(obj: dict) -> RealSumSpec:
-    return RealSumSpec(
-        kind=obj["kind"],
-        prefactor=_exprs(obj.get("prefactor", ("0", "0"))),
-        rising=tuple((_expr(base), _int(power)) for base, power in obj.get("rising", ())),
-        factorial_power=_int(obj.get("factorial_power", 0)),
-        geometric_base=_expr(obj.get("geometric_base", "1")),
-        num=_pairs(obj.get("num", ())),
-        den=_pairs(obj.get("den", ())),
-        p_power=_int(obj.get("p_power", 0)),
-    )
-
-
-def _padic_rhs_from_json(obj: dict) -> PadicRhsBranch:
-    # a rising ratio multiplies (base, length) pairs, a Gamma_p ratio arguments
-    read = _pairs if obj["kind"] == "rising_ratio" else _exprs
-    return PadicRhsBranch(when=_expr(obj["when"]), kind=obj["kind"], num=read(obj.get("num", ())),
-                          den=read(obj.get("den", ())), p_power=_int(obj.get("p_power", 0)),
-                          sign=_int(obj.get("sign", 1)))
+    def __str__(self) -> str:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.path).lstrip(".")
+        if self.names_key:
+            return f"{self.what} '{path}'"
+        return f"{path}: {self.what}" if path else self.what
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _expr(value) -> str:
+    """The one reading of a registry expression: a string as it is, a JSON
+    integer (not a bool) as its decimal text."""
+    if isinstance(value, str):
+        return value
+    if _is_int(value):
+        return str(value)
+    raise _Refused(f"an expression must be a string or an integer, got {value!r}")
 
 
-def _sweep_value_ok(key: str, value) -> bool:
-    if key == "grid":
-        return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
-    if key == "q":
-        return _is_number(value)
-    return _is_int(value)
+def _checked(accepts: Callable, what: str, convert: Optional[Callable] = None):
+    """The reader of a value ``accepts`` holds for, as ``convert`` reads it
+    (as it is without one); any other is refused as "<what>, got <value>"."""
+    def read(value):
+        if accepts(value):
+            return convert(value) if convert else value
+        raise _Refused(f"{what}, got {value!r}")
+    return read
 
 
-def _sweep_from_json(case_id: str, family: str, sweep) -> dict:
-    """The record's default grid: an object whose one key, if its family
-    has one, is the parameter it sweeps over, holding a list of values."""
-    keys = SWEEP_KEYS[family]
-    if not isinstance(sweep, dict) or not set(sweep) <= set(keys) or len(sweep) != min(len(keys), 1):
-        expected = " or ".join(repr(key) for key in keys) or "no key"
-        raise RegistryError(f"{case_id}: sweep must be an object with {expected}, got {sweep!r}")
-    for key, values in sweep.items():
-        if not isinstance(values, list) or not all(_sweep_value_ok(key, v) for v in values):
-            raise RegistryError(f"{case_id}: sweep {key!r} must be a list of "
-                                + {"grid": "[d, n] integer pairs", "q": "numbers"}.get(key, "integers"))
-    return sweep
+def _number(accepts: Callable, what: str):
+    """The reader of a JSON integer or float (not a bool) ``accepts`` holds
+    for, read as a float: a tol or a q value, in the domain analytic.py needs."""
+    return _checked(lambda v: (_is_int(v) or isinstance(v, float)) and accepts(v), what, float)
 
 
-def _case_from_json(obj: dict) -> CaseDefinition:
-    case_id = obj.get("id")
-    if not case_id or not isinstance(case_id, str):
-        raise RegistryError("case without id")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise RegistryError(f"{case_id}: unknown kind {kind!r}")
-    family = obj.get("family")
-    if family not in FAMILIES:
-        raise RegistryError(f"{case_id}: unknown family {family!r}")
+def valid_tolerance(tol: float) -> bool:
+    """The one rule for a tolerance, a record's tol or a run's --tol."""
+    return tol >= 0 and math.isfinite(tol)
 
-    kwargs = dict(
-        id=case_id,
-        kind=kind,
-        family=family,
-        anchor=obj.get("anchor", ""),
-        notes=obj.get("notes", ""),
-        condition=_expr(obj.get("condition", "True")),
-        flags=tuple(obj.get("flags", ())),
-        sweep=_sweep_from_json(case_id, family, obj.get("sweep", {})),
-    )
 
-    if family in ("q",):
-        kwargs.update(
-            d_values=tuple(obj["d_values"]) if obj.get("d_values") else None,
-            bounds=_exprs(obj["bounds"]),
-            summand=_summand_from_json(obj["summand"]),
-            closed_form=tuple(map(_closed_branch_from_json, obj["closed_form"])),
-            modulus=_modulus_from_json(obj["modulus"]),
-        )
-        if "specialized_product" in obj:
-            kwargs.update(specialized_product=_product_from_json(obj["specialized_product"]))
-    elif family == "q_pair":
-        kwargs.update(
-            lhs_pair=PairSide(_expr(obj["lhs"]["bound"]), _summand_from_json(obj["lhs"]["summand"])),
-            rhs_pair=PairSide(_expr(obj["rhs"]["bound"]), _summand_from_json(obj["rhs"]["summand"])),
-            modulus=_modulus_from_json(obj["modulus"]),
-        )
-    elif family == "padic":
-        kwargs.update(
-            threshold=_int(obj["threshold"]),
-            padic_bound=None if obj.get("bound") is None else _expr(obj["bound"]),
-            real_lhs=_real_sum_from_json(obj["lhs"]),
-            padic_rhs=tuple(map(_padic_rhs_from_json, obj["rhs"])),
-        )
-    elif family == "analytic_identity":
-        kwargs.update(builtin=obj.get("builtin"), tol=_number(obj.get("tol", 1e-10)))
-        if kwargs["builtin"] is None:   # a summand against an infinite product
-            kwargs.update(summand=_summand_from_json(obj["summand"]),
-                          rhs_product=_product_from_json(obj["rhs_product"]))
-        elif kwargs["builtin"] not in ANALYTIC_BUILTINS:
-            raise RegistryError(f"{case_id}: unknown analytic builtin {kwargs['builtin']!r}")
-    elif family == "pi_series":
-        kwargs.update(
-            real_lhs=_real_sum_from_json(obj["lhs"]),
-            target=obj["target"],
-            tol=_number(obj.get("tol", 1e-9)),
-        )
-    elif family == "gamma_limit":
-        kwargs.update(
-            x_values=_exprs(obj.get("x_values", ())),
-            q_values=tuple(map(_number, obj.get("q_values", ()))),
-        )
-    return CaseDefinition(**kwargs)
+# an integer field (a sign, a p-power, a sweep value) is a JSON integer, not a bool
+_int = _checked(_is_int, "an integer field must be a JSON integer")
+_positive = _checked(lambda v: _is_int(v) and v >= 1, "must be a JSON integer >= 1")
+_terms = _checked(lambda v: _is_int(v) and v >= 0, "must be a JSON integer >= 0")
+_tol = _number(valid_tolerance, "a tolerance must be a finite JSON number >= 0")
+_q_in_0_1 = _number(lambda q: 0 < q < 1, "must be a JSON number in (0, 1)")
+_q_in_disc = _number(lambda q: 0 < abs(q) < 1, "must be a JSON number with 0 < |q| < 1")
+_bool = _checked(lambda v: isinstance(v, bool), "must be true or false")
+_text = _checked(lambda v: isinstance(v, str), "must be a string")
+
+
+def _one_of(*choices):
+    """The reader of a name that must be one of ``choices``."""
+    return _checked(choices.__contains__, f"must be one of {choices}")
+
+
+class _Key:
+    """One key of a shape: its reader, the dataclass field it fills when that
+    is not the key, what an absent key reads as (the two tol defaults only)
+    and whether it is required."""
+
+    def __init__(self, reader: Callable, field=None, default=None, required=False):
+        self.reader, self.field, self.default, self.required = reader, field, default, required
+
+
+_opt, _req = _Key, partial(_Key, required=True)   # _req(reader, field=None)
+
+
+class _Shape:
+    """A JSON object: every key it may have, and what its values build.  A
+    null value is an absent key; an absent optional key is left out, so
+    the dataclass default applies.  A shape, a list (_List) and a shape
+    chosen by a key (_ByKey) are readers like _expr, and together the
+    walker: reading a record is calling the reader of its shape."""
+
+    def __init__(self, build: Callable, keys: dict[str, _Key]):
+        self.build, self.keys = build, keys
+        self.readers = {key: (spec.field or key, spec.reader) for key, spec in keys.items()}
+        self.absent = [(key, spec.required, spec.field or key, spec.default)
+                       for key, spec in keys.items() if spec.required or spec.default is not None]
+
+    def __call__(self, value):
+        if not isinstance(value, dict):
+            raise _Refused(f"must be an object, got {value!r}")
+        kwargs = {}
+        for key, raw in value.items():
+            entry = self.readers.get(key)
+            if entry is None:
+                raise _Refused("unknown key", key, names_key=True)
+            if raw is not None:
+                try:
+                    kwargs[entry[0]] = entry[1](raw)
+                except _Refused as exc:
+                    exc.path.insert(0, key)
+                    raise
+        for key, required, name, default in self.absent:
+            if value.get(key) is None:
+                if required:
+                    raise _Refused("missing key", key, names_key=True)
+                kwargs[name] = default
+        return self.build(**kwargs)
+
+
+class _ByKey:
+    """A JSON object whose shape its ``key`` names: a record's family, or
+    the kind of a real sum or of a p-adic branch."""
+
+    def __init__(self, key: str, shapes: dict[str, _Shape]):
+        self.key, self.shapes = key, shapes
+
+    def __call__(self, value):
+        if not isinstance(value, dict):
+            raise _Refused(f"must be an object, got {value!r}")
+        name = value.get(self.key)
+        if isinstance(name, str) and name in self.shapes:
+            return self.shapes[name](value)
+        for key in value:   # a key no shape knows is refused first
+            if all(key not in shape.keys for shape in self.shapes.values()):
+                raise _Refused("unknown key", key, names_key=True)
+        if name is None:
+            raise _Refused("missing key", self.key, names_key=True)
+        raise _Refused(f"must be one of {tuple(self.shapes)}, got {name!r}", self.key)
+
+
+class _List:
+    """A JSON list read into ``into``: every item by ``item``, or, for a row,
+    one reader per place, so its length is fixed."""
+
+    def __init__(self, item: Optional[Callable] = None, row: tuple = (), into: type = tuple):
+        self.item, self.row, self.into = item, row, into
+
+    def __call__(self, value):
+        if not isinstance(value, list) or self.row and len(value) != len(self.row):
+            raise _Refused(f"must be a list{f' of {len(self.row)}' if self.row else ''}, got {value!r}")
+        out = []
+        for read, raw in zip(self.row or repeat(self.item), value):
+            try:
+                out.append(read(raw))
+            except _Refused as exc:
+                exc.path.insert(0, len(out))
+                raise
+        return self.into(out)
+
+
+# The key table: every shape of cases.json, each key of it with its reader.
+_EXPRS = _List(_expr)
+_PAIRS = _List(_List(row=(_expr, _expr)))
+_INTS = _List(_int, into=list)
+_SUMMAND = _Shape(lambda prefactor, **rest: SummandSpec(*prefactor, **rest), {
+    "prefactor": _req(_List(row=(_expr, _expr))),
+    "q_exp": _req(_List(row=(_expr, _expr, _expr))),
+    "factors": _req(_List(_Shape(PochFactor, {
+        "exp": _req(_expr), "step": _req(_expr), "side": _req(_one_of("num", "den")),
+        "power": _opt(_positive), "param": _opt(_one_of("", "aq", "q_div_a"))}))),
+})
+_CLOSED_LENGTHS = _List(_Shape(ClosedLen, {"exp": _req(_expr), "step": _req(_expr),
+                                           "length": _req(_expr)}))
+_CLOSED_BRANCH = _Shape(ClosedFormBranch, {
+    "when": _req(_expr), "kind": _req(_one_of("ratio", "zero")), "num": _opt(_CLOSED_LENGTHS),
+    "den": _opt(_CLOSED_LENGTHS), "n_multiplier": _opt(_bool), "q_shift": _opt(_expr),
+    "sign": _opt(_int)})
+_MODULUS = _Shape(ModulusSpec, {"factors": _req(_List(_Shape(ModulusFactor, {
+    "kind": _req(_one_of("cyclotomic", "q_integer", "one_minus_a_qn", "a_minus_qn")),
+    "power": _opt(_positive)})))})
+_PRODUCT = _Shape(ProductSpec, {"base": _req(_expr), "num": _req(_EXPRS), "den": _req(_EXPRS),
+                                "sign": _opt(_int)})
+_PAIR_SIDE = _Shape(PairSide, {"bound": _req(_expr), "summand": _req(_SUMMAND)})
+_SUM = _Shape(RealSumSpec, {
+    "kind": _req(_text), "prefactor": _opt(_List(row=(_expr, _expr))),
+    "rising": _opt(_List(_List(row=(_expr, _int)))), "factorial_power": _opt(_int),
+    "geometric_base": _opt(_expr)})
+_RISING_RATIO = _Shape(RealSumSpec, {"kind": _req(_text), "num": _opt(_PAIRS),
+                                     "den": _opt(_PAIRS), "p_power": _opt(_int)})
+_BRANCH = {"when": _req(_expr), "kind": _req(_text)}   # a zero branch has no more keys
+_PADIC_BRANCH = _ByKey("kind", {"zero": _Shape(PadicRhsBranch, _BRANCH), **{
+    kind: _Shape(PadicRhsBranch, {**_BRANCH, "num": _opt(entries), "den": _opt(entries),
+                                  "p_power": _opt(_int), "sign": _opt(_int)})
+    for kind, entries in (("gamma_ratio", _EXPRS), ("rising_ratio", _PAIRS))}})
+_RECORD = {"id": _req(_text), "kind": _req(_one_of(*KINDS)), "family": _req(_text),
+           "anchor": _opt(_text), "notes": _opt(_text), "condition": _opt(_expr),
+           "flags": _opt(_List(_text))}
+# each family's keys; its sweep holds the values of the parameter it sweeps
+_CASE = _ByKey("family", {family: _Shape(CaseDefinition, {**_RECORD, **keys}) for family, keys in {
+    "q": {"sweep": _req(_Shape(dict, {"grid": _opt(_List(_List(row=(_int, _int), into=list),
+                                                         into=list)), "n": _opt(_INTS)})),
+          "d_values": _opt(_List(_int)), "bounds": _req(_EXPRS), "summand": _req(_SUMMAND),
+          "closed_form": _req(_List(_CLOSED_BRANCH)), "modulus": _req(_MODULUS),
+          "specialized_product": _opt(_PRODUCT)},
+    "q_pair": {"sweep": _req(_Shape(dict, {"n": _req(_INTS)})), "lhs": _req(_PAIR_SIDE, "lhs_pair"),
+               "rhs": _req(_PAIR_SIDE, "rhs_pair"), "modulus": _req(_MODULUS)},
+    "padic": {"sweep": _req(_Shape(dict, {"p": _req(_INTS)})), "threshold": _req(_positive),
+              "bound": _opt(_expr, "padic_bound"),
+              "lhs": _req(_ByKey("kind", {"sum": _SUM, "rising_ratio": _RISING_RATIO}), "real_lhs"),
+              "rhs": _req(_List(_PADIC_BRANCH), "padic_rhs")},
+    "analytic_identity": {"sweep": _req(_Shape(dict, {"q": _req(_List(_q_in_disc, into=list))})),
+                          "builtin": _opt(_one_of(*ANALYTIC_BUILTINS)), "summand": _opt(_SUMMAND),
+                          "rhs_product": _opt(_PRODUCT), "tol": _opt(_tol, default=1e-10)},
+    "pi_series": {"sweep": _req(_Shape(dict, {"N": _req(_List(_terms, into=list))})),
+                  "lhs": _req(_ByKey("kind", {"sum": _SUM}), "real_lhs"),
+                  "target": _req(_one_of(*PI_TARGETS)), "tol": _opt(_tol, default=1e-9)},
+    "gamma_limit": {"sweep": _opt(_Shape(dict, {})), "x_values": _opt(_EXPRS),
+                    "q_values": _opt(_List(_q_in_0_1))},
+}.items()})
 
 
 def _validate_case(case: CaseDefinition) -> None:
+    if case.family == "analytic_identity" and \
+            (case.summand is not None, case.rhs_product is not None) != (case.builtin is None,) * 2:
+        raise RegistryError(f"{case.id}: an analytic identity has a builtin, or else a summand "
+                            "and an rhs_product")
     summands = [spec for spec in (case.summand, case.lhs_pair and case.lhs_pair.summand,
                                   case.rhs_pair and case.rhs_pair.summand) if spec is not None]
     if case.family in ("q_pair", "analytic_identity") \
@@ -377,12 +397,10 @@ def _validate_case(case: CaseDefinition) -> None:
                 raise RegistryError(f"{case.id}: {exc}") from exc
     if case.family in ("q", "q_pair"):
         for spec in summands:
-            num_div = sum(1 for f in spec.factors if f.side == "num" and f.param == "q_div_a")
-            den_div = sum(1 for f in spec.factors if f.side == "den" and f.param == "q_div_a")
-            if num_div != den_div:
-                raise RegistryError(
-                    f"{case.id}: unbalanced q/a factors ({num_div} num vs {den_div} den)"
-                )
+            sides = [f.side for f in spec.factors if f.param == "q_div_a"]
+            if sides.count("num") != sides.count("den"):
+                raise RegistryError(f"{case.id}: unbalanced q/a factors "
+                                    f"({sides.count('num')} num vs {sides.count('den')} den)")
         parametric = case.modulus.parametric_kinds()
         has_params = any(f.param for f in (case.summand.factors if case.summand else ()))
         if parametric and not has_params:
@@ -393,16 +411,8 @@ def _validate_case(case: CaseDefinition) -> None:
             raise RegistryError(f"{case.id}: empty modulus")
     if case.family == "q":
         _validate_q_plan(case)
-    if case.family == "padic":
-        if case.threshold is None or case.threshold < 1:
-            raise RegistryError(f"{case.id}: p-adic threshold must be >= 1")
-        for branch in case.padic_rhs:
-            if branch.kind not in ("gamma_ratio", "rising_ratio", "zero"):
-                raise RegistryError(f"{case.id}: unknown p-adic rhs kind {branch.kind!r}")
-        if case.real_lhs.kind not in ("sum", "rising_ratio"):
-            raise RegistryError(f"{case.id}: unknown p-adic lhs kind {case.real_lhs.kind!r}")
-        if case.real_lhs.kind == "sum" and case.padic_bound is None:
-            raise RegistryError(f"{case.id}: a p-adic sum needs a bound expression")
+    if case.family == "padic" and case.real_lhs.kind == "sum" and case.padic_bound is None:
+        raise RegistryError(f"{case.id}: a p-adic sum needs a bound expression")
     if case.real_lhs is not None and case.real_lhs.kind == "sum" \
             and eval_fraction(case.real_lhs.geometric_base) == 0:
         raise RegistryError(f"{case.id}: zero geometric base")
@@ -418,21 +428,18 @@ def _validate_q_plan(case: CaseDefinition) -> None:
         raise RegistryError(f"{case.id}: a q record needs a bound")
     if case.parametric and len(case.bounds) > 1:
         raise RegistryError(f"{case.id}: a parametric record takes one bound, got {len(case.bounds)}")
-    if bool(case.d_values) != ("grid" in case.sweep):
-        raise RegistryError(f"{case.id}: a q record sweeps a [d, n] grid exactly when it has d_values")
+    if set(case.sweep) != {"grid" if case.d_values else "n"}:
+        raise RegistryError(f"{case.id}: a q record sweeps a [d, n] grid exactly when it has "
+                            "d_values, and n values otherwise")
     for d, _ in case.sweep.get("grid", ()):
         if d not in case.d_values:
             raise RegistryError(f"{case.id}: sweep d={d} is not one of its d_values {list(case.d_values)}")
 
 
-def valid_tolerance(tol: float) -> bool:
-    """The one rule for a tolerance, a record's tol or a run's --tol."""
-    return tol >= 0 and math.isfinite(tol)
-
-
 def _validate_numeric(case: CaseDefinition) -> None:
-    """The numeric families' values lie in the domains analytic.py checks at
-    run time, so a bad one is refused here instead of ending in an error."""
+    """A numeric family's x values and product entries lie in the domains
+    analytic.py checks at run time, so a bad one is refused here instead of
+    ending in an error."""
     for x in case.x_values:
         try:
             value = eval_fraction(x)
@@ -440,19 +447,6 @@ def _validate_numeric(case: CaseDefinition) -> None:
             raise RegistryError(f"{case.id}: x value {x!r}: {exc}") from exc
         if value <= 0:
             raise RegistryError(f"{case.id}: x value {x!r} is not positive")
-    for q in case.q_values:
-        if not 0 < q < 1:
-            raise RegistryError(f"{case.id}: q value {q!r} is not inside (0, 1)")
-    for q in case.sweep.get("q", ()):
-        if not 0 < abs(q) < 1:
-            raise RegistryError(f"{case.id}: sweep q {q!r} is not inside 0 < |q| < 1")
-    for terms in case.sweep.get("N", ()):
-        if terms < 0:
-            raise RegistryError(f"{case.id}: sweep N {terms} is negative")
-    if case.family == "pi_series" and case.target not in PI_TARGETS:
-        raise RegistryError(f"{case.id}: unknown pi-series target {case.target!r}")
-    if case.tol is not None and not valid_tolerance(case.tol):
-        raise RegistryError(f"{case.id}: tolerance must be a finite nonnegative number, got {case.tol}")
     if case.rhs_product is not None:
         product = case.rhs_product
         for entry in (product.base, *product.num, *product.den):
@@ -480,25 +474,30 @@ def load_registry(path: Optional[Path | str] = None) -> Registry:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
-    if (not isinstance(doc, dict) or not isinstance(doc.get("cases"), list)
-            or not all(isinstance(obj, dict) for obj in doc["cases"])):
-        raise RegistryError("registry document must be an object with a 'cases' list of objects")
-    return Registry([_read_case(obj) for obj in doc["cases"]], digest, path)
-
-
-def _read_case(obj: dict) -> CaseDefinition:
-    """One record, parsed and validated; a missing field or a value of the
-    wrong type or form anywhere in it is a RegistryError naming the record."""
     try:
-        case = _case_from_json(obj)
+        cases = _DOCUMENT(doc)["cases"]
+    except _Refused as exc:
+        raise RegistryError(f"registry document: {exc}") from None
+    return Registry(cases, digest, path)
+
+
+def _read_case(obj) -> CaseDefinition:
+    """One record, read by the key table and validated; a refusal anywhere in
+    it is a RegistryError naming the record."""
+    if not isinstance(obj, dict):
+        raise _Refused(f"a record must be an object, got {obj!r}")
+    try:
+        case = _CASE(obj)
+    except _Refused as exc:
+        raise RegistryError(f"{obj.get('id', 'a record without an id')}: {exc}") from None
+    try:
         _validate_case(case)
-        return case
-    except RegistryError:
-        raise
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise RegistryError(
-            f"{obj.get('id')}: malformed record: {type(exc).__name__}: {exc}"
-        ) from exc
+    except SpecError as exc:   # an expression out of the evaluator's domain (a geometric base)
+        raise RegistryError(f"{case.id}: {exc}") from exc
+    return case
+
+
+_DOCUMENT = _Shape(dict, {"format": _opt(_int), "cases": _req(_List(_read_case, into=list))})
 
 
 def iter_sweep_params(case: CaseDefinition) -> list[dict]:

@@ -8,13 +8,15 @@ import json
 import pytest
 
 from supercong.cli import main
+from supercong.harness import SYMBOLIC_FAMILIES
 from supercong.registry import default_registry_path
 
 # a new value that deletes its key from the record
 MISSING = object()
 
-# (row id, case id, [(path in the record, new value)], verify arguments,
-#  exit status, message in stderr (exit 2) or in the instance's detail)
+# (row id, case id, [(path in the record, new value)], arguments of the
+#  record's command (verify or analytic, by its family), exit status, message
+#  in stderr (exit 2) or in the instance's detail)
 BAD_INPUTS = [
     ("closed_form_den_vanishes", "thm1_1",
      [(("closed_form", 0, "den", 0, "exp"), "n-5")],
@@ -22,9 +24,10 @@ BAD_INPUTS = [
     ("modulus_power_negative", "thm1_1",
      [(("summand", "q_exp"), ["1", "0", "0"]),
       (("modulus", "factors"), [{"kind": "cyclotomic", "power": -1}])],
-     ["--n", "5"], 2, "thm1_1: malformed record: SpecError: modulus factor power must be >= 1"),
+     ["--n", "5"], 2, "thm1_1: modulus.factors[0].power: must be a JSON integer >= 1, got -1"),
     ("modulus_kind_unknown", "thm1_1", [(("modulus", "factors", 1, "kind"), "cyclotomik")],
-     ["--n", "5"], 2, "thm1_1: malformed record: SpecError: unknown modulus factor kind 'cyclotomik'"),
+     ["--n", "5"], 2, "thm1_1: modulus.factors[1].kind: must be one of ('cyclotomic', 'q_integer', "
+                       "'one_minus_a_qn', 'a_minus_qn'), got 'cyclotomik'"),
     ("geometric_base_zero", "vanhamme_g2", [(("lhs", "geometric_base"), "0")],
      ["--primes", "5"], 2, "vanhamme_g2: zero geometric base"),
     ("padic_bound_negative", "vanhamme_g2", [(("bound",), "-3")],
@@ -74,13 +77,14 @@ BAD_INPUTS = [
     ("gamma_limit_x_not_positive", "gamma_limit", [(("x_values", 0), "-1/2")],
      [], 2, "gamma_limit: x value '-1/2' is not positive"),
     ("gamma_limit_q_outside_unit_interval", "gamma_limit", [(("q_values", 1), 1.5)],
-     [], 2, "gamma_limit: q value 1.5 is not inside (0, 1)"),
+     [], 2, "gamma_limit: q_values[1]: must be a JSON number in (0, 1), got 1.5"),
     ("analytic_sweep_q_outside_unit_disc", "chu1", [(("sweep", "q", 0), 1.5)],
-     [], 2, "chu1: sweep q 1.5 is not inside 0 < |q| < 1"),
+     [], 2, "chu1: sweep.q[0]: must be a JSON number with 0 < |q| < 1, got 1.5"),
     ("pi_series_sweep_n_negative", "ram1", [(("sweep", "N", 0), -1)],
-     [], 2, "ram1: sweep N -1 is negative"),
+     [], 2, "ram1: sweep.N[0]: must be a JSON integer >= 0, got -1"),
     ("pi_series_target_unknown", "ram1", [(("target",), "nope")],
-     [], 2, "ram1: unknown pi-series target 'nope'"),
+     [], 2, "ram1: target: must be one of ('two_sqrt2_over_sqrtpi_gamma34_sq', "
+            "'neg_sqrt_2pi_over_2_gamma34_sq'), got 'nope'"),
     # a q record plans what verify_q decides: a parametric instance is decided
     # at the first bound, and d comes only from a grid of the record's d values
     ("q_record_without_bound", "thm1_1", [(("bounds",), [])],
@@ -93,9 +97,9 @@ BAD_INPUTS = [
      [], 2, "lemma1: sweep d=7 is not one of its d_values [2, 3, 4]"),
     # a record tol follows the rule of --tol; JSON 1e999 reads as inf
     ("record_tol_infinite", "chu1", [(("tol",), float("inf"))],
-     [], 2, "chu1: tolerance must be a finite nonnegative number, got inf"),
+     [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got inf"),
     ("record_tol_negative", "chu1", [(("tol",), -1)],
-     [], 2, "chu1: tolerance must be a finite nonnegative number, got -1.0"),
+     [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got -1"),
     # an analytic identity's infinite product has integer entries
     ("rhs_product_entry_not_integral", "chu1", [(("rhs_product", "num", 0), "1/2")],
      [], 2, "chu1: rhs_product entry '1/2': non-integral value 1/2"),
@@ -103,23 +107,19 @@ BAD_INPUTS = [
      [], 2, "chu1: rhs_product entry 'n': unbound name 'n'"),
     # an integer field takes a JSON integer only, never a fraction or a bool
     ("factor_power_fractional", "thm1_1", [(("summand", "factors", 1, "power"), 3.7)],
-     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: an integer field must be a JSON "
-                      "integer, got 3.7"),
+     ["--n", "5"], 2, "thm1_1: summand.factors[1].power: must be a JSON integer >= 1, got 3.7"),
     ("factor_power_bool", "thm1_1", [(("summand", "factors", 1, "power"), True)],
-     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: an integer field must be a JSON "
-                      "integer, got True"),
+     ["--n", "5"], 2, "thm1_1: summand.factors[1].power: must be a JSON integer >= 1, got True"),
     ("modulus_power_fractional", "thm1_1", [(("modulus", "factors", 1, "power"), 2.5)],
-     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: an integer field must be a JSON "
-                      "integer, got 2.5"),
+     ["--n", "5"], 2, "thm1_1: modulus.factors[1].power: must be a JSON integer >= 1, got 2.5"),
     ("padic_threshold_fractional", "vanhamme_g2", [(("threshold",), 3.9)],
-     ["--primes", "5"], 2, "vanhamme_g2: malformed record: TypeError: an integer field must be "
-                           "a JSON integer, got 3.9"),
+     ["--primes", "5"], 2, "vanhamme_g2: threshold: must be a JSON integer >= 1, got 3.9"),
     # a closed-form branch is a ratio or zero, and its multiplier a JSON bool
     ("closed_form_kind_unknown", "thm1_1", [(("closed_form", 1, "kind"), "zeroo")],
-     ["--n", "7"], 2, "thm1_1: malformed record: ValueError: a closed-form kind must be 'ratio' "
-                      "or 'zero', got 'zeroo'"),
+     ["--n", "7"], 2, "thm1_1: closed_form[1].kind: must be one of ('ratio', 'zero'), "
+                      "got 'zeroo'"),
     ("closed_form_multiplier_not_bool", "thm1_1", [(("closed_form", 0, "n_multiplier"), "false")],
-     ["--n", "5"], 2, "thm1_1: malformed record: TypeError: n_multiplier must be true or false, "
+     ["--n", "5"], 2, "thm1_1: closed_form[0].n_multiplier: must be true or false, "
                       "got 'false'"),
     # every q-lane record has a modulus to decide: an empty one would pass
     # the pair below, whose right sum is bent
@@ -129,17 +129,38 @@ BAD_INPUTS = [
     # a tolerance or a q value is a JSON number, never a bool or a string:
     # a tol of true read as 1.0 would pass chu1 with its product bent
     ("record_tol_bool", "chu1", [(("tol",), True), (("rhs_product", "num", 0), 6)],
-     [], 2, "chu1: malformed record: TypeError: a number field must be a JSON number, got True"),
+     [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got True"),
     ("record_tol_string", "chu1", [(("tol",), "1e-9")],
-     [], 2, "chu1: malformed record: TypeError: a number field must be a JSON number, got '1e-9'"),
+     [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got '1e-9'"),
     ("gamma_limit_q_string", "gamma_limit", [(("q_values", 0), "0.9")],
-     [], 2, "gamma_limit: malformed record: TypeError: a number field must be a JSON number, "
-            "got '0.9'"),
+     [], 2, "gamma_limit: q_values[0]: must be a JSON number in (0, 1), got '0.9'"),
     # an analytic identity is a builtin the lane knows, or a summand and a product
     ("analytic_builtin_unknown", "rahman", [(("builtin",), "rahmann")],
-     [], 2, "rahman: unknown analytic builtin 'rahmann'"),
+     [], 2, "rahman: builtin: must be one of ('rahman',), got 'rahmann'"),
     ("analytic_summand_without_product", "chu1", [(("rhs_product",), MISSING)],
-     [], 2, "chu1: malformed record: KeyError: 'rhs_product'"),
+     [], 2, "chu1: an analytic identity has a builtin, or else a summand "
+            "and an rhs_product"),
+    # every key is one the key table knows, read by its one reader: a
+    # misspelled power would weaken the modulus to [n]*Phi_n and pass
+    ("modulus_power_misspelled", "thm1_1",
+     [(("modulus", "factors", 1, "power"), MISSING), (("modulus", "factors", 1, "powr"), 2)],
+     ["--n", "5"], 2, "thm1_1: unknown key 'modulus.factors[1].powr'"),
+    ("flags_a_string", "thm1_1", [(("flags",), "abc")],
+     ["--n", "5"], 2, "thm1_1: flags: must be a list, got 'abc'"),
+    ("anchor_a_number", "thm1_1", [(("anchor",), 5)],
+     ["--n", "5"], 2, "thm1_1: anchor: must be a string, got 5"),
+    ("d_values_bool", "lemma2", [(("d_values",), [True, 3, 4])],
+     ["--n", "5", "--d", "3"], 2,
+     "lemma2: d_values[0]: an integer field must be a JSON integer, got True"),
+    ("factor_side_missing", "thm1_1", [(("summand", "factors", 0, "side"), MISSING)],
+     ["--n", "5"], 2, "thm1_1: missing key 'summand.factors[0].side'"),
+    # a shape chosen by a kind: a pi-series sums its series (a rising ratio
+    # once ended in an error result), and a rising-ratio entry is a pair (a
+    # two-letter string once read as one)
+    ("pi_series_lhs_not_a_sum", "ram1", [(("lhs", "kind"), "rising_ratio")],
+     [], 2, "ram1: lhs.kind: must be one of ('sum',), got 'rising_ratio'"),
+    ("rising_ratio_entry_a_string", "thm1_3", [(("rhs", 0, "num", 0), "12")],
+     ["--primes", "5"], 2, "thm1_3: rhs[0].num[0]: must be a list of 2, got '12'"),
 ]
 
 
@@ -159,7 +180,8 @@ def test_bad_input_exits_with_a_message(case_id, edits, argv, status, message,
             target[last] = value
     registry, report = tmp_path / "cases.json", tmp_path / "report.json"
     registry.write_text(json.dumps(doc))
-    assert main(["verify", "--registry", str(registry), "--case", case_id, *argv,
+    command = "verify" if record["family"] in SYMBOLIC_FAMILIES else "analytic"
+    assert main([command, "--registry", str(registry), "--case", case_id, *argv,
                  "--no-cache", "--report", str(report)]) == status
     if status == 2:
         assert f"error: {message}" in capsys.readouterr().err

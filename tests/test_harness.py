@@ -45,6 +45,16 @@ class TestListCases:
         assert "conjecture(observe)" in text
         assert "[n]*Phi_n^2" in text
 
+    def test_every_factor_shows_its_power(self, tmp_path):
+        doc = json.loads(default_registry_path().read_text())
+        [conj1a] = [case for case in doc["cases"] if case["id"] == "conj1a"]
+        conj1a["modulus"]["factors"][0]["power"] = 2
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(doc))
+        [line] = [line for line in list_cases(load_registry(path)).splitlines()
+                  if line.startswith("conj1a ")]
+        assert "mod[[n]^2*Phi_n^3]" in line
+
 
 class TestPlanning:
     def test_single_case_single_n(self, registry):
@@ -198,6 +208,17 @@ class TestReports:
         report = run(config(case_ids=["thm7"], d_values=[3], n_values=[4]))
         text = report.to_text()
         assert "FAILED statements" in text
+
+    def test_catalog_matches_the_benchmark_golden(self, registry):
+        # every verdict, witness digest and detail of the catalog sweep, as
+        # perfbench/golden.json pins them for the benchmark
+        golden = json.loads((SRC.parent / "perfbench" / "golden.json").read_text())["catalog"]
+        results = run(config(jobs=1), registry).results
+        assert [(r["id"], r["params"]) for r in results] == [(g["id"], g["params"]) for g in golden]
+        differing = [f"{r['id']} {r['params']} {field}: {r.get(field)!r} != golden {g.get(field)!r}"
+                     for r, g in zip(results, golden) for field in sorted(r.keys() | g.keys())
+                     if r.get(field) != g.get(field)]
+        assert differing == []
 
 
 class TestCache:
@@ -557,4 +578,5 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         if edit.startswith("sweep"):
             assert main(["sweep", "--case", "thm1_1", "--no-cache", "--registry", str(path)]) == 2
-            assert "error: thm1_1: sweep" in capsys.readouterr().err
+            err = capsys.readouterr().err   # the record, then the path into its sweep
+            assert err.startswith("error: thm1_1: ") and "sweep" in err

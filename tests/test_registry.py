@@ -4,9 +4,11 @@ import json
 import re
 import time
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
+from supercong import registry as registry_module
 from supercong.cli import main
 from supercong.exprs import ExpressionError, eval_bool, eval_fraction, eval_int
 from supercong.registry import (
@@ -283,3 +285,56 @@ class TestExpressionFields:
         path.write_text(json.dumps(doc))
         with pytest.raises(RegistryError, match="chu1: rhs_product base '0' is not positive"):
             load_registry(path)
+
+
+def _key_paths(reader, value, path=()):
+    """(path, required) of every key in ``value``, as the key table reads it
+    with ``reader``: a path is the keys and list indices down to the key."""
+    if isinstance(reader, registry_module._ByKey):
+        reader = reader.shapes[value[reader.key]]
+    if isinstance(reader, registry_module._Shape):
+        for key, item in value.items():
+            yield path + (key,), reader.keys[key].required
+            if item is not None:
+                yield from _key_paths(reader.keys[key].reader, item, path + (key,))
+    elif isinstance(reader, registry_module._List):
+        for index, (item_reader, item) in enumerate(zip(reader.row or repeat(reader.item), value)):
+            yield from _key_paths(item_reader, item, path + (index,))
+
+
+def _path_text(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+class TestKeyTable:
+    """Every key of a record is one the key table knows: a renamed key is
+    refused by its path, and so is a deleted required one."""
+
+    def test_each_renamed_or_deleted_key_is_named(self, tmp_path):
+        path = tmp_path / "cases.json"
+
+        def refused(record, what, keys):
+            path.write_text(json.dumps({"cases": [record]}))
+            with pytest.raises(RegistryError) as info:
+                load_registry(path)
+            name = record.get("id", "a record without an id")   # the id may be the key
+            assert str(info.value) == f"{name}: {what} '{_path_text(keys)}'"
+
+        renamed = deleted = 0
+        for record in _catalog()["cases"]:
+            for keys, required in list(_key_paths(registry_module._CASE, record)):
+                *parents, last = keys
+                target = record
+                for key in parents:
+                    target = target[key]
+                items = list(target.items())
+                target[last + "_"] = target.pop(last)
+                refused(record, "unknown key", (*parents, last + "_"))
+                renamed += 1
+                if required:
+                    del target[last + "_"]
+                    refused(record, "missing key", keys)
+                    deleted += 1
+                target.clear()
+                target.update(items)
+        assert renamed > 1000 and deleted > 500   # 1366 and 852 in the shipped catalog
