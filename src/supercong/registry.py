@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -147,8 +147,7 @@ class Registry:
             if case.id in self.by_id:
                 raise RegistryError(f"duplicate case id {case.id!r}")
             self.by_id[case.id] = case
-        self.digest = digest
-        self.path = path
+        self.digest, self.path = digest, path
 
     def __iter__(self):
         return iter(self.cases)
@@ -209,8 +208,9 @@ def _number(accepts: Callable, what: str):
 
 
 def valid_tolerance(tol: float) -> bool:
-    """The one rule for a tolerance, a record's tol or a run's --tol."""
-    return tol >= 0 and math.isfinite(tol)
+    """The one rule for a tolerance, a record's tol or a run's --tol: finite
+    and >= 0, also for a JSON integer too large to read as a float."""
+    return 0 <= tol <= sys.float_info.max
 
 
 # an integer field (a sign, a p-power, a sweep value) is a JSON integer, not a bool
@@ -489,7 +489,8 @@ def _read_case(obj) -> CaseDefinition:
     try:
         case = _CASE(obj)
     except _Refused as exc:
-        raise RegistryError(f"{obj.get('id', 'a record without an id')}: {exc}") from None
+        name = obj["id"] if isinstance(obj.get("id"), str) else "a record without an id"
+        raise RegistryError(f"{name}: {exc}") from None
     try:
         _validate_case(case)
     except SpecError as exc:   # an expression out of the evaluator's domain (a geometric base)

@@ -100,6 +100,9 @@ BAD_INPUTS = [
      [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got inf"),
     ("record_tol_negative", "chu1", [(("tol",), -1)],
      [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got -1"),
+    # a JSON integer too large for a float is refused by the same rule
+    ("record_tol_huge_integer", "chu1", [(("tol",), 10**400)],
+     [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got 1000000"),
     # an analytic identity's infinite product has integer entries
     ("rhs_product_entry_not_integral", "chu1", [(("rhs_product", "num", 0), "1/2")],
      [], 2, "chu1: rhs_product entry '1/2': non-integral value 1/2"),
@@ -152,6 +155,9 @@ BAD_INPUTS = [
     ("d_values_bool", "lemma2", [(("d_values",), [True, 3, 4])],
      ["--n", "5", "--d", "3"], 2,
      "lemma2: d_values[0]: an integer field must be a JSON integer, got True"),
+    # a null value is an absent key, and a record without a string id is named so
+    ("record_id_null", "thm1_1", [(("id",), None)],
+     ["--n", "5"], 2, "a record without an id: missing key 'id'"),
     ("factor_side_missing", "thm1_1", [(("summand", "factors", 0, "side"), MISSING)],
      ["--n", "5"], 2, "thm1_1: missing key 'summand.factors[0].side'"),
     # a shape chosen by a kind: a pi-series sums its series (a rising ratio

@@ -457,6 +457,13 @@ MALFORMED_RECORDS = {
     "sweep_key_of_another_family": lambda doc: _edited(
         doc, "thm1_1", lambda obj: obj.update(sweep={"p": ["x"]})),
 }
+# the refusal of each sweep edit, the record and then the path into its sweep
+SWEEP_REFUSALS = {
+    "sweep_a_list": "error: thm1_1: sweep: must be an object, got [1, 2]",
+    "sweep_n_not_integers": "error: thm1_1: sweep.n: must be a list, got 'abc'",
+    "sweep_grid_not_pairs": "error: thm1_1: sweep.grid[0]: must be a list of 2, got [3]",
+    "sweep_key_of_another_family": "error: thm1_1: unknown key 'sweep.p'",
+}
 
 
 class TestCli:
@@ -578,5 +585,4 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         if edit.startswith("sweep"):
             assert main(["sweep", "--case", "thm1_1", "--no-cache", "--registry", str(path)]) == 2
-            err = capsys.readouterr().err   # the record, then the path into its sweep
-            assert err.startswith("error: thm1_1: ") and "sweep" in err
+            assert SWEEP_REFUSALS[edit] in capsys.readouterr().err
