@@ -2,9 +2,10 @@
 
 Registry fields such as bounds ("(n-1)/2"), Pochhammer exponents ("d-1"),
 shifts ("-(n-1)*(d-1)/(2*d)") and applicability conditions
-("n % (2*d) == 1") are strings.  They are evaluated here with Fraction
-arithmetic over an explicit allowlist of AST nodes, so the registry can
-never execute anything beyond integer arithmetic and comparisons.
+("n % (2*d) == 1") are strings.  They are evaluated here exactly, in
+ints and Fractions, over an explicit allowlist of AST nodes, so the
+registry can never execute anything beyond integer arithmetic and
+comparisons.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
+    ast.Div: lambda a, b: Fraction(a) / b,
     ast.FloorDiv: lambda a, b: a // b,
     ast.Mod: lambda a, b: a % b,
     ast.Pow: lambda a, b: a ** b,
@@ -49,18 +50,20 @@ _CMPOPS = {
 }
 
 
-def _eval_node(node: ast.AST, names: dict) -> Fraction | bool:
+def _eval_node(node: ast.AST, names: dict) -> int | Fraction | bool:
+    """The exact value of ``node``: an int while no division has made a
+    fraction, since int arithmetic is much cheaper than Fraction's."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, int):
             raise ExpressionError(f"only integer literals allowed, got {node.value!r}")
-        return Fraction(node.value)
+        return node.value
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise ExpressionError(f"unbound name {node.id!r}")
         value = names[node.id]
         if value is None:
             raise ExpressionError(f"name {node.id!r} required but not supplied")
-        return Fraction(value)
+        return value if type(value) is int else Fraction(value)
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         left = _eval_node(node.left, names)
         right = _eval_node(node.right, names)
@@ -79,10 +82,9 @@ def _eval_node(node: ast.AST, names: dict) -> Fraction | bool:
                     f"power of about {size * right} bits exceeds {MAX_POWER_BITS}"
                 )
         try:
-            value = _BINOPS[op](left, right)
+            return _BINOPS[op](left, right)
         except ZeroDivisionError as exc:
             raise ExpressionError("division by zero in registry expression") from exc
-        return value if isinstance(value, Fraction) else Fraction(value)   # // and % give ints
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
             return -_eval_node(node.operand, names)
@@ -106,7 +108,7 @@ def _eval_node(node: ast.AST, names: dict) -> Fraction | bool:
     raise ExpressionError(f"disallowed syntax: {type(node).__name__}")
 
 
-def _as_int(value: Fraction) -> int:
+def _as_int(value: int | Fraction) -> int:
     if isinstance(value, bool):
         raise ExpressionError("boolean where integer expected")
     if value.denominator != 1:
@@ -126,16 +128,17 @@ def _parse(text: str) -> ast.expr:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
 
 
-def eval_expr(text: str, **names) -> Fraction | bool:
-    """Evaluate ``text`` with the given name bindings, exactly."""
-    return _eval_node(_parse(text), names)
-
-
-def eval_fraction(text: str, **names) -> Fraction:
-    value = eval_expr(text, **names)
+def _eval_number(text: str, names: dict) -> int | Fraction:
+    """Evaluate ``text`` with the given name bindings, exactly, as a number."""
+    value = _eval_node(_parse(text), names)
     if isinstance(value, bool):
         raise ExpressionError(f"{text!r} is boolean, expected a number")
     return value
+
+
+def eval_fraction(text: str, **names) -> Fraction:
+    value = _eval_number(text, names)
+    return Fraction(value) if type(value) is int else value
 
 
 def eval_int(text: str, **names) -> int:
@@ -145,11 +148,11 @@ def eval_int(text: str, **names) -> int:
     length used outside its congruence class), so it is an error, never a
     silent rounding.
     """
-    return _as_int(eval_fraction(text, **names))
+    return _as_int(_eval_number(text, names))
 
 
 def eval_bool(text: str, **names) -> bool:
-    value = eval_expr(text, **names)
+    value = _eval_node(_parse(text), names)
     if not isinstance(value, bool):
         raise ExpressionError(f"{text!r} is numeric, expected a condition")
     return value
