@@ -286,6 +286,16 @@ MUTANTS = (
         ("tests/test_registry.py::TestKeyTable::test_each_renamed_or_deleted_key_is_named",
          "tests/test_bad_input.py::test_bad_input_exits_with_a_message[modulus_power_misspelled]"),
     ),
+    # the evaluator keeps ints until a division: a division that floors
+    # them turns a non-integral length into a silently rounded one
+    Mutant(
+        "expr_division_floors",
+        EXPRS,
+        "ast.Div: lambda a, b: Fraction(a) / b,",
+        "ast.Div: lambda a, b: a // b,",
+        ("tests/test_registry.py::TestExpressions::test_arithmetic",
+         "tests/test_registry.py::TestExpressions::test_non_integral_rejected"),
+    ),
     Mutant(
         "expr_integer_off_by_one",
         REGISTRY,
