@@ -273,8 +273,8 @@ MUTANTS = (
         REGISTRY,
         '"num": _req(_EXPRS), "den": _req(_EXPRS)',
         '"num": _req(_EXPRS, "den"), "den": _req(_EXPRS, "num")',
-        ("tests/test_analytic.py::TestIdentities::test_q_identities",
-         "tests/test_engine.py::TestTelescopedProduct::test_finite_form_matches_the_infinite_products"),
+        ("tests/test_engine.py::TestTelescopedProduct::"
+         "test_finite_form_matches_the_infinite_products",),
     ),
     # the walker reads only the keys it knows and ignores the rest, so a
     # misspelled optional key falls back to its default
@@ -295,6 +295,27 @@ MUTANTS = (
         "ast.Div: lambda a, b: a // b,",
         ("tests/test_registry.py::TestExpressions::test_arithmetic",
          "tests/test_registry.py::TestExpressions::test_non_integral_rejected"),
+    ),
+    # the compile checks the q-exponent at k = 0 and 1 only, so an exponent
+    # first non-integral at k = 2 loads and is truncated
+    Mutant(
+        "summand_exponent_checked_at_two_points",
+        QOBJECTS,
+        "    for k in range(3):\n        if e[k].denominator != 1:",
+        "    for k in range(2):\n        if e[k].denominator != 1:",
+        ("tests/test_qobjects.py::TestSummandCompilation::test_three_points_decide_integrality",),
+    ),
+    # the reader of a constant (an x value, a geometric base, an analytic
+    # identity's product entry or base) accepts every expression
+    Mutant(
+        "constant_reader_accepts_every_value",
+        REGISTRY,
+        "return _checked(lambda raw: accepts(value_of(raw)), what, _expr)",
+        "return _checked(lambda raw: True, what, _expr)",
+        tuple(f"tests/test_bad_input.py::test_bad_input_exits_with_a_message[{row}]"
+              for row in ("geometric_base_zero", "gamma_limit_x_not_positive",
+                          "rhs_product_entry_not_integral"))
+        + ("tests/test_registry.py::TestExpressionFields::test_rhs_product_base_must_be_positive",),
     ),
     Mutant(
         "expr_integer_off_by_one",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from supercong.engine import verify_congruence, verify_parametric  # noqa: E402
+from supercong.engine import verify_q  # noqa: E402
 from supercong.padic import verify_padic_case  # noqa: E402
 from supercong.registry import load_registry  # noqa: E402
 
@@ -22,10 +22,10 @@ def main() -> int:
     print("thm7 at d = 3: the (q^0;q^3)_k factor collapses the sum to the constant -1,")
     print("so the vanishing branch (n = 4 mod 6) cannot hold:")
     for n in (4, 10):
-        r = verify_congruence(registry.get("thm7"), n, 3)
+        r = verify_q(registry.get("thm7"), {"n": n, "d": 3})
         print(f"  thm7 d=3 n={n}: {r.status}, witness = {r.witness}")
     for n in (7, 13):
-        r = verify_congruence(registry.get("thm7"), n, 3)
+        r = verify_q(registry.get("thm7"), {"n": n, "d": 3})
         print(f"  thm7 d=3 n={n}: {r.status} (both sides are the constant -1)")
 
     print()
@@ -33,7 +33,7 @@ def main() -> int:
     print("passes through terms with poles at Phi_n, where it is not valid):")
     for cid in ("lemma2", "lemma2_qd"):
         for n in (5, 11):
-            r = verify_parametric(registry.get(cid), n, 3)
+            r = verify_q(registry.get(cid), {"n": n, "d": 3})
             witness = f", witness = {r.witness}" if r.witness is not None else ""
             print(f"  {cid} d=3 n={n}: {r.status}{witness}")
 
@@ -41,7 +41,7 @@ def main() -> int:
     print("lemma2 base-reading comparison at d = 4 (readings diverge from k = 2 on):")
     for cid in ("lemma2", "lemma2_qd"):
         for n in (7, 15):
-            r = verify_parametric(registry.get(cid), n, 4)
+            r = verify_q(registry.get(cid), {"n": n, "d": 4})
             print(f"  {cid} d=4 n={n}: {r.status}")
 
     print()

@@ -28,6 +28,7 @@ from . import __version__
 from .analytic import verify_analytic_case
 from .engine import CaseResult, case_result, verify_q_case
 from .padic import verify_padic_case
+from .qobjects import MODULUS_KINDS
 from .registry import CaseDefinition, Registry, iter_sweep_params, load_registry, valid_tolerance
 
 _log = logging.getLogger(__name__)
@@ -124,25 +125,13 @@ def list_cases(registry: Registry) -> str:
     width = max(len(case.id) for case in registry)
     for case in registry:
         kind = case.kind + ("(observe)" if case.observe else "")
-        modulus = _modulus_text(case)
+        modulus = "*".join(MODULUS_KINDS[f.kind] + (f"^{f.power}" if f.power > 1 else "")
+                           for f in case.modulus.factors) if case.modulus else "-"
         lines.append(
             f"{case.id:<{width}}  {kind:<20} {case.family:<17} "
             f"cond[{case.condition}]  mod[{modulus}]  {case.anchor}"
         )
     return "\n".join(lines) + "\n"
-
-
-# each modulus factor kind as `supercong list` writes it
-_MODULUS_TEXT = {"cyclotomic": "Phi_n", "q_integer": "[n]", "one_minus_a_qn": "(1-aq^n)",
-                 "a_minus_qn": "(a-q^n)"}
-
-
-def _modulus_text(case: CaseDefinition) -> str:
-    if case.modulus is None:
-        return "-"
-    return "*".join(
-        _MODULUS_TEXT[f.kind] + (f"^{f.power}" if f.power > 1 else "")
-        for f in case.modulus.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def verify_padic_case(case: CaseDefinition, p: int) -> CaseResult:
         mode, rhs = _rhs_value(select_branch(case.padic_rhs, "p-adic right side", p=p), p, threshold)
     except SpecError as exc:
         return done("obstruction", detail=str(exc))
-    diff = lhs - Fraction(rhs) if mode == "exact" else lhs - rhs
+    diff = lhs - rhs
     v = padic_valuation(diff, p)
     achieved = None if v == math.inf else int(v)
     if mode == "residue" and achieved is not None:

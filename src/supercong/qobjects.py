@@ -16,7 +16,6 @@ statement, so adding a conjecture is a registry edit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -151,9 +150,15 @@ class ClosedFormBranch:
     sign: int = 1
 
 
+# each modulus factor kind, as `supercong list` writes it; a kind carries the
+# parameter a exactly when its text names a
+MODULUS_KINDS = {"cyclotomic": "Phi_n", "q_integer": "[n]", "one_minus_a_qn": "(1-aq^n)",
+                 "a_minus_qn": "(a-q^n)"}
+
+
 @dataclass(frozen=True)
 class ModulusFactor:
-    kind: str      # cyclotomic | q_integer | one_minus_a_qn | a_minus_qn
+    kind: str      # a key of MODULUS_KINDS
     power: int = 1
 
 
@@ -162,7 +167,7 @@ class ModulusSpec:
     factors: tuple[ModulusFactor, ...]
 
     def parametric_kinds(self) -> tuple[str, ...]:
-        return tuple(f.kind for f in self.factors if f.kind in ("one_minus_a_qn", "a_minus_qn"))
+        return tuple(f.kind for f in self.factors if "a" in MODULUS_KINDS[f.kind])
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +187,28 @@ class ConcreteFactor:
 
 @dataclass(frozen=True)
 class ConcreteSummand:
+    """A compiled summand.  Its q-exponent e(k) is quadratic in k, so it is
+    kept by its forward differences: e(k) = e0 + k delta1 + C(k, 2) delta2."""
+
     m: int
     r: int
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    e0: int
+    delta1: int
+    delta2: int
     num: tuple[ConcreteFactor, ...]
     den: tuple[ConcreteFactor, ...]
 
     def exponent(self, k: int) -> int:
-        e = self.alpha * k * k + self.beta * k + self.gamma
-        if e.denominator != 1:
-            raise SpecError(f"non-integral q-exponent {e} at k={k}")
-        return e.numerator
+        return self.e0 + k * self.delta1 + k * (k - 1) // 2 * self.delta2
 
     def prefactor_index(self, k: int) -> int:
         return self.m * k + self.r
 
 
 def concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:
+    """``spec`` at d.  Its q-exponent must be an integer at every k; e(k) is
+    quadratic, so integers at k = 0, 1, 2 make it integral everywhere, and
+    the first k where it is not is at most 2."""
     names = {"d": d}
     num, den = [], []
     for f in spec.factors:
@@ -213,15 +221,15 @@ def concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:
         if cf.s < 1:
             raise SpecError(f"factor step {cf.s} must be positive")
         (num if f.side == "num" else den).append(cf)
-    return ConcreteSummand(
-        m=eval_int(spec.prefactor_m, **names),
-        r=eval_int(spec.prefactor_r, **names),
-        alpha=eval_fraction(spec.q_exp[0], **names),
-        beta=eval_fraction(spec.q_exp[1], **names),
-        gamma=eval_fraction(spec.q_exp[2], **names),
-        num=tuple(num),
-        den=tuple(den),
-    )
+    m, r = eval_int(spec.prefactor_m, **names), eval_int(spec.prefactor_r, **names)
+    alpha, beta, gamma = (eval_fraction(text, **names) for text in spec.q_exp)
+    e = [alpha * k * k + beta * k + gamma for k in range(3)]
+    for k in range(3):
+        if e[k].denominator != 1:
+            raise SpecError(f"non-integral q-exponent {e[k]} at k={k}")
+    e0, e1, e2 = map(int, e)
+    return ConcreteSummand(m=m, r=r, e0=e0, delta1=e1 - e0, delta2=e2 - 2 * e1 + e0,
+                           num=tuple(num), den=tuple(den))
 
 
 @dataclass(frozen=True)
@@ -302,14 +310,3 @@ def modulus_from_support(support: dict[int, int]) -> LaurentPoly:
         out = out * cyclotomic(m) ** support[m]
     return out
 
-
-def validate_summand_exponents(spec: SummandSpec, d: Optional[int]) -> None:
-    """The q-exponent e(k) must be an integer for every k; checked at load.
-
-    e is quadratic, so e(k) = e(0) + k*D1 + C(k, 2)*D2 with the forward
-    differences D1 = e(1) - e(0) and D2 = e(2) - 2e(1) + e(0): integers at
-    k = 0, 1, 2 make e integral at every k, and the first k where it is not
-    is at most 2."""
-    concrete = concretize_summand(spec, d)
-    for k in range(3):
-        concrete.exponent(k)  # raises SpecError on non-integrality

@@ -5,7 +5,8 @@ the file may have, which are required and how each value is read is one
 table; calling the reader of a shape walks it.  A key the table does not
 know, a missing required key or a value outside its reader's domain is
 refused at load, naming the record and the key's path.  ``_validate_case``
-then checks what no single key can (a parametric record's one bound, say).
+then checks what no single key can (a parametric record's one bound, say),
+and refuses a record the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Optional
 
 from .exprs import eval_bool, eval_fraction, eval_int
 from .qobjects import (
+    MODULUS_KINDS,
     ClosedFormBranch,
     ClosedLen,
     ModulusFactor,
@@ -29,7 +31,7 @@ from .qobjects import (
     PochFactor,
     SpecError,
     SummandSpec,
-    validate_summand_exponents,
+    concretize_summand,
 )
 
 KINDS = ("theorem", "lemma", "corollary", "conjecture")
@@ -140,14 +142,14 @@ class CaseDefinition:
 class Registry:
     """An ordered, validated catalog of case definitions."""
 
-    def __init__(self, cases: list[CaseDefinition], digest: str, path: Optional[Path]):
+    def __init__(self, cases: list[CaseDefinition], digest: str):
         self.cases = cases
         self.by_id = {}
         for case in cases:
             if case.id in self.by_id:
                 raise RegistryError(f"duplicate case id {case.id!r}")
             self.by_id[case.id] = case
-        self.digest, self.path = digest, path
+        self.digest = digest
 
     def __iter__(self):
         return iter(self.cases)
@@ -205,6 +207,18 @@ def _number(accepts: Callable, what: str):
     """The reader of a JSON integer or float (not a bool) ``accepts`` holds
     for, read as a float: a tol or a q value, in the domain analytic.py needs."""
     return _checked(lambda v: (_is_int(v) or isinstance(v, float)) and accepts(v), what, float)
+
+
+def _constant(evaluate: Callable, accepts: Callable = lambda value: True, what: str = ""):
+    """The reader of an expression with no name in it whose value by
+    ``evaluate`` ``accepts`` holds for: a value the evaluator cannot give is
+    refused by the evaluator's message, any other as "<what>, got <value>"."""
+    def value_of(raw):
+        try:
+            return evaluate(_expr(raw))
+        except SpecError as exc:
+            raise _Refused(str(exc)) from None
+    return _checked(lambda raw: accepts(value_of(raw)), what, _expr)
 
 
 def valid_tolerance(tol: float) -> bool:
@@ -299,14 +313,18 @@ class _ByKey:
 
 class _List:
     """A JSON list read into ``into``: every item by ``item``, or, for a row,
-    one reader per place, so its length is fixed."""
+    one reader per place, so its length is fixed.  A ``nonempty`` list has
+    an item."""
 
-    def __init__(self, item: Optional[Callable] = None, row: tuple = (), into: type = tuple):
-        self.item, self.row, self.into = item, row, into
+    def __init__(self, item: Optional[Callable] = None, row: tuple = (), into: type = tuple,
+                 nonempty: bool = False):
+        self.item, self.row, self.into, self.nonempty = item, row, into, nonempty
 
     def __call__(self, value):
-        if not isinstance(value, list) or self.row and len(value) != len(self.row):
-            raise _Refused(f"must be a list{f' of {len(self.row)}' if self.row else ''}, got {value!r}")
+        if not isinstance(value, list) or self.row and len(value) != len(self.row) \
+                or self.nonempty and not value:
+            raise _Refused(f"must be a {'nonempty ' * self.nonempty}list"
+                           f"{f' of {len(self.row)}' if self.row else ''}, got {value!r}")
         out = []
         for read, raw in zip(self.row or repeat(self.item), value):
             try:
@@ -335,15 +353,20 @@ _CLOSED_BRANCH = _Shape(ClosedFormBranch, {
     "den": _opt(_CLOSED_LENGTHS), "n_multiplier": _opt(_bool), "q_shift": _opt(_expr),
     "sign": _opt(_int)})
 _MODULUS = _Shape(ModulusSpec, {"factors": _req(_List(_Shape(ModulusFactor, {
-    "kind": _req(_one_of("cyclotomic", "q_integer", "one_minus_a_qn", "a_minus_qn")),
-    "power": _opt(_positive)})))})
+    "kind": _req(_one_of(*MODULUS_KINDS)), "power": _opt(_positive)}), nonempty=True))})
 _PRODUCT = _Shape(ProductSpec, {"base": _req(_expr), "num": _req(_EXPRS), "den": _req(_EXPRS),
                                 "sign": _opt(_int)})
+# an analytic identity's product is evaluated with no name bound
+_INTEGERS = _List(_constant(eval_int))
+_RHS_PRODUCT = _Shape(ProductSpec, {
+    "base": _req(_constant(eval_int, lambda base: base >= 1, "must be a constant integer >= 1")),
+    "num": _req(_INTEGERS), "den": _req(_INTEGERS), "sign": _opt(_int)})
 _PAIR_SIDE = _Shape(PairSide, {"bound": _req(_expr), "summand": _req(_SUMMAND)})
 _SUM = _Shape(RealSumSpec, {
     "kind": _req(_text), "prefactor": _opt(_List(row=(_expr, _expr))),
     "rising": _opt(_List(_List(row=(_expr, _int)))), "factorial_power": _opt(_int),
-    "geometric_base": _opt(_expr)})
+    "geometric_base": _opt(_constant(eval_fraction, lambda base: base != 0,
+                                     "must be a nonzero constant"))})
 _RISING_RATIO = _Shape(RealSumSpec, {"kind": _req(_text), "num": _opt(_PAIRS),
                                      "den": _opt(_PAIRS), "p_power": _opt(_int)})
 _BRANCH = {"when": _req(_expr), "kind": _req(_text)}   # a zero branch has no more keys
@@ -358,9 +381,9 @@ _RECORD = {"id": _req(_text), "kind": _req(_one_of(*KINDS)), "family": _req(_tex
 _CASE = _ByKey("family", {family: _Shape(CaseDefinition, {**_RECORD, **keys}) for family, keys in {
     "q": {"sweep": _req(_Shape(dict, {"grid": _opt(_List(_List(row=(_int, _int), into=list),
                                                          into=list)), "n": _opt(_INTS)})),
-          "d_values": _opt(_List(_int)), "bounds": _req(_EXPRS), "summand": _req(_SUMMAND),
-          "closed_form": _req(_List(_CLOSED_BRANCH)), "modulus": _req(_MODULUS),
-          "specialized_product": _opt(_PRODUCT)},
+          "d_values": _opt(_List(_int)), "bounds": _req(_List(_expr, nonempty=True)),
+          "summand": _req(_SUMMAND), "closed_form": _req(_List(_CLOSED_BRANCH)),
+          "modulus": _req(_MODULUS), "specialized_product": _opt(_PRODUCT)},
     "q_pair": {"sweep": _req(_Shape(dict, {"n": _req(_INTS)})), "lhs": _req(_PAIR_SIDE, "lhs_pair"),
                "rhs": _req(_PAIR_SIDE, "rhs_pair"), "modulus": _req(_MODULUS)},
     "padic": {"sweep": _req(_Shape(dict, {"p": _req(_INTS)})), "threshold": _req(_positive),
@@ -369,93 +392,62 @@ _CASE = _ByKey("family", {family: _Shape(CaseDefinition, {**_RECORD, **keys}) fo
               "rhs": _req(_List(_PADIC_BRANCH), "padic_rhs")},
     "analytic_identity": {"sweep": _req(_Shape(dict, {"q": _req(_List(_q_in_disc, into=list))})),
                           "builtin": _opt(_one_of(*ANALYTIC_BUILTINS)), "summand": _opt(_SUMMAND),
-                          "rhs_product": _opt(_PRODUCT), "tol": _opt(_tol, default=1e-10)},
+                          "rhs_product": _opt(_RHS_PRODUCT), "tol": _opt(_tol, default=1e-10)},
     "pi_series": {"sweep": _req(_Shape(dict, {"N": _req(_List(_terms, into=list))})),
                   "lhs": _req(_ByKey("kind", {"sum": _SUM}), "real_lhs"),
                   "target": _req(_one_of(*PI_TARGETS)), "tol": _opt(_tol, default=1e-9)},
-    "gamma_limit": {"sweep": _opt(_Shape(dict, {})), "x_values": _opt(_EXPRS),
+    "gamma_limit": {"sweep": _opt(_Shape(dict, {})),
+                    "x_values": _opt(_List(_constant(eval_fraction, lambda x: x > 0,
+                                                     "must be a constant > 0"))),
                     "q_values": _opt(_List(_q_in_0_1))},
 }.items()})
 
 
 def _validate_case(case: CaseDefinition) -> None:
+    """The rules that read two or more keys of a record.  Every summand
+    compiles at each of the record's d values (an analytic_identity summand
+    with d unbound), which checks its q-exponent.  A q record plans what
+    verify_q decides: one bound when the parameter a is in its summand or
+    modulus (a parametric instance is decided at the first bound), and a
+    [d, n] grid exactly when it has d values, every d of the grid one of
+    them."""
     if case.family == "analytic_identity" and \
             (case.summand is not None, case.rhs_product is not None) != (case.builtin is None,) * 2:
-        raise RegistryError(f"{case.id}: an analytic identity has a builtin, or else a summand "
-                            "and an rhs_product")
+        raise _Refused("an analytic identity has a builtin, or else a summand and an rhs_product")
     summands = [spec for spec in (case.summand, case.lhs_pair and case.lhs_pair.summand,
                                   case.rhs_pair and case.rhs_pair.summand) if spec is not None]
     if case.family in ("q_pair", "analytic_identity") \
             and any(f.param for spec in summands for f in spec.factors):
-        raise RegistryError(f"{case.id}: the parameter a in a {case.family!r} summand "
-                            "(only q records read it)")
-    for spec in summands:   # an analytic_identity summand is read with d unbound
+        raise _Refused(f"the parameter a in a {case.family!r} summand (only q records read it)")
+    for spec in summands:
         for d in case.d_values or (None,):
             try:
-                validate_summand_exponents(spec, d)
+                concretize_summand(spec, d)
             except SpecError as exc:
-                raise RegistryError(f"{case.id}: {exc}") from exc
+                raise _Refused(str(exc)) from None
     if case.family in ("q", "q_pair"):
         for spec in summands:
             sides = [f.side for f in spec.factors if f.param == "q_div_a"]
             if sides.count("num") != sides.count("den"):
-                raise RegistryError(f"{case.id}: unbalanced q/a factors "
-                                    f"({sides.count('num')} num vs {sides.count('den')} den)")
+                raise _Refused(f"unbalanced q/a factors "
+                               f"({sides.count('num')} num vs {sides.count('den')} den)")
         parametric = case.modulus.parametric_kinds()
         has_params = any(f.param for f in (case.summand.factors if case.summand else ()))
         if parametric and not has_params:
-            raise RegistryError(f"{case.id}: parametric modulus without parametric summand")
+            raise _Refused("parametric modulus without parametric summand")
         if parametric and case.specialized_product is None:
-            raise RegistryError(f"{case.id}: parametric modulus needs specialized_product")
-        if not case.modulus.factors:
-            raise RegistryError(f"{case.id}: empty modulus")
+            raise _Refused("parametric modulus needs specialized_product")
     if case.family == "q":
-        _validate_q_plan(case)
+        if case.parametric and len(case.bounds) > 1:
+            raise _Refused(f"a parametric record takes one bound, got {len(case.bounds)}")
+        if set(case.sweep) != {"grid" if case.d_values else "n"}:
+            raise _Refused("a q record sweeps a [d, n] grid exactly when it has d_values, "
+                           "and n values otherwise")
+        for d, _ in case.sweep.get("grid", ()):
+            if d not in case.d_values:
+                raise _Refused(f"sweep d={d} is not one of its d_values {list(case.d_values)}")
     if case.family == "padic" and case.real_lhs.kind == "sum" and case.padic_bound is None:
-        raise RegistryError(f"{case.id}: a p-adic sum needs a bound expression")
-    if case.real_lhs is not None and case.real_lhs.kind == "sum" \
-            and eval_fraction(case.real_lhs.geometric_base) == 0:
-        raise RegistryError(f"{case.id}: zero geometric base")
-    _validate_numeric(case)
-
-
-def _validate_q_plan(case: CaseDefinition) -> None:
-    """A q record plans what verify_q decides: one bound when the parameter
-    a is in its summand or modulus (a parametric instance is decided at the
-    first bound), and a [d, n] grid exactly when it has d values, every d
-    of the grid one of them."""
-    if not case.bounds:
-        raise RegistryError(f"{case.id}: a q record needs a bound")
-    if case.parametric and len(case.bounds) > 1:
-        raise RegistryError(f"{case.id}: a parametric record takes one bound, got {len(case.bounds)}")
-    if set(case.sweep) != {"grid" if case.d_values else "n"}:
-        raise RegistryError(f"{case.id}: a q record sweeps a [d, n] grid exactly when it has "
-                            "d_values, and n values otherwise")
-    for d, _ in case.sweep.get("grid", ()):
-        if d not in case.d_values:
-            raise RegistryError(f"{case.id}: sweep d={d} is not one of its d_values {list(case.d_values)}")
-
-
-def _validate_numeric(case: CaseDefinition) -> None:
-    """A numeric family's x values and product entries lie in the domains
-    analytic.py checks at run time, so a bad one is refused here instead of
-    ending in an error."""
-    for x in case.x_values:
-        try:
-            value = eval_fraction(x)
-        except SpecError as exc:
-            raise RegistryError(f"{case.id}: x value {x!r}: {exc}") from exc
-        if value <= 0:
-            raise RegistryError(f"{case.id}: x value {x!r} is not positive")
-    if case.rhs_product is not None:
-        product = case.rhs_product
-        for entry in (product.base, *product.num, *product.den):
-            try:
-                eval_int(entry)
-            except SpecError as exc:
-                raise RegistryError(f"{case.id}: rhs_product entry {entry!r}: {exc}") from exc
-        if eval_int(product.base) < 1:
-            raise RegistryError(f"{case.id}: rhs_product base {product.base!r} is not positive")
+        raise _Refused("a p-adic sum needs a bound expression")
 
 
 def default_registry_path() -> Path:
@@ -478,7 +470,7 @@ def load_registry(path: Optional[Path | str] = None) -> Registry:
         cases = _DOCUMENT(doc)["cases"]
     except _Refused as exc:
         raise RegistryError(f"registry document: {exc}") from None
-    return Registry(cases, digest, path)
+    return Registry(cases, digest)
 
 
 def _read_case(obj) -> CaseDefinition:
@@ -488,13 +480,10 @@ def _read_case(obj) -> CaseDefinition:
         raise _Refused(f"a record must be an object, got {obj!r}")
     try:
         case = _CASE(obj)
+        _validate_case(case)
     except _Refused as exc:
         name = obj["id"] if isinstance(obj.get("id"), str) else "a record without an id"
         raise RegistryError(f"{name}: {exc}") from None
-    try:
-        _validate_case(case)
-    except SpecError as exc:   # an expression out of the evaluator's domain (a geometric base)
-        raise RegistryError(f"{case.id}: {exc}") from exc
     return case
 
 

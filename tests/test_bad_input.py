@@ -29,7 +29,7 @@ BAD_INPUTS = [
      ["--n", "5"], 2, "thm1_1: modulus.factors[1].kind: must be one of ('cyclotomic', 'q_integer', "
                        "'one_minus_a_qn', 'a_minus_qn'), got 'cyclotomik'"),
     ("geometric_base_zero", "vanhamme_g2", [(("lhs", "geometric_base"), "0")],
-     ["--primes", "5"], 2, "vanhamme_g2: zero geometric base"),
+     ["--primes", "5"], 2, "vanhamme_g2: lhs.geometric_base: must be a nonzero constant, got '0'"),
     ("padic_bound_negative", "vanhamme_g2", [(("bound",), "-3")],
      ["--primes", "5"], 1, "negative truncation bound -3"),
     ("padic_bound_missing", "vanhamme_g2", [(("bound",), None)],
@@ -51,6 +51,10 @@ BAD_INPUTS = [
     # an analytic_identity summand is read with d unbound, so d in it is refused at load
     ("analytic_summand_unbound_name", "chu1", [(("summand", "factors", 0, "exp"), "d")],
      [], 2, "chu1: name 'd' required but not supplied"),
+    # a summand compiles at each of its record's d values: d(k^2 + k)/4 is an
+    # integer at every k when d = 2, and 3/2 at k = 1 when d = 3
+    ("q_exponent_not_integral_at_one_d", "lemma1", [(("summand", "q_exp"), ["d/4", "d/4", "0"])],
+     ["--n", "5", "--d", "2"], 2, "lemma1: non-integral q-exponent 3/2 at k=1"),
     # a zero denominator factor in a term of either sum of a pair (as a theorem)
     ("pair_left_den_vanishes", "conj1a",
      [(("kind",), "theorem"), (("lhs", "summand", "factors", 2, "exp"), "0")],
@@ -73,9 +77,9 @@ BAD_INPUTS = [
      ["--primes", "5"], 1, "division by zero in registry expression"),
     # numeric-family values outside the domains analytic.py checks at run time
     ("gamma_limit_x_not_a_number", "gamma_limit", [(("x_values", 0), "1/0")],
-     [], 2, "gamma_limit: x value '1/0': division by zero in registry expression"),
+     [], 2, "gamma_limit: x_values[0]: division by zero in registry expression"),
     ("gamma_limit_x_not_positive", "gamma_limit", [(("x_values", 0), "-1/2")],
-     [], 2, "gamma_limit: x value '-1/2' is not positive"),
+     [], 2, "gamma_limit: x_values[0]: must be a constant > 0, got '-1/2'"),
     ("gamma_limit_q_outside_unit_interval", "gamma_limit", [(("q_values", 1), 1.5)],
      [], 2, "gamma_limit: q_values[1]: must be a JSON number in (0, 1), got 1.5"),
     ("analytic_sweep_q_outside_unit_disc", "chu1", [(("sweep", "q", 0), 1.5)],
@@ -88,7 +92,7 @@ BAD_INPUTS = [
     # a q record plans what verify_q decides: a parametric instance is decided
     # at the first bound, and d comes only from a grid of the record's d values
     ("q_record_without_bound", "thm1_1", [(("bounds",), [])],
-     ["--n", "5"], 2, "thm1_1: a q record needs a bound"),
+     ["--n", "5"], 2, "thm1_1: bounds: must be a nonempty list, got []"),
     ("parametric_record_two_bounds", "lemma1", [(("bounds",), ["(n-1)/d", "n-1"])],
      ["--n", "5", "--d", "2"], 2, "lemma1: a parametric record takes one bound, got 2"),
     ("d_values_sweep_not_a_grid", "lemma1", [(("sweep",), {"n": [5, 9]})],
@@ -105,9 +109,9 @@ BAD_INPUTS = [
      [], 2, "chu1: tol: a tolerance must be a finite JSON number >= 0, got 1000000"),
     # an analytic identity's infinite product has integer entries
     ("rhs_product_entry_not_integral", "chu1", [(("rhs_product", "num", 0), "1/2")],
-     [], 2, "chu1: rhs_product entry '1/2': non-integral value 1/2"),
+     [], 2, "chu1: rhs_product.num[0]: non-integral value 1/2"),
     ("rhs_product_entry_names_n", "chu1", [(("rhs_product", "num", 0), "n")],
-     [], 2, "chu1: rhs_product entry 'n': unbound name 'n'"),
+     [], 2, "chu1: rhs_product.num[0]: unbound name 'n'"),
     # an integer field takes a JSON integer only, never a fraction or a bool
     ("factor_power_fractional", "thm1_1", [(("summand", "factors", 1, "power"), 3.7)],
      ["--n", "5"], 2, "thm1_1: summand.factors[1].power: must be a JSON integer >= 1, got 3.7"),
@@ -128,7 +132,7 @@ BAD_INPUTS = [
     # the pair below, whose right sum is bent
     ("pair_modulus_empty", "conj1a",
      [(("modulus", "factors"), []), (("rhs", "summand", "q_exp", 1), "3")],
-     ["--n", "5"], 2, "conj1a: empty modulus"),
+     ["--n", "5"], 2, "conj1a: modulus.factors: must be a nonempty list, got []"),
     # a tolerance or a q value is a JSON number, never a bool or a string:
     # a tol of true read as 1.0 would pass chu1 with its product bent
     ("record_tol_bool", "chu1", [(("tol",), True), (("rhs_product", "num", 0), 6)],

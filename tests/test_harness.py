@@ -371,7 +371,7 @@ def crashing_registry(tmp_path):
     """The shipped catalog with thm1_1's closed form at n = 3 mod 4 (n = 7
     here) bent from zero to q^(10^40): the fast lane cannot pad a list that
     long and raises OverflowError instead of yielding a verdict."""
-    doc = json.loads(Path(load_registry().path).read_text())
+    doc = json.loads(default_registry_path().read_text())
     [entry] = [case for case in doc["cases"] if case["id"] == "thm1_1"]
     entry["closed_form"][1] = {"when": "n % 4 == 3", "kind": "ratio", "num": [], "den": [],
                                "q_shift": "10**40"}

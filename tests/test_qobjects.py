@@ -12,6 +12,7 @@ from reference import (
     build_concrete_summand,
     q_pochhammer,
 )
+from supercong.exprs import eval_fraction
 from supercong.polys import LaurentPoly, poly_divrem
 from supercong.qobjects import (
     DegenerateFactor,
@@ -26,7 +27,6 @@ from supercong.qobjects import (
     one_minus_q_power,
     q_bracket,
     q_integer,
-    validate_summand_exponents,
 )
 
 
@@ -116,6 +116,13 @@ class TestPochhammer:
         assert whole == split
 
 
+def _exponents(spec, d, count):
+    """e(k) = alpha k^2 + beta k + gamma for k < count, from the spec's
+    Fractions: the reference the compiled exponent is checked against."""
+    alpha, beta, gamma = (eval_fraction(e, d=d) for e in spec.q_exp)
+    return [alpha * k * k + beta * k + gamma for k in range(count)]
+
+
 class TestSummandCompilation:
     def test_k0_is_prefactor_bracket(self, registry):
         for case in registry:
@@ -141,8 +148,8 @@ class TestSummandCompilation:
             for spec, d_values in specs:
                 for d in d_values or (None,):
                     concrete = concretize_summand(spec, d)
-                    for k in range(41):
-                        concrete.exponent(k)  # raises on non-integrality
+                    assert [concrete.exponent(k) for k in range(41)] == \
+                        _exponents(spec, d, 41), (case.id, d)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=3, max_size=3))
@@ -161,11 +168,14 @@ class TestSummandCompilation:
             return None
 
         def forty_one_points():
-            concrete = concretize_summand(spec, None)
-            for k in range(41):
-                concrete.exponent(k)
+            for k, e in enumerate(_exponents(spec, None, 41)):
+                if e.denominator != 1:
+                    raise SpecError(f"non-integral q-exponent {e} at k={k}")
 
-        assert message(lambda: validate_summand_exponents(spec, None)) == message(forty_one_points)
+        assert message(lambda: concretize_summand(spec, None)) == message(forty_one_points)
+        if message(forty_one_points) is None:
+            concrete = concretize_summand(spec, None)
+            assert [concrete.exponent(k) for k in range(41)] == _exponents(spec, None, 41)
 
     def test_first_family_term(self, registry):
         # [7] (1-q)(1-q)^3 / ((1-q^2)(1-q^4)^3) * q^2, assembled independently
@@ -198,7 +208,7 @@ class TestSummandCompilation:
 
         bad = ConcreteSummand(
             m=6, r=1,
-            alpha=Fraction(1), beta=Fraction(1), gamma=Fraction(0),
+            e0=0, delta1=2, delta2=2,   # q^(k^2 + k)
             num=(),
             den=(ConcreteFactor(c=0, s=4, power=1, param=""),),
         )

@@ -283,7 +283,8 @@ class TestExpressionFields:
         record["rhs_product"]["base"] = 0
         path = tmp_path / "cases.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(RegistryError, match="chu1: rhs_product base '0' is not positive"):
+        with pytest.raises(RegistryError, match=re.escape(
+                "chu1: rhs_product.base: must be a constant integer >= 1, got 0")):
             load_registry(path)
 
 
@@ -320,9 +321,10 @@ class TestKeyTable:
             name = record.get("id", "a record without an id")   # the id may be the key
             assert str(info.value) == f"{name}: {what} '{_path_text(keys)}'"
 
-        renamed = deleted = 0
+        renamed = deleted = products = 0
         for record in _catalog()["cases"]:
             for keys, required in list(_key_paths(registry_module._CASE, record)):
+                products += keys[0] == "rhs_product"   # its own shape of constants
                 *parents, last = keys
                 target = record
                 for key in parents:
@@ -338,3 +340,4 @@ class TestKeyTable:
                 target.clear()
                 target.update(items)
         assert renamed > 1000 and deleted > 500   # 1366 and 852 in the shipped catalog
+        assert products == 15   # the key, base, num, den and sign of three analytic identities
