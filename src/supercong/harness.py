@@ -198,7 +198,7 @@ def _param_grid(case: CaseDefinition, config: RunConfig) -> list[dict]:
             grids = [{"n": n} for n in ns]
     out = []
     for params in grids:
-        if case.family == "q" and case.bounds and len(case.bounds) > 1:
+        if case.family == "q" and len(case.bounds) > 1:
             for bound in case.bounds:
                 out.append({**params, "bound": bound})
         else:

@@ -223,11 +223,11 @@ def concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:
         (num if f.side == "num" else den).append(cf)
     m, r = eval_int(spec.prefactor_m, **names), eval_int(spec.prefactor_r, **names)
     alpha, beta, gamma = (eval_fraction(text, **names) for text in spec.q_exp)
-    e = [alpha * k * k + beta * k + gamma for k in range(3)]
+    e = [gamma, alpha + beta + gamma, 4 * alpha + 2 * beta + gamma]   # e(0), e(1), e(2)
     for k in range(3):
         if e[k].denominator != 1:
             raise SpecError(f"non-integral q-exponent {e[k]} at k={k}")
-    e0, e1, e2 = map(int, e)
+    e0, e1, e2 = (value.numerator for value in e)
     return ConcreteSummand(m=m, r=r, e0=e0, delta1=e1 - e0, delta2=e2 - 2 * e1 + e0,
                            num=tuple(num), den=tuple(den))
 
