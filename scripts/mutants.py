@@ -59,13 +59,34 @@ class Mutant:
 
 
 MUTANTS = (
+    # a second product landing on the same power of a overwrites the first
+    # instead of adding to it
     Mutant(
         "param_ring_convolution_drops_sum",
         ENGINE,
-        "out[i + j] = self.base.add((out.get(i + j, []), 0), (_imul(c, d), 0))[0]",
-        "p, acc = _imul(c, d), out.get(i + j, [])\n"
-        "                out[i + j] = p if len(p) > len(acc) else self.base.add((acc, 0), (p, 0))[0]",
+        "acc[:len(p)] = [u + v for u, v in zip(acc, p)] + p[len(acc):]",
+        "acc[:len(p)] = p",
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
+    ),
+    # the first row of a product is copied unscaled, as if its coefficient
+    # were always 1
+    Mutant(
+        "imul_first_row_unscaled",
+        ENGINE,
+        "out[i:i + width] = b if x == 1 else [x * v for v in b]",
+        "out[i:i + width] = b",
+        ("tests/test_engine.py::TestLiftedRing::test_products_match_the_schoolbook",),
+    ),
+    # the one-add fold of an E = 1 lift keeps only the residues that both
+    # halves reach, dropping the tail of the lower half
+    Mutant(
+        "strided_fold_one_add_drops_tail",
+        ENGINE,
+        "[u + v for u, v in zip(coeffs, coeffs[step:])]\n"
+        "                                + coeffs[len(coeffs) - step:step])",
+        "[u + v for u, v in zip(coeffs, coeffs[step:])])",
+        ("tests/test_engine.py::TestLiftedRing::"
+         "test_reduce_matches_the_block_fold_and_the_remainder",),
     ),
     Mutant(
         "avatar_x_y_swapped",
@@ -304,6 +325,15 @@ MUTANTS = (
         "    for k in range(3):\n        if e[k].denominator != 1:",
         "    for k in range(2):\n        if e[k].denominator != 1:",
         ("tests/test_qobjects.py::TestSummandCompilation::test_three_points_decide_integrality",),
+    ),
+    # the Moebius product skips its last factor, always a division by some
+    # q^d - 1 when n > 1
+    Mutant(
+        "moebius_skips_a_division",
+        QOBJECTS,
+        "for d, mu in sorted(signed, key=lambda dm: -dm[1]):",
+        "for d, mu in sorted(signed, key=lambda dm: -dm[1])[:-1]:",
+        ("tests/test_qobjects.py::TestCyclotomic::test_moebius_product_matches_division_up_to_200",),
     ),
     # the reader of a constant (an x value, a geometric base, an analytic
     # identity's product entry or base) accepts every expression

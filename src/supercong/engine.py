@@ -17,21 +17,24 @@ With E = e_m + c_m, the sums are built in the lift Z[q]/((q^m - 1)^E):
 Phi_m^E divides the sparse (q^m - 1)^E, so reducing modulo it is a ring
 map onto Z[q]/(Phi_m^E), and it folds a coefficient in O(E) where the
 dense Phi_m^E costs O(deg): m coefficients at a time for E >= 2, and for
-E = 1, where q^m == 1, by one strided sum per residue.  Only the final
-comparison reduces modulo Phi_m^E itself.  Atoms enter the Horner states
-one at a time, each stripped and reduced once to at most E + 1 terms; a
-product loops over the nonzero coefficients of the sparser factor, so
-multiplying by an atom costs linear time, and a bracket [t] is multiplied
-in by running sums.
+E = 1, where q^m == 1, by one addition of the two halves of a list of at
+most 2m coefficients (a product of two reduced elements) or by one strided
+sum per residue of a longer one.  Only the final comparison reduces modulo
+Phi_m^E itself.  Atoms enter the Horner states one at a time, each
+stripped and reduced once to at most E + 1 terms; a product takes one row
+per nonzero coefficient of the sparser factor, copying the first and
+adding the rest, so multiplying by an atom costs linear time and one list
+pass, and a bracket [t] is multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
 monic with integer coefficients, so remainders stay integral).  One loop,
 ``_congruence_holds``, decides every lane's cyclotomic part over the
 modulus's whole cyclotomic support; where a sum carries the parameter a it
 runs with coefficients in Z[a] (``_ParamRing``): the lift and Phi_m^E are
-free of a, so each power of a is reduced alone and the check is exact with
-no evaluation at a.  Every q-lane decides its cyclotomic part through
-``_cyclotomic_verdict``, and a failure of any of them is classified by one
+free of a, so each power of a is summed in place and reduced alone, and the
+check is exact with no evaluation at a.  Every q-lane decides its
+cyclotomic part through ``_cyclotomic_verdict``, and a failure of any of
+them is classified by one
 routine, ``_classify``: both sides over explicit full denominators, read
 once into integer lists per power of a, one cross-multiplied difference,
 cyclotomic valuations by one pass of exact divisions per cyclotomic (Phi_m
@@ -149,17 +152,20 @@ def case_result(case: CaseDefinition, params: dict, status: str, strategy: str,
 # ---------------------------------------------------------------------------
 
 def _imul(a: list, b: list) -> list:
-    """a * b, looping over the nonzero coefficients of the sparser factor:
-    O(len) for an atom or a bracket, schoolbook for two dense factors."""
-    if not a or not b:
-        return []
+    """a * b as a new list, one row per nonzero coefficient x of the sparser
+    factor: O(len) for an atom or a bracket, schoolbook for two dense
+    factors.  The first row is copied into the zero output (b scaled by x),
+    so only the rows after it are added; a zero factor, even an untrimmed
+    [0], gives []."""
     if len(b) - b.count(0) < len(a) - a.count(0):
         a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(b)
-    for i, x in enumerate(a):
-        if not x:
-            continue
+    rows = [(i, x) for i, x in enumerate(a) if x]
+    if not rows:
+        return []
+    (i, x), width = rows[0], len(b)
+    out = [0] * (len(a) + width - 1)
+    out[i:i + width] = b if x == 1 else [x * v for v in b]
+    for i, x in rows[1:]:
         window = out[i:i + width]
         if x == 1:
             out[i:i + width] = [u + v for u, v in zip(window, b)]
@@ -223,12 +229,19 @@ class _Ring:
 
     def _reduce(self, coeffs: list) -> list:
         """coeffs modulo L; the list itself is folded, so callers pass one
-        of their own."""
+        of their own.  Where q^m == 1 (e = 1) a list of at most 2m
+        coefficients folds by one addition of its two halves, and a longer
+        one, such as a zero-padded upshift, by one strided sum per residue;
+        for e >= 2 the top m coefficients fold at a time."""
         step, top = self.step, self.top
         if len(coeffs) <= top or not self.lift:
             return _trimmed(coeffs)
         if len(self.lift) == 1:
-            # q^m == 1: coefficient i is the sum of those at i + m*K
+            # q^m == 1: coefficient i is the sum of those at i + m*K, the
+            # two halves added once when K is at most 1
+            if len(coeffs) <= 2 * step:
+                return _trimmed([u + v for u, v in zip(coeffs, coeffs[step:])]
+                                + coeffs[len(coeffs) - step:step])
             return _trimmed([sum(coeffs[i::step]) for i in range(step)])
         # q^(top + i) == -sum_j lift[j] q^(mj + i): fold the top m
         # coefficients at a time; each lands at least m places lower
@@ -299,8 +312,10 @@ class _ParamRing:
     shift) stands for sum_i a^i coeffs(q) q^shift, no part zero.  The lift
     (q^m - 1)^e and Phi_m^e are monic and free of a, so reducing acts on
     each power of a alone, and an element vanishes modulo Phi_m^e iff every
-    part does.  So all but ``mul``, which convolves the parts, work part by
-    part through the base ring."""
+    part does.  So all but ``mul`` work part by part through the base ring;
+    ``mul`` sums the products of the parts into each power of a in place,
+    then reduces each sum once.  No operation writes into a list of its
+    operands."""
 
     def __init__(self, base: _Ring):
         self.base = base
@@ -323,13 +338,17 @@ class _ParamRing:
         return self._each((parts, shift), lambda x: self.base.of(*x))
 
     def mul(self, x, y):
-        """x * y, each part reduced once; y may be the bare (coeffs, shift)
-        that _Strip.power returns."""
+        """x * y; y may be the bare (coeffs, shift) that _Strip.power
+        returns.  Each part of the product is summed in place in the first
+        list _imul made for it, a list of its own, and reduced once."""
         out, y = {}, y if isinstance(y[0], dict) else self.of(*y)
         for i, c in x[0].items():
             for j, d in y[0].items():
-                out[i + j] = self.base.add((out.get(i + j, []), 0), (_imul(c, d), 0))[0]
-        return self.of(out, x[1] + y[1])
+                p = _imul(c, d)
+                acc = out.setdefault(i + j, p)
+                if acc is not p:
+                    acc[:len(p)] = [u + v for u, v in zip(acc, p)] + p[len(acc):]
+        return {k: r for k, p in out.items() if (r := self.base._reduce(p))}, x[1] + y[1]
 
     def mul_bracket(self, x, t: int):
         return self._each(x, lambda p: self.base.mul_bracket(p, t))

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .exprs import SpecError, eval_bool, eval_fraction, eval_int
-from .polys import LaurentPoly, poly_divrem
+from .polys import LaurentPoly
 
 
 class DegenerateFactor(SpecError):
@@ -39,25 +39,38 @@ class DegenerateFactor(SpecError):
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial, by exact division of q^n - 1 by the
-    product of the cyclotomics of the proper divisors.
+    """The n-th cyclotomic polynomial, by the Moebius product
+    Phi_n = prod_{d | n} (q^d - 1)^mu(n/d) on integer lists.
 
-    Memoized; the cache is only ever appended to, so concurrent readers are
-    safe under the interpreter's atomic dict operations.
+    mu(n/d) is nonzero only where n/d is squarefree, so the d are n over
+    the products of distinct primes of n.  Every product by q^d - 1 comes
+    first, a shifted subtraction; then each division by q^d - 1 is exact
+    and runs the recurrence C[i] = C[i - d] - P[i], whose last d values are
+    the remainder.  Memoized; the cache is only ever appended to, so
+    concurrent readers are safe under the interpreter's atomic dict
+    operations.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    q_n_minus_1 = LaurentPoly.from_int_coeffs([-1] + [0] * (n - 1) + [1])
-    if n == 1:
-        return q_n_minus_1
-    divisor = LaurentPoly.one()
-    for d in range(1, n):
-        if n % d == 0:
-            divisor = divisor * cyclotomic(d)
-    quotient, remainder = poly_divrem(q_n_minus_1, divisor)
-    if not remainder.is_zero:
-        raise ArithmeticError(f"cyclotomic recursion must divide exactly at n={n}")
-    return quotient
+    signed, k, p = [(n, 1)], n, 2   # (d, mu(n/d))
+    while k > 1:
+        if k % p == 0:
+            signed += [(d // p, -mu) for d, mu in signed]
+            while k % p == 0:
+                k //= p
+        p += 1
+    coeffs = [1]
+    for d, mu in sorted(signed, key=lambda dm: -dm[1]):
+        if mu > 0:
+            coeffs = [u - v for u, v in zip([0] * d + coeffs, coeffs + [0] * d)]
+            continue
+        quo = [-c for c in coeffs]
+        for i in range(d, len(quo)):
+            quo[i] += quo[i - d]
+        coeffs, rem = quo[:-d], quo[-d:]
+        if any(rem):
+            raise ArithmeticError(f"q^{d} - 1 does not divide the Moebius product at n={n}")
+    return LaurentPoly.from_int_coeffs(coeffs)
 
 
 def atom(e: int, x=1, y=1) -> tuple[list, int]:

@@ -7,9 +7,10 @@ factorial builders are a third route, independent of the engine's integer
 rings and of its oracle: each factorial is built as a whole ``LaurentPoly``,
 a free parameter a as ``ParamRational`` coefficients, and every term and
 closed form as a ``RationalFunction``, so tests compare the engine against
-values in normal form.  Beside them sit the engine's telescoped product as a
-rational function, the engine's specialized leg on a record's statement
-(``specialized_leg``), Gamma_p at one argument by its defining product, the
+values in normal form.  Beside them sit the cyclotomic polynomials by
+exact division over Q (``cyclotomic_by_division``), the engine's
+telescoped product as a rational function, the engine's specialized leg on
+a record's statement (``specialized_leg``), Gamma_p at one argument by its defining product, the
 failure classifier's route by whole exact divisions, the parametric Phi_n
 leg by exact evaluation at integer values of a, the lifted ring's block
 fold, and the quadratic-summation parameter grid.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -108,6 +110,21 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # q-shifted factorials and the terms and closed forms built from them
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> LaurentPoly:
+    """The n-th cyclotomic polynomial by exact division over Q: q^n - 1
+    over the product of the cyclotomics of the proper divisors of n."""
+    q_n_minus_1 = LaurentPoly.from_int_coeffs([-1] + [0] * (n - 1) + [1])
+    divisor = LaurentPoly.one()
+    for d in range(1, n):
+        if n % d == 0:
+            divisor = divisor * cyclotomic_by_division(d)
+    quotient, remainder = poly_divrem(q_n_minus_1, divisor)
+    if not remainder.is_zero:
+        raise ArithmeticError(f"cyclotomic recursion must divide exactly at n={n}")
+    return quotient
+
 
 def q_pochhammer(c: int, s: int, k: int) -> LaurentPoly:
     """(q^c; q^s)_k = prod_{j=0}^{k-1} (1 - q^{c+js}); empty product for k=0.

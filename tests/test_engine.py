@@ -1,5 +1,6 @@
 """Verification engine behavior: verdicts, negative controls, strategies."""
 
+import copy
 import dataclasses
 import re
 import time
@@ -9,7 +10,7 @@ from itertools import zip_longest
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -1025,6 +1026,10 @@ RING_STEPS = st.lists(
 )
 
 
+KERNEL_LISTS = st.lists(
+    st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-10**12, 10**12)), max_size=14)
+
+
 class TestLiftedRing:
     """The per-factor rings compute modulo (q^m - 1)^E and reduce modulo
     Phi_m^E only in the comparison."""
@@ -1110,6 +1115,19 @@ class TestLiftedRing:
             expected[i + 3] -= c
         assert engine._imul(dense, [1, 0, 0, -1]) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(KERNEL_LISTS, KERNEL_LISTS)
+    @example([0], [1]).via("an untrimmed zero factor")
+    @example([0, 0], [0, 0, 3]).via("two untrimmed factors")
+    @example([0, 0, -1, 0, 1], [5, 0, 2]).via("leading zeros, a first coefficient -1")
+    @example([0, 7], [1, 1, 1]).via("a first coefficient 7")
+    def test_products_match_the_schoolbook(self, a, b):
+        # the first row is copied (scaled by 1, -1 or x), the rest added;
+        # a factor may carry leading and trailing zeros
+        product = engine._imul(a, b)
+        assert trimmed(product) == IntResidues.times(a, b)
+        assert len(product) <= max(len(a) + len(b) - 1, 0)
+
 
 PARAM_ELEMENTS = st.tuples(
     st.dictionaries(st.integers(0, 2), st.lists(st.integers(-9, 9), max_size=30), max_size=3),
@@ -1171,6 +1189,24 @@ class TestParamRing:
             assert ring.same_ratio(multiple, ring.one, px, ring.one)
             assert not ring.same_ratio(ring.add(px, ring.of({i: [1]}, k)), ring.one, px, ring.one)
         assert ring.is_zero(ring.add(px, ring.neg(px)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 3), PARAM_ELEMENTS, PARAM_ELEMENTS,
+           KERNEL_LISTS, KERNEL_LISTS)
+    def test_products_leave_their_operands_unchanged(self, m, e, x, y, a, b):
+        # the product sums its parts in lists of its own, and reduces
+        # only those
+        base = engine._Ring(engine._phi_powers(m, e)[-1], m, e)
+        ring = engine._ParamRing(base)
+        px, py = ring.of(*x), ring.of(*y)
+        bare = (list(px[0].get(0, [1])), 2)
+        operands = copy.deepcopy((px, py, bare, a, b))
+        for product in (ring.mul(px, py), ring.mul(py, px), ring.mul(px, bare)):
+            held = [id(c) for z in (px, py) for c in z[0].values()] + [id(bare[0])]
+            assert not {id(c) for c in product[0].values()} & set(held)
+        engine._imul(a, b)
+        base.mul((a, 0), (b, 0))
+        assert (px, py, bare, a, b) == operands
 
     def test_avatars_split_into_powers_of_a(self):
         # the factors at j = 1 of (q; q^2), (aq; q^2) and (q/a; q^2), and of

@@ -10,6 +10,7 @@ from reference import (
     RationalFunction,
     build_concrete_closed_form,
     build_concrete_summand,
+    cyclotomic_by_division,
     q_pochhammer,
 )
 from supercong.exprs import eval_fraction
@@ -70,6 +71,10 @@ class TestCyclotomic:
     def test_degree_is_totient_up_to_60(self):
         for n in range(1, 61):
             assert cyclotomic(n).span == totient(n), n
+
+    def test_moebius_product_matches_division_up_to_200(self):
+        for n in range(1, 201):
+            assert cyclotomic(n) == cyclotomic_by_division(n), n
 
 
 class TestQInteger:
