@@ -34,18 +34,17 @@ runs with coefficients in Z[a] (``_ParamRing``): the lift and Phi_m^E are
 free of a, so each power of a is summed in place and reduced alone, and the
 check is exact with no evaluation at a.  Every q-lane decides its
 cyclotomic part through ``_cyclotomic_verdict``, and a failure of any of
-them is classified by one
-routine, ``_classify``: both sides over explicit full denominators, read
-once into integer lists per power of a, one cross-multiplied difference,
-cyclotomic valuations by one pass of exact divisions per cyclotomic (Phi_m
-is monic and free of a, so no field is needed), and the exact residue of
-the difference as witness, folded through the lift before the final
-reduction.  ``oracle_congruence`` feeds it a statement's sum and its right
-side, a closed form or a second sum; it is also the independent second
-route the tests check the fast path against.  ``verify_q`` turns every q
-and q_pair instance into a result: it compiles the statement once and runs
-one leg per pairwise coprime factor of the modulus on it, the
-a = q^(+-n) specializations and the cyclotomic verdict.
+them is classified by one routine, ``_classify``: both sides over explicit
+full denominators, read once into integer lists per power of a, one
+cross-multiplied difference, cyclotomic valuations by one pass of exact
+divisions per cyclotomic (Phi_m is monic and free of a, so no field is
+needed), and the exact residue of the difference as witness, folded through
+the lift before the final reduction.  ``oracle_congruence`` feeds it a
+statement's sum and its right side, a closed form or a second sum; it is
+also the independent second route the tests check the fast path against.
+``verify_q`` turns every q and q_pair instance into a result: it compiles
+the statement once and runs one leg per pairwise coprime factor of the
+modulus on it, the a = q^(+-n) specializations and the cyclotomic verdict.
 A spec value out of its domain raises SpecError (ExpressionError and
 DegenerateFactor are ones), which it reports as an obstruction.
 """

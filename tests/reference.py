@@ -10,10 +10,10 @@ closed form as a ``RationalFunction``, so tests compare the engine against
 values in normal form.  Beside them sit the cyclotomic polynomials by
 exact division over Q (``cyclotomic_by_division``), the engine's
 telescoped product as a rational function, the engine's specialized leg on
-a record's statement (``specialized_leg``), Gamma_p at one argument by its defining product, the
-failure classifier's route by whole exact divisions, the parametric Phi_n
-leg by exact evaluation at integer values of a, the lifted ring's block
-fold, and the quadratic-summation parameter grid.
+a record's statement (``specialized_leg``), Gamma_p at one argument by its
+defining product, the failure classifier's route by whole exact divisions,
+the parametric Phi_n leg by exact evaluation at integer values of a, the
+lifted ring's block fold, and the quadratic-summation parameter grid.
 """
 
 from __future__ import annotations
