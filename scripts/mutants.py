@@ -73,8 +73,16 @@ MUTANTS = (
     Mutant(
         "imul_first_row_unscaled",
         ENGINE,
-        "out[i:i + width] = b if x == 1 else [x * v for v in b]",
-        "out[i:i + width] = b",
+        "first = b if x == 1 else [x * v for v in b]",
+        "first = b",
+        ("tests/test_engine.py::TestLiftedRing::test_products_match_the_schoolbook",),
+    ),
+    # a monomial factor's copy lands one place too high
+    Mutant(
+        "imul_monomial_shift_off_by_one",
+        ENGINE,
+        "return [0] * i + first",
+        "return [0] * (i + 1) + first",
         ("tests/test_engine.py::TestLiftedRing::test_products_match_the_schoolbook",),
     ),
     # the one-add fold of an E = 1 lift keeps only the residues that both
@@ -95,11 +103,12 @@ MUTANTS = (
         "(y0, x0), (y1, x1) = _avatar(f.param, 0), _avatar(f.param, 1)",
         ("tests/test_engine.py::TestParamRing::test_avatars_split_into_powers_of_a",),
     ),
+    # the zero test over Z[a] reads the a^0 part alone
     Mutant(
         "param_same_ratio_part_zero_only",
         ENGINE,
-        "return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in diff.values())",
-        "return not _monic_divmod(diff.get(0, []), self.base.m)[1]",
+        "return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in x[0].values())",
+        "return not _monic_divmod(x[0].get(0, []), self.base.m)[1]",
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
     ),
     Mutant(
@@ -188,13 +197,38 @@ MUTANTS = (
         ("tests/test_engine.py::TestLiftedRing::"
          "test_reduce_matches_the_block_fold_and_the_remainder",),
     ),
+    # the denominator product stays 1, so a pair's right sum and the
+    # specialized legs compare against SS alone; the fused state never
+    # reads it
     Mutant(
         "denominator_atom_skips_dacc",
         ENGINE,
-        "dacc, h = ring.mul(dacc, x), ring.mul(h, x)",
-        "h = ring.mul(h, x)",
-        ("tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed",
+        "dacc = ring.mul(dacc, x)",
+        "dacc = dacc",
+        ("tests/test_engine.py::TestPerFactorRoute::test_pair_lane_matches_oracle_when_perturbed",
+         "tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_specialized_leg_matches_rational_route"),
+    ),
+    # the fused state starts at +RN, so it ends as SS RD + RN Dacc
+    Mutant(
+        "fused_start_plus_rn",
+        ENGINE,
+        "(right[1], ring.neg(right[0]), None)",
+        "(right[1], right[0], None)",
+        ("tests/test_engine.py::TestFusedDifference::"
+         "test_fused_difference_matches_the_cross_product",
          "tests/test_differential.py::test_fast_route_oracle_and_sympy_agree"),
+    ),
+    # the fused numerator product starts at 1, not at RD, so the sum is
+    # compared as SS - RN Dacc
+    Mutant(
+        "fused_start_pnum_one",
+        ENGINE,
+        "(right[1], ring.neg(right[0]), None)",
+        "(ring.one, ring.neg(right[0]), None)",
+        ("tests/test_engine.py::TestFusedDifference::"
+         "test_fused_difference_matches_the_cross_product",
+         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed"),
     ),
     Mutant(
         "mul_bracket_window",
@@ -206,8 +240,8 @@ MUTANTS = (
     Mutant(
         "same_ratio_no_final_reduction",
         ENGINE,
-        "return not (diff if self.m is None else _monic_divmod(diff, self.m)[1])",
-        "return not diff",
+        "return not (x[0] if self.m is None else _monic_divmod(x[0], self.m)[1])",
+        "return not x[0]",
         ("tests/test_engine.py::TestLiftedRing::test_zero_only_after_the_final_reduction",),
     ),
     Mutant(

@@ -19,12 +19,18 @@ map onto Z[q]/(Phi_m^E), and it folds a coefficient in O(E) where the
 dense Phi_m^E costs O(deg): m coefficients at a time for E >= 2, and for
 E = 1, where q^m == 1, by one addition of the two halves of a list of at
 most 2m coefficients (a product of two reduced elements) or by one strided
-sum per residue of a longer one.  Only the final comparison reduces modulo
-Phi_m^E itself.  Atoms enter the Horner states one at a time, each
+sum per residue of a longer one.  The cross-multiplied difference
+W RD' Phi_m^c (S - R) is one Horner state: it starts at the right side's
+numerator, negated, the numerator product starts at its denominator, and
+each step multiplies the state by the step's denominator atoms and adds
+its term, so the left side's denominator product is never formed and no
+cross product of two dense elements is taken at the end.  Only the final test, one monic division per power of
+a, reduces modulo Phi_m^E itself.  Atoms enter one at a time, each
 stripped and reduced once to at most E + 1 terms; a product takes one row
 per nonzero coefficient of the sparser factor, copying the first and
-adding the rest, so multiplying by an atom costs linear time and one list
-pass, and a bracket [t] is multiplied in by running sums.
+adding the rest (a monomial factor is one shifted copy), so multiplying by
+an atom costs linear time and one list pass, and a bracket [t] is
+multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
 monic with integer coefficients, so remainders stay integral).  One loop,
@@ -154,16 +160,19 @@ def _imul(a: list, b: list) -> list:
     """a * b as a new list, one row per nonzero coefficient x of the sparser
     factor: O(len) for an atom or a bracket, schoolbook for two dense
     factors.  The first row is copied into the zero output (b scaled by x),
-    so only the rows after it are added; a zero factor, even an untrimmed
-    [0], gives []."""
+    so only the rows after it are added, and a monomial is that one copy,
+    shifted; a zero factor, even an untrimmed [0], gives []."""
     if len(b) - b.count(0) < len(a) - a.count(0):
         a, b = b, a
     rows = [(i, x) for i, x in enumerate(a) if x]
     if not rows:
         return []
     (i, x), width = rows[0], len(b)
+    first = b if x == 1 else [x * v for v in b]
+    if len(rows) == 1:
+        return [0] * i + first   # a monomial: one shifted, scaled copy
     out = [0] * (len(a) + width - 1)
-    out[i:i + width] = b if x == 1 else [x * v for v in b]
+    out[i:i + width] = first
     for i, x in rows[1:]:
         window = out[i:i + width]
         if x == 1:
@@ -211,7 +220,7 @@ class _Ring:
     L = (q^m - 1)^e = sum_j C(e, j) (-1)^(e - j) q^(mj), which is monic of
     degree me.  Z[q] -> Z[q]/(L) -> Z[q]/(Phi_m^e) are ring maps and q is a
     unit in both, so every sum and product computed here maps to the one
-    modulo Phi_m^e; only ``same_ratio`` reduces modulo ``modulus``, the
+    modulo Phi_m^e; only ``vanishes`` reduces modulo ``modulus``, the
     dense Phi_m^e itself.  An element that is zero here is zero modulo
     Phi_m^e, but not conversely.  The fold only adds and scales by
     integers, so it reduces coefficients of any exact type; ``_classify``
@@ -299,11 +308,14 @@ class _Ring:
         """x is zero here (sufficient, not necessary, for zero mod Phi_m^e)."""
         return not x[0]
 
+    def vanishes(self, x) -> bool:
+        """x == 0 modulo Phi_m^e, decided by the one reduction modulo
+        ``modulus`` (in Z[q, 1/q] where there is none)."""
+        return not (x[0] if self.m is None else _monic_divmod(x[0], self.m)[1])
+
     def same_ratio(self, num1, den1, num2, den2) -> bool:
-        """num1/den1 == num2/den2, decided cross-multiplied after the one
-        reduction modulo Phi_m^e."""
-        diff = self.sub(self.mul(num1, den2), self.mul(num2, den1))[0]
-        return not (diff if self.m is None else _monic_divmod(diff, self.m)[1])
+        """num1/den1 == num2/den2, decided cross-multiplied."""
+        return self.vanishes(self.sub(self.mul(num1, den2), self.mul(num2, den1)))
 
 
 class _ParamRing:
@@ -360,9 +372,9 @@ class _ParamRing:
     def neg(self, x):
         return self._each(x, self.base.neg)
 
-    def same_ratio(self, num1, den1, num2, den2) -> bool:
-        diff = self.add(self.mul(num1, den2), self.neg(self.mul(num2, den1)))[0]
-        return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in diff.values())
+    def vanishes(self, x) -> bool:
+        """x == 0 modulo Phi_m^e: every part is."""
+        return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in x[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -507,22 +519,28 @@ def _free_factor(f, j: int):
 
 
 def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
-                    strip: Optional[_Strip] = None, factor=_free_factor):
+                    strip: Optional[_Strip] = None, factor=_free_factor, right=None):
     """Returns (SS, Dacc) with SS = sum_k N_k prod_{j>k} D_j and
-    Dacc = prod_j D_j, both as shift-tracked ring elements.
+    Dacc = prod_j D_j, both as shift-tracked ring elements; given the right
+    side ``right`` = (RN, RD), returns (SS RD - RN Dacc, None) instead.
 
     The k-th exact term is N_k / prod_{j<=k} D_j, so the true sum S equals
-    SS / Dacc; comparisons happen cross-multiplied.  ``factor(f, j)`` gives
-    the j-th factor of the Pochhammer f as a ring element (coeffs, shift);
-    for a factor without the parameter it must be 1 - q^(f.exponent_at(j)).
-    With ``strip``, the pair is that of Phi_m^c S with Phi_m cancelled from
-    every atom: SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
+    SS / Dacc; comparisons happen cross-multiplied.  The one state h is
+    multiplied by each denominator atom and gains each term.  Started at
+    -RN, with the numerator product started at RD, it ends as the
+    cross-multiplied difference itself, SS RD - RN Dacc, and no Dacc is
+    formed.  ``factor(f, j)`` gives the j-th factor of the Pochhammer f as
+    a ring element (coeffs, shift); for a factor without the parameter it
+    must be 1 - q^(f.exponent_at(j)).  With ``strip``, SS and Dacc are
+    those of Phi_m^c S with Phi_m cancelled from every atom:
+    SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
     """
 
     def stripped(f, j):
         return _stripped(ring, factor(f, j), None if f.param else f.exponent_at(j), strip)
 
-    pnum, dacc, h = ring.one, ring.one, ring.of([], 0)
+    pnum, h, dacc = ((ring.one, ring.of([], 0), ring.one) if right is None
+                     else (right[1], ring.neg(right[0]), None))
     v = 0   # valuation of the numerator product minus that of the denominators
     for k in range(bound + 1):
         if k:
@@ -536,7 +554,9 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
                 x, dv = stripped(f, k - 1)
                 v -= dv * f.power
                 for _ in range(f.power):
-                    dacc, h = ring.mul(dacc, x), ring.mul(h, x)
+                    h = ring.mul(h, x)
+                    if dacc is not None:
+                        dacc = ring.mul(dacc, x)
         t = summand.prefactor_index(k)
         if not t or ring.is_zero(pnum):
             continue  # the term is zero
@@ -591,7 +611,10 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
     factor of it at a time (stops at the first disagreement).  Where a sum
     carries the parameter a, every ring is over Z[a] (_ParamRing) with the
     parametric factors as their avatars: they are units modulo Phi_m over
-    Q(a), and cancelling Phi_m from the plain atoms adds no degree in a."""
+    Q(a), and cancelling Phi_m from the plain atoms adds no degree in a.
+    In each ring the left sum's Horner state starts at the right side
+    (RN, RD), the closed form's or the second sum's (SS, Dacc), and ends as
+    the cross-multiplied difference, which must vanish."""
     sums = _sums(summand, bound, right)
     closed = right if len(sums) == 1 else None
     parametric = any(f.param for s, _ in sums for f in s.num + s.den)
@@ -599,7 +622,7 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
         ring = _ParamRing(ring) if parametric else ring
         other = (_closed_form_sides_int(closed, n, ring, strip) if closed is not None
                  else _horner_sum_int(*right, ring, strip))
-        if not ring.same_ratio(*_horner_sum_int(summand, bound, ring, strip), *other):
+        if not ring.vanishes(_horner_sum_int(summand, bound, ring, strip, right=other)[0]):
             return False
     return True
 

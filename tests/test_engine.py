@@ -55,7 +55,7 @@ from supercong.qobjects import (
     modulus_support,
     one_minus_q_power,
 )
-from supercong.registry import PairSide, ProductSpec, iter_sweep_params
+from supercong.registry import PairSide, ProductSpec, iter_sweep_params, load_registry
 
 
 def perturbed_exponent_case(registry):
@@ -838,13 +838,15 @@ class TestIntegerParametricLegs:
     def test_one_horner_pass_per_factor_ring(self, registry, monkeypatch):
         # the leg no longer evaluates at D + 1 values of a: thm2 at n=5
         # (passes) and lemma2 at d=3, n=5 (fails) each build the Horner sum
-        # once in the one factor ring of Phi_n
+        # once in the one factor ring of Phi_n, started at the closed form;
+        # conj1a at n=9 builds its right sum, then the left one started at
+        # it, in each of its rings
         calls = []
         horner = engine._horner_sum_int
 
-        def counted(*args):
-            calls.append(args)
-            return horner(*args)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("right") is not None)
+            return horner(*args, **kwargs)
 
         monkeypatch.setattr(engine, "_horner_sum_int", counted)
         for cid, d, bound, holds in (("thm2", None, 2, True), ("lemma2", 3, 1, False)):
@@ -854,7 +856,12 @@ class TestIntegerParametricLegs:
             rings = list(_factor_rings({5: 1}, closed, 5, (summand, bound)))
             calls.clear()
             assert _congruence_holds(summand, bound, closed, {5: 1}, 5) == holds
-            assert len(calls) == len(rings) == 1
+            assert calls == [True] and len(rings) == 1
+        summand, bound, right, support, n = statement_leg(registry.get("conj1a"), 9, None)
+        rings = list(_factor_rings(support, None, n, (summand, bound), right))
+        calls.clear()
+        assert _congruence_holds(summand, bound, right, support, n)
+        assert len(rings) >= 2 and calls == [False, True] * len(rings)
 
     @pytest.mark.parametrize("factors, orders", [
         ((ModulusFactor("q_integer"), ModulusFactor("cyclotomic")), ["3", "9"]),
@@ -950,6 +957,81 @@ class TestPerFactorRoute:
         assert strip.c == 1
         assert len(ring.m) - 1 == 20
         assert ring.top == 22
+
+
+def statement_leg(case, n, d):
+    """The arguments (summand, bound, right, support, n) of
+    ``_congruence_holds`` for a q or q_pair instance: right is the closed
+    form, or a pair's second (summand, bound)."""
+    if case.family == "q_pair":
+        (summand, bound), right = (
+            (concretize_summand(pair.summand, None), eval_int(pair.bound, n=n))
+            for pair in (case.lhs_pair, case.rhs_pair))
+    else:
+        summand, bound = concretize_summand(case.summand, d), eval_int(case.bounds[0], n=n, d=d)
+        right = concretize_closed_form(case.closed_form, n, d)
+    return summand, bound, right, modulus_support(case.modulus, n), n
+
+
+def at_a_one(summand):
+    """summand with a = 1: every factor plain, a statement without the
+    parameter that keeps the poles of the parametric one."""
+    def plain(factors):
+        return tuple(dataclasses.replace(f, param="") for f in factors)
+
+    return dataclasses.replace(summand, num=plain(summand.num), den=plain(summand.den))
+
+
+def lifted_remainders(ring, x, y):
+    """x modulo Phi_m^E in ``ring`` (plain or over Z[a]), one remainder per
+    power of a, written from the lower shift of x and y so that the
+    remainders of two equal elements are equal lists."""
+    x = ring.add(x, ring.of([], min(x[1], y[1])))
+    base = getattr(ring, "base", ring)
+    parts = x[0] if isinstance(x[0], dict) else {0: x[0]}
+    return {i: rem for i, coeffs in parts.items() if (rem := engine._monic_divmod(coeffs, base.m)[1])}
+
+
+CATALOG_Q_INSTANCES = sorted(
+    (case.id, params.get("d"), params["n"]) for case in load_registry()
+    if case.family in ("q", "q_pair") for params in iter_sweep_params(case)
+    if case.applies(n=params["n"], d=params.get("d")))
+
+
+class TestFusedDifference:
+    """The Horner state started at the right side (-RN, with the numerator
+    product at RD) ends as SS RD - RN Dacc, the cross-multiplied difference
+    of the two-state pass, in every factor ring."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CATALOG_Q_INSTANCES), st.integers(-1, 1), st.integers(-1, 1),
+           st.integers(-1, 1), st.integers(0, 1), st.booleans())
+    @example(("thm1_1", None, 45), 0, 0, 0, 0, False).via("Phi_45^3 and four stripped rings")
+    @example(("lemma2", 3, 11), 0, 0, 0, 0, False).via("a pole at Phi_11 over Z[a]")
+    @example(("lemma2", 3, 11), 0, 0, 0, 0, True).via("the same pole with a = 1")
+    @example(("conj1a", None, 9), 0, 0, 0, 0, False).via("a pair")
+    @example(("thm2", None, 5), 0, 0, 0, 0, False).via("Z[a] without a strip")
+    def test_fused_difference_matches_the_cross_product(self, registry, instance, shift, cut,
+                                                        exponent, power, plain):
+        cid, d, n = instance
+        case = registry.get(cid)
+        case = (perturbed_pair(case, cut, exponent, power) if case.family == "q_pair"
+                else perturbed(case, shift, cut, exponent, power=power))
+        summand, bound, right, support, n = statement_leg(case, n, d)
+        if plain:
+            summand = at_a_one(summand)
+        sums = engine._sums(summand, bound, right)
+        closed = right if len(sums) == 1 else None
+        parametric = any(f.param for f in summand.num + summand.den)
+        for ring, strip in _factor_rings(support, closed, n, *sums):
+            ring = engine._ParamRing(ring) if parametric else ring
+            rn, rd = (engine._closed_form_sides_int(closed, n, ring, strip) if closed is not None
+                      else engine._horner_sum_int(*right, ring, strip))
+            fused, dacc = engine._horner_sum_int(summand, bound, ring, strip, right=(rn, rd))
+            assert dacc is None
+            ss, dacc = engine._horner_sum_int(summand, bound, ring, strip)
+            crossed = ring.add(ring.mul(ss, rd), ring.neg(ring.mul(rn, dacc)))
+            assert lifted_remainders(ring, fused, crossed) == lifted_remainders(ring, crossed, fused)
 
 
 def trimmed(coeffs):
@@ -1143,6 +1225,12 @@ def at(x, t):
     return total, x[1]
 
 
+def same_ratio(ring, num1, den1, num2, den2):
+    """num1/den1 == num2/den2 in a ring over Z[a], cross-multiplied and
+    decided by its zero test."""
+    return ring.vanishes(ring.add(ring.mul(num1, den2), ring.neg(ring.mul(num2, den1))))
+
+
 class TestParamRing:
     """The Phi_n leg's ring over Z[a] works part by part through its base
     ring: at any integer a = t, each operation agrees with the base ring's
@@ -1176,18 +1264,18 @@ class TestParamRing:
         check(ring.neg(px), base.neg(bx))
         check(ring.shift(px, k), base.shift(bx, k))
         check(ring.one, base.one)
-        # same_ratio compares every part modulo Phi_m^e
+        # the zero test reads every part modulo Phi_m^e
         parts = px[0].keys() | py[0].keys()
         equal = all(residue((px[0].get(i, []), px[1])) == residue((py[0].get(i, []), py[1]))
                     for i in parts)
-        assert ring.same_ratio(px, ring.one, py, ring.one) == equal
-        if ring.same_ratio(px, py, py, px):
+        assert same_ratio(ring, px, ring.one, py, ring.one) == equal
+        if same_ratio(ring, px, py, py, px):
             assert base.same_ratio(bx, by, by, bx)
-        assert ring.same_ratio(ring.mul(px, py), py, px, ring.one)
+        assert same_ratio(ring, ring.mul(px, py), py, px, ring.one)
         for i in range(3):
             multiple = ring.add(px, ring.of({i: powers[-1]}, k))
-            assert ring.same_ratio(multiple, ring.one, px, ring.one)
-            assert not ring.same_ratio(ring.add(px, ring.of({i: [1]}, k)), ring.one, px, ring.one)
+            assert same_ratio(ring, multiple, ring.one, px, ring.one)
+            assert not same_ratio(ring, ring.add(px, ring.of({i: [1]}, k)), ring.one, px, ring.one)
         assert ring.is_zero(ring.add(px, ring.neg(px)))
 
     @settings(max_examples=100, deadline=None)
