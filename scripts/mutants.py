@@ -217,7 +217,7 @@ MUTANTS = (
         "(right[1], right[0], None)",
         ("tests/test_engine.py::TestFusedDifference::"
          "test_fused_difference_matches_the_cross_product",
-         "tests/test_differential.py::test_fast_route_oracle_and_sympy_agree"),
+         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed"),
     ),
     # the fused numerator product starts at 1, not at RD, so the sum is
     # compared as SS - RN Dacc

@@ -20,17 +20,17 @@ dense Phi_m^E costs O(deg): m coefficients at a time for E >= 2, and for
 E = 1, where q^m == 1, by one addition of the two halves of a list of at
 most 2m coefficients (a product of two reduced elements) or by one strided
 sum per residue of a longer one.  The cross-multiplied difference
-W RD' Phi_m^c (S - R) is one Horner state: it starts at the right side's
+Phi_m^c W RD' (S - R) is one Horner state: it starts at the right side's
 numerator, negated, the numerator product starts at its denominator, and
 each step multiplies the state by the step's denominator atoms and adds
 its term, so the left side's denominator product is never formed and no
-cross product of two dense elements is taken at the end.  Only the final test, one monic division per power of
-a, reduces modulo Phi_m^E itself.  Atoms enter one at a time, each
-stripped and reduced once to at most E + 1 terms; a product takes one row
-per nonzero coefficient of the sparser factor, copying the first and
-adding the rest (a monomial factor is one shifted copy), so multiplying by
-an atom costs linear time and one list pass, and a bracket [t] is
-multiplied in by running sums.
+cross product of two dense elements is taken at the end.  Only the final
+test, one monic division per power of a, reduces modulo Phi_m^E itself.
+Atoms enter one at a time, each stripped and reduced once to at most
+E + 1 terms; a product takes one row per nonzero coefficient of the
+sparser factor, copying the first and adding the rest (a monomial factor
+is one shifted copy), so multiplying by an atom costs linear time and one
+list pass, and a bracket [t] is multiplied in by running sums.
 
 Fast paths run over plain integer coefficient lists (every modulus here is
 monic with integer coefficients, so remainders stay integral).  One loop,
