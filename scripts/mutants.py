@@ -197,9 +197,9 @@ MUTANTS = (
         ("tests/test_engine.py::TestLiftedRing::"
          "test_reduce_matches_the_block_fold_and_the_remainder",),
     ),
-    # the denominator product stays 1, so a pair's right sum and the
-    # specialized legs compare against SS alone; the fused state never
-    # reads it
+    # the denominator product stays 1, so a pair's right sum is SS alone
+    # and a failing a = q^(+-n) leg builds its witness from SS alone; the
+    # fused state never reads it
     Mutant(
         "denominator_atom_skips_dacc",
         ENGINE,
@@ -217,7 +217,10 @@ MUTANTS = (
         "(right[1], right[0], None)",
         ("tests/test_engine.py::TestFusedDifference::"
          "test_fused_difference_matches_the_cross_product",
-         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed"),
+         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed",
+         "tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_specialized_leg_matches_rational_route",
+         "tests/test_differential.py::test_fast_route_oracle_and_sympy_agree"),
     ),
     # the fused numerator product starts at 1, not at RD, so the sum is
     # compared as SS - RN Dacc
@@ -228,7 +231,22 @@ MUTANTS = (
         "(ring.one, ring.neg(right[0]), None)",
         ("tests/test_engine.py::TestFusedDifference::"
          "test_fused_difference_matches_the_cross_product",
-         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed"),
+         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed",
+         "tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_specialized_leg_matches_rational_route"),
+    ),
+    # an a = q^(+-n) sum is started at the closed form's sides instead of
+    # the telescoped product's, so a product that differs from the closed
+    # form is blamed on the sum
+    Mutant(
+        "specialized_fused_start_at_closed_form",
+        ENGINE,
+        "if not ring.vanishes(horner(right=prod)[0]):",
+        "if not ring.vanishes(horner(right=form)[0]):",
+        ("tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_specialized_leg_matches_rational_route",
+         "tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_one_horner_pass_per_specialized_leg"),
     ),
     Mutant(
         "mul_bracket_window",

@@ -51,6 +51,9 @@ also the independent second route the tests check the fast path against.
 ``verify_q`` turns every q and q_pair instance into a result: it compiles
 the statement once and runs one leg per pairwise coprime factor of the
 modulus on it, the a = q^(+-n) specializations and the cyclotomic verdict.
+An a = q^(+-n) leg decides its sum by one Horner pass started at the
+telescoped product; a second, unfused pass runs only for a failure's
+witness.
 A spec value out of its domain raises SpecError (ExpressionError and
 DegenerateFactor are ones), which it reports as an obstruction.
 """
@@ -60,7 +63,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain
 from math import comb, lcm
 from typing import Optional
 
@@ -1000,24 +1003,28 @@ def verify_identity_specialized(summand: ConcreteSummand, bound: int, product: C
     form ``closed``.
 
     Returns {"equal": bool, "witness": (num, den) | None, "detail": str}.
-    Both equalities are decided cross-multiplied in Z[q, 1/q]; only a
-    mismatch builds the witness, the difference in normal form.
+    Both are decided in Z[q, 1/q]: the first by one Horner pass started at
+    the product's sides, whose state must vanish, the second
+    cross-multiplied.  Only a mismatch builds the witness, the difference in
+    normal form; for the first, an unfused pass gives the sum's (SS, Dacc).
     """
     offset = {"": 0, "aq": shift, "q_div_a": -shift}
     if any(f.exponent_at(j) + offset[f.param] == 0 for f in summand.den for j in range(bound)):
         raise DegenerateFactor(
             f"denominator factor hits q^0 under the a = q^{shift} specialization")
     ring = _Ring()
-    sides = (_horner_sum_int(summand, bound, ring,
-                             factor=lambda f, j: atom(f.exponent_at(j) + offset[f.param])),
-             _closed_form_sides_int(product, abs(shift), ring),
-             _closed_form_sides_int(closed, abs(shift), ring))
-    details = (f"sum at a = q^{'+' if shift > 0 else '-'}n differs from the telescoped product",
-               "telescoped product differs from the closed form")
-    for (left, right), detail in zip(pairwise(sides), details):
-        if not ring.same_ratio(*left, *right):
-            return {"equal": False, "witness": _witness(ring, *left, *right), "detail": detail}
-    return {"equal": True, "witness": None, "detail": "terminating identity holds"}
+    horner = partial(_horner_sum_int, summand, bound, ring,
+                     factor=lambda f, j: atom(f.exponent_at(j) + offset[f.param]))
+    prod, form = (_closed_form_sides_int(x, abs(shift), ring) for x in (product, closed))
+    if not ring.vanishes(horner(right=prod)[0]):
+        left, right = horner(), prod
+        detail = f"sum at a = q^{'+' if shift > 0 else '-'}n differs from the telescoped product"
+    elif not ring.same_ratio(*prod, *form):
+        left, right = prod, form
+        detail = "telescoped product differs from the closed form"
+    else:
+        return {"equal": True, "witness": None, "detail": "terminating identity holds"}
+    return {"equal": False, "witness": _witness(ring, *left, *right), "detail": detail}
 
 
 _PARAM_A = ParamRational.generator()

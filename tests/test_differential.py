@@ -2,7 +2,7 @@
 plain congruences: all three must give the same verdict."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from supercong.engine import _congruence_holds, oracle_congruence
@@ -93,8 +93,20 @@ def sympy_status(summand, bound, closed, support, n) -> str:
     return "fail" if any(orders[m] < e for m, e in support.items()) else "pass"
 
 
+# Passing statements whose right side is nonzero modulo the modulus, which
+# random draws rarely give: the fast route's cross-multiplied difference
+# must cancel the right side's numerator, not add it.  1 == 1 mod Phi_2,
+# and 1 + q == (1 - q^2) / (1 - q) mod Phi_3.
+ONE = ConcreteClosedForm(kind="ratio")
+BRACKET_TWO = ConcreteClosedForm(kind="ratio", num=((2, 1, 1),), den=((1, 1, 1),))
+
+
 @settings(max_examples=60, deadline=None)
 @given(congruences())
+@example((ConcreteSummand(m=0, r=1, e0=0, delta1=0, delta2=0, num=(), den=()), 0, ONE,
+          {2: 1}, 2))
+@example((ConcreteSummand(m=0, r=1, e0=0, delta1=1, delta2=0, num=(), den=()), 1,
+          BRACKET_TWO, {3: 1}, 3))
 def test_fast_route_oracle_and_sympy_agree(congruence):
     summand, bound, closed, support, n = congruence
     status, _, _ = oracle_congruence(summand, bound, closed, support, n)

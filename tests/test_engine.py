@@ -863,6 +863,34 @@ class TestIntegerParametricLegs:
         assert _congruence_holds(summand, bound, right, support, n)
         assert len(rings) >= 2 and calls == [False, True] * len(rings)
 
+    def test_one_horner_pass_per_specialized_leg(self, registry, monkeypatch):
+        # an a = q^(+-n) leg sums once, started at the telescoped product's
+        # sides; only a sum that differs from the product (thm2 with its
+        # bound cut by one) sums again, unstarted, for the witness, and a
+        # product that differs from the closed form (its q-shift moved)
+        # needs no second sum
+        calls = []
+        horner = engine._horner_sum_int
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("right"))
+            return horner(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_horner_sum_int", counted)
+        for cid, d, cut, shift, detail in (
+                ("thm2", None, 0, 0, "terminating identity holds"),
+                ("thm4", 2, 0, 0, "terminating identity holds"),
+                ("thm2", None, 1, 0, "sum at a = q^{}n differs from the telescoped product"),
+                ("thm2", None, 0, 1, "telescoped product differs from the closed form")):
+            case = perturbed(registry.get(cid), shift=shift, cut=cut)
+            product = engine._closed_form_sides_int(
+                engine._telescoped_form(case.specialized_product, 5, d), 5, engine._Ring())
+            for sign in (1, -1):
+                calls.clear()
+                outcome = specialized_leg(case, 5, d, sign)
+                assert outcome["detail"] == detail.format("+" if sign > 0 else "-")
+                assert calls == [product] + [None] * cut
+
     @pytest.mark.parametrize("factors, orders", [
         ((ModulusFactor("q_integer"), ModulusFactor("cyclotomic")), ["3", "9"]),
         ((ModulusFactor("q_integer"),), ["3"]),
