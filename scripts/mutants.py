@@ -41,10 +41,12 @@ DEADLINE_S = 300
 COPIED = ("src", "tests", "conftest.py", "pyproject.toml")
 ENGINE = "src/supercong/engine.py"
 EXPRS = "src/supercong/exprs.py"
+ORACLE = "src/supercong/oracle.py"
 PADIC = "src/supercong/padic.py"
 POLYS = "src/supercong/polys.py"
 QOBJECTS = "src/supercong/qobjects.py"
 REGISTRY = "src/supercong/registry.py"
+RING = "src/supercong/ring.py"
 BLOCK_SWEEP_TEST = "tests/test_padic.py::TestPadicGamma::test_block_sweep_matches_defining_product"
 
 
@@ -63,7 +65,7 @@ MUTANTS = (
     # instead of adding to it
     Mutant(
         "param_ring_convolution_drops_sum",
-        ENGINE,
+        RING,
         "acc[:len(p)] = [u + v for u, v in zip(acc, p)] + p[len(acc):]",
         "acc[:len(p)] = p",
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
@@ -72,7 +74,7 @@ MUTANTS = (
     # were always 1
     Mutant(
         "imul_first_row_unscaled",
-        ENGINE,
+        RING,
         "first = b if x == 1 else [x * v for v in b]",
         "first = b",
         ("tests/test_engine.py::TestLiftedRing::test_products_match_the_schoolbook",),
@@ -80,7 +82,7 @@ MUTANTS = (
     # a monomial factor's copy lands one place too high
     Mutant(
         "imul_monomial_shift_off_by_one",
-        ENGINE,
+        RING,
         "return [0] * i + first",
         "return [0] * (i + 1) + first",
         ("tests/test_engine.py::TestLiftedRing::test_products_match_the_schoolbook",),
@@ -89,7 +91,7 @@ MUTANTS = (
     # halves reach, dropping the tail of the lower half
     Mutant(
         "strided_fold_one_add_drops_tail",
-        ENGINE,
+        RING,
         "[u + v for u, v in zip(coeffs, coeffs[step:])]\n"
         "                                + coeffs[len(coeffs) - step:step])",
         "[u + v for u, v in zip(coeffs, coeffs[step:])])",
@@ -106,7 +108,7 @@ MUTANTS = (
     # the zero test over Z[a] reads the a^0 part alone
     Mutant(
         "param_same_ratio_part_zero_only",
-        ENGINE,
+        RING,
         "return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in x[0].values())",
         "return not _monic_divmod(x[0].get(0, []), self.base.m)[1]",
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
@@ -123,7 +125,7 @@ MUTANTS = (
     ),
     Mutant(
         "classify_valuation_off_by_one",
-        ENGINE,
+        ORACLE,
         "elif v < support[m]:",
         "elif v <= support[m]:",
         ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",
@@ -131,14 +133,14 @@ MUTANTS = (
     ),
     Mutant(
         "oracle_exactness_on_part_zero_only",
-        ENGINE,
+        ORACLE,
         "if any(rem for _, rem in divided.values()):",
         "if divided.get(0, ((), ()))[1]:",
         ("tests/test_engine.py::TestOracleDivision::test_division_pass_matches_division_over_qa",),
     ),
     Mutant(
         "oracle_keeps_quotient_after_v_divisions",
-        ENGINE,
+        ORACLE,
         "if keep is None or v <= keep:",
         "if True:",
         ("tests/test_engine.py::TestOracleDivision::test_division_pass_matches_division_over_qa",
@@ -146,7 +148,7 @@ MUTANTS = (
     ),
     Mutant(
         "oracle_witness_always_fraction",
-        ENGINE,
+        ORACLE,
         "    if not parametric:\n        if parts.keys() - {0}:",
         "    if True:\n        if parts.keys() - {0}:",
         ("tests/test_engine.py::TestOracleDivision::test_witness_keeps_its_statements_coefficient_type",
@@ -162,7 +164,7 @@ MUTANTS = (
     ),
     Mutant(
         "monic_divmod_drops_constant_term",
-        ENGINE,
+        RING,
         "enumerate(m[:dm])",
         "enumerate(m[1:dm], 1)",
         ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",
@@ -177,21 +179,21 @@ MUTANTS = (
     ),
     Mutant(
         "pair_oracle_right_bound_short",
-        ENGINE,
+        ORACLE,
         "_term_parts(*right)",
         "_term_parts(right[0], right[1] - 1)",
         ("tests/test_engine.py::TestPairClassification::test_matches_rational_route_when_perturbed",),
     ),
     Mutant(
         "lift_sign",
-        ENGINE,
+        RING,
         "self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]",
         "self.lift = [comb(e, j) * (-1) ** (e - j + 1) for j in range(e)]",
         ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",),
     ),
     Mutant(
         "strided_fold_stride_off_by_one",
-        ENGINE,
+        RING,
         "sum(coeffs[i::step])",
         "sum(coeffs[i::step + 1])",
         ("tests/test_engine.py::TestLiftedRing::"
@@ -250,21 +252,21 @@ MUTANTS = (
     ),
     Mutant(
         "mul_bracket_window",
-        ENGINE,
+        RING,
         "zip([0] * (t - 1) + sums, sums[1:])",
         "zip([0] * t + sums, sums[1:])",
         ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",),
     ),
     Mutant(
         "same_ratio_no_final_reduction",
-        ENGINE,
+        RING,
         "return not (x[0] if self.m is None else _monic_divmod(x[0], self.m)[1])",
         "return not x[0]",
         ("tests/test_engine.py::TestLiftedRing::test_zero_only_after_the_final_reduction",),
     ),
     Mutant(
         "witness_drops_lead",
-        ENGINE,
+        ORACLE,
         "_from_parts(diff, parametric).shift(lead)",
         "_from_parts(diff, parametric)",
         ("tests/test_engine.py::TestFailureRoute::test_witness_keeps_the_q_shift",),
@@ -300,7 +302,7 @@ MUTANTS = (
     ),
     Mutant(
         "pole_order_sign",
-        ENGINE,
+        ORACLE,
         "poles.append((m, -v))",
         "poles.append((m, v))",
         ("tests/test_engine.py::TestFailureRoute::test_pair_names_every_pole",),

@@ -84,6 +84,14 @@ def atom(e: int, x=1, y=1) -> tuple[list, int]:
     return ([x - y] if x != y else []), 0
 
 
+def _avatar(param: str, a) -> tuple:
+    """(x, y) of the avatar x - y q^e of a factor carrying ``param`` at the
+    parameter value a: 1 - q^e stays, 1 - a q^e stays, and 1 - q^e / a
+    becomes a - q^e; the stripped 1/a units cancel between numerator and
+    denominator because the registry keeps them balanced."""
+    return {"": (1, 1), "aq": (1, a), "q_div_a": (a, 1)}[param]
+
+
 def bracket(t: int) -> tuple[list, int]:
     """[t] = (1 - q^t)/(1 - q) for any integer t, as (coeffs, shift).
 
@@ -253,6 +261,12 @@ class ConcreteClosedForm:
     n_multiplier: bool = False
     num: tuple[tuple[int, int, int], ...] = ()   # (c, s, length)
     den: tuple[tuple[int, int, int], ...] = ()
+
+
+def _sums(summand: ConcreteSummand, bound: int, right) -> tuple:
+    """The (summand, bound) of every sum in a statement: the left one, and
+    ``right`` too unless it is a closed form."""
+    return ((summand, bound),) + (() if isinstance(right, ConcreteClosedForm) else (right,))
 
 
 def select_branch(branches, what: str, **names):

@@ -26,7 +26,6 @@ from typing import Optional
 
 from supercong.engine import (
     _closed_form_sides_int,
-    _factor_rings,
     _horner_sum_int,
     _telescoped_form,
     verify_identity_specialized,
@@ -52,6 +51,7 @@ from supercong.qobjects import (
     resolve_bound,
 )
 from supercong.registry import CaseDefinition, ProductSpec
+from supercong.ring import _factor_rings
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def divide_out(p: LaurentPoly, phi: LaurentPoly, limit: Optional[int] = None,
 
 def classify_by_full_division(left: tuple, right: tuple, support: dict,
                               parametric: bool = False):
-    """engine._classify by whole exact divisions: every valuation counted in
+    """oracle._classify by whole exact divisions: every valuation counted in
     full on the undivided difference, Phi_m^v_m(DEN) then divided out of
     both sides one exact division at a time, and the witness reduced
     modulo M directly, with no fold onto a sparse multiple."""

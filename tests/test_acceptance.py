@@ -357,10 +357,8 @@ def test_criterion_17_negative_controls(registry):
 def test_criterion_18_oracle_equivalence(registry):
     """Residue-ring verdicts match the brute-force route on every case
     instance with n <= 11."""
-    from supercong.engine import (
-        _congruence_holds,
-        oracle_congruence,
-    )
+    from supercong.engine import _congruence_holds
+    from supercong.oracle import oracle_congruence
     from supercong.qobjects import concretize_closed_form, modulus_support
     from supercong.exprs import eval_int
 

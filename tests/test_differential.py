@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from supercong.engine import _congruence_holds, oracle_congruence
+from supercong.engine import _congruence_holds
+from supercong.oracle import oracle_congruence
 from supercong.qobjects import ConcreteClosedForm, ConcreteFactor, ConcreteSummand
 
 sp = pytest.importorskip("sympy")

@@ -25,13 +25,10 @@ from reference import (
     specialized_leg,
     telescoped_product,
 )
-from supercong import engine
+from supercong import engine, oracle
 from supercong.analytic import q_product_infinite
 from supercong.engine import (
     _congruence_holds,
-    _factor_rings,
-    _term_parts,
-    oracle_congruence,
     verify_congruence,
     verify_conjecture_pair,
     verify_parametric,
@@ -46,6 +43,7 @@ from supercong.qobjects import (
     ModulusSpec,
     PochFactor,
     SummandSpec,
+    _sums,
     atom,
     bracket,
     concretize_closed_form,
@@ -55,7 +53,9 @@ from supercong.qobjects import (
     modulus_support,
     one_minus_q_power,
 )
+from supercong.oracle import _term_parts, oracle_congruence
 from supercong.registry import PairSide, ProductSpec, iter_sweep_params, load_registry
+from supercong.ring import _factor_rings, _imul, _monic_divmod, _ParamRing, _phi_powers, _Ring, _Strip
 
 
 def perturbed_exponent_case(registry):
@@ -349,7 +349,7 @@ class TestDeskFindings:
     def test_thm7_collapses_to_constant_at_d3(self, registry):
         case = registry.get("thm7")
         summand = concretize_summand(case.summand, 3)
-        from supercong.engine import _term_parts
+        from supercong.oracle import _term_parts
 
         total, den = _term_parts(summand, 2)
         # every term past k = 0 vanishes: the sum is exactly -1
@@ -441,7 +441,7 @@ class TestFailureRoute:
         closed = concretize_closed_form(case.closed_form, 5, None)
         support = modulus_support(case.modulus, 5)
         total, d_full = _term_parts(summand, 2)
-        rn, rd = engine._closed_form_polys(closed, 5)
+        rn, rd = oracle._closed_form_polys(closed, 5)
         diff, den = total * rd - rn * d_full, d_full * rd
         assert (diff.low, den.low) == (-2, 0)
         status, witness, _ = oracle_congruence(summand, 2, closed, support, 5)
@@ -467,13 +467,13 @@ class TestFailureRoute:
 
     def test_every_lane_classifies_through_one_routine(self, registry, monkeypatch):
         calls = []
-        classify = engine._classify
+        classify = oracle._classify
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return classify(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_classify", counted)
+        monkeypatch.setattr(oracle, "_classify", counted)
         assert verify_congruence(registry.get("thm7"), 4, 3).status == "fail"
         assert verify_parametric(registry.get("lemma2"), 11, 3).status == "obstruction"
         pair = verify_conjecture_pair(perturbed_pair(registry.get("conj1a"), cut=1), 5)
@@ -492,14 +492,14 @@ def classify_inputs(case, n, d=None):
     summand = concretize_summand(case.summand, d)
     closed = concretize_closed_form(case.closed_form, n, d)
     return [_term_parts(summand, eval_int(case.bounds[0], n=n, d=d)),
-            engine._closed_form_polys(closed, n), modulus_support(case.modulus, n),
+            oracle._closed_form_polys(closed, n), modulus_support(case.modulus, n),
             any(f.param for f in summand.num + summand.den)]
 
 
 def classify_both_routes(inputs):
     """``_classify``'s verdict, checked byte for byte against the route by
     whole exact divisions and a direct reduction modulo M."""
-    verdict = engine._classify(*inputs)
+    verdict = oracle._classify(*inputs)
     assert repr(verdict) == repr(classify_by_full_division(*inputs))
     return verdict
 
@@ -580,7 +580,7 @@ class TestOracleDivision:
             for _ in range(k):
                 coeffs = IntResidues.times(coeffs, phi)
             parts[i] = coeffs + [0] * pad
-        v, kept = engine._count_divisions(parts, phi, limit, keep)
+        v, kept = oracle._count_divisions(parts, phi, limit, keep)
         expected_v, expected_kept = divide_out(over_qa(parts), cyclotomic(m), limit, keep)
         assert v == expected_v
         assert over_qa(kept) == expected_kept
@@ -590,7 +590,7 @@ class TestOracleDivision:
     def test_parts_refuse_a_coefficient_outside_z_a(self, coeff):
         # an ArithmeticError, not an assert that -O would drop
         with pytest.raises(ArithmeticError, match="is not in Z\\[a\\]"):
-            engine._oracle_parts(LaurentPoly([Fraction(1), coeff]), 0)
+            oracle._oracle_parts(LaurentPoly([Fraction(1), coeff]), 0)
 
     @pytest.mark.parametrize("parametric", [False, True])
     def test_witness_keeps_its_statements_coefficient_type(self, parametric):
@@ -884,7 +884,7 @@ class TestIntegerParametricLegs:
                 ("thm2", None, 0, 1, "telescoped product differs from the closed form")):
             case = perturbed(registry.get(cid), shift=shift, cut=cut)
             product = engine._closed_form_sides_int(
-                engine._telescoped_form(case.specialized_product, 5, d), 5, engine._Ring())
+                engine._telescoped_form(case.specialized_product, 5, d), 5, _Ring())
             for sign in (1, -1):
                 calls.clear()
                 outcome = specialized_leg(case, 5, d, sign)
@@ -1017,7 +1017,7 @@ def lifted_remainders(ring, x, y):
     x = ring.add(x, ring.of([], min(x[1], y[1])))
     base = getattr(ring, "base", ring)
     parts = x[0] if isinstance(x[0], dict) else {0: x[0]}
-    return {i: rem for i, coeffs in parts.items() if (rem := engine._monic_divmod(coeffs, base.m)[1])}
+    return {i: rem for i, coeffs in parts.items() if (rem := _monic_divmod(coeffs, base.m)[1])}
 
 
 CATALOG_Q_INSTANCES = sorted(
@@ -1048,11 +1048,11 @@ class TestFusedDifference:
         summand, bound, right, support, n = statement_leg(case, n, d)
         if plain:
             summand = at_a_one(summand)
-        sums = engine._sums(summand, bound, right)
+        sums = _sums(summand, bound, right)
         closed = right if len(sums) == 1 else None
         parametric = any(f.param for f in summand.num + summand.den)
         for ring, strip in _factor_rings(support, closed, n, *sums):
-            ring = engine._ParamRing(ring) if parametric else ring
+            ring = _ParamRing(ring) if parametric else ring
             rn, rd = (engine._closed_form_sides_int(closed, n, ring, strip) if closed is not None
                       else engine._horner_sum_int(*right, ring, strip))
             fused, dacc = engine._horner_sum_int(summand, bound, ring, strip, right=(rn, rd))
@@ -1149,8 +1149,8 @@ class TestLiftedRing:
     def test_lift_matches_dense_residues(self, m, e, steps):
         # a Horner-like run: p collects atoms, shifts and strip scalings, h
         # collects p times brackets and is itself multiplied by atoms
-        powers = engine._phi_powers(m, e)
-        ring, strip = engine._Ring(powers[-1], m, e), engine._Strip(m, 0, powers)
+        powers = _phi_powers(m, e)
+        ring, strip = _Ring(powers[-1], m, e), _Strip(m, 0, powers)
         ints = IntResidues(m, e)
         p, h = ring.one, ring.of([], 0)
         ref_p, ref_h = [1], []
@@ -1187,18 +1187,18 @@ class TestLiftedRing:
         # remainder modulo the expanded (q^m - 1)^e
         coeffs = [rnd.choice((0, 1, -1, rnd.randint(-10**9, 10**9)))
                   for _ in range(rnd.randint(0, blocks * m))]
-        folded = engine._Ring(None, m, e)._reduce(list(coeffs))
+        folded = _Ring(None, m, e)._reduce(list(coeffs))
         assert folded == block_fold(coeffs, m, e)
         lift = [0] * (m * e + 1)
         for j in range(e + 1):
             lift[m * j] = comb(e, j) * (-1) ** (e - j)
-        assert folded == engine._monic_divmod(trimmed(coeffs), lift)[1]
+        assert folded == _monic_divmod(trimmed(coeffs), lift)[1]
 
     def test_zero_only_after_the_final_reduction(self):
         # Phi_4^2 = (1 + q^2)^2 is a nonzero element of Z[q]/((q^4 - 1)^2)
         # of degree 4 < 8, but zero modulo Phi_4^2 itself
-        powers = engine._phi_powers(4, 2)
-        ring = engine._Ring(powers[-1], 4, 2)
+        powers = _phi_powers(4, 2)
+        ring = _Ring(powers[-1], 4, 2)
         x = ring.mul(ring.of([1, 0, 1]), ring.of([1, 0, 1]))
         assert x == ([1, 0, 2, 0, 1], 0)
         assert not ring.is_zero(x)
@@ -1210,7 +1210,7 @@ class TestLiftedRing:
     def test_reduction_folds_onto_the_sparse_multiple(self):
         # modulo (q^3 - 1)^2 = 1 - 2 q^3 + q^6: q^6 == 2 q^3 - 1 and
         # q^9 == 3 q^3 - 2
-        ring = engine._Ring(engine._phi_powers(3, 2)[-1], 3, 2)
+        ring = _Ring(_phi_powers(3, 2)[-1], 3, 2)
         assert ring.of([0] * 6 + [1]) == ([-1, 0, 0, 2], 0)
         assert ring.of([0] * 9 + [1]) == ([-2, 0, 0, 3], 0)
         assert ring.mul_bracket(ring.one, 7) == ring.of([1] * 7)
@@ -1218,12 +1218,12 @@ class TestLiftedRing:
 
     def test_products_loop_over_the_sparser_factor(self):
         dense = list(range(1, 60))
-        assert engine._imul(dense, [1, 0, 0, -1]) == engine._imul([1, 0, 0, -1], dense)
+        assert _imul(dense, [1, 0, 0, -1]) == _imul([1, 0, 0, -1], dense)
         expected = [0] * 62
         for i, c in enumerate(dense):
             expected[i] += c
             expected[i + 3] -= c
-        assert engine._imul(dense, [1, 0, 0, -1]) == expected
+        assert _imul(dense, [1, 0, 0, -1]) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(KERNEL_LISTS, KERNEL_LISTS)
@@ -1234,7 +1234,7 @@ class TestLiftedRing:
     def test_products_match_the_schoolbook(self, a, b):
         # the first row is copied (scaled by 1, -1 or x), the rest added;
         # a factor may carry leading and trailing zeros
-        product = engine._imul(a, b)
+        product = _imul(a, b)
         assert trimmed(product) == IntResidues.times(a, b)
         assert len(product) <= max(len(a) + len(b) - 1, 0)
 
@@ -1268,9 +1268,9 @@ class TestParamRing:
     @given(st.integers(1, 40), st.integers(1, 3), st.integers(-3, 3), PARAM_ELEMENTS,
            PARAM_ELEMENTS, st.integers(-30, 60).filter(bool), st.integers(-5, 5))
     def test_parts_evaluate_to_the_base_ring(self, m, e, t, x, y, t_bracket, k):
-        powers = engine._phi_powers(m, e)
-        base = engine._Ring(powers[-1], m, e)
-        ring = engine._ParamRing(base)
+        powers = _phi_powers(m, e)
+        base = _Ring(powers[-1], m, e)
+        ring = _ParamRing(base)
         ints = IntResidues(m, e)
 
         def residue(z):
@@ -1312,22 +1312,22 @@ class TestParamRing:
     def test_products_leave_their_operands_unchanged(self, m, e, x, y, a, b):
         # the product sums its parts in lists of its own, and reduces
         # only those
-        base = engine._Ring(engine._phi_powers(m, e)[-1], m, e)
-        ring = engine._ParamRing(base)
+        base = _Ring(_phi_powers(m, e)[-1], m, e)
+        ring = _ParamRing(base)
         px, py = ring.of(*x), ring.of(*y)
         bare = (list(px[0].get(0, [1])), 2)
         operands = copy.deepcopy((px, py, bare, a, b))
         for product in (ring.mul(px, py), ring.mul(py, px), ring.mul(px, bare)):
             held = [id(c) for z in (px, py) for c in z[0].values()] + [id(bare[0])]
             assert not {id(c) for c in product[0].values()} & set(held)
-        engine._imul(a, b)
+        _imul(a, b)
         base.mul((a, 0), (b, 0))
         assert (px, py, bare, a, b) == operands
 
     def test_avatars_split_into_powers_of_a(self):
         # the factors at j = 1 of (q; q^2), (aq; q^2) and (q/a; q^2), and of
         # (q^-5; q^2) and (a q^-5; q^2), in Z[a][q, 1/q]
-        ring = engine._ParamRing(engine._Ring())
+        ring = _ParamRing(_Ring())
 
         def factor(c, param):
             return ring.of(*engine._free_factor(ConcreteFactor(c, 2, 1, param), 1))

@@ -1,8 +1,9 @@
 """Source hygiene and the suite's own guards: every definition in the
-package is used by the package, every import is read by its module, every
-name the benchmark's tracer wraps exists and is called by one instance
-per lane, every mutation-table row applies and names tests that exist, and
-a hung test fails."""
+package is used by the package, every import is read by its module, the
+oracle and the fast route's kernel import only across their boundaries, no
+module reaches 8,192 parser tokens, every name the benchmark's tracer wraps
+exists and is called by one instance per lane, every mutation-table row
+applies and names tests that exist, and a hung test fails."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,94 @@ def test_guard_flags_a_definition_used_only_by_itself(tmp_path):
         ("a.py", "Box.lonely"), ("a.py", "Box.alone"),
     ]
     assert unread_imports(tmp_path) == [("a.py", "os"), ("a.py", "comb")]
+
+
+def _imports(node):
+    """(module, name) of each import that running ``node`` may execute:
+    the last part of the imported module's dotted name, and the name bound
+    from it, or "*" for the whole module.  The body of an
+    ``if TYPE_CHECKING:`` never runs and is left out."""
+    if isinstance(node, ast.ImportFrom):
+        for alias in node.names:
+            if node.module:
+                yield node.module.rpartition(".")[2], alias.name
+            else:   # from . import module
+                yield alias.name, "*"
+    elif isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name.rpartition(".")[2], "*"
+    else:
+        typing_only = isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+        for child in (node.test, *node.orelse) if typing_only else ast.iter_child_nodes(node):
+            yield from _imports(child)
+
+
+# module -> {module it imports from: the only names it may import from it}.
+# The oracle stays a second route independent of the fast one: of the
+# kernel it reads the integer division and the lift fold for witnesses,
+# and nothing of the lanes.  The kernel serves both routes and reads
+# neither, and the fast route runs on integers alone: no Fraction
+# polynomial and no Q(a).
+BOUNDARIES = {
+    "oracle.py": {"ring": {"_Ring", "_int_poly", "_monic_divmod", "_trimmed"}, "engine": set()},
+    "ring.py": {"engine": set(), "oracle": set(), "polys": set(), "paramfield": set()},
+    "engine.py": {"polys": set(), "paramfield": set()},
+}
+
+
+def boundary_violations(src=SRC, boundaries=BOUNDARIES):
+    """(module, imported module, name) of each import in ``src`` that
+    crosses one of ``boundaries``."""
+    violations = []
+    for module, allowed in boundaries.items():
+        tree = ast.parse((src / module).read_text(encoding="utf-8"))
+        violations += [(module, source, name) for source, name in _imports(tree)
+                       if source in allowed and name not in allowed[source]]
+    return violations
+
+
+def test_routes_import_only_across_their_boundaries():
+    assert boundary_violations() == []
+
+
+def test_guard_flags_an_import_across_a_boundary(tmp_path):
+    (tmp_path / "oracle.py").write_text(
+        "from math import lcm\n\nfrom .engine import _horner_sum_int\n"
+        "from .ring import _Ring, _factor_rings, _trimmed\n"
+    )
+    (tmp_path / "ring.py").write_text(
+        "from typing import TYPE_CHECKING\n\nfrom . import oracle\n\n"
+        "if TYPE_CHECKING:\n    from .polys import LaurentPoly\nelse:\n    from .qobjects import cyclotomic\n\n\n"
+        "def late():\n    from .engine import verify_q\n    return verify_q\n"
+    )
+    (tmp_path / "engine.py").write_text(
+        "import supercong.paramfield\nfrom .polys import LaurentPoly\nfrom .ring import _Strip\n"
+    )
+    assert boundary_violations(tmp_path) == [
+        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "ring", "_factor_rings"),
+        ("ring.py", "oracle", "*"), ("ring.py", "engine", "verify_q"),
+        ("engine.py", "paramfield", "*"), ("engine.py", "polys", "LaurentPoly"),
+    ]
+
+
+# CPython 3.11's parser doubles its token array when a module reaches this
+# many tokens.  Under PYTHONDONTWRITEBYTECODE=1 each such doubling has added
+# about 0.5 MB to the benchmark's peak_rss_mb on its --jobs 1 workloads
+# (CHANGES.md, FOUND on the parser's token array).
+PARSER_TOKEN_LIMIT = 8192
+
+
+def parser_tokens(path: Path) -> int:
+    """The tokens of ``path`` that the parser reads: every token but
+    comments, non-logical newlines and the encoding."""
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with path.open("rb") as source:
+        return sum(1 for token in tokenize.tokenize(source.readline) if token.type not in skipped)
+
+
+def test_no_module_doubles_the_parser_token_array():
+    counts = {path.name: parser_tokens(path) for path in sorted(SRC.glob("*.py"))}
+    assert counts and {name: c for name, c in counts.items() if c >= PARSER_TOKEN_LIMIT} == {}
 
 
 def _script_module(path: Path):
