@@ -271,6 +271,25 @@ MUTANTS = (
         "_from_parts(diff, parametric)",
         ("tests/test_engine.py::TestFailureRoute::test_witness_keeps_the_q_shift",),
     ),
+    # the oracle's modulus takes each Phi_m once, whatever its power
+    Mutant(
+        "modulus_powers_dropped_to_one",
+        ORACLE,
+        "for _ in range(support[m]):",
+        "for _ in range(1):",
+        ("tests/test_qobjects.py::TestModulus::test_product_matches_the_cyclotomics_by_division",
+         "tests/test_qobjects.py::TestModulus::test_cyclotomic_square"),
+    ),
+    # a parametric witness modulo an M of degree exactly 6 is scaled by a
+    # unit instead of being the exact residue
+    Mutant(
+        "classify_span_test_at_six",
+        ORACLE,
+        "if parametric and len(modulus) - 1 > 6:",
+        "if parametric and len(modulus) - 1 >= 6:",
+        ("tests/test_engine.py::TestWitnessRoute::"
+         "test_parametric_witness_is_scaled_above_degree_six",),
+    ),
     Mutant(
         "specialized_offset_swapped",
         ENGINE,

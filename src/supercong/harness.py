@@ -161,7 +161,8 @@ _OVERRIDES = (
 def plan_jobs(registry: Registry, config: RunConfig) -> list[tuple[str, dict]]:
     """Every scheduled (case id, params) pair once, ordered by id then n, d, p.
     An override applies to every selected record it fits; one that fits none
-    of the cases named in ``case_ids`` is a ``ConfigError``."""
+    of the cases named in ``case_ids`` is a ``ConfigError``, and so is a
+    named case that plans no job."""
     if config.case_ids is None:
         cases = registry
     else:
@@ -176,6 +177,11 @@ def plan_jobs(registry: Registry, config: RunConfig) -> list[tuple[str, dict]]:
         if case.family in config.families
         for params in _param_grid(case, config)
     }
+    planned = {case_id for case_id, _ in jobs}
+    idle = [cid for cid in dict.fromkeys(config.case_ids or ()) if cid not in planned]
+    if idle:
+        raise ConfigError(f"the named case(s) {', '.join(idle)} plan no jobs: check them against "
+                          "the command's families and each case's registry d values")
     return sorted(jobs.values(), key=lambda job: _job_sort_key(*job))
 
 

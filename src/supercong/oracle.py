@@ -20,9 +20,8 @@ from typing import Optional
 
 from .paramfield import ParamRational
 from .polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
-from .qobjects import (ConcreteClosedForm, ConcreteSummand, _avatar, _sums, atom, cyclotomic,
-                       modulus_from_support, one_minus_q_power, q_bracket, q_integer)
-from .ring import _int_poly, _monic_divmod, _Ring, _trimmed
+from .qobjects import ConcreteClosedForm, ConcreteSummand, _avatar, _sums, atom, bracket, cyclotomic
+from .ring import _monic_divmod, _Ring, _trimmed
 
 
 def _oracle_parts(p: LaurentPoly, low: int) -> dict:
@@ -59,7 +58,7 @@ def _parts_muladd(acc: dict, x: dict, y: dict, sign: int = 1) -> dict:
     return {i: coeffs for i, coeffs in acc.items() if _trimmed(coeffs)}
 
 
-def _count_divisions(parts: dict, phi: list, limit: Optional[int] = None,
+def _count_divisions(parts: dict, phi: tuple, limit: Optional[int] = None,
                      keep: Optional[int] = None) -> tuple[int, dict]:
     """(v, parts / phi^min(v, keep)), where v counts the exact divisions of
     the Z[a][q] element ``parts`` by the monic phi in Z[q], stopping at
@@ -75,6 +74,16 @@ def _count_divisions(parts: dict, phi: list, limit: Optional[int] = None,
         if keep is None or v <= keep:
             kept = parts
     return v, kept
+
+
+def _modulus(support: dict) -> list:
+    """M = prod Phi_m^support[m] as integer coefficients from q^0, by
+    schoolbook products."""
+    out = {0: [1]}
+    for m in sorted(support):
+        for _ in range(support[m]):
+            out = _parts_muladd({}, out, {0: cyclotomic(m)})
+    return out[0]
 
 
 def _from_parts(parts: dict, parametric: bool) -> LaurentPoly:
@@ -138,7 +147,7 @@ def _closed_form_polys(closed: ConcreteClosedForm, n: int) -> tuple[LaurentPoly,
         for j in range(length):
             rd = rd * one_minus_q_power(c + s * j)
     if closed.n_multiplier:
-        rn = rn * q_integer(n)
+        rn = rn * q_bracket(n)
     rn = rn.shift(closed.shift)
     if closed.sign < 0:
         rn = -rn
@@ -188,7 +197,7 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
     diff = {i: coeffs[lead:] for i, coeffs in diff.items()}
     poles, fails = [], []
     for m in sorted(support):
-        phi = _int_poly(cyclotomic(m))
+        phi = cyclotomic(m)
         order, den = _count_divisions(den, phi)
         v, diff = _count_divisions(diff, phi, order + support[m], keep=order)
         v -= order
@@ -201,13 +210,13 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
     lift = _Ring(None, lcm(*support), max(support.values()))
     diff, den = ({i: folded for i, coeffs in parts.items() if (folded := lift.of(coeffs)[0])}
                  for parts in (diff, den))
-    modulus = modulus_from_support(support)
-    if parametric and modulus.span > 6:
-        monic = _int_poly(modulus)
-        return poles, fails, _from_parts({i: _monic_divmod(coeffs, monic)[1]
+    modulus = _modulus(support)
+    if parametric and len(modulus) - 1 > 6:
+        return poles, fails, _from_parts({i: _monic_divmod(coeffs, modulus)[1]
                                           for i, coeffs in diff.items()}, True), True
     return poles, fails, residue_reduce(_from_parts(diff, parametric).shift(lead),
-                                        _from_parts(den, parametric), modulus), False
+                                        _from_parts(den, parametric),
+                                        LaurentPoly.from_int_coeffs(modulus)), False
 
 
 def oracle_congruence(
@@ -258,6 +267,16 @@ def _witness(ring: _Ring, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentP
         raise ArithmeticError(f"gcd {g!r} does not divide {num!r} / {den!r}")
     inv = 1 / den.leading
     return num.scale(inv), den.scale(inv)
+
+
+def q_bracket(t: int) -> LaurentPoly:
+    """[t] as an exact Laurent polynomial (see ``qobjects.bracket``)."""
+    return LaurentPoly.from_int_coeffs(*bracket(t))
+
+
+def one_minus_q_power(e: int) -> LaurentPoly:
+    """1 - q^e as an exact Laurent polynomial (zero when e == 0)."""
+    return LaurentPoly.from_int_coeffs(*atom(e))
 
 
 _PARAM_A = ParamRational.generator()

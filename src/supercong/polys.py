@@ -2,9 +2,9 @@
 and gcd, and the residue of a quotient modulo a polynomial.
 
 Coefficients are duck typed over an exact field.  Plain ``fractions.Fraction``
-coefficients serve the cyclotomic polynomials, the witnesses and the oracle;
-``paramfield.ParamRational`` coefficients over Q(a) serve only the oracle, for
-statements carrying the free parameter a (the fast routes run on integers).
+coefficients serve the witnesses and the oracle; ``paramfield.ParamRational``
+coefficients over Q(a) serve only the oracle, for statements carrying the
+free parameter a (the fast routes and the cyclotomics run on integers).
 The integers 0 and 1 act as the additive and multiplicative identities for
 either coefficient type, which keeps one implementation serving both.
 A rational function is kept by its caller as a (numerator, denominator)

@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .exprs import SpecError, eval_bool, eval_fraction, eval_int
-from .polys import LaurentPoly
 
 
 class DegenerateFactor(SpecError):
@@ -38,17 +37,17 @@ class DegenerateFactor(SpecError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial, by the Moebius product
-    Phi_n = prod_{d | n} (q^d - 1)^mu(n/d) on integer lists.
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """The integer coefficients of the n-th cyclotomic polynomial, from q^0,
+    by the Moebius product Phi_n = prod_{d | n} (q^d - 1)^mu(n/d).
 
     mu(n/d) is nonzero only where n/d is squarefree, so the d are n over
     the products of distinct primes of n.  Every product by q^d - 1 comes
     first, a shifted subtraction; then each division by q^d - 1 is exact
     and runs the recurrence C[i] = C[i - d] - P[i], whose last d values are
-    the remainder.  Memoized; the cache is only ever appended to, so
-    concurrent readers are safe under the interpreter's atomic dict
-    operations.
+    the remainder.  Memoized, so the result is a tuple that no caller can
+    change; the cache is only ever appended to, so concurrent readers are
+    safe under the interpreter's atomic dict operations.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
@@ -70,7 +69,7 @@ def cyclotomic(n: int) -> LaurentPoly:
         coeffs, rem = quo[:-d], quo[-d:]
         if any(rem):
             raise ArithmeticError(f"q^{d} - 1 does not divide the Moebius product at n={n}")
-    return LaurentPoly.from_int_coeffs(coeffs)
+    return tuple(coeffs)
 
 
 def atom(e: int, x=1, y=1) -> tuple[list, int]:
@@ -101,23 +100,6 @@ def bracket(t: int) -> tuple[list, int]:
     if t >= 0:
         return [1] * t, 0
     return [-1] * (-t), t
-
-
-def q_integer(n: int) -> LaurentPoly:
-    """[n] = 1 + q + ... + q^(n-1)."""
-    if n < 1:
-        raise ValueError("q-integer index must be positive")
-    return LaurentPoly.from_int_coeffs(*bracket(n))
-
-
-def q_bracket(t: int) -> LaurentPoly:
-    """[t] as an exact Laurent polynomial (see ``bracket``)."""
-    return LaurentPoly.from_int_coeffs(*bracket(t))
-
-
-def one_minus_q_power(e: int) -> LaurentPoly:
-    """1 - q^e as an exact Laurent polynomial (zero when e == 0)."""
-    return LaurentPoly.from_int_coeffs(*atom(e))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +311,3 @@ def modulus_support(spec: ModulusSpec, n: int) -> dict[int, int]:
                 if n % m == 0:
                     support[m] = support.get(m, 0) + f.power
     return support
-
-
-def modulus_from_support(support: dict[int, int]) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for m in sorted(support):
-        out = out * cyclotomic(m) ** support[m]
-    return out
-

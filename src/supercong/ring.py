@@ -35,12 +35,9 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .qobjects import ConcreteClosedForm, ConcreteSummand, cyclotomic
-
-if TYPE_CHECKING:
-    from .polys import LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +92,6 @@ def _monic_divmod(a: list, m: list) -> tuple[list, list]:
             for j, x in terms:
                 rem[base + j] -= c * x
     return _trimmed(quo), _trimmed(rem[:dm])
-
-
-def _int_poly(p: LaurentPoly) -> list:
-    if p.low != 0 or any(c.denominator != 1 for c in p.coeffs):
-        raise ValueError(f"expected a plain integer polynomial, got {p!r}")
-    return [int(c) for c in p.coeffs]
 
 
 class _Ring:
@@ -350,7 +341,7 @@ def _pole_order(m: int, closed: Optional[ConcreteClosedForm], n: int, sums) -> i
 
 def _phi_powers(m: int, top: int) -> list:
     """[Phi_m^0, ..., Phi_m^top] as plain integer coefficient lists."""
-    phi = _int_poly(cyclotomic(m))
+    phi = list(cyclotomic(m))
     powers = [[1]]
     for _ in range(top):
         powers.append(_imul(powers[-1], phi))

@@ -8,7 +8,8 @@ rings and of its oracle: each factorial is built as a whole ``LaurentPoly``,
 a free parameter a as ``ParamRational`` coefficients, and every term and
 closed form as a ``RationalFunction``, so tests compare the engine against
 values in normal form.  Beside them sit the cyclotomic polynomials by
-exact division over Q (``cyclotomic_by_division``), the engine's
+exact division over Q (``cyclotomic_by_division``) and the moduli
+built from them (``modulus_by_division``), the engine's
 telescoped product as a rational function, the engine's specialized leg on
 a record's statement (``specialized_leg``), Gamma_p at one argument by its
 defining product, the failure classifier's route by whole exact divisions,
@@ -30,6 +31,7 @@ from supercong.engine import (
     _telescoped_form,
     verify_identity_specialized,
 )
+from supercong.oracle import one_minus_q_power, q_bracket
 from supercong.padic import PadicContext, PadicResidue, _representative
 from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
@@ -43,11 +45,6 @@ from supercong.qobjects import (
     atom,
     concretize_closed_form,
     concretize_summand,
-    cyclotomic,
-    modulus_from_support,
-    one_minus_q_power,
-    q_bracket,
-    q_integer,
     resolve_bound,
 )
 from supercong.registry import CaseDefinition, ProductSpec
@@ -124,6 +121,14 @@ def cyclotomic_by_division(n: int) -> LaurentPoly:
     if not remainder.is_zero:
         raise ArithmeticError(f"cyclotomic recursion must divide exactly at n={n}")
     return quotient
+
+
+def modulus_by_division(support: dict) -> LaurentPoly:
+    """M = prod Phi_m^support[m], each Phi_m by ``cyclotomic_by_division``."""
+    out = LaurentPoly.one()
+    for m, e in support.items():
+        out = out * cyclotomic_by_division(m) ** e
+    return out
 
 
 def q_pochhammer(c: int, s: int, k: int) -> LaurentPoly:
@@ -233,7 +238,7 @@ def build_concrete_closed_form(concrete: ConcreteClosedForm, n: int) -> Rational
             raise DegenerateFactor(f"closed-form denominator (q^{c}; q^{s})_{length} vanishes")
         den = den * factor
     if concrete.n_multiplier:
-        num = num * q_integer(n)
+        num = num * q_bracket(n)
     num = num.shift(concrete.shift)
     if concrete.sign < 0:
         num = -num
@@ -305,8 +310,9 @@ def classify_by_full_division(left: tuple, right: tuple, support: dict,
     num_c, den_c = diff.poly_part(), den.poly_part()
     poles, fails, orders = [], [], {}
     for m in sorted(support):
-        orders[m] = _phi_valuation(den_c, cyclotomic(m))
-        v = _phi_valuation(num_c, cyclotomic(m)) - orders[m]
+        phi = cyclotomic_by_division(m)
+        orders[m] = _phi_valuation(den_c, phi)
+        v = _phi_valuation(num_c, phi) - orders[m]
         if v < 0:
             poles.append((m, -v))
         elif v < support[m]:
@@ -315,11 +321,11 @@ def classify_by_full_division(left: tuple, right: tuple, support: dict,
         return poles, fails, None, False
     for m in sorted(orders):
         for _ in range(orders[m]):
-            (num_c, num_r), (den_c, den_r) = (poly_divrem(num_c, cyclotomic(m)),
-                                              poly_divrem(den_c, cyclotomic(m)))
+            (num_c, num_r), (den_c, den_r) = (poly_divrem(num_c, cyclotomic_by_division(m)),
+                                              poly_divrem(den_c, cyclotomic_by_division(m)))
             if not (num_r.is_zero and den_r.is_zero):
                 raise ArithmeticError(f"Phi_{m} does not divide both sides")
-    modulus = modulus_from_support(support)
+    modulus = modulus_by_division(support)
     if parametric and modulus.span > 6:
         return poles, fails, poly_divrem(num_c, modulus)[1], True
     return poles, fails, residue_reduce(num_c.shift(diff.low - den.low), den_c, modulus), False

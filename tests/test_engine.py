@@ -20,8 +20,10 @@ from reference import (
     build_concrete_closed_form,
     build_concrete_summand,
     classify_by_full_division,
+    cyclotomic_by_division,
     divide_out,
     evaluation_leg_holds,
+    modulus_by_division,
     specialized_leg,
     telescoped_product,
 )
@@ -49,11 +51,9 @@ from supercong.qobjects import (
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
-    modulus_from_support,
     modulus_support,
-    one_minus_q_power,
 )
-from supercong.oracle import _term_parts, oracle_congruence
+from supercong.oracle import _term_parts, one_minus_q_power, oracle_congruence
 from supercong.registry import PairSide, ProductSpec, iter_sweep_params, load_registry
 from supercong.ring import _factor_rings, _imul, _monic_divmod, _ParamRing, _phi_powers, _Ring, _Strip
 
@@ -446,7 +446,7 @@ class TestFailureRoute:
         assert (diff.low, den.low) == (-2, 0)
         status, witness, _ = oracle_congruence(summand, 2, closed, support, 5)
         assert status == "fail"
-        assert witness == residue_reduce(diff, den, modulus_from_support(support))
+        assert witness == residue_reduce(diff, den, modulus_by_division(support))
         assert witness.coeffs[:3] == (13, 33, 52)
         assert verify_congruence(case, 5).witness == witness
 
@@ -521,6 +521,17 @@ class TestWitnessRoute:
                          else "scaled" if scaled else "residue")
         assert (witness is not None) == (route in ("residue", "scaled"))
 
+    @pytest.mark.parametrize("support, scaled", [({7: 1}, False), ({3: 3}, False),
+                                                 ({2: 1, 7: 1}, True), ({2: 1, 3: 3}, True)])
+    def test_parametric_witness_is_scaled_above_degree_six(self, support, scaled):
+        # a/2 fails modulo every M: up to degree 6 its witness is the exact
+        # residue a/2 over Q(a), above it the numerator a reduced modulo M
+        a = LaurentPoly([ParamRational.generator()])
+        poles, fails, witness, flag = classify_both_routes(
+            [(a, LaurentPoly.from_int_coeffs([2])), (LaurentPoly(), LaurentPoly.one()), support, True])
+        assert (poles, flag) == ([], scaled)
+        assert witness == (a if scaled else a.scale(Fraction(1, 2)))
+
     @settings(max_examples=20, deadline=None)
     @given(
         # the modulus [n] Phi_n^2 of thm1_1 and thm1_2 has two or three
@@ -574,14 +585,14 @@ class TestOracleDivision:
     @given(st.integers(1, 30), ORACLE_PARTS, st.none() | st.integers(0, 5),
            st.none() | st.integers(0, 3))
     def test_division_pass_matches_division_over_qa(self, m, drawn, limit, keep):
-        phi = [int(c) for c in cyclotomic(m).coeffs]
+        phi = cyclotomic(m)
         parts = {}
         for i, (coeffs, k, pad) in drawn.items():
             for _ in range(k):
                 coeffs = IntResidues.times(coeffs, phi)
             parts[i] = coeffs + [0] * pad
         v, kept = oracle._count_divisions(parts, phi, limit, keep)
-        expected_v, expected_kept = divide_out(over_qa(parts), cyclotomic(m), limit, keep)
+        expected_v, expected_kept = divide_out(over_qa(parts), cyclotomic_by_division(m), limit, keep)
         assert v == expected_v
         assert over_qa(kept) == expected_kept
 
@@ -676,7 +687,8 @@ def pair_oracle_status(case, n):
         return "pass"
     status = "pass"
     for m, e in sorted(modulus_support(case.modulus, n).items()):
-        v = _phi_valuation(diff, cyclotomic(m)) - _phi_valuation(den, cyclotomic(m))
+        phi = cyclotomic_by_division(m)
+        v = _phi_valuation(diff, phi) - _phi_valuation(den, phi)
         if v < 0:
             return "obstruction"
         if v < e:
@@ -1075,7 +1087,7 @@ class IntResidues:
     the engine.  Phi_m^e(0) = +-1, so q is a unit and shifts reduce too."""
 
     def __init__(self, m, e):
-        self.phi = [int(c) for c in cyclotomic(m).coeffs]
+        self.phi = list(cyclotomic(m))
         self.modulus = [1]
         for _ in range(e):
             self.modulus = self.times(self.modulus, self.phi)
@@ -1356,16 +1368,16 @@ def rational_pair(case, n):
     support = modulus_support(case.modulus, n)
     if diff.is_zero:
         return "pass", None, "difference is identically zero"
-    poles = [(m, v) for m in sorted(support) if (v := _phi_valuation(diff.den, cyclotomic(m)))]
+    poles = [(m, v) for m in sorted(support) if (v := _phi_valuation(diff.den, cyclotomic_by_division(m)))]
     if poles:
         return "obstruction", None, "; ".join(
             f"pole of order {v} at the order-{m} cyclotomic" for m, v in poles
         ) + ": congruence ill-posed"
     fails = [(m, v) for m in sorted(support)
-             if (v := _phi_valuation(diff.num.poly_part(), cyclotomic(m))) < support[m]]
+             if (v := _phi_valuation(diff.num.poly_part(), cyclotomic_by_division(m))) < support[m]]
     if not fails:
         return "pass", None, "difference divisible by the modulus"
-    witness = residue_reduce(diff.num, diff.den, modulus_from_support(support))
+    witness = residue_reduce(diff.num, diff.den, modulus_by_division(support))
     return "fail", witness, "; ".join(
         f"valuation {v} < {support[m]} at the order-{m} cyclotomic" for m, v in fails)
 

@@ -554,6 +554,16 @@ class TestCli:
         case_id = argv[1]
         assert f"error: {flag} does not apply to the named case(s) {case_id}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, case_id", [
+        # 9 is none of thm5_1's d values, while thm1_1 plans n=5
+        (["verify", "--case", "thm5_1,thm1_1", "--d", "9", "--n", "5"], "thm5_1"),
+        # thm1_1 is no family of the analytic command, while chu1 plans
+        (["analytic", "--case", "thm1_1,chu1"], "thm1_1"),
+    ])
+    def test_named_case_that_plans_no_job_exits_2(self, argv, case_id, capsys):
+        assert main([*argv, "--no-cache"]) == 2
+        assert f"error: the named case(s) {case_id} plan no jobs" in capsys.readouterr().err
+
     def test_override_that_fits_the_named_case_applies(self, capsys):
         assert main(["verify", "--case", "thm4", "--d", "3", "--n", "7", "--no-cache"]) == 0
         assert "total: 1 " in capsys.readouterr().out

@@ -11,9 +11,11 @@ from reference import (
     build_concrete_closed_form,
     build_concrete_summand,
     cyclotomic_by_division,
+    modulus_by_division,
     q_pochhammer,
 )
 from supercong.exprs import eval_fraction
+from supercong.oracle import _modulus, one_minus_q_power, q_bracket
 from supercong.polys import LaurentPoly, poly_divrem
 from supercong.qobjects import (
     DegenerateFactor,
@@ -23,16 +25,22 @@ from supercong.qobjects import (
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
-    modulus_from_support,
     modulus_support,
-    one_minus_q_power,
-    q_bracket,
-    q_integer,
 )
 
 
 def P(*coeffs, low=0):
     return LaurentPoly([Fraction(c) for c in coeffs], low)
+
+
+def phi(n):
+    """``cyclotomic(n)`` as a Laurent polynomial."""
+    return LaurentPoly.from_int_coeffs(cyclotomic(n))
+
+
+def modulus(support):
+    """``oracle._modulus(support)`` as a Laurent polynomial."""
+    return LaurentPoly.from_int_coeffs(_modulus(support))
 
 
 def totient(n):
@@ -47,43 +55,53 @@ def _gcd(a, b):
 
 class TestCyclotomic:
     def test_first_one(self):
-        assert cyclotomic(1) == P(-1, 1)
+        assert cyclotomic(1) == (-1, 1)
 
     def test_fourth_is_q2_plus_1(self):
-        assert cyclotomic(4) == P(1, 0, 1)
+        assert cyclotomic(4) == (1, 0, 1)
 
     def test_twelfth_by_division(self):
         divisor = LaurentPoly.one()
         for d in (1, 2, 3, 4, 6):
-            divisor = divisor * cyclotomic(d)
+            divisor = divisor * phi(d)
         quo, rem = poly_divrem(P(*([-1] + [0] * 11 + [1])), divisor)
         assert rem.is_zero
-        assert cyclotomic(12) == quo
+        assert phi(12) == quo
 
     def test_product_over_divisors_up_to_60(self):
         for n in range(1, 61):
             product = LaurentPoly.one()
             for d in range(1, n + 1):
                 if n % d == 0:
-                    product = product * cyclotomic(d)
+                    product = product * phi(d)
             assert product == P(*([-1] + [0] * (n - 1) + [1])), n
 
     def test_degree_is_totient_up_to_60(self):
         for n in range(1, 61):
-            assert cyclotomic(n).span == totient(n), n
+            assert len(cyclotomic(n)) - 1 == totient(n), n
 
     def test_moebius_product_matches_division_up_to_200(self):
         for n in range(1, 201):
-            assert cyclotomic(n) == cyclotomic_by_division(n), n
+            assert phi(n) == cyclotomic_by_division(n), n
+
+    def test_a_changed_result_leaves_the_cache_alone(self):
+        # the result is memoized: a caller that changes what it got must not
+        # change what the next caller gets
+        first = cyclotomic(7)
+        try:
+            first[0] += 1
+        except TypeError:
+            pass
+        assert cyclotomic(7) == (1,) * 7
 
 
 class TestQInteger:
     def test_small_values(self):
-        assert q_integer(1) == P(1)
-        assert q_integer(5) == P(1, 1, 1, 1, 1)
+        assert q_bracket(1) == P(1)
+        assert q_bracket(5) == P(1, 1, 1, 1, 1)
 
     def test_six_factors_into_cyclotomics(self):
-        assert q_integer(6) == cyclotomic(2) * cyclotomic(3) * cyclotomic(6)
+        assert q_bracket(6) == phi(2) * phi(3) * phi(6)
 
     def test_bracket_extends_to_negatives(self):
         assert q_bracket(0).is_zero
@@ -186,7 +204,7 @@ class TestSummandCompilation:
         # [7] (1-q)(1-q)^3 / ((1-q^2)(1-q^4)^3) * q^2, assembled independently
         case = registry.get("thm1_1")
         term = build_concrete_summand(concretize_summand(case.summand, None), 1, n=5)
-        num = q_integer(7) * one_minus_q_power(1) * one_minus_q_power(1) ** 3
+        num = q_bracket(7) * one_minus_q_power(1) * one_minus_q_power(1) ** 3
         den = one_minus_q_power(2) * one_minus_q_power(4) ** 3
         assert term == RationalFunction(num.shift(2), den)
 
@@ -196,7 +214,7 @@ class TestSummandCompilation:
         case = registry.get("thm7")
         term = build_concrete_summand(concretize_summand(case.summand, 2), 1, n=5)
         num = (
-            q_integer(5)
+            q_bracket(5)
             * one_minus_q_power(-1)
             * one_minus_q_power(-1)
             * one_minus_q_power(1) ** 2
@@ -226,7 +244,7 @@ class TestClosedForm:
         case = registry.get("thm1_1")
         rhs = build_concrete_closed_form(concretize_closed_form(case.closed_form, 5, None), 5)
         expected = RationalFunction(
-            (q_pochhammer(2, 4, 1) * q_integer(5)).shift(-1), q_pochhammer(4, 4, 1)
+            (q_pochhammer(2, 4, 1) * q_bracket(5)).shift(-1), q_pochhammer(4, 4, 1)
         )
         assert rhs == expected
 
@@ -242,7 +260,7 @@ class TestClosedForm:
         assert concrete.shift == -2
         rhs = build_concrete_closed_form(concrete, 7)
         expected = RationalFunction(
-            (q_pochhammer(3, 6, 1) * q_integer(7)).shift(-2), q_pochhammer(5, 6, 1)
+            (q_pochhammer(3, 6, 1) * q_bracket(7)).shift(-2), q_pochhammer(5, 6, 1)
         )
         assert rhs == expected
 
@@ -259,17 +277,17 @@ class TestClosedForm:
 class TestModulus:
     def test_cyclotomic_square(self, registry):
         spec = registry.get("guo1_d4").modulus
-        assert modulus_from_support(modulus_support(spec, 3)) == cyclotomic(3) ** 2
+        assert modulus(modulus_support(spec, 3)) == phi(3) ** 2
 
     def test_q_integer_times_square_small(self, registry):
         spec = registry.get("thm1_1").modulus
-        assert modulus_from_support(modulus_support(spec, 3)) == P(1, 1, 1) ** 3  # [3] = phi_3
+        assert modulus(modulus_support(spec, 3)) == P(1, 1, 1) ** 3  # [3] = phi_3
 
     def test_q_integer_times_square_degree(self, registry):
         spec = registry.get("thm1_1").modulus
-        modulus = modulus_from_support(modulus_support(spec, 9))
-        assert modulus == q_integer(9) * cyclotomic(9) ** 2
-        assert modulus.span == 8 + 2 * 6
+        product = modulus(modulus_support(spec, 9))
+        assert product == q_bracket(9) * phi(9) ** 2
+        assert product.span == 8 + 2 * 6
 
     def test_support_matches_product(self, registry):
         spec = registry.get("conj1b").modulus  # [n] phi^4
@@ -281,4 +299,9 @@ class TestModulus:
         spec = registry.get("thm2").modulus
         assert spec.parametric_kinds()
         assert modulus_support(spec, 5) == {5: 1}
-        assert modulus_from_support(modulus_support(spec, 5)) == cyclotomic(5)
+        assert modulus(modulus_support(spec, 5)) == phi(5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(1, 60), st.integers(1, 3), max_size=4))
+    def test_product_matches_the_cyclotomics_by_division(self, support):
+        assert modulus(support) == modulus_by_division(support)

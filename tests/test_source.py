@@ -1,9 +1,10 @@
 """Source hygiene and the suite's own guards: every definition in the
 package is used by the package, every import is read by its module, the
-oracle and the fast route's kernel import only across their boundaries, no
-module reaches 8,192 parser tokens, every name the benchmark's tracer wraps
-exists and is called by one instance per lane, every mutation-table row
-applies and names tests that exist, and a hung test fails."""
+oracle, the fast route's kernel and the exponent layer import only across
+their boundaries, no module reaches 8,192 parser tokens, every name the
+benchmark's tracer wraps exists and is called by one instance per lane,
+every mutation-table row applies and names tests that exist, and a hung
+test fails."""
 
 import ast
 import importlib
@@ -140,11 +141,13 @@ def _imports(node):
 # kernel it reads the integer division and the lift fold for witnesses,
 # and nothing of the lanes.  The kernel serves both routes and reads
 # neither, and the fast route runs on integers alone: no Fraction
-# polynomial and no Q(a).
+# polynomial and no Q(a).  Both routes compile from the exponent layer,
+# which builds integer lists only.
 BOUNDARIES = {
-    "oracle.py": {"ring": {"_Ring", "_int_poly", "_monic_divmod", "_trimmed"}, "engine": set()},
+    "oracle.py": {"ring": {"_Ring", "_monic_divmod", "_trimmed"}, "engine": set()},
     "ring.py": {"engine": set(), "oracle": set(), "polys": set(), "paramfield": set()},
     "engine.py": {"polys": set(), "paramfield": set()},
+    "qobjects.py": {"polys": set(), "paramfield": set()},
 }
 
 
@@ -176,10 +179,14 @@ def test_guard_flags_an_import_across_a_boundary(tmp_path):
     (tmp_path / "engine.py").write_text(
         "import supercong.paramfield\nfrom .polys import LaurentPoly\nfrom .ring import _Strip\n"
     )
+    (tmp_path / "qobjects.py").write_text(
+        "from .exprs import eval_int\nfrom .polys import LaurentPoly\n"
+    )
     assert boundary_violations(tmp_path) == [
         ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "ring", "_factor_rings"),
         ("ring.py", "oracle", "*"), ("ring.py", "engine", "verify_q"),
         ("engine.py", "paramfield", "*"), ("engine.py", "polys", "LaurentPoly"),
+        ("qobjects.py", "polys", "LaurentPoly"),
     ]
 
 
