@@ -91,7 +91,7 @@ class TestGcd:
     def test_distinct_cyclotomics_coprime(self):
         assert poly_gcd(cyclotomic_by_division(5), cyclotomic_by_division(3)) == one
 
-    def test_repeated_cyclotomic_by_division(self):
+    def test_repeated_cyclotomic(self):
         phi5 = cyclotomic_by_division(5)
         a = P(-1, 1) * phi5 * phi5
         b = phi5 ** 3
