@@ -243,8 +243,9 @@ MUTANTS = (
     Mutant(
         "specialized_fused_start_at_closed_form",
         ENGINE,
-        "if not ring.vanishes(horner(right=prod)[0]):",
-        "if not ring.vanishes(horner(right=form)[0]):",
+        "sums[plain] = verify_identity_specialized(plain, bound, sides)",
+        "sums[plain] = verify_identity_specialized(plain, bound, "
+        "_closed_form_sides_int(closed, n, ring))",
         ("tests/test_engine.py::TestIntegerParametricLegs::"
          "test_specialized_leg_matches_rational_route",
          "tests/test_engine.py::TestIntegerParametricLegs::"
@@ -292,18 +293,54 @@ MUTANTS = (
     ),
     Mutant(
         "specialized_offset_swapped",
-        ENGINE,
+        QOBJECTS,
         'offset = {"": 0, "aq": shift, "q_div_a": -shift}',
         'offset = {"": 0, "aq": -shift, "q_div_a": shift}',
         ("tests/test_engine.py::TestIntegerParametricLegs::"
          "test_specialized_leg_on_unpaired_parametric_factors",),
     ),
+    # the product's sides, which every sum is started at, are built from
+    # the closed form
     Mutant(
         "specialized_leg_product_closed_swapped",
         ENGINE,
-        "verify_identity_specialized(summand, bound, product, right, sign * n)",
-        "verify_identity_specialized(summand, bound, right, product, sign * n)",
+        "sides = _closed_form_sides_int(product, n, ring)",
+        "sides = _closed_form_sides_int(closed, n, ring)",
         ("tests/test_engine.py::TestVerifyQ::test_a_failing_specialized_leg_fails_the_instance",),
+    ),
+    # the legs' reuse is keyed by the summand before a is put in, so the
+    # a = q^-n leg inherits the a = q^n leg's verdict even where its
+    # specialized sum differs
+    Mutant(
+        "specialized_reuse_key_unspecialized",
+        ENGINE,
+        "        if plain not in sums:\n"
+        "            sums[plain] = verify_identity_specialized(plain, bound, sides)\n"
+        "        if sums[plain] is not None:\n"
+        "            yield sums[plain],",
+        "        if summand not in sums:\n"
+        "            sums[summand] = verify_identity_specialized(plain, bound, sides)\n"
+        "        if sums[summand] is not None:\n"
+        "            yield sums[summand],",
+        ("tests/test_engine.py::TestIntegerParametricLegs::test_unpaired_legs_each_take_a_pass",),
+    ),
+    # [n] counted as prod_{d | n} Phi_d, Phi_1 included, in a closed form's
+    # cyclotomic content
+    Mutant(
+        "content_bracket_counts_phi_1",
+        QOBJECTS,
+        "count(n, 1, low=2)",
+        "count(n, 1)",
+        ("tests/test_engine.py::TestClosedFormContent::test_content_decides_as_the_cross_product",),
+    ),
+    # the content's sign is flipped for an atom 1 - q^e with e < 0 too,
+    # though 1 - q^e = q^e prod_{d | -e} Phi_d there
+    Mutant(
+        "content_negative_atom_sign_flipped",
+        QOBJECTS,
+        "(-sign, power) if e > 0 else (sign, power + side * e)",
+        "(-sign, power) if e > 0 else (-sign, power + side * e)",
+        ("tests/test_engine.py::TestClosedFormContent::test_content_decides_as_the_cross_product",),
     ),
     Mutant(
         "specialized_leg_sign_swapped",

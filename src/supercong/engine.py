@@ -17,9 +17,10 @@ oracle.
 ``verify_q`` turns every q and q_pair instance into a result: it compiles
 the statement once and runs one leg per pairwise coprime factor of the
 modulus on it, the a = q^(+-n) specializations and the cyclotomic verdict.
-An a = q^(+-n) leg decides its sum by one Horner pass started at the
-telescoped product; a second, unfused pass runs only for a failure's
-witness.
+The a = q^(+-n) legs build the telescoped product once and decide it equal
+to the closed form once, by cyclotomic content; each distinct specialized
+sum takes one Horner pass started at the product, and a second, unfused
+pass runs only for a failure's witness.
 A spec value out of its domain raises SpecError (ExpressionError and
 DegenerateFactor are ones), which it reports as an obstruction.
 """
@@ -35,8 +36,8 @@ from typing import Optional
 from .exprs import eval_int
 from .oracle import _witness, oracle_congruence
 from .qobjects import (ConcreteClosedForm, ConcreteSummand, DegenerateFactor, SpecError, _avatar,
-                       _sums, atom, bracket, concretize_closed_form, concretize_summand,
-                       modulus_support, resolve_bound)
+                       _sums, atom, bracket, closed_form_content, concretize_closed_form,
+                       concretize_summand, modulus_support, resolve_bound, specialize)
 from .registry import CaseDefinition, ProductSpec
 from .ring import _divides, _factor_rings, _ParamRing, _Ring, _Strip, _stripped
 
@@ -255,11 +256,12 @@ def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
 
     One leg per pairwise coprime factor of the modulus (Guo & Zudilin, Adv.
     Math. 346, 2019), each on the compiled statement: a - q^n and 1 - a q^n
-    by ``verify_identity_specialized`` at a = q^(+-n), the cyclotomic part,
-    every Phi_m^e, with a free by ``_cyclotomic_verdict``.  A statement
-    with the parameter a reports parametric_crt and its worst leg, the
-    cyclotomic one labelled "mod Phi_n"; any other reports its one leg as it
-    is.  A SpecError is an obstruction; any other exception escapes.
+    at a = q^(+-n) by ``_specialized_legs``, which sums each distinct
+    specialized summand once, and the cyclotomic part, every Phi_m^e, with
+    a free by ``_cyclotomic_verdict``.  A statement with the parameter a
+    reports parametric_crt and its worst leg, the cyclotomic one labelled
+    "mod Phi_n"; any other reports its one leg as it is.  A SpecError is an
+    obstruction; any other exception escapes.
     """
     n, d = params["n"], params.get("d")
     parametric = case.parametric
@@ -278,12 +280,12 @@ def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
                                    for spec, expr in sums]
         specialized = [(sign, label) for kind, sign, label in _SPECIALIZED_LEGS
                        if kind in case.modulus.parametric_kinds()]
-        product = _telescoped_form(case.specialized_product, n, d) if specialized else None
         right = rest[0] if rest else concretize_closed_form(case.closed_form, n, d)
-        for sign, label in specialized:
-            outcome = verify_identity_specialized(summand, bound, product, right, sign * n)
-            legs.append((label, "pass" if outcome["equal"] else "fail",
-                         outcome["witness"] and outcome["witness"][0], outcome["detail"]))
+        if specialized:
+            outcomes = _specialized_legs(summand, bound, _telescoped_form(
+                case.specialized_product, n, d), right, n, [sign for sign, _ in specialized])
+            legs += [(label, "fail" if witness else "pass", witness and witness[0], detail)
+                     for (_, label), (witness, detail) in zip(specialized, outcomes)]
         if support or not parametric:
             strategy, *verdict = _cyclotomic_verdict(summand, bound, right, support, n)
             legs.append(("mod Phi_n", *verdict))
@@ -349,37 +351,39 @@ def _telescoped_form(sp: ProductSpec, n: int, d: Optional[int]) -> ConcreteClose
     )
 
 
-def verify_identity_specialized(summand: ConcreteSummand, bound: int, product: ConcreteClosedForm,
-                                closed: ConcreteClosedForm, shift: int) -> dict:
-    """Exact check of the terminating identity at a = q^shift, shift = +-n:
-    the sum of ``summand`` to ``bound``, where (a q^c; q^s) becomes
-    (q^{c+shift}; q^s) and (q^c / a; q^s) becomes (q^{c-shift}; q^s), must
-    equal both the telescoped infinite product ``product`` and the closed
-    form ``closed``.
+def _specialized_legs(summand: ConcreteSummand, bound: int, product: ConcreteClosedForm,
+                      closed: ConcreteClosedForm, n: int, signs):
+    """(witness, detail) of the terminating identity at a = q^(sign n) for
+    each of ``signs``: sum = telescoped product ``product`` = closed form
+    ``closed``, the witness None where both hold, else the first difference
+    (num, den) in normal form.  Product = closed form is decided once, by
+    cyclotomic content, and only its failure builds the closed form's
+    sides; a leg whose specialized summand is an earlier leg's (each
+    (a q^c; q^s) paired with a (q^c / a; q^s)) reuses that sum's verdict."""
+    ring, sums = _Ring(), {}
+    sides = _closed_form_sides_int(product, n, ring)
+    mismatch = (None if closed_form_content(product, n) == closed_form_content(closed, n)
+                else _witness(ring, *sides, *_closed_form_sides_int(closed, n, ring)))
+    for sign in signs:
+        plain = specialize(summand, bound, sign * n)
+        if plain not in sums:
+            sums[plain] = verify_identity_specialized(plain, bound, sides)
+        if sums[plain] is not None:
+            yield sums[plain], f"sum at a = q^{'+-'[sign < 0]}n differs from the telescoped product"
+        else:
+            yield mismatch, ("telescoped product differs from the closed form" if mismatch
+                             else "terminating identity holds")
 
-    Returns {"equal": bool, "witness": (num, den) | None, "detail": str}.
-    Both are decided in Z[q, 1/q]: the first by one Horner pass started at
-    the product's sides, whose state must vanish, the second
-    cross-multiplied.  Only a mismatch builds the witness, the difference in
-    normal form; for the first, an unfused pass gives the sum's (SS, Dacc).
-    """
-    offset = {"": 0, "aq": shift, "q_div_a": -shift}
-    if any(f.exponent_at(j) + offset[f.param] == 0 for f in summand.den for j in range(bound)):
-        raise DegenerateFactor(
-            f"denominator factor hits q^0 under the a = q^{shift} specialization")
+
+def verify_identity_specialized(summand: ConcreteSummand, bound: int, product) -> Optional[tuple]:
+    """The witness of the sum of the plain ``summand`` (a = q^(+-n) put in
+    by ``specialize``) to ``bound`` against the telescoped product's sides
+    ``product`` in Z[q, 1/q], or None where they are equal: one Horner pass
+    started at them decides, and only a mismatch sums again, unstarted."""
     ring = _Ring()
-    horner = partial(_horner_sum_int, summand, bound, ring,
-                     factor=lambda f, j: atom(f.exponent_at(j) + offset[f.param]))
-    prod, form = (_closed_form_sides_int(x, abs(shift), ring) for x in (product, closed))
-    if not ring.vanishes(horner(right=prod)[0]):
-        left, right = horner(), prod
-        detail = f"sum at a = q^{'+' if shift > 0 else '-'}n differs from the telescoped product"
-    elif not ring.same_ratio(*prod, *form):
-        left, right = prod, form
-        detail = "telescoped product differs from the closed form"
-    else:
-        return {"equal": True, "witness": None, "detail": "terminating identity holds"}
-    return {"equal": False, "witness": _witness(ring, *left, *right), "detail": detail}
+    if ring.vanishes(_horner_sum_int(summand, bound, ring, right=product)[0]):
+        return None
+    return _witness(ring, *_horner_sum_int(summand, bound, ring), *product)
 
 
 def verify_q_case(case: CaseDefinition, params: dict) -> CaseResult:

@@ -15,7 +15,7 @@ statement, so adding a conjecture is a registry edit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -208,6 +208,22 @@ class ConcreteSummand:
         return self.m * k + self.r
 
 
+def specialize(summand: ConcreteSummand, bound: int, shift: int) -> ConcreteSummand:
+    """``summand`` to ``bound`` at a = q^shift: (a q^c; q^s) becomes
+    (q^(c + shift); q^s) and (q^c / a; q^s) becomes (q^(c - shift); q^s).
+    Every factor is plain and each side is sorted, so two summands whose
+    factors are the same multisets compare equal.  A denominator factor at
+    q^0 in a term is out of the domain."""
+    offset = {"": 0, "aq": shift, "q_div_a": -shift}
+    num, den = (tuple(ConcreteFactor(*csp, "") for csp in sorted(
+                (f.c + offset[f.param], f.s, f.power) for f in side))
+                for side in (summand.num, summand.den))
+    if any(f.exponent_at(j) == 0 for f in den for j in range(bound)):
+        raise DegenerateFactor(
+            f"denominator factor hits q^0 under the a = q^{shift} specialization")
+    return replace(summand, num=num, den=den)
+
+
 def concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:
     """``spec`` at d.  Its q-exponent must be an integer at every k; e(k) is
     quadratic, so integers at k = 0, 1, 2 make it integral everywhere, and
@@ -243,6 +259,37 @@ class ConcreteClosedForm:
     n_multiplier: bool = False
     num: tuple[tuple[int, int, int], ...] = ()   # (c, s, length)
     den: tuple[tuple[int, int, int], ...] = ()
+
+
+def closed_form_content(closed: ConcreteClosedForm, n: int) -> Optional[tuple]:
+    """(sign, power of q, {d: multiplicity of Phi_d}) of ``closed`` at n, or
+    None where it is zero.
+
+    1 - q^e is -prod_{d | e} Phi_d for e > 0 and q^e prod_{d | -e} Phi_d for
+    e < 0, and [n] = prod_{d | n, d > 1} Phi_d for n >= 1.  The Phi_d are
+    distinct irreducibles of Z[q, 1/q] and its units are +-q^k, so two
+    forms are equal iff their contents are (Lang, Algebra, VI 3).  A zero
+    numerator atom makes the form zero; the compiles refuse a zero
+    denominator atom.
+    """
+    if closed.kind == "zero":
+        return None
+    sign, power, phis = closed.sign, closed.shift, {}
+
+    def count(e: int, side: int, low: int = 1):
+        for d in range(low, e + 1):
+            if e % d == 0:
+                phis[d] = phis.get(d, 0) + side
+
+    for runs, side in ((closed.num, 1), (closed.den, -1)):
+        for e in (c + s * j for c, s, length in runs for j in range(length)):
+            if e == 0:
+                return None
+            sign, power = (-sign, power) if e > 0 else (sign, power + side * e)
+            count(abs(e), side)
+    if closed.n_multiplier:
+        count(n, 1, low=2)
+    return sign, power, {d: v for d, v in phis.items() if v}
 
 
 def _sums(summand: ConcreteSummand, bound: int, right) -> tuple:

@@ -195,10 +195,6 @@ class _Ring:
         ``modulus`` (in Z[q, 1/q] where there is none)."""
         return not (x[0] if self.m is None else _monic_divmod(x[0], self.m)[1])
 
-    def same_ratio(self, num1, den1, num2, den2) -> bool:
-        """num1/den1 == num2/den2, decided cross-multiplied."""
-        return self.vanishes(self.sub(self.mul(num1, den2), self.mul(num2, den1)))
-
 
 class _ParamRing:
     """The ring ``base`` (a _Ring) with coefficients in Z[a]: ({i: coeffs},

@@ -14,7 +14,8 @@ telescoped product as a rational function, the engine's specialized leg on
 a record's statement (``specialized_leg``), Gamma_p at one argument by its
 defining product, the failure classifier's route by whole exact divisions,
 the parametric Phi_n leg by exact evaluation at integer values of a, the
-lifted ring's block fold, and the quadratic-summation parameter grid.
+cross-multiplied ratio test ``same_ratio``, the lifted ring's block fold,
+and the quadratic-summation parameter grid.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Optional
 from supercong.engine import (
     _closed_form_sides_int,
     _horner_sum_int,
+    _specialized_legs,
     _telescoped_form,
-    verify_identity_specialized,
 )
 from supercong.oracle import one_minus_q_power, q_bracket
 from supercong.padic import PadicContext, PadicResidue, _representative
@@ -257,11 +258,13 @@ def telescoped_product(sp: ProductSpec, n: int, d: Optional[int]) -> RationalFun
 
 def specialized_leg(case: CaseDefinition, n: int, d: Optional[int], sign: int) -> dict:
     """The engine's a = q^(sign n) leg on a parametric q record at (n, d),
-    its statement compiled as engine.verify_q compiles it."""
-    return verify_identity_specialized(
+    its statement compiled as engine.verify_q compiles it, as
+    {"equal": bool, "witness": (num, den) | None, "detail": str}."""
+    (witness, detail), = _specialized_legs(
         concretize_summand(case.summand, d), resolve_bound(case.bounds[0], n=n, d=d),
         _telescoped_form(case.specialized_product, n, d),
-        concretize_closed_form(case.closed_form, n, d), sign * n)
+        concretize_closed_form(case.closed_form, n, d), n, [sign])
+    return {"equal": witness is None, "witness": witness, "detail": detail}
 
 
 def padic_gamma(x: Fraction, ctx: PadicContext) -> PadicResidue:
@@ -331,6 +334,12 @@ def classify_by_full_division(left: tuple, right: tuple, support: dict,
     return poles, fails, residue_reduce(num_c.shift(diff.low - den.low), den_c, modulus), False
 
 
+def same_ratio(ring, num1, den1, num2, den2) -> bool:
+    """num1/den1 == num2/den2 in ``ring``, a _Ring or a _ParamRing over it,
+    cross-multiplied and decided by the ring's zero test."""
+    return ring.vanishes(ring.add(ring.mul(num1, den2), ring.neg(ring.mul(num2, den1))))
+
+
 def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteClosedForm,
                          support: dict, n: int) -> bool:
     """The parametric cyclotomic leg by exact evaluation at integer values of a.
@@ -355,7 +364,7 @@ def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteC
             avatars = {"": (1, 1), "aq": (1, t), "q_div_a": (t, 1)}
             sides = _horner_sum_int(summand, bound, ring, strip,
                                     lambda f, j: atom(f.exponent_at(j), *avatars[f.param]))
-            if not ring.same_ratio(*sides, rn, rd):
+            if not same_ratio(ring, *sides, rn, rd):
                 return False
     return True
 

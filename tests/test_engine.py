@@ -10,7 +10,7 @@ from itertools import zip_longest
 from math import comb, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -24,6 +24,7 @@ from reference import (
     divide_out,
     evaluation_leg_holds,
     modulus_by_division,
+    same_ratio,
     specialized_leg,
     telescoped_product,
 )
@@ -40,6 +41,7 @@ from supercong.exprs import eval_int
 from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
+    ConcreteClosedForm,
     ConcreteFactor,
     ModulusFactor,
     ModulusSpec,
@@ -48,6 +50,7 @@ from supercong.qobjects import (
     _sums,
     atom,
     bracket,
+    closed_form_content,
     concretize_closed_form,
     concretize_summand,
     cyclotomic,
@@ -217,6 +220,125 @@ class TestTelescopedProduct:
                     assert abs(finite - infinite) < 1e-9 * abs(infinite), (case.id, params)
                 checked += 1
         assert checked >= 30
+
+
+def catalog_forms():
+    """(closed form, telescoped product or None, n) at every grid point of
+    every q record."""
+    forms = []
+    for case in load_registry():
+        if case.family != "q":
+            continue
+        for params in iter_sweep_params(case):
+            n, d = params["n"], params.get("d")
+            if case.applies(n=n, d=d):
+                product = case.specialized_product
+                forms.append((concretize_closed_form(case.closed_form, n, d),
+                              product and engine._telescoped_form(product, n, d), n))
+    return forms
+
+
+CATALOG_FORMS = catalog_forms()
+
+
+def bent_form(form, n, kind, draw):
+    """``form`` bent one way, drawing where the bend applies.  shift, sign,
+    bracket, exponent, length and zero change the value; split (a run in
+    two), atom (one atom on both sides), reflect (1 - q^c written as
+    -q^c (1 - q^-c)) and spelled ([n] as (1 - q^n) / (1 - q)) keep it."""
+    if form.kind == "zero":
+        return form
+    runs = [("num", i) for i in range(len(form.num))] + [("den", i) for i in range(len(form.den))]
+
+    def with_run(side, i, *new):
+        old = getattr(form, side)
+        return dataclasses.replace(form, **{side: old[:i] + new + old[i + 1:]})
+
+    if kind == "shift":
+        return dataclasses.replace(form, shift=form.shift + draw(st.sampled_from([-1, 1])))
+    if kind == "sign":
+        return dataclasses.replace(form, sign=-form.sign)
+    if kind == "bracket":
+        return dataclasses.replace(form, n_multiplier=not form.n_multiplier)
+    if kind == "zero":
+        return ConcreteClosedForm(kind="zero")
+    if kind == "atom":
+        e = draw(st.integers(-2 * n, 2 * n).filter(bool))
+        return dataclasses.replace(form, num=form.num + ((e, 1, 1),), den=form.den + ((e, 1, 1),))
+    if kind == "spelled":
+        return form if not form.n_multiplier else dataclasses.replace(
+            form, n_multiplier=False, num=form.num + ((n, 1, 1),), den=form.den + ((1, 1, 1),))
+    if not runs:
+        return form
+    side, i = draw(st.sampled_from(runs))
+    c, s, length = getattr(form, side)[i]
+    if kind in ("exponent", "length"):
+        step = draw(st.sampled_from([-1, 1]))
+        return with_run(side, i, (c + step, s, length) if kind == "exponent" else (c, s, length + step))
+    if kind == "split" and length >= 2:
+        k = draw(st.integers(1, length - 1))
+        return with_run(side, i, (c, s, k), (c + s * k, s, length - k))
+    if kind == "reflect" and length >= 1 and c:
+        form = with_run(side, i, (c + s, s, length - 1), (-c, 1, 1))
+        return dataclasses.replace(form, sign=-form.sign,
+                                   shift=form.shift + (c if side == "num" else -c))
+    return form
+
+
+def well_formed(form):
+    """No negative length and no denominator atom 1 - q^0, as the compiles
+    require."""
+    return form.kind == "zero" or (
+        all(length >= 0 for _, _, length in form.num + form.den)
+        and not any(c + s * j == 0 for c, s, length in form.den for j in range(length)))
+
+
+VALUE_BENDS = ("split", "atom", "reflect", "spelled")
+BENDS = ("shift", "sign", "bracket", "exponent", "length", "zero") + VALUE_BENDS
+
+
+class TestClosedFormContent:
+    """closed_form_content decides equality of two closed forms as the
+    cross-multiplied test in Z[q, 1/q] does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CATALOG_FORMS), st.data())
+    def test_content_decides_as_the_cross_product(self, instance, data):
+        closed, product, n = instance
+        ring = _Ring()
+
+        def bent(form, kinds):
+            for kind in kinds:
+                form = bent_form(form, n, kind, data.draw)
+            return form
+
+        def agree(a, b):
+            assume(well_formed(a) and well_formed(b))
+            equal = same_ratio(ring, *engine._closed_form_sides_int(a, n, ring),
+                               *engine._closed_form_sides_int(b, n, ring))
+            assert (closed_form_content(a, n) == closed_form_content(b, n)) == equal, (a, b)
+            return equal
+
+        kinds = st.lists(st.sampled_from(BENDS), max_size=2)
+        base = closed if product is None else data.draw(st.sampled_from([closed, product]))
+        if product is not None:
+            agree(closed, product)
+        agree(bent(base, data.draw(kinds)), bent(base, data.draw(kinds)))
+        # a bend that keeps the value keeps the content
+        assert agree(base, bent(base, data.draw(st.lists(st.sampled_from(VALUE_BENDS),
+                                                         min_size=1, max_size=3))))
+
+    def test_hand_contents(self):
+        # (1 - q^5)(1 - q^-2) / ((1 - q^-1)(1 - q^4)), thm2's product at
+        # n = 5: -Phi_1 Phi_5 . q^-2 Phi_1 Phi_2 / (q^-1 Phi_1 . -Phi_1 Phi_2 Phi_4)
+        form = ConcreteClosedForm(kind="ratio", num=((5, 1, 1), (-2, 1, 1)),
+                                  den=((-1, 1, 1), (4, 1, 1)))
+        assert closed_form_content(form, 5) == (1, -1, {5: 1, 4: -1})
+        # [6] = Phi_2 Phi_3 Phi_6, no Phi_1 and no unit
+        bracket_6 = ConcreteClosedForm(kind="ratio", n_multiplier=True)
+        assert closed_form_content(bracket_6, 6) == (1, 0, {2: 1, 3: 1, 6: 1})
+        assert closed_form_content(ConcreteClosedForm(kind="zero"), 5) is None
+        assert closed_form_content(dataclasses.replace(form, num=((0, 1, 1),)), 5) is None
 
 
 class TestConjecturePair:
@@ -903,6 +1025,74 @@ class TestIntegerParametricLegs:
                 assert outcome["detail"] == detail.format("+" if sign > 0 else "-")
                 assert calls == [product] + [None] * cut
 
+    @staticmethod
+    def counted_passes(monkeypatch):
+        """Each _closed_form_sides_int, _horner_sum_int and
+        verify_identity_specialized call through verify_q, as (name, in the
+        legs' ring Z[q, 1/q], started or built form); the witnesses the
+        last one returns."""
+        calls, witnesses = [], []
+
+        def legs_ring(ring):
+            return isinstance(ring, _Ring) and ring.m is None
+
+        def sides(form, n, ring, strip=None, build=engine._closed_form_sides_int):
+            calls.append(("sides", legs_ring(ring), form))
+            return build(form, n, ring, strip)
+
+        def horner(*args, build=engine._horner_sum_int, **kwargs):
+            calls.append(("horner", legs_ring(args[2]), kwargs.get("right") is not None))
+            return build(*args, **kwargs)
+
+        def leg(*args, run=engine.verify_identity_specialized):
+            witnesses.append(run(*args))
+            return witnesses[-1]
+
+        for name, wrapper in (("_closed_form_sides_int", sides), ("_horner_sum_int", horner),
+                              ("verify_identity_specialized", leg)):
+            monkeypatch.setattr(engine, name, wrapper)
+        return calls, witnesses
+
+    def test_paired_legs_share_one_pass(self, registry, monkeypatch):
+        # thm2 pairs its (aq; q^2) with a (q/a; q^2) of the same exponent:
+        # both legs build the product's sides once, decide product = closed
+        # form with no closed-form sides, and share one started pass; the
+        # cyclotomic leg still builds the closed form and sums once per ring
+        case = registry.get("thm2")
+        calls, witnesses = self.counted_passes(monkeypatch)
+        result = verify_q(case, {"n": 5})
+        assert (result.status, result.detail) == (
+            "pass", "a=q^n: pass; a=q^-n: pass; mod Phi_n: pass")
+        closed = concretize_closed_form(case.closed_form, 5, None)
+        rings = len(list(_factor_rings({5: 1}, closed, 5, (concretize_summand(case.summand, None),
+                                                           eval_int(case.bounds[0], n=5)))))
+        product = engine._telescoped_form(case.specialized_product, 5, None)
+        assert [c for c in calls if c[:2] == ("sides", True)] == [("sides", True, product)]
+        assert [c for c in calls if c[:2] == ("horner", True)] == [("horner", True, True)]
+        assert calls.count(("sides", False, closed)) == rings
+        assert calls.count(("horner", False, True)) == rings
+        assert witnesses == [None]
+
+    def test_unpaired_legs_each_take_a_pass(self, registry, monkeypatch):
+        # with the (aq; q^2) exponent bent from 1 to 3 the two specialized
+        # sums differ: two started passes, and each leg reports its own
+        # detail and witness, those of the rational route
+        case = registry.get("thm2")
+        factors = list(case.summand.factors)
+        factors[2] = dataclasses.replace(factors[2], exp="3")
+        case = dataclasses.replace(case, summand=dataclasses.replace(case.summand,
+                                                                     factors=tuple(factors)))
+        calls, witnesses = self.counted_passes(monkeypatch)
+        result = verify_q(case, {"n": 5})
+        slow = [rational_specialized(case, 5, None, sign) for sign in (1, -1)]
+        assert [c for c in calls if c[:2] == ("horner", True)] == [("horner", True, True),
+                                                                   ("horner", True, False)] * 2
+        assert witnesses == [leg["witness"] for leg in slow]
+        assert [repr(w) for w in witnesses] == [repr(leg["witness"]) for leg in slow]
+        assert result.detail.startswith(
+            f"a=q^n: fail ({slow[0]['detail']}); a=q^-n: fail ({slow[1]['detail']}); ")
+        assert repr(result.witness) == repr(slow[0]["witness"][0])
+
     @pytest.mark.parametrize("factors, orders", [
         ((ModulusFactor("q_integer"), ModulusFactor("cyclotomic")), ["3", "9"]),
         ((ModulusFactor("q_integer"),), ["3"]),
@@ -1189,7 +1379,7 @@ class TestLiftedRing:
             assert len(p[0]) <= m * e and len(h[0]) <= m * e
         for x, ref in ((p, ref_p), (h, ref_h)):
             assert ints.shift(ints.reduce(x[0]), x[1]) == ref
-            assert ring.same_ratio(x, ring.one, ring.of(*atom(m)), ring.one) == (
+            assert same_ratio(ring, x, ring.one, ring.of(*atom(m)), ring.one) == (
                 ref == ints.atom(m))
 
     @settings(max_examples=200, deadline=None)
@@ -1214,10 +1404,10 @@ class TestLiftedRing:
         x = ring.mul(ring.of([1, 0, 1]), ring.of([1, 0, 1]))
         assert x == ([1, 0, 2, 0, 1], 0)
         assert not ring.is_zero(x)
-        assert ring.same_ratio(x, ring.one, ring.of([], 0), ring.one)
+        assert same_ratio(ring, x, ring.one, ring.of([], 0), ring.one)
         one_plus = ring.add(ring.one, ring.shift(x, 3))
-        assert ring.same_ratio(one_plus, ring.of([1, 1]), ring.one, ring.of([1, 1]))
-        assert not ring.same_ratio(ring.of([1, 0, 1]), ring.one, ring.of([], 0), ring.one)
+        assert same_ratio(ring, one_plus, ring.of([1, 1]), ring.one, ring.of([1, 1]))
+        assert not same_ratio(ring, ring.of([1, 0, 1]), ring.one, ring.of([], 0), ring.one)
 
     def test_reduction_folds_onto_the_sparse_multiple(self):
         # modulo (q^3 - 1)^2 = 1 - 2 q^3 + q^6: q^6 == 2 q^3 - 1 and
@@ -1265,12 +1455,6 @@ def at(x, t):
     return total, x[1]
 
 
-def same_ratio(ring, num1, den1, num2, den2):
-    """num1/den1 == num2/den2 in a ring over Z[a], cross-multiplied and
-    decided by its zero test."""
-    return ring.vanishes(ring.add(ring.mul(num1, den2), ring.neg(ring.mul(num2, den1))))
-
-
 class TestParamRing:
     """The Phi_n leg's ring over Z[a] works part by part through its base
     ring: at any integer a = t, each operation agrees with the base ring's
@@ -1310,7 +1494,7 @@ class TestParamRing:
                     for i in parts)
         assert same_ratio(ring, px, ring.one, py, ring.one) == equal
         if same_ratio(ring, px, py, py, px):
-            assert base.same_ratio(bx, by, by, bx)
+            assert same_ratio(base, bx, by, by, bx)
         assert same_ratio(ring, ring.mul(px, py), py, px, ring.one)
         for i in range(3):
             multiple = ring.add(px, ring.of({i: powers[-1]}, k))
