@@ -280,10 +280,11 @@ def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
                                    for spec, expr in sums]
         specialized = [(sign, label) for kind, sign, label in _SPECIALIZED_LEGS
                        if kind in case.modulus.parametric_kinds()]
+        product = _telescoped_form(case.specialized_product, n, d) if specialized else None
         right = rest[0] if rest else concretize_closed_form(case.closed_form, n, d)
         if specialized:
-            outcomes = _specialized_legs(summand, bound, _telescoped_form(
-                case.specialized_product, n, d), right, n, [sign for sign, _ in specialized])
+            signs = [sign for sign, _ in specialized]
+            outcomes = _specialized_legs(summand, bound, product, right, n, signs)
             legs += [(label, "fail" if witness else "pass", witness and witness[0], detail)
                      for (_, label), (witness, detail) in zip(specialized, outcomes)]
         if support or not parametric:

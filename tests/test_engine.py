@@ -222,23 +222,10 @@ class TestTelescopedProduct:
         assert checked >= 30
 
 
-def catalog_forms():
-    """(closed form, telescoped product or None, n) at every grid point of
-    every q record."""
-    forms = []
-    for case in load_registry():
-        if case.family != "q":
-            continue
-        for params in iter_sweep_params(case):
-            n, d = params["n"], params.get("d")
-            if case.applies(n=n, d=d):
-                product = case.specialized_product
-                forms.append((concretize_closed_form(case.closed_form, n, d),
-                              product and engine._telescoped_form(product, n, d), n))
-    return forms
-
-
-CATALOG_FORMS = catalog_forms()
+CATALOG_FORM_POINTS = sorted(
+    (case.id, params.get("d"), params["n"]) for case in load_registry()
+    if case.family == "q" for params in iter_sweep_params(case)
+    if case.applies(n=params["n"], d=params.get("d")))
 
 
 def bent_form(form, n, kind, draw):
@@ -302,9 +289,15 @@ class TestClosedFormContent:
     cross-multiplied test in Z[q, 1/q] does."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(CATALOG_FORMS), st.data())
-    def test_content_decides_as_the_cross_product(self, instance, data):
-        closed, product, n = instance
+    @given(st.sampled_from(CATALOG_FORM_POINTS), st.data())
+    def test_content_decides_as_the_cross_product(self, registry, instance, data):
+        # the closed form and, where there is one, the telescoped product
+        # of a catalog point, each bent
+        cid, d, n = instance
+        case = registry.get(cid)
+        closed = concretize_closed_form(case.closed_form, n, d)
+        product = case.specialized_product and engine._telescoped_form(
+            case.specialized_product, n, d)
         ring = _Ring()
 
         def bent(form, kinds):
