@@ -100,17 +100,44 @@ MUTANTS = (
     ),
     Mutant(
         "avatar_x_y_swapped",
-        ENGINE,
+        RING,
         "(x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)",
         "(y0, x0), (y1, x1) = _avatar(f.param, 0), _avatar(f.param, 1)",
         ("tests/test_engine.py::TestParamRing::test_avatars_split_into_powers_of_a",),
+    ),
+    # Phi_m is cancelled only where a summand's denominator carries it, so
+    # a pole of the closed form alone at Phi_m is cross-multiplied away
+    Mutant(
+        "cancel_decision_ignores_closed_form",
+        RING,
+        "closed_den = closed.den if closed is not None else ()",
+        "closed_den = ()",
+        ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",
+         "tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed"),
+    ),
+    # the pole order reads the terms alone, not the closed form's content
+    Mutant(
+        "pole_order_drops_closed_form",
+        RING,
+        "return max([0, -phis.get(m, 0)]",
+        "return max([0]",
+        ("tests/test_differential.py::test_fast_route_oracle_and_sympy_agree",),
+    ),
+    # an atom that enters divided by Phi_m counts no valuation, so its term
+    # is scaled by too low a power of Phi_m
+    Mutant(
+        "cancelled_atom_valuation_zero",
+        RING,
+        "return self.of(quo, x[1]), 1",
+        "return self.of(quo, x[1]), 0",
+        ("tests/test_engine.py::TestPerFactorRoute::test_fast_path_matches_oracle_when_perturbed",),
     ),
     # the zero test over Z[a] reads the a^0 part alone
     Mutant(
         "param_same_ratio_part_zero_only",
         RING,
-        "return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in x[0].values())",
-        "return not _monic_divmod(x[0].get(0, []), self.base.m)[1]",
+        "return not any(_monic_divmod(coeffs, self.m)[1] for coeffs in x[0].values())",
+        "return not _monic_divmod(x[0].get(0, []), self.m)[1]",
         ("tests/test_engine.py::TestParamRing::test_parts_evaluate_to_the_base_ring",),
     ),
     Mutant(

@@ -11,7 +11,9 @@ starts at the right side's numerator, negated, the numerator product starts
 at its denominator, and each step multiplies the state by the step's
 denominator atoms and adds its term, so the left side's denominator product
 is never formed and no cross product of two dense elements is taken at the
-end.  Every q-lane decides its cyclotomic part through
+end.  Every atom, bracket and term enters as the factor's ring enters it,
+so neither the Horner pass nor the closed form's sides knows whether Phi_m
+is cancelled.  Every q-lane decides its cyclotomic part through
 ``_cyclotomic_verdict``, and a failure of any of them is classified by the
 oracle.
 ``verify_q`` turns every q and q_pair instance into a result: it compiles
@@ -35,11 +37,11 @@ from typing import Optional
 
 from .exprs import eval_int
 from .oracle import _witness, oracle_congruence
-from .qobjects import (ConcreteClosedForm, ConcreteSummand, DegenerateFactor, SpecError, _avatar,
-                       _sums, atom, bracket, closed_form_content, concretize_closed_form,
+from .qobjects import (ConcreteClosedForm, ConcreteSummand, DegenerateFactor, SpecError, _sums,
+                       atom, bracket, closed_form_content, concretize_closed_form,
                        concretize_summand, modulus_support, resolve_bound, specialize)
 from .registry import CaseDefinition, ProductSpec
-from .ring import _divides, _factor_rings, _ParamRing, _Ring, _Strip, _stripped
+from .ring import _factor_rings, _ParamRing, _Ring
 
 
 @dataclass
@@ -59,7 +61,7 @@ class CaseResult:
     detail: str = ""
     flags: tuple = ()
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "id": self.case_id,
             "kind": self.kind,
@@ -71,7 +73,7 @@ class CaseResult:
             "witness_digest": self.witness_digest,
             "valuation": self.valuation,
             "residual": self.residual,
-            "elapsed": round(self.elapsed, 6) if include_timing else 0.0,
+            "elapsed": round(self.elapsed, 6),
             "detail": self.detail,
             "flags": list(self.flags),
         }
@@ -111,19 +113,7 @@ def case_result(case: CaseDefinition, params: dict, status: str, strategy: str,
 # fast cross-multiplied sweep of one truncated sum
 # ---------------------------------------------------------------------------
 
-def _free_factor(f, j: int):
-    """The j-th factor of the Pochhammer f: 1 - q^e as it is, and an avatar
-    x - y q^e (x, y of degree at most 1 in a) split into its a^0 and a^1
-    parts, an element for _ParamRing."""
-    if not f.param:
-        return atom(f.exponent_at(j))
-    (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
-    low, shift = atom(f.exponent_at(j), x0, y0)
-    return {0: low, 1: atom(f.exponent_at(j), x1 - x0, y1 - y0)[0]}, shift
-
-
-def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
-                    strip: Optional[_Strip] = None, factor=_free_factor, right=None):
+def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, right=None):
     """Returns (SS, Dacc) with SS = sum_k N_k prod_{j>k} D_j and
     Dacc = prod_j D_j, both as shift-tracked ring elements; given the right
     side ``right`` = (RN, RD), returns (SS RD - RN Dacc, None) instead.
@@ -133,29 +123,23 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
     multiplied by each denominator atom and gains each term.  Started at
     -RN, with the numerator product started at RD, it ends as the
     cross-multiplied difference itself, SS RD - RN Dacc, and no Dacc is
-    formed.  ``factor(f, j)`` gives the j-th factor of the Pochhammer f as
-    a ring element (coeffs, shift); for a factor without the parameter it
-    must be 1 - q^(f.exponent_at(j)).  With ``strip``, SS and Dacc are
-    those of Phi_m^c S with Phi_m cancelled from every atom:
-    SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
+    formed.  Every atom enters as ``ring`` enters it: in a ring that
+    cancels Phi_m, SS and Dacc are those of Phi_m^c S with Phi_m cancelled
+    from every atom, SS = sum_k Phi_m^(c + v_k) N'_k prod_{j>k} D'_j.
     """
-
-    def stripped(f, j):
-        return _stripped(ring, factor(f, j), None if f.param else f.exponent_at(j), strip)
-
     pnum, h, dacc = ((ring.one, ring.of([], 0), ring.one) if right is None
                      else (right[1], ring.neg(right[0]), None))
-    v = 0   # valuation of the numerator product minus that of the denominators
+    v = 0   # Phi_m cancelled from the numerator product minus from the denominators
     for k in range(bound + 1):
         if k:
             # one atom at a time: a reduced atom has at most E + 1 terms
             for f in summand.num:
-                x, dv = stripped(f, k - 1)
+                x, dv = ring.factor(f, k - 1)
                 v += dv * f.power
                 for _ in range(f.power):
                     pnum = ring.mul(pnum, x)
             for f in summand.den:
-                x, dv = stripped(f, k - 1)
+                x, dv = ring.factor(f, k - 1)
                 v -= dv * f.power
                 for _ in range(f.power):
                     h = ring.mul(h, x)
@@ -164,23 +148,20 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring,
         t = summand.prefactor_index(k)
         if not t or ring.is_zero(pnum):
             continue  # the term is zero
-        vb = strip is not None and _divides(strip.m, t)
-        term = (ring.mul(pnum, _stripped(ring, bracket(t), t, strip)[0]) if vb
-                else ring.mul_bracket(pnum, t))
-        if strip is not None:
-            scale = strip.power(v + vb)
-            if scale is None:
-                continue  # divisible by Phi_m^(e + c): zero in the final reduction
-            term = ring.mul(term, scale)
+        term, dv = ring.enter_bracket(pnum, t)
+        term = ring.scale(term, v + dv)
+        if term is None:
+            continue  # divisible by Phi_m^(e + c): zero in the final reduction
         h = ring.add(h, ring.shift(term, summand.exponent(k)))
     return h, dacc
 
 
-def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
-                           strip: Optional[_Strip] = None):
-    """RN (with sign, [n] multiplier and q-shift folded in) and RD; with
-    ``strip``, those of Phi_m^c R with Phi_m cancelled from every atom."""
-    if closed.kind == "zero":
+def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring):
+    """RN (with sign, [n] multiplier and q-shift folded in) and RD, every
+    atom as ``ring`` enters it: in a ring that cancels Phi_m, those of
+    Phi_m^c R with Phi_m cancelled from every atom.  A form with a zero
+    numerator atom is zero before anything is cancelled."""
+    if closed_form_content(closed, n) is None:
         return ring.of([], 0), ring.one
 
     def atoms(lengths):
@@ -188,15 +169,12 @@ def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring,
 
     rn, rd, v = ring.one, ring.one, 0
     for x, e in chain(atoms(closed.num), [(bracket(n), n)] if closed.n_multiplier else []):
-        x, dv = _stripped(ring, x, e, strip)
+        x, dv = ring.enter(x, e)
         rn, v = ring.mul(rn, x), v + dv
     for x, e in atoms(closed.den):
-        x, dv = _stripped(ring, x, e, strip)
+        x, dv = ring.enter(x, e)
         rd, v = ring.mul(rd, x), v - dv
-    if strip is not None:
-        scale = strip.power(v)
-        rn = ring.mul(rn, scale) if scale is not None else ring.of([], 0)
-    rn = ring.shift(rn, closed.shift)
+    rn = ring.shift(ring.scale(rn, v) or ring.of([], 0), closed.shift)
     if closed.sign < 0:
         rn = ring.neg(rn)
     return rn, rd
@@ -216,11 +194,11 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
     sums = _sums(summand, bound, right)
     closed = right if len(sums) == 1 else None
     parametric = any(f.param for s, _ in sums for f in s.num + s.den)
-    for ring, strip in _factor_rings(support, closed, n, *sums):
+    for ring in _factor_rings(support, closed, n, *sums):
         ring = _ParamRing(ring) if parametric else ring
-        other = (_closed_form_sides_int(closed, n, ring, strip) if closed is not None
-                 else _horner_sum_int(*right, ring, strip))
-        if not ring.vanishes(_horner_sum_int(summand, bound, ring, strip, right=other)[0]):
+        other = (_closed_form_sides_int(closed, n, ring) if closed is not None
+                 else _horner_sum_int(*right, ring))
+        if not ring.vanishes(_horner_sum_int(summand, bound, ring, right=other)[0]):
             return False
     return True
 

@@ -330,9 +330,7 @@ def _append_cache(handle, key: str, result: dict) -> None:
 
 
 def _strip_timing(result: dict) -> dict:
-    out = dict(result)
-    out["elapsed"] = 0.0
-    return out
+    return {**result, "elapsed": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +379,7 @@ def _audit_cache(registry: Registry, config: RunConfig, cached: dict) -> None:
     sample = rng.sample(keys, min(10, len(keys)))
     for case_id, params_json in sample:
         params = json.loads(params_json)
-        fresh = execute_job(registry, case_id, params, config.tol).to_dict(include_timing=False)
+        fresh = _strip_timing(execute_job(registry, case_id, params, config.tol).to_dict())
         stored = _strip_timing(cached[(case_id, params_json)])
         if fresh != stored:
             raise CacheMismatch(

@@ -5,7 +5,7 @@ sides over explicit full denominators, read once into integer lists per
 power of a, one cross-multiplied difference, cyclotomic valuations by one
 pass of exact divisions per cyclotomic (Phi_m is monic and free of a, so no
 field is needed), and the exact residue of the difference as witness,
-folded through the lift of ``ring._Ring`` before the final reduction.
+folded through the lift of ``ring._Lift`` before the final reduction.
 ``oracle_congruence`` feeds it a statement's sum and its right side, a
 closed form or a second sum; it is also the independent second route the
 tests check the fast path against.  The q-lanes' only Fraction and Q(a)
@@ -21,7 +21,7 @@ from typing import Optional
 from .paramfield import ParamRational
 from .polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
 from .qobjects import ConcreteClosedForm, ConcreteSummand, _avatar, _sums, atom, bracket, cyclotomic
-from .ring import _monic_divmod, _Ring, _trimmed
+from .ring import _Lift, _monic_divmod, _trimmed
 
 
 def _oracle_parts(p: LaurentPoly, low: int) -> dict:
@@ -181,7 +181,7 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
     witness is then the cancelled DIFF modulo the monic M, part by part, a
     unit multiple of the residue, and ``scaled`` is True.  The cancelled
     sides are first folded modulo the sparse multiple (q^N - 1)^E of M (N
-    the lcm of the m, E the largest power; see _Ring); the remainder modulo
+    the lcm of the m, E the largest power; see _Lift); the remainder modulo
     M is unique, so the witness is the same.
     """
     sides = (*left, *right)
@@ -207,7 +207,7 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
             fails.append((m, v))
     if poles or not fails:
         return poles, fails, None, False
-    lift = _Ring(None, lcm(*support), max(support.values()))
+    lift = _Lift(None, lcm(*support), max(support.values()))
     diff, den = ({i: folded for i, coeffs in parts.items() if (folded := lift.of(coeffs)[0])}
                  for parts in (diff, den))
     modulus = _modulus(support)
@@ -252,7 +252,7 @@ def oracle_congruence(
     return "fail", witness, detail + (" (witness scaled by a unit)" if scaled else "")
 
 
-def _witness(ring: _Ring, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentPoly]:
+def _witness(ring: _Lift, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentPoly]:
     """num1/den1 - num2/den2, ratios of Z[q, 1/q] elements, as the normal
     form (num, den) of a reduced rational function: den is plain with a
     nonzero constant term, monic and coprime to num, and num carries all

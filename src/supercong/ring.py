@@ -4,11 +4,13 @@ A case instance with modulus M = prod Phi_m^e_m is checked one cyclotomic
 factor at a time: the Phi_m^e_m are pairwise coprime and monic, so M
 divides a polynomial iff each of them does.  For each m the check runs by
 exact arithmetic modulo Phi_m^(e_m + c_m), cross-multiplied, so no
-polynomial is ever inverted.  Every atom 1 - q^e and bracket [t] that Phi_m
-divides enters divided by Phi_m (q^e - 1 is squarefree, so it divides at
-most once) and its valuation is counted instead; c_m is the largest pole
-order of a term or of the closed form at Phi_m, usually 0.  With the
-stripped denominators W and RD' units modulo Phi_m,
+polynomial is ever inverted.  Each factor's ring is the one place that
+knows how an atom enters: where a denominator carries Phi_m, every atom
+1 - q^e and bracket [t] that Phi_m divides enters divided by Phi_m (q^e - 1
+is squarefree, so it divides at most once) and its valuation is counted
+instead; c_m is the largest pole order of a term or of the closed form at
+Phi_m, usually 0.  With the cancelled denominators W and RD' units modulo
+Phi_m,
 S == R (mod Phi_m^e) holds iff Phi_m^c W RD' (S - R) == 0 (mod Phi_m^(e+c)),
 which stays correct where individual terms have poles at Phi_m (naive
 term-by-term inversion would falsely obstruct there).
@@ -21,7 +23,7 @@ E = 1, where q^m == 1, by one addition of the two halves of a list of at
 most 2m coefficients (a product of two reduced elements) or by one strided
 sum per residue of a longer one.  Only the final test, one monic division
 per power of a, reduces modulo Phi_m^E itself.  Atoms enter one at a time,
-each stripped and reduced once to at most E + 1 terms; a product takes one
+each entered and reduced once to at most E + 1 terms; a product takes one
 row per nonzero coefficient of the sparser factor, copying the first and
 adding the rest (a monomial factor is one shifted copy), so multiplying by
 an atom costs linear time and one list pass, and a bracket [t] is
@@ -37,7 +39,8 @@ from itertools import accumulate, chain
 from math import comb
 from typing import Optional
 
-from .qobjects import ConcreteClosedForm, ConcreteSummand, cyclotomic
+from .qobjects import (ConcreteClosedForm, ConcreteSummand, _avatar, atom, bracket,
+                       closed_form_content, cyclotomic)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,7 @@ def _monic_divmod(a: list, m: list) -> tuple[list, list]:
     return _trimmed(quo), _trimmed(rem[:dm])
 
 
-class _Ring:
+class _Lift:
     """Shift-tracked arithmetic modulo Phi_m^e, or in Z[q, 1/q] when e is 0:
     elements are (coeffs, shift), representing coeffs(q) * q^shift.
 
@@ -107,7 +110,7 @@ class _Ring:
     Phi_m^e, but not conversely.  The fold only adds and scales by
     integers, so it reduces coefficients of any exact type; ``_classify``
     uses it alone, with no ``modulus``, to fold a witness modulo
-    (q^N - 1)^E.
+    (q^N - 1)^E.  Nothing here cancels Phi_m: that is _Ring's.
     """
 
     def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0):
@@ -196,21 +199,85 @@ class _Ring:
         return not (x[0] if self.m is None else _monic_divmod(x[0], self.m)[1])
 
 
-class _ParamRing:
-    """The ring ``base`` (a _Ring) with coefficients in Z[a]: ({i: coeffs},
-    shift) stands for sum_i a^i coeffs(q) q^shift, no part zero.  The lift
+# ---------------------------------------------------------------------------
+# one cyclotomic factor of the modulus at a time
+# ---------------------------------------------------------------------------
+
+def _divides(m: int, e: int) -> bool:
+    """Phi_m | 1 - q^e, and for m >= 2 also Phi_m | [e].  q^e - 1 is the
+    squarefree product of the Phi_d with d | e, so Phi_m divides it once
+    when m | e and not at all otherwise.  A zero atom (e = 0) is left as it
+    is."""
+    return e != 0 and e % m == 0
+
+
+class _Ring(_Lift):
+    """The ring of one factor Phi_m^e of the modulus, the one place that
+    knows how an atom enters a sum (``factor``, ``enter``, ``enter_bracket``)
+    and how a term of valuation v is scaled (``scale``).
+
+    Given ``powers`` = [Phi_m^0, ..., Phi_m^(e + c)] it decides modulo
+    Phi_m^(e + c) and cancels Phi_m: every atom and bracket that Phi_m
+    divides enters divided by it, and a term of valuation v enters times
+    Phi_m^(c + v), dropped where that vanishes; c is the largest pole order
+    (_pole_order), so the power is never negative.  Without ``powers``
+    every atom enters as it is.
+    """
+
+    def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0,
+                 powers: Optional[list] = None, c: int = 0):
+        super().__init__(modulus, m, e)
+        self.powers, self.c = powers, c
+
+    def enter(self, x: tuple, e: int):
+        """(x / Phi_m, 1) where the ring cancels a Phi_m that divides the
+        atom 1 - q^e or bracket [e] x, given as integer (coeffs, shift),
+        else (x, 0); the element is reduced once."""
+        if self.powers is None or not _divides(self.step, e):
+            return self.of(*x), 0
+        quo, rem = _monic_divmod(x[0], self.powers[1])
+        if rem:
+            raise ArithmeticError(f"inexact division by {self.powers[1]!r}: remainder {rem!r}")
+        return self.of(quo, x[1]), 1
+
+    def factor(self, f, j: int):
+        """The j-th factor 1 - q^e of the plain Pochhammer f, entered."""
+        e = f.exponent_at(j)
+        return self.enter(atom(e), e)
+
+    def enter_bracket(self, x, t: int):
+        """x * [t] and the number of Phi_m cancelled from [t]: by running
+        sums unless the ring cancels a Phi_m that divides [t]."""
+        if self.powers is not None and _divides(self.step, t):
+            return self.mul(x, self.enter(bracket(t), t)[0]), 1
+        return self.mul_bracket(x, t), 0
+
+    def scale(self, x, v: int):
+        """The term x of valuation v times Phi_m^(c + v), or None where that
+        vanishes modulo Phi_m^(e + c); x itself where nothing is cancelled."""
+        if self.powers is None:
+            return x
+        i = self.c + v
+        if i < 0:
+            raise ArithmeticError(f"a term of valuation {v} exceeds the pole order {self.c}")
+        return self.mul(x, self.of(self.powers[i])) if i < len(self.powers) - 1 else None
+
+
+class _ParamRing(_Ring):
+    """The ring ``base`` with coefficients in Z[a]: ({i: coeffs}, shift)
+    stands for sum_i a^i coeffs(q) q^shift, no part zero.  The lift
     (q^m - 1)^e and Phi_m^e are monic and free of a, so reducing acts on
     each power of a alone, and an element vanishes modulo Phi_m^e iff every
-    part does.  So all but ``mul`` work part by part through the base ring;
-    ``mul`` sums the products of the parts into each power of a in place,
-    then reduces each sum once.  No operation writes into a list of its
-    operands."""
+    part does.  So all but ``mul`` work part by part through the base
+    ring's arithmetic; ``mul`` sums the products of the parts into each
+    power of a in place, then reduces each sum once.  No operation writes
+    into a list of its operands.  It takes over the base's state, so atoms
+    enter and terms scale as there; only an avatar enters here."""
 
     def __init__(self, base: _Ring):
-        self.base = base
+        vars(self).update(vars(base))
 
     one = property(lambda self: ({0: [1]}, 0))
-    shift, is_zero = _Ring.shift, _Ring.is_zero
 
     def _each(self, x, op):
         """op, a base-ring map moving every shift alike, on each part."""
@@ -224,86 +291,45 @@ class _ParamRing:
     def of(self, coeffs, shift: int = 0):
         """An element from its parts, or from the one list of its a^0 part."""
         parts = coeffs if isinstance(coeffs, dict) else {0: coeffs}
-        return self._each((parts, shift), lambda x: self.base.of(*x))
+        return self._each((parts, shift), lambda x: _Lift.of(self, *x))
+
+    def factor(self, f, j: int):
+        """The j-th factor of the Pochhammer f; an avatar x - y q^e (x, y of
+        degree at most 1 in a), a unit modulo Phi_m over Q(a), enters
+        uncancelled as its a^0 and a^1 parts."""
+        if not f.param:
+            return super().factor(f, j)
+        e = f.exponent_at(j)
+        (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
+        low, shift = atom(e, x0, y0)
+        return self.of({0: low, 1: atom(e, x1 - x0, y1 - y0)[0]}, shift), 0
 
     def mul(self, x, y):
-        """x * y; y may be the bare (coeffs, shift) that _Strip.power
-        returns.  Each part of the product is summed in place in the first
+        """x * y.  Each part of the product is summed in place in the first
         list _imul made for it, a list of its own, and reduced once."""
-        out, y = {}, y if isinstance(y[0], dict) else self.of(*y)
+        out = {}
         for i, c in x[0].items():
             for j, d in y[0].items():
                 p = _imul(c, d)
                 acc = out.setdefault(i + j, p)
                 if acc is not p:
                     acc[:len(p)] = [u + v for u, v in zip(acc, p)] + p[len(acc):]
-        return {k: r for k, p in out.items() if (r := self.base._reduce(p))}, x[1] + y[1]
+        return {k: r for k, p in out.items() if (r := self._reduce(p))}, x[1] + y[1]
 
     def mul_bracket(self, x, t: int):
-        return self._each(x, lambda p: self.base.mul_bracket(p, t))
+        return self._each(x, lambda p: _Lift.mul_bracket(self, p, t))
 
     def add(self, x, y):
-        parts = {i: self.base.add((x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
+        parts = {i: _Lift.add(self, (x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
                  for i in x[0].keys() | y[0].keys()}
         return {i: c for i, c in parts.items() if c}, min(x[1], y[1])
 
     def neg(self, x):
-        return self._each(x, self.base.neg)
+        return self._each(x, lambda p: _Lift.neg(self, p))
 
     def vanishes(self, x) -> bool:
         """x == 0 modulo Phi_m^e: every part is."""
-        return not any(_monic_divmod(coeffs, self.base.m)[1] for coeffs in x[0].values())
-
-
-# ---------------------------------------------------------------------------
-# one cyclotomic factor of the modulus at a time
-# ---------------------------------------------------------------------------
-
-def _divides(m: int, e: int) -> bool:
-    """Phi_m | 1 - q^e, and for m >= 2 also Phi_m | [e].  q^e - 1 is the
-    squarefree product of the Phi_d with d | e, so Phi_m divides it once
-    when m | e and not at all otherwise.  A zero atom (e = 0) is left as it
-    is."""
-    return e != 0 and e % m == 0
-
-
-class _Strip:
-    """Cancels Phi_m from a cross-multiplied sum decided modulo
-    Phi_m^(e + c).
-
-    Every atom 1 - q^e and bracket [t] that Phi_m divides enters divided by
-    Phi_m, and its valuation is counted instead.  A term of valuation v
-    then enters multiplied by Phi_m^(c + v): c is the largest pole order
-    (_pole_order), so the power is never negative, and a term whose power
-    is at least e + c vanishes modulo Phi_m^(e + c) and is dropped.
-    ``powers`` is [Phi_m^0, ..., Phi_m^(e + c)].
-    """
-
-    def __init__(self, m: int, c: int, powers: list):
-        self.m = m
-        self.c = c
-        self.phi = powers[1]
-        self.powers = powers[:-1]
-
-    def power(self, v: int):
-        """Phi_m^(c + v) as a ring element, or None where it vanishes."""
-        i = self.c + v
-        if i < 0:
-            raise ArithmeticError(f"a term of valuation {v} exceeds the pole order {self.c}")
-        return (self.powers[i], 0) if i < len(self.powers) else None
-
-
-def _stripped(ring, x: tuple, e: Optional[int], strip: Optional[_Strip]) -> tuple:
-    """The atom x = 1 - q^e or [e], given as integer (coeffs, shift), as an
-    element of ``ring`` reduced once, and the number of Phi_m cancelled from
-    it: (x / Phi_m, 1) where ``strip`` cancels Phi_m, else (x, 0).  e is
-    None for a parametric atom, which is never divisible."""
-    if strip is not None and e is not None and _divides(strip.m, e):
-        quo, rem = _monic_divmod(x[0], strip.phi)
-        if rem:
-            raise ArithmeticError(f"inexact division by {strip.phi!r}: remainder {rem!r}")
-        return ring.of(quo, x[1]), 1
-    return ring.of(*x), 0
+        return not any(_monic_divmod(coeffs, self.m)[1] for coeffs in x[0].values())
 
 
 def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
@@ -324,15 +350,12 @@ def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
     return vals
 
 
-def _pole_order(m: int, closed: Optional[ConcreteClosedForm], n: int, sums) -> int:
-    """c = max(0, -min_k v_k, v(RD) - v(RN)) at Phi_m over the terms of
-    every (summand, bound) in ``sums`` and the closed form."""
-    c = max([0] + [-v for summand, bound in sums for v in _term_valuations(summand, bound, m)])
-    if closed is not None and closed.kind == "ratio":
-        v_num = sum(_divides(m, a + s * j) for a, s, length in closed.num for j in range(length))
-        v_den = sum(_divides(m, a + s * j) for a, s, length in closed.den for j in range(length))
-        c = max(c, v_den - v_num - (closed.n_multiplier and _divides(m, n)))
-    return c
+def _pole_order(m: int, phis: dict, sums) -> int:
+    """c = max(0, -min_k v_k, -v(R)) at Phi_m over the terms of every
+    (summand, bound) in ``sums`` and the closed form R, whose Phi_d
+    multiplicities are ``phis`` (closed_form_content)."""
+    return max([0, -phis.get(m, 0)]
+               + [-v for summand, bound in sums for v in _term_valuations(summand, bound, m)])
 
 
 def _phi_powers(m: int, top: int) -> list:
@@ -345,20 +368,21 @@ def _phi_powers(m: int, top: int) -> list:
 
 
 def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *sums):
-    """(ring, strip) for each Phi_m^e of the modulus, the ring deciding
-    modulo Phi_m^(e + c) and computing in the lift Z[q]/((q^m - 1)^(e + c))
-    (see _Ring).
+    """One ring for each Phi_m^e of the modulus, deciding modulo
+    Phi_m^(e + c) in the lift Z[q]/((q^m - 1)^(e + c)) (see _Lift).
 
     The Phi_m^e are pairwise coprime and monic, so a polynomial is
-    divisible by their product iff it is divisible by each one.  Phi_m is
-    cancelled (strip, see _Strip) only where a denominator atom of some
-    (summand, bound) in ``sums`` or of the closed form carries it;
-    elsewhere no term has a pole at Phi_m, c = 0, strip is None and the
-    sparse atoms enter as they are.  A term that strip drops as a multiple
-    of Phi_m^(e + c) is zero in the final reduction, so the lift changes
-    no verdict.
+    divisible by their product iff it is divisible by each one.  The ring
+    cancels Phi_m only where a denominator atom of some (summand, bound) in
+    ``sums`` or of the closed form carries it; elsewhere no term has a pole
+    at Phi_m, c = 0 and the sparse atoms enter as they are.  A term the
+    ring drops as a multiple of Phi_m^(e + c) is zero in the final
+    reduction, so the lift changes no verdict; a zero closed form has no
+    pole.
     """
     closed_den = closed.den if closed is not None else ()
+    content = closed_form_content(closed, n) if closed is not None else None
+    phis = content[2] if content is not None else {}
     for m in sorted(support):
         den_exponents = chain(
             (f.exponent_at(j) for summand, bound in sums for f in summand.den
@@ -366,9 +390,8 @@ def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *
             (a + s * j for a, s, length in closed_den for j in range(length)),
         )
         if any(_divides(m, e) for e in den_exponents):
-            c = _pole_order(m, closed, n, sums)
+            c = _pole_order(m, phis, sums)
             powers = _phi_powers(m, support[m] + c)
-            yield _Ring(powers[-1], m, support[m] + c), _Strip(m, c, powers)
+            yield _Ring(powers[-1], m, support[m] + c, powers, c)
         else:
-            yield _Ring(_phi_powers(m, support[m])[-1], m, support[m]), None
-
+            yield _Ring(_phi_powers(m, support[m])[-1], m, support[m])

@@ -13,7 +13,8 @@ built from them (``modulus_by_division``), the engine's
 telescoped product as a rational function, the engine's specialized leg on
 a record's statement (``specialized_leg``), Gamma_p at one argument by its
 defining product, the failure classifier's route by whole exact divisions,
-the parametric Phi_n leg by exact evaluation at integer values of a, the
+the parametric Phi_n leg by exact evaluation at integer values of a
+through a factor ring that enters each avatar at that integer, the
 cross-multiplied ratio test ``same_ratio``, the lifted ring's block fold,
 and the quadratic-summation parameter grid.
 """
@@ -340,6 +341,24 @@ def same_ratio(ring, num1, den1, num2, den2) -> bool:
     return ring.vanishes(ring.add(ring.mul(num1, den2), ring.neg(ring.mul(num2, den1))))
 
 
+class AtInteger:
+    """A factor ring whose Pochhammer factors carrying the parameter enter
+    as their avatars at the integer a = t; every other entry point and
+    operation is the ring's own."""
+
+    def __init__(self, ring, t: int):
+        self.ring = ring
+        self.avatars = {"aq": (1, t), "q_div_a": (t, 1)}
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def factor(self, f, j: int):
+        if not f.param:
+            return self.ring.factor(f, j)
+        return self.ring.of(*atom(f.exponent_at(j), *self.avatars[f.param])), 0
+
+
 def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteClosedForm,
                          support: dict, n: int) -> bool:
     """The parametric cyclotomic leg by exact evaluation at integer values of a.
@@ -353,17 +372,16 @@ def evaluation_leg_holds(summand: ConcreteSummand, bound: int, closed: ConcreteC
     D = bound max(P_num, P_den), and reduction commutes with substituting
     an integer for a.  A nonzero polynomial of degree at most D has at most
     D roots, so the difference vanishes iff it vanishes at the D + 1
-    integers 0, 1, -1, 2, -2, ...
+    integers 0, 1, -1, 2, -2, ...  Each sum runs in the engine's factor
+    ring with its avatars entered at the integer (``AtInteger``).
     """
     p_num = sum(f.power for f in summand.num if f.param)
     p_den = sum(f.power for f in summand.den if f.param)
     values = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(bound * max(p_num, p_den) + 1)]
-    for ring, strip in _factor_rings(support, closed, n, (summand, bound)):
-        rn, rd = _closed_form_sides_int(closed, n, ring, strip)
+    for ring in _factor_rings(support, closed, n, (summand, bound)):
+        rn, rd = _closed_form_sides_int(closed, n, ring)
         for t in values:
-            avatars = {"": (1, 1), "aq": (1, t), "q_div_a": (t, 1)}
-            sides = _horner_sum_int(summand, bound, ring, strip,
-                                    lambda f, j: atom(f.exponent_at(j), *avatars[f.param]))
+            sides = _horner_sum_int(summand, bound, AtInteger(ring, t))
             if not same_ratio(ring, *sides, rn, rd):
                 return False
     return True

@@ -100,6 +100,14 @@ def sympy_status(summand, bound, closed, support, n) -> str:
 # and 1 + q == (1 - q^2) / (1 - q) mod Phi_3.
 ONE = ConcreteClosedForm(kind="ratio")
 BRACKET_TWO = ConcreteClosedForm(kind="ratio", num=((2, 1, 1),), den=((1, 1, 1),))
+# A failing statement whose only denominator carrying Phi_5 is the closed
+# form's: [5] == (1 - q^5) / (1 - q^10) fails mod Phi_5, the right side
+# being 1/2 there, yet cross-multiplied without cancelling Phi_5 both sides
+# vanish.
+HALF_AT_PHI_5 = ConcreteClosedForm(kind="ratio", num=((5, 5, 1),), den=((10, 10, 1),))
+# and one whose closed form alone has a pole there, of order 1: an
+# obstruction, its pole order read from the closed form
+POLE_AT_PHI_5 = ConcreteClosedForm(kind="ratio", den=((5, 5, 1),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,6 +116,10 @@ BRACKET_TWO = ConcreteClosedForm(kind="ratio", num=((2, 1, 1),), den=((1, 1, 1),
           {2: 1}, 2))
 @example((ConcreteSummand(m=0, r=1, e0=0, delta1=1, delta2=0, num=(), den=()), 1,
           BRACKET_TWO, {3: 1}, 3))
+@example((ConcreteSummand(m=0, r=5, e0=0, delta1=0, delta2=0, num=(), den=()), 0,
+          HALF_AT_PHI_5, {5: 1}, 5))
+@example((ConcreteSummand(m=0, r=5, e0=0, delta1=0, delta2=0, num=(), den=()), 0,
+          POLE_AT_PHI_5, {5: 1}, 5))
 def test_fast_route_oracle_and_sympy_agree(congruence):
     summand, bound, closed, support, n = congruence
     status, _, _ = oracle_congruence(summand, bound, closed, support, n)

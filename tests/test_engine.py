@@ -38,6 +38,7 @@ from supercong.engine import (
     verify_q,
 )
 from supercong.exprs import eval_int
+from supercong.harness import _strip_timing
 from supercong.paramfield import ParamRational
 from supercong.polys import LaurentPoly, residue_reduce
 from supercong.qobjects import (
@@ -58,7 +59,7 @@ from supercong.qobjects import (
 )
 from supercong.oracle import _term_parts, one_minus_q_power, oracle_congruence
 from supercong.registry import PairSide, ProductSpec, iter_sweep_params, load_registry
-from supercong.ring import _factor_rings, _imul, _monic_divmod, _ParamRing, _phi_powers, _Ring, _Strip
+from supercong.ring import _factor_rings, _imul, _monic_divmod, _ParamRing, _phi_powers, _Ring
 
 
 def perturbed_exponent_case(registry):
@@ -96,7 +97,7 @@ class TestVerifyCongruence:
         first = verify_congruence(case, 5)
         second = verify_congruence(case, 5)
         assert first.witness == second.witness
-        assert first.to_dict(include_timing=False) == second.to_dict(include_timing=False)
+        assert _strip_timing(first.to_dict()) == _strip_timing(second.to_dict())
 
     def test_fast_and_oracle_agree_on_failures(self, registry):
         case = perturbed_exponent_case(registry)
@@ -350,7 +351,7 @@ class TestConjecturePair:
 
 
 def q_results_agree(left, right):
-    assert left.to_dict(include_timing=False) == right.to_dict(include_timing=False)
+    assert _strip_timing(left.to_dict()) == _strip_timing(right.to_dict())
     assert repr(left.witness) == repr(right.witness)
 
 
@@ -543,7 +544,7 @@ class TestFailureRoute:
         case, (d, n) = registry.get(expected["id"]), (expected["params"]["d"],
                                                       expected["params"]["n"])
         verify = verify_congruence if expected["id"] == "thm7" else verify_parametric
-        assert verify(case, n, d).to_dict(include_timing=False) == expected
+        assert _strip_timing(verify(case, n, d).to_dict()) == expected
 
     def test_witness_keeps_the_q_shift(self, registry):
         # thm1_1 with the k-th term multiplied by q^(-2k): the difference
@@ -1029,9 +1030,9 @@ class TestIntegerParametricLegs:
         def legs_ring(ring):
             return isinstance(ring, _Ring) and ring.m is None
 
-        def sides(form, n, ring, strip=None, build=engine._closed_form_sides_int):
+        def sides(form, n, ring, build=engine._closed_form_sides_int):
             calls.append(("sides", legs_ring(ring), form))
-            return build(form, n, ring, strip)
+            return build(form, n, ring)
 
         def horner(*args, build=engine._horner_sum_int, **kwargs):
             calls.append(("horner", legs_ring(args[2]), kwargs.get("right") is not None))
@@ -1122,14 +1123,26 @@ class TestPerFactorRoute:
         st.integers(-2, 3),
         st.sampled_from([1, -1]),
         st.integers(0, 1),
+        st.sampled_from([(0, 0, 0), (0, 1, 1), (0, 1, 2), (1, 0, 1)]),
     )
+    # Phi_5 carried by the closed form's denominator alone: the ring must
+    # cancel it there too, or the pole hides a failure
+    @example(("thm1_1", None, 5), 0, 0, 1, 0, (0, 2, 3)).via("a closed-form pole at Phi_5")
+    # a zero numerator atom makes the form zero before its denominator's
+    # Phi_5 is cancelled
+    @example(("thm1_1", None, 5), 0, 0, 1, 0, (1, 0, 1)).via("a zero closed form with Phi_5")
     def test_fast_path_matches_oracle_when_perturbed(self, registry, instance, shift, cut,
-                                                     sign, power):
+                                                     sign, power, runs):
+        # runs (z, i, j): the closed form times (q^0; q)_z (q^n; q^n)_i / (q^n; q^n)_j
         cid, d, n = instance
         case = perturbed(registry.get(cid), shift, cut, sign=sign, power=power)
         summand = concretize_summand(case.summand, d)
         bound = eval_int(case.bounds[0], n=n, d=d)
         closed = concretize_closed_form(case.closed_form, n, d)
+        if closed.kind == "ratio":
+            zero, i, j = runs
+            closed = dataclasses.replace(closed, num=closed.num + ((0, 1, zero), (n, n, i)),
+                                         den=closed.den + ((n, n, j),))
         support = modulus_support(case.modulus, n)
         holds = _congruence_holds(summand, bound, closed, support, n)
         status, _, _ = oracle_congruence(summand, bound, closed, support, n)
@@ -1163,11 +1176,11 @@ class TestPerFactorRoute:
         closed = concretize_closed_form(case.closed_form, 35, None)
         support = modulus_support(case.modulus, 35)
         rings = list(_factor_rings(support, closed, 35, (summand, 34)))
-        assert [len(ring.m) - 1 for ring, _ in rings] == [4, 6, 72]
+        assert [len(ring.m) - 1 for ring in rings] == [4, 6, 72]
         # the sums are built modulo (q^5 - 1), (q^7 - 1) and (q^35 - 1)^3
-        assert [ring.top for ring, _ in rings] == [5, 7, 105]
-        assert [strip.c if strip else 0 for _, strip in rings] == [0, 0, 0]
-        assert [strip is not None for _, strip in rings] == [True, True, False]
+        assert [ring.top for ring in rings] == [5, 7, 105]
+        assert [ring.powers is not None for ring in rings] == [True, True, False]
+        assert [ring.c for ring in rings[:2]] == [0, 0]
 
     def test_pole_enlarges_only_its_own_factor(self, registry):
         # lemma2 at d=3, n=11: a term has a simple pole at Phi_11, so the
@@ -1176,8 +1189,8 @@ class TestPerFactorRoute:
         summand = concretize_summand(case.summand, 3)
         closed = concretize_closed_form(case.closed_form, 11, 3)
         bound = eval_int(case.bounds[0], n=11, d=3)
-        [(ring, strip)] = _factor_rings({11: 1}, closed, 11, (summand, bound))
-        assert strip.c == 1
+        [ring] = _factor_rings({11: 1}, closed, 11, (summand, bound))
+        assert ring.c == 1
         assert len(ring.m) - 1 == 20
         assert ring.top == 22
 
@@ -1233,7 +1246,7 @@ class TestFusedDifference:
     @example(("lemma2", 3, 11), 0, 0, 0, 0, False).via("a pole at Phi_11 over Z[a]")
     @example(("lemma2", 3, 11), 0, 0, 0, 0, True).via("the same pole with a = 1")
     @example(("conj1a", None, 9), 0, 0, 0, 0, False).via("a pair")
-    @example(("thm2", None, 5), 0, 0, 0, 0, False).via("Z[a] without a strip")
+    @example(("thm2", None, 5), 0, 0, 0, 0, False).via("Z[a] cancelling nothing")
     def test_fused_difference_matches_the_cross_product(self, registry, instance, shift, cut,
                                                         exponent, power, plain):
         cid, d, n = instance
@@ -1246,13 +1259,13 @@ class TestFusedDifference:
         sums = _sums(summand, bound, right)
         closed = right if len(sums) == 1 else None
         parametric = any(f.param for f in summand.num + summand.den)
-        for ring, strip in _factor_rings(support, closed, n, *sums):
+        for ring in _factor_rings(support, closed, n, *sums):
             ring = _ParamRing(ring) if parametric else ring
-            rn, rd = (engine._closed_form_sides_int(closed, n, ring, strip) if closed is not None
-                      else engine._horner_sum_int(*right, ring, strip))
-            fused, dacc = engine._horner_sum_int(summand, bound, ring, strip, right=(rn, rd))
+            rn, rd = (engine._closed_form_sides_int(closed, n, ring) if closed is not None
+                      else engine._horner_sum_int(*right, ring))
+            fused, dacc = engine._horner_sum_int(summand, bound, ring, right=(rn, rd))
             assert dacc is None
-            ss, dacc = engine._horner_sum_int(summand, bound, ring, strip)
+            ss, dacc = engine._horner_sum_int(summand, bound, ring)
             crossed = ring.add(ring.mul(ss, rd), ring.neg(ring.mul(rn, dacc)))
             assert lifted_remainders(ring, fused, crossed) == lifted_remainders(ring, crossed, fused)
 
@@ -1342,10 +1355,11 @@ class TestLiftedRing:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 4), RING_STEPS)
     def test_lift_matches_dense_residues(self, m, e, steps):
-        # a Horner-like run: p collects atoms, shifts and strip scalings, h
-        # collects p times brackets and is itself multiplied by atoms
+        # a Horner-like run: p collects atoms, shifts and scalings by
+        # Phi_m^v, h collects p times brackets and is itself multiplied by
+        # atoms
         powers = _phi_powers(m, e)
-        ring, strip = _Ring(powers[-1], m, e), _Strip(m, 0, powers)
+        ring, cancelling = _Ring(powers[-1], m, e), _Ring(powers[-1], m, e, powers)
         ints = IntResidues(m, e)
         p, h = ring.one, ring.of([], 0)
         ref_p, ref_h = [1], []
@@ -1357,8 +1371,7 @@ class TestLiftedRing:
                 p = ring.shift(p, value)
                 ref_p = ints.shift(ref_p, value)
             elif kind == "scale":
-                scale = strip.power(value)
-                p = ring.of([], 0) if scale is None else ring.mul(p, scale)
+                p = cancelling.scale(p, value) or ring.of([], 0)
                 for _ in range(value):
                     ref_p = ints.mul(ref_p, ints.phi)
             elif kind == "fold":
@@ -1455,10 +1468,14 @@ class TestParamRing:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 3), st.integers(-3, 3), PARAM_ELEMENTS,
-           PARAM_ELEMENTS, st.integers(-30, 60).filter(bool), st.integers(-5, 5))
-    def test_parts_evaluate_to_the_base_ring(self, m, e, t, x, y, t_bracket, k):
+           PARAM_ELEMENTS, st.integers(-30, 60).filter(bool), st.integers(-5, 5), st.booleans())
+    def test_parts_evaluate_to_the_base_ring(self, m, e, t, x, y, t_bracket, k, cancels):
+        # over a base ring that cancels Phi_m, too: the same lift and
+        # modulus, with the entry points that cancel (Phi_1 divides no
+        # bracket, and no modulus has it)
+        assume(m > 1 or not cancels)
         powers = _phi_powers(m, e)
-        base = _Ring(powers[-1], m, e)
+        base = _Ring(powers[-1], m, e, powers if cancels else None)
         ring = _ParamRing(base)
         ints = IntResidues(m, e)
 
@@ -1474,9 +1491,16 @@ class TestParamRing:
         check(px, base.of(*at(x, t)))
         check(ring.mul(px, py), base.mul(bx, by))
         check(ring.mul(py, px), base.mul(by, bx))
-        bare = at(y, 1)
-        check(ring.mul(px, bare), base.mul(bx, base.of(*bare)))
         check(ring.mul_bracket(px, t_bracket), base.mul_bracket(bx, t_bracket))
+        (z, cancelled), (expected, base_cancelled) = (ring.enter_bracket(px, t_bracket),
+                                                      base.enter_bracket(bx, t_bracket))
+        check(z, expected)
+        assert cancelled == base_cancelled == (cancels and t_bracket % m == 0)
+        for v in range(e + 1):
+            z, expected = ring.scale(px, v), base.scale(bx, v)
+            assert (z is None) == (expected is None) == (cancels and v == e)
+            if z is not None:
+                check(z, expected)
         check(ring.add(px, py), base.add(bx, by))
         check(ring.neg(px), base.neg(bx))
         check(ring.shift(px, k), base.shift(bx, k))
@@ -1500,18 +1524,18 @@ class TestParamRing:
            KERNEL_LISTS, KERNEL_LISTS)
     def test_products_leave_their_operands_unchanged(self, m, e, x, y, a, b):
         # the product sums its parts in lists of its own, and reduces
-        # only those
-        base = _Ring(_phi_powers(m, e)[-1], m, e)
+        # only those; a scaled term is a product too
+        powers = _phi_powers(m, e)
+        base = _Ring(powers[-1], m, e, powers)
         ring = _ParamRing(base)
         px, py = ring.of(*x), ring.of(*y)
-        bare = (list(px[0].get(0, [1])), 2)
-        operands = copy.deepcopy((px, py, bare, a, b))
-        for product in (ring.mul(px, py), ring.mul(py, px), ring.mul(px, bare)):
-            held = [id(c) for z in (px, py) for c in z[0].values()] + [id(bare[0])]
+        operands = copy.deepcopy((px, py, a, b))
+        for product in (ring.mul(px, py), ring.mul(py, px), ring.scale(px, e - 1)):
+            held = [id(c) for z in (px, py) for c in z[0].values()]
             assert not {id(c) for c in product[0].values()} & set(held)
         _imul(a, b)
         base.mul((a, 0), (b, 0))
-        assert (px, py, bare, a, b) == operands
+        assert (px, py, a, b) == operands
 
     def test_avatars_split_into_powers_of_a(self):
         # the factors at j = 1 of (q; q^2), (aq; q^2) and (q/a; q^2), and of
@@ -1519,7 +1543,7 @@ class TestParamRing:
         ring = _ParamRing(_Ring())
 
         def factor(c, param):
-            return ring.of(*engine._free_factor(ConcreteFactor(c, 2, 1, param), 1))
+            return ring.factor(ConcreteFactor(c, 2, 1, param), 1)[0]
 
         assert factor(1, "") == ({0: [1, 0, 0, -1]}, 0)         # 1 - q^3
         assert factor(1, "aq") == ({0: [1], 1: [0, 0, 0, -1]}, 0)   # 1 - a q^3

@@ -138,13 +138,14 @@ def _imports(node):
 
 # module -> {module it imports from: the only names it may import from it}.
 # The oracle stays a second route independent of the fast one: of the
-# kernel it reads the integer division and the lift fold for witnesses,
-# and nothing of the lanes.  The kernel serves both routes and reads
+# kernel it reads the integer division and the lift's arithmetic (its fold
+# and, for witnesses, its products), never the factor ring that cancels
+# Phi_m, and nothing of the lanes.  The kernel serves both routes and reads
 # neither, and the fast route runs on integers alone: no Fraction
 # polynomial and no Q(a).  Both routes compile from the exponent layer,
 # which builds integer lists only.
 BOUNDARIES = {
-    "oracle.py": {"ring": {"_Ring", "_monic_divmod", "_trimmed"}, "engine": set()},
+    "oracle.py": {"ring": {"_Lift", "_monic_divmod", "_trimmed"}, "engine": set()},
     "ring.py": {"engine": set(), "oracle": set(), "polys": set(), "paramfield": set()},
     "engine.py": {"polys": set(), "paramfield": set()},
     "qobjects.py": {"polys": set(), "paramfield": set()},
@@ -169,7 +170,7 @@ def test_routes_import_only_across_their_boundaries():
 def test_guard_flags_an_import_across_a_boundary(tmp_path):
     (tmp_path / "oracle.py").write_text(
         "from math import lcm\n\nfrom .engine import _horner_sum_int\n"
-        "from .ring import _Ring, _factor_rings, _trimmed\n"
+        "from .ring import _Lift, _Ring, _factor_rings, _trimmed\n"
     )
     (tmp_path / "ring.py").write_text(
         "from typing import TYPE_CHECKING\n\nfrom . import oracle\n\n"
@@ -177,13 +178,14 @@ def test_guard_flags_an_import_across_a_boundary(tmp_path):
         "def late():\n    from .engine import verify_q\n    return verify_q\n"
     )
     (tmp_path / "engine.py").write_text(
-        "import supercong.paramfield\nfrom .polys import LaurentPoly\nfrom .ring import _Strip\n"
+        "import supercong.paramfield\nfrom .polys import LaurentPoly\nfrom .ring import _Ring\n"
     )
     (tmp_path / "qobjects.py").write_text(
         "from .exprs import eval_int\nfrom .polys import LaurentPoly\n"
     )
     assert boundary_violations(tmp_path) == [
-        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "ring", "_factor_rings"),
+        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "ring", "_Ring"),
+        ("oracle.py", "ring", "_factor_rings"),
         ("ring.py", "oracle", "*"), ("ring.py", "engine", "verify_q"),
         ("engine.py", "paramfield", "*"), ("engine.py", "polys", "LaurentPoly"),
         ("qobjects.py", "polys", "LaurentPoly"),
