@@ -159,9 +159,9 @@ def _horner_sum_int(summand: ConcreteSummand, bound: int, ring: _Ring, right=Non
 def _closed_form_sides_int(closed: ConcreteClosedForm, n: int, ring: _Ring):
     """RN (with sign, [n] multiplier and q-shift folded in) and RD, every
     atom as ``ring`` enters it: in a ring that cancels Phi_m, those of
-    Phi_m^c R with Phi_m cancelled from every atom.  A form with a zero
-    numerator atom is zero before anything is cancelled."""
-    if closed_form_content(closed, n) is None:
+    Phi_m^c R with Phi_m cancelled from every atom.  A zero numerator atom
+    makes RN zero, and no pole order scales a zero RN."""
+    if closed.kind == "zero":
         return ring.of([], 0), ring.one
 
     def atoms(lengths):

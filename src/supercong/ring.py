@@ -254,8 +254,9 @@ class _Ring(_Lift):
 
     def scale(self, x, v: int):
         """The term x of valuation v times Phi_m^(c + v), or None where that
-        vanishes modulo Phi_m^(e + c); x itself where nothing is cancelled."""
-        if self.powers is None:
+        vanishes modulo Phi_m^(e + c); x itself where nothing is cancelled
+        or x is zero."""
+        if self.powers is None or not x[0]:
             return x
         i = self.c + v
         if i < 0:
@@ -350,11 +351,13 @@ def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
     return vals
 
 
-def _pole_order(m: int, phis: dict, sums) -> int:
+def _pole_order(m: int, closed: Optional[ConcreteClosedForm], n: int, sums) -> int:
     """c = max(0, -min_k v_k, -v(R)) at Phi_m over the terms of every
-    (summand, bound) in ``sums`` and the closed form R, whose Phi_d
-    multiplicities are ``phis`` (closed_form_content)."""
-    return max([0, -phis.get(m, 0)]
+    (summand, bound) in ``sums`` and the closed form R, v(R) read from its
+    cyclotomic content (none where R is zero)."""
+    content = closed_form_content(closed, n) if closed is not None else None
+    v_closed = content[2].get(m, 0) if content is not None else 0
+    return max([0, -v_closed]
                + [-v for summand, bound in sums for v in _term_valuations(summand, bound, m)])
 
 
@@ -377,12 +380,9 @@ def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *
     ``sums`` or of the closed form carries it; elsewhere no term has a pole
     at Phi_m, c = 0 and the sparse atoms enter as they are.  A term the
     ring drops as a multiple of Phi_m^(e + c) is zero in the final
-    reduction, so the lift changes no verdict; a zero closed form has no
-    pole.
+    reduction, so the lift changes no verdict.
     """
     closed_den = closed.den if closed is not None else ()
-    content = closed_form_content(closed, n) if closed is not None else None
-    phis = content[2] if content is not None else {}
     for m in sorted(support):
         den_exponents = chain(
             (f.exponent_at(j) for summand, bound in sums for f in summand.den
@@ -390,7 +390,7 @@ def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *
             (a + s * j for a, s, length in closed_den for j in range(length)),
         )
         if any(_divides(m, e) for e in den_exponents):
-            c = _pole_order(m, phis, sums)
+            c = _pole_order(m, closed, n, sums)
             powers = _phi_powers(m, support[m] + c)
             yield _Ring(powers[-1], m, support[m] + c, powers, c)
         else:

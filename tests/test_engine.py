@@ -1123,14 +1123,14 @@ class TestPerFactorRoute:
         st.integers(-2, 3),
         st.sampled_from([1, -1]),
         st.integers(0, 1),
-        st.sampled_from([(0, 0, 0), (0, 1, 1), (0, 1, 2), (1, 0, 1)]),
+        st.sampled_from([(0, 0, 0), (0, 1, 1), (0, 1, 2), (1, 0, 2)]),
     )
     # Phi_5 carried by the closed form's denominator alone: the ring must
     # cancel it there too, or the pole hides a failure
     @example(("thm1_1", None, 5), 0, 0, 1, 0, (0, 2, 3)).via("a closed-form pole at Phi_5")
     # a zero numerator atom makes the form zero before its denominator's
     # Phi_5 is cancelled
-    @example(("thm1_1", None, 5), 0, 0, 1, 0, (1, 0, 1)).via("a zero closed form with Phi_5")
+    @example(("thm1_1", None, 5), 0, 0, 1, 0, (1, 0, 2)).via("a zero closed form with Phi_5")
     def test_fast_path_matches_oracle_when_perturbed(self, registry, instance, shift, cut,
                                                      sign, power, runs):
         # runs (z, i, j): the closed form times (q^0; q)_z (q^n; q^n)_i / (q^n; q^n)_j
@@ -1496,9 +1496,9 @@ class TestParamRing:
                                                       base.enter_bracket(bx, t_bracket))
         check(z, expected)
         assert cancelled == base_cancelled == (cancels and t_bracket % m == 0)
-        for v in range(e + 1):
+        for v in range(e + 1):   # a zero term stays zero, unscaled
             z, expected = ring.scale(px, v), base.scale(bx, v)
-            assert (z is None) == (expected is None) == (cancels and v == e)
+            assert (z is None) == (expected is None) == (cancels and v == e and bool(bx[0]))
             if z is not None:
                 check(z, expected)
         check(ring.add(px, py), base.add(bx, by))
