@@ -105,6 +105,26 @@ MUTANTS = (
         "(y0, x0), (y1, x1) = _avatar(f.param, 0), _avatar(f.param, 1)",
         ("tests/test_engine.py::TestParamRing::test_avatars_split_into_powers_of_a",),
     ),
+    # a paired factor 1 - b q^e + q^(2e) enters with its b^0 part as
+    # 1 + q^e
+    Mutant(
+        "paired_factor_low_part_at_e",
+        RING,
+        "ends = [1] + [0] * (abs(2 * e) - 1) + [1] if e else [2]",
+        "ends = [1] + [0] * (abs(e) - 1) + [1] if e else [2]",
+        ("tests/test_engine.py::TestParamRing::test_avatars_split_into_powers_of_a",
+         "tests/test_engine.py::TestIntegerParametricLegs::"
+         "test_paired_and_unpaired_bends_match_evaluation_route"),
+    ),
+    # for e < 0 the b^1 part -q^e lands at the shared shift 2e itself, as
+    # -q^(2e); no catalog factor reaches e < 0
+    Mutant(
+        "paired_factor_drops_negative_offset",
+        RING,
+        "1: [0] * (e - low) + [-1]",
+        "1: [0] * e + [-1]",
+        ("tests/test_engine.py::TestParamRing::test_avatars_split_into_powers_of_a",),
+    ),
     # Phi_m is cancelled only where a summand's denominator carries it, so
     # a pole of the closed form alone at Phi_m is cross-multiplied away
     Mutant(
@@ -462,6 +482,16 @@ MUTANTS = (
         "ast.Div: lambda a, b: a // b,",
         ("tests/test_registry.py::TestExpressions::test_arithmetic",
          "tests/test_registry.py::TestExpressions::test_non_integral_rejected"),
+    ),
+    # the paired view matches (a q^c; q^s) with (q^c / a; q^s) by c and s
+    # alone, so partners of different powers merge into one factor
+    Mutant(
+        "paired_view_ignores_power",
+        QOBJECTS,
+        "        if aq != q_div_a:",
+        "        if [csp[:2] for csp in aq] != [csp[:2] for csp in q_div_a]:",
+        ("tests/test_qobjects.py::TestSummandCompilation::"
+         "test_paired_view_matches_pairs_as_multisets",),
     ),
     # the compile checks the q-exponent at k = 0 and 1 only, so an exponent
     # first non-integral at k = 2 loads and is truncated

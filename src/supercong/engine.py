@@ -3,8 +3,9 @@
 The per-factor rings of the fast route are ``ring``; the exact oracle is
 ``oracle``.  One loop, ``_congruence_holds``, decides every lane's
 cyclotomic part over the modulus's whole cyclotomic support; where a sum
-carries the parameter a it runs with coefficients in Z[a]: the lift and
-Phi_m^E are free of a, so each power of a is summed in place and reduced
+carries the parameter a it runs with coefficients in Z[b], b = a + 1/a,
+where the parametric factors pair up, else in Z[a]: the lift and Phi_m^E
+are free of a, so each power of b or a is summed in place and reduced
 alone, and the check is exact with no evaluation at a.  The
 cross-multiplied difference Phi_m^c W RD' (S - R) is one Horner state: it
 starts at the right side's numerator, negated, the numerator product starts
@@ -39,7 +40,7 @@ from .exprs import eval_int
 from .oracle import _witness, oracle_congruence
 from .qobjects import (ConcreteClosedForm, ConcreteSummand, DegenerateFactor, SpecError, _sums,
                        atom, bracket, closed_form_content, concretize_closed_form,
-                       concretize_summand, modulus_support, resolve_bound, specialize)
+                       concretize_summand, modulus_support, paired, resolve_bound, specialize)
 from .registry import CaseDefinition, ProductSpec
 from .ring import _factor_rings, _ParamRing, _Ring
 
@@ -185,19 +186,23 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
     """The truncated sum == ``right``, a closed form or a second
     (summand, bound), mod the modulus of cyclotomic support ``support``, one
     factor of it at a time (stops at the first disagreement).  Where a sum
-    carries the parameter a, every ring is over Z[a] (_ParamRing) with the
-    parametric factors as their avatars: they are units modulo Phi_m over
-    Q(a), and cancelling Phi_m from the plain atoms adds no degree in a.
+    carries the parameter a, every ring is a _ParamRing: over Z[b],
+    b = a + 1/a, on the sums' ``paired`` views where every sum has one, else
+    over Z[a] on the avatars.  Nothing is stripped over Z[b], and b^i is
+    a^i + a^-i plus lower powers, so the b-parts all vanish iff the a-parts
+    do.  Cancelling Phi_m from the plain atoms adds no degree in either.
     In each ring the left sum's Horner state starts at the right side
     (RN, RD), the closed form's or the second sum's (SS, Dacc), and ends as
     the cross-multiplied difference, which must vanish."""
     sums = _sums(summand, bound, right)
     closed = right if len(sums) == 1 else None
     parametric = any(f.param for s, _ in sums for f in s.num + s.den)
+    views = [(paired(s), b) for s, b in sums]
+    (summand, bound), *rest = sums if any(s is None for s, _ in views) else views
     for ring in _factor_rings(support, closed, n, *sums):
         ring = _ParamRing(ring) if parametric else ring
         other = (_closed_form_sides_int(closed, n, ring) if closed is not None
-                 else _horner_sum_int(*right, ring))
+                 else _horner_sum_int(*rest[0], ring))
         if not ring.vanishes(_horner_sum_int(summand, bound, ring, right=other)[0]):
             return False
     return True

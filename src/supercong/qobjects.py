@@ -87,7 +87,8 @@ def _avatar(param: str, a) -> tuple:
     """(x, y) of the avatar x - y q^e of a factor carrying ``param`` at the
     parameter value a: 1 - q^e stays, 1 - a q^e stays, and 1 - q^e / a
     becomes a - q^e; the stripped 1/a units cancel between numerator and
-    denominator because the registry keeps them balanced."""
+    denominator because the registry keeps them balanced.  The oracle
+    enters every parametric factor so, the fast route only unpaired ones."""
     return {"": (1, 1), "aq": (1, a), "q_div_a": (a, 1)}[param]
 
 
@@ -222,6 +223,22 @@ def specialize(summand: ConcreteSummand, bound: int, shift: int) -> ConcreteSumm
         raise DegenerateFactor(
             f"denominator factor hits q^0 under the a = q^{shift} specialization")
     return replace(summand, num=num, den=den)
+
+
+def paired(summand: ConcreteSummand) -> Optional[ConcreteSummand]:
+    """``summand`` with each (a q^c; q^s)^p of a side merged with a
+    (q^c / a; q^s)^p of the same side into one factor of param "b",
+    b = a + 1/a, matched as multisets; None where some parametric factor
+    has no such partner."""
+    sides = []
+    for side in (summand.num, summand.den):
+        aq, q_div_a = (sorted((f.c, f.s, f.power) for f in side if f.param == param)
+                       for param in ("aq", "q_div_a"))
+        if aq != q_div_a:
+            return None
+        sides.append(tuple(f for f in side if not f.param)
+                     + tuple(ConcreteFactor(*csp, "b") for csp in aq))
+    return replace(summand, num=sides[0], den=sides[1])
 
 
 def concretize_summand(spec: SummandSpec, d: Optional[int]) -> ConcreteSummand:

@@ -29,8 +29,8 @@ adding the rest (a monomial factor is one shifted copy), so multiplying by
 an atom costs linear time and one list pass, and a bracket [t] is
 multiplied in by running sums.  Everything here runs over plain integer
 coefficient lists (every modulus here is monic with integer coefficients,
-so remainders stay integral), with coefficients in Z[a] (``_ParamRing``)
-where a sum carries the parameter a.
+so remainders stay integral), with coefficients in Z[b], b = a + 1/a, or
+Z[a] (``_ParamRing``) where a sum carries the parameter a.
 """
 
 from __future__ import annotations
@@ -273,7 +273,8 @@ class _ParamRing(_Ring):
     ring's arithmetic; ``mul`` sums the products of the parts into each
     power of a in place, then reduces each sum once.  No operation writes
     into a list of its operands.  It takes over the base's state, so atoms
-    enter and terms scale as there; only an avatar enters here."""
+    enter and terms scale as there; only a parametric factor enters here.
+    On a ``paired`` summand all of this holds with b = a + 1/a for a."""
 
     def __init__(self, base: _Ring):
         vars(self).update(vars(base))
@@ -295,12 +296,17 @@ class _ParamRing(_Ring):
         return self._each((parts, shift), lambda x: _Lift.of(self, *x))
 
     def factor(self, f, j: int):
-        """The j-th factor of the Pochhammer f; an avatar x - y q^e (x, y of
-        degree at most 1 in a), a unit modulo Phi_m over Q(a), enters
-        uncancelled as its a^0 and a^1 parts."""
+        """The j-th factor of the Pochhammer f.  A paired one (param "b"),
+        1 - b q^e + q^(2e), enters as its b^0 part 1 + q^(2e) and b^1 part
+        -q^e; an avatar x - y q^e (x, y of degree at most 1 in a) as its a^0
+        and a^1 parts.  Both are units modulo Phi_m over Q(a), never cancelled."""
         if not f.param:
             return super().factor(f, j)
         e = f.exponent_at(j)
+        if f.param == "b":
+            low = min(0, 2 * e)
+            ends = [1] + [0] * (abs(2 * e) - 1) + [1] if e else [2]
+            return self.of({0: ends, 1: [0] * (e - low) + [-1]}, low), 0
         (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
         low, shift = atom(e, x0, y0)
         return self.of({0: low, 1: atom(e, x1 - x0, y1 - y0)[0]}, shift), 0

@@ -56,6 +56,7 @@ from supercong.qobjects import (
     concretize_summand,
     cyclotomic,
     modulus_support,
+    paired,
 )
 from supercong.oracle import _term_parts, one_minus_q_power, oracle_congruence
 from supercong.registry import PairSide, ProductSpec, iter_sweep_params, load_registry
@@ -853,6 +854,40 @@ def perturbed_leg(registry, instance, shift, cut, exponent, sign, raised):
             concretize_closed_form(case.closed_form, n, d), modulus_support(case.modulus, n), n)
 
 
+def bent_pair(summand, data):
+    """summand with one (a q^c; q^s) of a side and its (q^c / a; q^s)
+    partner bent, and whether the bend keeps them paired.  Moving both
+    partners' c or s together keeps the pair; moving one partner's c or s,
+    raising the (a q^c; q^s) partner's power or moving it to the other side
+    breaks it.  A c moved down reaches factors at q^0 and below.  The q/a
+    factors stay balanced between the sides, as the registry requires."""
+    side = data.draw(st.sampled_from(["num", "den"]))
+    factors = {"num": list(summand.num), "den": list(summand.den)}
+    i = next(i for i, f in enumerate(factors[side]) if f.param == "aq")
+    key = dataclasses.replace(factors[side][i], param="q_div_a")
+    j = factors[side].index(key)
+    move = data.draw(st.sampled_from(["c", "s", "power", "side"]))
+    who = data.draw(st.sampled_from(["both", "aq", "q_div_a"])) if move in ("c", "s") else "aq"
+    delta = data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3]))
+    for k in (i, j):
+        f = factors[side][k]
+        if who in ("both", f.param) and move != "side":
+            factors[side][k] = dataclasses.replace(f, **{
+                "c": {"c": f.c + delta}, "s": {"s": f.s + abs(delta)},
+                "power": {"power": f.power + abs(delta)}}[move])
+    if move == "side":
+        factors["den" if side == "num" else "num"].append(factors[side].pop(i))
+    bent = dataclasses.replace(summand, num=tuple(factors["num"]), den=tuple(factors["den"]))
+    return bent, who == "both"
+
+
+# the parametric catalog records at small n; a record without a cyclotomic
+# leg (thm5_2, thm7_par) is decided modulo Phi_n as a statement of its own
+PARAMETRIC_INSTANCES = [("thm2", None, 5), ("thm2", None, 7), ("thm4", 2, 5), ("thm4", 3, 7),
+                        ("lemma1", 2, 5), ("lemma2", 3, 5), ("lemma2_qd", 2, 7),
+                        ("thm5_2", 2, 7), ("thm7_par", 2, 5)]
+
+
 SPECIALIZED_INSTANCES = [("thm2", None, 5), ("thm2", None, 7), ("thm2", None, 9),
                          ("thm4", 2, 5), ("thm4", 2, 9), ("thm4", 3, 7)]
 
@@ -962,6 +997,30 @@ class TestIntegerParametricLegs:
                                                               shift, cut, exponent, sign, raised):
         leg = perturbed_leg(registry, instance, shift, cut, exponent, sign, raised)
         assert _congruence_holds(*leg) == evaluation_leg_holds(*leg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PARAMETRIC_INSTANCES), st.data())
+    def test_paired_and_unpaired_bends_match_evaluation_route(self, registry, instance, data):
+        # a bend that keeps every pair runs the factor over Z[b], one that
+        # breaks one runs the avatars over Z[a]; the evaluation route puts
+        # an integer a into the avatars of every bend (the oracle's Q(a)
+        # sides take up to 40 s on some of these bends)
+        cid, d, n = instance
+        summand, bound, closed, support, n = statement_leg(registry.get(cid), n, d)
+        bent, kept = bent_pair(summand, data)
+        assert (paired(bent) is not None) == kept
+        leg = (bent, bound, closed, support or {n: 1}, n)
+        assert _congruence_holds(*leg) == evaluation_leg_holds(*leg)
+
+    def test_paired_state_has_half_the_powers(self, registry):
+        # lemma2 at d=3, n=11 (bound 3) ends its pass over Z[b] with the
+        # parts b^0 .. b^3; over Z[a] its avatars reach a^0 .. a^6
+        summand, bound, closed, support, n = statement_leg(registry.get("lemma2"), 11, 3)
+        (ring,) = [_ParamRing(r) for r in _factor_rings(support, closed, n, (summand, bound))]
+        right = engine._closed_form_sides_int(closed, n, ring)
+        parts = [sorted(engine._horner_sum_int(view, bound, ring, right=right)[0][0])
+                 for view in (paired(summand), summand)]
+        assert parts == [[0, 1, 2, 3], list(range(7))]
 
     def test_one_horner_pass_per_factor_ring(self, registry, monkeypatch):
         # the leg no longer evaluates at D + 1 values of a: thm2 at n=5
@@ -1550,6 +1609,21 @@ class TestParamRing:
         assert factor(1, "q_div_a") == ({0: [0, 0, 0, -1], 1: [1]}, 0)  # a - q^3
         assert factor(-5, "") == ({0: [-1, 0, 0, 1]}, -3)       # 1 - q^-3
         assert factor(-5, "aq") == ({0: [0, 0, 0, 1], 1: [-1]}, -3)  # 1 - a q^-3
+        # a paired factor (1 - a q^e)(1 - q^e / a) = 1 - b q^e + q^(2e) at
+        # e = 3, 0 and -3 in Z[b][q, 1/q], b = a + 1/a; its b^1 part sits
+        # -e places above the shared shift 2e where e < 0
+        assert factor(1, "b") == ({0: [1, 0, 0, 0, 0, 0, 1], 1: [0, 0, 0, -1]}, 0)
+        assert factor(-2, "b") == ({0: [2], 1: [-1]}, 0)      # 2 - b
+        assert factor(-5, "b") == ({0: [1, 0, 0, 0, 0, 0, 1], 1: [0, 0, 0, -1]}, -6)
+        # times a, at integer a = t, it is the product of the two avatars
+        # (1 - t q^e)(t - q^e)
+        base = _Ring()
+        for c, t in [(c, t) for c in (3, 1, -2, -3, -5, -8) for t in (1, -1, 2, -3, 5)]:
+            (parts, shift), e = factor(c, "b"), c + 2
+            scaled = [t * u + (t * t + 1) * v
+                      for u, v in zip_longest(parts[0], parts.get(1, []), fillvalue=0)]
+            avatars = base.mul(base.of(*atom(e, 1, t)), base.of(*atom(e, t, 1)))
+            assert same_ratio(base, (scaled, shift), base.one, avatars, base.one), (c, t)
 
 
 def rational_pair(case, n):

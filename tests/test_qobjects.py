@@ -18,6 +18,8 @@ from supercong.exprs import eval_fraction
 from supercong.oracle import _modulus, one_minus_q_power, q_bracket
 from supercong.polys import LaurentPoly, poly_divrem
 from supercong.qobjects import (
+    ConcreteFactor,
+    ConcreteSummand,
     DegenerateFactor,
     SpecError,
     SummandSpec,
@@ -26,6 +28,7 @@ from supercong.qobjects import (
     concretize_summand,
     cyclotomic,
     modulus_support,
+    paired,
 )
 
 
@@ -222,13 +225,42 @@ class TestSummandCompilation:
         den = one_minus_q_power(2) * one_minus_q_power(4) * one_minus_q_power(2) ** 2
         assert term == RationalFunction(num.shift(3), den)
 
+    @pytest.mark.parametrize("num, den, expected", [
+        # (c, s, power, param) of each factor; the b factors the view keeps,
+        # or None where some parametric factor has no partner
+        ([(1, 2, 1, ""), (1, 2, 1, "aq"), (1, 2, 1, "q_div_a")],
+         [(4, 4, 1, "q_div_a"), (4, 4, 1, "aq")], ([(1, 2, 1)], [(4, 4, 1)])),
+        ([(3, 2, 1, "aq"), (1, 2, 2, "aq"), (1, 2, 2, "q_div_a"), (3, 2, 1, "q_div_a")], [],
+         ([(1, 2, 2), (3, 2, 1)], [])),
+        ([(1, 2, 1, "aq"), (1, 2, 1, "q_div_a"), (1, 2, 1, "q_div_a"), (1, 2, 1, "aq")], [],
+         ([(1, 2, 1), (1, 2, 1)], [])),
+        ([(1, 2, 1, "")], [(2, 2, 1, "")], ([], [])),
+        ([(1, 2, 1, "aq"), (3, 2, 1, "q_div_a")], [], None),      # c differs
+        ([(1, 2, 1, "aq"), (1, 4, 1, "q_div_a")], [], None),      # s differs
+        ([(1, 2, 2, "aq"), (1, 2, 1, "q_div_a")], [], None),      # power differs
+        ([(1, 2, 1, "aq")], [(1, 2, 1, "q_div_a")], None),        # side differs
+        ([(1, 2, 1, "aq"), (1, 2, 1, "aq"), (1, 2, 1, "q_div_a")], [], None),  # one left over
+    ])
+    def test_paired_view_matches_pairs_as_multisets(self, num, den, expected):
+        summand = ConcreteSummand(m=1, r=0, e0=0, delta1=1, delta2=0,
+                                  num=tuple(ConcreteFactor(*f) for f in num),
+                                  den=tuple(ConcreteFactor(*f) for f in den))
+        view = paired(summand)
+        if expected is None:
+            assert view is None
+            return
+        for side, before, pairs in ((view.num, summand.num, expected[0]),
+                                    (view.den, summand.den, expected[1])):
+            assert [f for f in side if not f.param] == [f for f in before if not f.param]
+            assert sorted((f.c, f.s, f.power) for f in side if f.param) == pairs
+            assert {f.param for f in side if f.param} <= {"b"}
+        assert (view.m, view.r, view.e0, view.delta1) == (1, 0, 0, 1)
+
     def test_degenerate_denominator_raises(self, registry):
         case = registry.get("thm7")
         concrete = concretize_summand(case.summand, 3)
         # at d=3 the numerator factor (q^0; q^3)_k kills terms, which is legal;
         # force a denominator degeneracy instead
-        from supercong.qobjects import ConcreteFactor, ConcreteSummand
-
         bad = ConcreteSummand(
             m=6, r=1,
             e0=0, delta1=2, delta2=2,   # q^(k^2 + k)

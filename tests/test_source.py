@@ -140,12 +140,16 @@ def _imports(node):
 # The oracle stays a second route independent of the fast one: of the
 # kernel it reads the integer division and the lift's arithmetic (its fold
 # and, for witnesses, its products), never the factor ring that cancels
-# Phi_m, and nothing of the lanes.  The kernel serves both routes and reads
+# Phi_m, and nothing of the lanes; of the exponent layer it reads the
+# summand as compiled, its avatars included, never the fast route's paired
+# view (``paired``).  The kernel serves both routes and reads
 # neither, and the fast route runs on integers alone: no Fraction
 # polynomial and no Q(a).  Both routes compile from the exponent layer,
 # which builds integer lists only.
 BOUNDARIES = {
-    "oracle.py": {"ring": {"_Lift", "_monic_divmod", "_trimmed"}, "engine": set()},
+    "oracle.py": {"ring": {"_Lift", "_monic_divmod", "_trimmed"}, "engine": set(),
+                  "qobjects": {"ConcreteClosedForm", "ConcreteSummand", "_avatar", "_sums", "atom",
+                               "bracket", "cyclotomic"}},
     "ring.py": {"engine": set(), "oracle": set(), "polys": set(), "paramfield": set()},
     "engine.py": {"polys": set(), "paramfield": set()},
     "qobjects.py": {"polys": set(), "paramfield": set()},
@@ -170,6 +174,7 @@ def test_routes_import_only_across_their_boundaries():
 def test_guard_flags_an_import_across_a_boundary(tmp_path):
     (tmp_path / "oracle.py").write_text(
         "from math import lcm\n\nfrom .engine import _horner_sum_int\n"
+        "from .qobjects import _avatar, paired\n"
         "from .ring import _Lift, _Ring, _factor_rings, _trimmed\n"
     )
     (tmp_path / "ring.py").write_text(
@@ -184,8 +189,8 @@ def test_guard_flags_an_import_across_a_boundary(tmp_path):
         "from .exprs import eval_int\nfrom .polys import LaurentPoly\n"
     )
     assert boundary_violations(tmp_path) == [
-        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "ring", "_Ring"),
-        ("oracle.py", "ring", "_factor_rings"),
+        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "qobjects", "paired"),
+        ("oracle.py", "ring", "_Ring"), ("oracle.py", "ring", "_factor_rings"),
         ("ring.py", "oracle", "*"), ("ring.py", "engine", "verify_q"),
         ("engine.py", "paramfield", "*"), ("engine.py", "polys", "LaurentPoly"),
         ("qobjects.py", "polys", "LaurentPoly"),
