@@ -98,13 +98,6 @@ MUTANTS = (
         ("tests/test_engine.py::TestLiftedRing::"
          "test_reduce_matches_the_block_fold_and_the_remainder",),
     ),
-    Mutant(
-        "avatar_x_y_swapped",
-        RING,
-        "(x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)",
-        "(y0, x0), (y1, x1) = _avatar(f.param, 0), _avatar(f.param, 1)",
-        ("tests/test_engine.py::TestParamRing::test_avatars_split_into_powers_of_a",),
-    ),
     # a paired factor 1 - b q^e + q^(2e) enters with its b^0 part as
     # 1 + q^e
     Mutant(
@@ -299,8 +292,8 @@ MUTANTS = (
     Mutant(
         "specialized_fused_start_at_closed_form",
         ENGINE,
-        "sums[plain] = verify_identity_specialized(plain, bound, sides)",
-        "sums[plain] = verify_identity_specialized(plain, bound, "
+        "witness = verify_identity_specialized(plain, bound, sides)",
+        "witness = verify_identity_specialized(plain, bound, "
         "_closed_form_sides_int(closed, n, ring))",
         ("tests/test_engine.py::TestIntegerParametricLegs::"
          "test_specialized_leg_matches_rational_route",
@@ -347,13 +340,15 @@ MUTANTS = (
         ("tests/test_engine.py::TestWitnessRoute::"
          "test_parametric_witness_is_scaled_above_degree_six",),
     ),
+    # a paired factor specializes to two factors at the same offset, as if
+    # a = q^n and 1/a = q^n too
     Mutant(
-        "specialized_offset_swapped",
+        "specialized_pair_one_offset",
         QOBJECTS,
-        'offset = {"": 0, "aq": shift, "q_div_a": -shift}',
-        'offset = {"": 0, "aq": -shift, "q_div_a": shift}',
+        "for offset in ((shift, -shift) if f.param else (0,))",
+        "for offset in ((shift, shift) if f.param else (0,))",
         ("tests/test_engine.py::TestIntegerParametricLegs::"
-         "test_specialized_leg_on_unpaired_parametric_factors",),
+         "test_specialized_leg_matches_rational_route",),
     ),
     # the product's sides, which every sum is started at, are built from
     # the closed form
@@ -364,21 +359,25 @@ MUTANTS = (
         "sides = _closed_form_sides_int(closed, n, ring)",
         ("tests/test_engine.py::TestVerifyQ::test_a_failing_specialized_leg_fails_the_instance",),
     ),
-    # the legs' reuse is keyed by the summand before a is put in, so the
-    # a = q^-n leg inherits the a = q^n leg's verdict even where its
-    # specialized sum differs
+    # the registry counts q/a entries per side instead of their powers, so
+    # a numerator pair raised to power 2 loads and the oracle's avatars
+    # strip a unit from one side only
     Mutant(
-        "specialized_reuse_key_unspecialized",
-        ENGINE,
-        "        if plain not in sums:\n"
-        "            sums[plain] = verify_identity_specialized(plain, bound, sides)\n"
-        "        if sums[plain] is not None:\n"
-        "            yield sums[plain],",
-        "        if summand not in sums:\n"
-        "            sums[summand] = verify_identity_specialized(plain, bound, sides)\n"
-        "        if sums[summand] is not None:\n"
-        "            yield sums[summand],",
-        ("tests/test_engine.py::TestIntegerParametricLegs::test_unpaired_legs_each_take_a_pass",),
+        "registry_q_div_a_counted_by_entry",
+        REGISTRY,
+        "num, den = (sum(f.power for f in spec.factors",
+        "num, den = (sum(1 for f in spec.factors",
+        ("tests/test_registry.py::TestRegistryValidation::test_parameter_factors_balance_by_power",
+         "tests/test_bad_input.py::test_bad_input_exits_with_a_message[q_div_a_powers_unbalanced]"),
+    ),
+    # the registry compiles each summand but does not pair it, so a broken
+    # pair loads and ends as an obstruction (exit 1) instead of a refusal
+    Mutant(
+        "registry_skips_pairing",
+        REGISTRY,
+        "                paired(concretize_summand(spec, d))",
+        "                concretize_summand(spec, d)",
+        ("tests/test_bad_input.py::test_bad_input_exits_with_a_message[parameter_pair_broken]",),
     ),
     # [n] counted as prod_{d | n} Phi_d, Phi_1 included, in a closed form's
     # cyclotomic content
@@ -489,7 +488,8 @@ MUTANTS = (
         "paired_view_ignores_power",
         QOBJECTS,
         "        if aq != q_div_a:",
-        "        if [csp[:2] for csp in aq] != [csp[:2] for csp in q_div_a]:",
+        "        if Counter(csp[:2] for csp in aq.elements())"
+        " != Counter(csp[:2] for csp in q_div_a.elements()):",
         ("tests/test_qobjects.py::TestSummandCompilation::"
          "test_paired_view_matches_pairs_as_multisets",),
     ),

@@ -5,7 +5,8 @@ The package has three verification lanes:
 * symbolic lane (``qobjects``, ``engine``): exact integer arithmetic, one
   cyclotomic factor Phi_m^e of the modulus at a time, with a free
   parameter a handled by terminating specializations at a = q^(+-n) and
-  by integer coefficients in Z[a] on the cyclotomic part; failures are
+  by integer coefficients in Z[b], b = a + 1/a, on the cyclotomic part,
+  each (aq^c; q^s)(q^c/a; q^s) pair one factor there; failures are
   classified by an independent oracle over Z[q] and Z[a][q], with
   witnesses over Q and Q(a) (``polys``, ``paramfield``);
 * p-adic lane (``padic``): exact rational truncated sums compared against

@@ -3,10 +3,10 @@
 The per-factor rings of the fast route are ``ring``; the exact oracle is
 ``oracle``.  One loop, ``_congruence_holds``, decides every lane's
 cyclotomic part over the modulus's whole cyclotomic support; where a sum
-carries the parameter a it runs with coefficients in Z[b], b = a + 1/a,
-where the parametric factors pair up, else in Z[a]: the lift and Phi_m^E
-are free of a, so each power of b or a is summed in place and reduced
-alone, and the check is exact with no evaluation at a.  The
+carries the parameter a it runs on the sum's ``paired`` view, with
+coefficients in Z[b], b = a + 1/a: the lift and Phi_m^E are free of b, so
+each power of b is summed in place and reduced alone, and the check is
+exact with no evaluation at a.  The
 cross-multiplied difference Phi_m^c W RD' (S - R) is one Horner state: it
 starts at the right side's numerator, negated, the numerator product starts
 at its denominator, and each step multiplies the state by the step's
@@ -21,11 +21,12 @@ oracle.
 the statement once and runs one leg per pairwise coprime factor of the
 modulus on it, the a = q^(+-n) specializations and the cyclotomic verdict.
 The a = q^(+-n) legs build the telescoped product once and decide it equal
-to the closed form once, by cyclotomic content; each distinct specialized
-sum takes one Horner pass started at the product, and a second, unfused
-pass runs only for a failure's witness.
+to the closed form once, by cyclotomic content; the paired view gives both
+legs one specialized sum, which takes one Horner pass started at the
+product, and a second, unfused pass runs only for a failure's witness.
 A spec value out of its domain raises SpecError (ExpressionError and
-DegenerateFactor are ones), which it reports as an obstruction.
+DegenerateFactor are ones, and so is an unpaired parametric factor), which
+it reports as an obstruction.
 """
 
 from __future__ import annotations
@@ -185,20 +186,17 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
                       n: int) -> bool:
     """The truncated sum == ``right``, a closed form or a second
     (summand, bound), mod the modulus of cyclotomic support ``support``, one
-    factor of it at a time (stops at the first disagreement).  Where a sum
-    carries the parameter a, every ring is a _ParamRing: over Z[b],
-    b = a + 1/a, on the sums' ``paired`` views where every sum has one, else
-    over Z[a] on the avatars.  Nothing is stripped over Z[b], and b^i is
-    a^i + a^-i plus lower powers, so the b-parts all vanish iff the a-parts
-    do.  Cancelling Phi_m from the plain atoms adds no degree in either.
-    In each ring the left sum's Horner state starts at the right side
-    (RN, RD), the closed form's or the second sum's (SS, Dacc), and ends as
-    the cross-multiplied difference, which must vanish."""
-    sums = _sums(summand, bound, right)
+    factor of it at a time (stops at the first disagreement).  Every sum
+    runs as its ``paired`` view; where one carries the parameter a, every
+    ring is a _ParamRing over Z[b], b = a + 1/a.  Cancelling Phi_m from the
+    plain atoms adds no degree in b.  In each ring the left sum's Horner
+    state starts at the right side (RN, RD), the closed form's or the
+    second sum's (SS, Dacc), and ends as the cross-multiplied difference,
+    which must vanish."""
+    sums = [(paired(s), b) for s, b in _sums(summand, bound, right)]
     closed = right if len(sums) == 1 else None
     parametric = any(f.param for s, _ in sums for f in s.num + s.den)
-    views = [(paired(s), b) for s, b in sums]
-    (summand, bound), *rest = sums if any(s is None for s, _ in views) else views
+    (summand, bound), *rest = sums
     for ring in _factor_rings(support, closed, n, *sums):
         ring = _ParamRing(ring) if parametric else ring
         other = (_closed_form_sides_int(closed, n, ring) if closed is not None
@@ -239,8 +237,8 @@ def verify_q(case: CaseDefinition, params: dict) -> CaseResult:
 
     One leg per pairwise coprime factor of the modulus (Guo & Zudilin, Adv.
     Math. 346, 2019), each on the compiled statement: a - q^n and 1 - a q^n
-    at a = q^(+-n) by ``_specialized_legs``, which sums each distinct
-    specialized summand once, and the cyclotomic part, every Phi_m^e, with
+    at a = q^(+-n) by ``_specialized_legs``, which sums the one specialized
+    summand both share once, and the cyclotomic part, every Phi_m^e, with
     a free by ``_cyclotomic_verdict``.  A statement with the parameter a
     reports parametric_crt and its worst leg, the cyclotomic one labelled
     "mod Phi_n"; any other reports its one leg as it is.  A SpecError is an
@@ -342,18 +340,18 @@ def _specialized_legs(summand: ConcreteSummand, bound: int, product: ConcreteClo
     ``closed``, the witness None where both hold, else the first difference
     (num, den) in normal form.  Product = closed form is decided once, by
     cyclotomic content, and only its failure builds the closed form's
-    sides; a leg whose specialized summand is an earlier leg's (each
-    (a q^c; q^s) paired with a (q^c / a; q^s)) reuses that sum's verdict."""
-    ring, sums = _Ring(), {}
+    sides.  The summand's ``paired`` view is the same at a = q^n and
+    a = q^-n, so it is specialized once, at the first sign, and summed
+    once."""
+    ring = _Ring()
     sides = _closed_form_sides_int(product, n, ring)
     mismatch = (None if closed_form_content(product, n) == closed_form_content(closed, n)
-                else _witness(ring, *sides, *_closed_form_sides_int(closed, n, ring)))
+                else _witness(*sides, *_closed_form_sides_int(closed, n, ring)))
+    plain = specialize(paired(summand), bound, signs[0] * n)
+    witness = verify_identity_specialized(plain, bound, sides)
     for sign in signs:
-        plain = specialize(summand, bound, sign * n)
-        if plain not in sums:
-            sums[plain] = verify_identity_specialized(plain, bound, sides)
-        if sums[plain] is not None:
-            yield sums[plain], f"sum at a = q^{'+-'[sign < 0]}n differs from the telescoped product"
+        if witness is not None:
+            yield witness, f"sum at a = q^{'+-'[sign < 0]}n differs from the telescoped product"
         else:
             yield mismatch, ("telescoped product differs from the closed form" if mismatch
                              else "terminating identity holds")
@@ -367,7 +365,7 @@ def verify_identity_specialized(summand: ConcreteSummand, bound: int, product) -
     ring = _Ring()
     if ring.vanishes(_horner_sum_int(summand, bound, ring, right=product)[0]):
         return None
-    return _witness(ring, *_horner_sum_int(summand, bound, ring), *product)
+    return _witness(*_horner_sum_int(summand, bound, ring), *product)
 
 
 def verify_q_case(case: CaseDefinition, params: dict) -> CaseResult:

@@ -4,24 +4,23 @@ A failure of any q-lane is classified by one routine, ``_classify``: both
 sides over explicit full denominators, read once into integer lists per
 power of a, one cross-multiplied difference, cyclotomic valuations by one
 pass of exact divisions per cyclotomic (Phi_m is monic and free of a, so no
-field is needed), and the exact residue of the difference as witness,
-folded through the lift of ``ring._Lift`` before the final reduction.
+field is needed), and the exact residue of the difference as witness.
 ``oracle_congruence`` feeds it a statement's sum and its right side, a
 closed form or a second sum; it is also the independent second route the
 tests check the fast path against.  The q-lanes' only Fraction and Q(a)
 arithmetic is here; of the fast route's kernel it reads only the integer
-division and the lift fold.
+division, and it reads the summand as compiled, each parametric factor
+entered as its avatar over Q(a).
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Optional
 
 from .paramfield import ParamRational
 from .polys import LaurentPoly, poly_divrem, poly_gcd, residue_reduce
-from .qobjects import ConcreteClosedForm, ConcreteSummand, _avatar, _sums, atom, bracket, cyclotomic
-from .ring import _Lift, _monic_divmod, _trimmed
+from .qobjects import ConcreteClosedForm, ConcreteSummand, _sums, atom, bracket, cyclotomic
+from .ring import _monic_divmod, _trimmed
 
 
 def _oracle_parts(p: LaurentPoly, low: int) -> dict:
@@ -179,10 +178,7 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
     DIFF / DEN, over Q(a) for a ``parametric`` statement.  Modulo an M of
     degree above 6 that inversion would swell over Q(a), so a parametric
     witness is then the cancelled DIFF modulo the monic M, part by part, a
-    unit multiple of the residue, and ``scaled`` is True.  The cancelled
-    sides are first folded modulo the sparse multiple (q^N - 1)^E of M (N
-    the lcm of the m, E the largest power; see _Lift); the remainder modulo
-    M is unique, so the witness is the same.
+    unit multiple of the residue, and ``scaled`` is True.
     """
     sides = (*left, *right)
     low = min(p.low for p in sides)
@@ -207,9 +203,6 @@ def _classify(left: tuple, right: tuple, support: dict, parametric: bool = False
             fails.append((m, v))
     if poles or not fails:
         return poles, fails, None, False
-    lift = _Lift(None, lcm(*support), max(support.values()))
-    diff, den = ({i: folded for i, coeffs in parts.items() if (folded := lift.of(coeffs)[0])}
-                 for parts in (diff, den))
     modulus = _modulus(support)
     if parametric and len(modulus) - 1 > 6:
         return poles, fails, _from_parts({i: _monic_divmod(coeffs, modulus)[1]
@@ -252,14 +245,18 @@ def oracle_congruence(
     return "fail", witness, detail + (" (witness scaled by a unit)" if scaled else "")
 
 
-def _witness(ring: _Lift, num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentPoly]:
-    """num1/den1 - num2/den2, ratios of Z[q, 1/q] elements, as the normal
-    form (num, den) of a reduced rational function: den is plain with a
-    nonzero constant term, monic and coprime to num, and num carries all
-    monomial content.  The form is unique (von zur Gathen & Gerhard, Modern
-    Computer Algebra, ch. 3 and 4.3)."""
-    num = LaurentPoly.from_int_coeffs(*ring.sub(ring.mul(num1, den2), ring.mul(num2, den1)))
-    den = LaurentPoly.from_int_coeffs(*ring.mul(den1, den2))
+def _witness(num1, den1, num2, den2) -> tuple[LaurentPoly, LaurentPoly]:
+    """num1/den1 - num2/den2, ratios of Z[q, 1/q] elements (coeffs, shift),
+    as the normal form (num, den) of a reduced rational function: den is
+    plain with a nonzero constant term, monic and coprime to num, and num
+    carries all monomial content.  The form is unique (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 3 and 4.3)."""
+    (n1, s1), (d1, t1), (n2, s2), (d2, t2) = num1, den1, num2, den2
+    low = min(s1 + t2, s2 + t1)   # num1 den2 and num2 den1 both from q^low
+    num = _parts_muladd(_parts_muladd({}, {0: [0] * (s1 + t2 - low) + n1}, {0: d2}),
+                        {0: [0] * (s2 + t1 - low) + n2}, {0: d1}, -1)
+    num = LaurentPoly.from_int_coeffs(num.get(0, []), low)
+    den = LaurentPoly.from_int_coeffs(_parts_muladd({}, {0: d1}, {0: d2})[0], t1 + t2)
     num, den = num.shift(-den.low), den.poly_part()
     g = poly_gcd(num, den)
     (num, num_r), (den, den_r) = poly_divrem(num, g), poly_divrem(den, g)
@@ -283,8 +280,12 @@ _PARAM_A = ParamRational.generator()
 
 
 def _param_avatar(f, j: int) -> LaurentPoly:
-    """The polynomial stand-in of the j-th factor of f over Q(a).  Plain
-    atoms keep Fraction coefficients, which poly_divrem divides exactly."""
+    """The polynomial stand-in x - y q^e of the j-th factor of f over Q(a):
+    1 - q^e stays, with Fraction coefficients, which poly_divrem divides
+    exactly; 1 - a q^e stays, and 1 - q^e / a becomes a - q^e.  The
+    stripped units 1/a cancel between numerator and denominator because
+    the registry balances the q/a factors by power."""
+    e = f.exponent_at(j)
     if not f.param:
-        return one_minus_q_power(f.exponent_at(j))
-    return LaurentPoly(*atom(f.exponent_at(j), *_avatar(f.param, _PARAM_A)))
+        return one_minus_q_power(e)
+    return LaurentPoly(*atom(e, *((1, _PARAM_A) if f.param == "aq" else (_PARAM_A, 1))))

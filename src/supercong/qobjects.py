@@ -15,6 +15,7 @@ statement, so adding a conjecture is a registry edit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -81,15 +82,6 @@ def atom(e: int, x=1, y=1) -> tuple[list, int]:
     if e < 0:
         return [-y] + [0] * (-e - 1) + [x], e
     return ([x - y] if x != y else []), 0
-
-
-def _avatar(param: str, a) -> tuple:
-    """(x, y) of the avatar x - y q^e of a factor carrying ``param`` at the
-    parameter value a: 1 - q^e stays, 1 - a q^e stays, and 1 - q^e / a
-    becomes a - q^e; the stripped 1/a units cancel between numerator and
-    denominator because the registry keeps them balanced.  The oracle
-    enters every parametric factor so, the fast route only unpaired ones."""
-    return {"": (1, 1), "aq": (1, a), "q_div_a": (a, 1)}[param]
 
 
 def bracket(t: int) -> tuple[list, int]:
@@ -210,14 +202,12 @@ class ConcreteSummand:
 
 
 def specialize(summand: ConcreteSummand, bound: int, shift: int) -> ConcreteSummand:
-    """``summand`` to ``bound`` at a = q^shift: (a q^c; q^s) becomes
-    (q^(c + shift); q^s) and (q^c / a; q^s) becomes (q^(c - shift); q^s).
-    Every factor is plain and each side is sorted, so two summands whose
-    factors are the same multisets compare equal.  A denominator factor at
-    q^0 in a term is out of the domain."""
-    offset = {"": 0, "aq": shift, "q_div_a": -shift}
-    num, den = (tuple(ConcreteFactor(*csp, "") for csp in sorted(
-                (f.c + offset[f.param], f.s, f.power) for f in side))
+    """The ``paired`` view ``summand`` to ``bound`` at a = q^shift: a factor
+    (a q^c; q^s)(q^c / a; q^s) of param "b" becomes its two plain factors
+    (q^(c + shift); q^s) and (q^(c - shift); q^s), so a = q^-shift gives the
+    same sum.  A denominator factor at q^0 in a term is out of the domain."""
+    num, den = (tuple(replace(f, c=f.c + offset, param="") for f in side
+                      for offset in ((shift, -shift) if f.param else (0,)))
                 for side in (summand.num, summand.den))
     if any(f.exponent_at(j) == 0 for f in den for j in range(bound)):
         raise DegenerateFactor(
@@ -225,19 +215,23 @@ def specialize(summand: ConcreteSummand, bound: int, shift: int) -> ConcreteSumm
     return replace(summand, num=num, den=den)
 
 
-def paired(summand: ConcreteSummand) -> Optional[ConcreteSummand]:
+def paired(summand: ConcreteSummand) -> ConcreteSummand:
     """``summand`` with each (a q^c; q^s)^p of a side merged with a
     (q^c / a; q^s)^p of the same side into one factor of param "b",
-    b = a + 1/a, matched as multisets; None where some parametric factor
-    has no such partner."""
+    b = a + 1/a, matched as multisets.  Every parametric statement pairs
+    so; a factor without such a partner raises SpecError naming it."""
     sides = []
-    for side in (summand.num, summand.den):
-        aq, q_div_a = (sorted((f.c, f.s, f.power) for f in side if f.param == param)
+    for name, side in (("numerator", summand.num), ("denominator", summand.den)):
+        aq, q_div_a = (Counter((f.c, f.s, f.power) for f in side if f.param == param)
                        for param in ("aq", "q_div_a"))
         if aq != q_div_a:
-            return None
+            raise SpecError("unpaired parametric factors " + ", ".join(
+                text.format(*csp) for text, rest in (("(aq^{}; q^{})^{}", aq - q_div_a),
+                                                     ("(q^{}/a; q^{})^{}", q_div_a - aq))
+                for csp in sorted(rest.elements()))
+                + f" in the {name}: each (aq^c; q^s)^p needs a (q^c/a; q^s)^p on its side")
         sides.append(tuple(f for f in side if not f.param)
-                     + tuple(ConcreteFactor(*csp, "b") for csp in aq))
+                     + tuple(ConcreteFactor(*csp, "b") for csp in sorted(aq.elements())))
     return replace(summand, num=sides[0], den=sides[1])
 
 

@@ -32,6 +32,7 @@ from .qobjects import (
     SpecError,
     SummandSpec,
     concretize_summand,
+    paired,
 )
 
 KINDS = ("theorem", "lemma", "corollary", "conjecture")
@@ -128,7 +129,9 @@ class CaseDefinition:
     @property
     def parametric(self) -> bool:
         """A q record whose summand or modulus carries the parameter a: its
-        instances run the a = q^(+-n) legs and the cyclotomic leg over Z[a]."""
+        instances run the a = q^(+-n) legs and the cyclotomic leg over Z[b],
+        b = a + 1/a, each (aq^c; q^s)(q^c/a; q^s) pair of its summand one
+        factor there."""
         return self.family == "q" and bool(self.modulus.parametric_kinds()
                                            or any(f.param for f in self.summand.factors))
 
@@ -406,7 +409,10 @@ _CASE = _ByKey("family", {family: _Shape(CaseDefinition, {**_RECORD, **keys}) fo
 def _validate_case(case: CaseDefinition) -> None:
     """The rules that read two or more keys of a record.  Every summand
     compiles at each of the record's d values (an analytic_identity summand
-    with d unbound), which checks its q-exponent.  A q record plans what
+    with d unbound), which checks its q-exponent, and pairs there
+    (qobjects.paired): each (aq^c; q^s)^p with a (q^c/a; q^s)^p of its
+    side.  Its q/a factors balance by power between the sides, so the 1/a
+    units the oracle's avatars strip cancel.  A q record plans what
     verify_q decides: one bound when the parameter a is in its summand or
     modulus (a parametric instance is decided at the first bound), and a
     [d, n] grid exactly when it has d values, every d of the grid one of
@@ -420,17 +426,16 @@ def _validate_case(case: CaseDefinition) -> None:
             and any(f.param for spec in summands for f in spec.factors):
         raise _Refused(f"the parameter a in a {case.family!r} summand (only q records read it)")
     for spec in summands:
+        num, den = (sum(f.power for f in spec.factors if f.param == "q_div_a" and f.side == side)
+                    for side in ("num", "den"))
+        if num != den:
+            raise _Refused(f"unbalanced q/a factors (total power {num} num vs {den} den)")
         for d in case.d_values or (None,):
             try:
-                concretize_summand(spec, d)
+                paired(concretize_summand(spec, d))
             except SpecError as exc:
                 raise _Refused(str(exc)) from None
     if case.family in ("q", "q_pair"):
-        for spec in summands:
-            sides = [f.side for f in spec.factors if f.param == "q_div_a"]
-            if sides.count("num") != sides.count("den"):
-                raise _Refused(f"unbalanced q/a factors "
-                               f"({sides.count('num')} num vs {sides.count('den')} den)")
         parametric = case.modulus.parametric_kinds()
         has_params = any(f.param for f in (case.summand.factors if case.summand else ()))
         if parametric and not has_params:

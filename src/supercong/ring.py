@@ -29,8 +29,9 @@ adding the rest (a monomial factor is one shifted copy), so multiplying by
 an atom costs linear time and one list pass, and a bracket [t] is
 multiplied in by running sums.  Everything here runs over plain integer
 coefficient lists (every modulus here is monic with integer coefficients,
-so remainders stay integral), with coefficients in Z[b], b = a + 1/a, or
-Z[a] (``_ParamRing``) where a sum carries the parameter a.
+so remainders stay integral), with coefficients in Z[b], b = a + 1/a
+(``_ParamRing``) where a sum carries the parameter a.  Only the fast route
+reads this module's rings; the oracle reads its integer division alone.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from itertools import accumulate, chain
 from math import comb
 from typing import Optional
 
-from .qobjects import (ConcreteClosedForm, ConcreteSummand, _avatar, atom, bracket,
-                       closed_form_content, cyclotomic)
+from .qobjects import (ConcreteClosedForm, ConcreteSummand, atom, bracket, closed_form_content,
+                       cyclotomic)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +98,24 @@ def _monic_divmod(a: list, m: list) -> tuple[list, list]:
     return _trimmed(quo), _trimmed(rem[:dm])
 
 
-class _Lift:
-    """Shift-tracked arithmetic modulo Phi_m^e, or in Z[q, 1/q] when e is 0:
-    elements are (coeffs, shift), representing coeffs(q) * q^shift.
+# ---------------------------------------------------------------------------
+# one cyclotomic factor of the modulus at a time
+# ---------------------------------------------------------------------------
+
+def _divides(m: int, e: int) -> bool:
+    """Phi_m | 1 - q^e, and for m >= 2 also Phi_m | [e].  q^e - 1 is the
+    squarefree product of the Phi_d with d | e, so Phi_m divides it once
+    when m | e and not at all otherwise.  A zero atom (e = 0) is left as it
+    is."""
+    return e != 0 and e % m == 0
+
+
+class _Ring:
+    """The ring of one factor Phi_m^e of the modulus, the one place that
+    knows how an atom enters a sum (``factor``, ``enter``, ``enter_bracket``)
+    and how a term of valuation v is scaled (``scale``).  Elements are
+    (coeffs, shift), representing coeffs(q) * q^shift; with e = 0 and no
+    ``modulus`` the ring is Z[q, 1/q] itself.
 
     For e >= 1, coeffs are kept reduced modulo the sparse multiple
     L = (q^m - 1)^e = sum_j C(e, j) (-1)^(e - j) q^(mj), which is monic of
@@ -107,18 +123,24 @@ class _Lift:
     unit in both, so every sum and product computed here maps to the one
     modulo Phi_m^e; only ``vanishes`` reduces modulo ``modulus``, the
     dense Phi_m^e itself.  An element that is zero here is zero modulo
-    Phi_m^e, but not conversely.  The fold only adds and scales by
-    integers, so it reduces coefficients of any exact type; ``_classify``
-    uses it alone, with no ``modulus``, to fold a witness modulo
-    (q^N - 1)^E.  Nothing here cancels Phi_m: that is _Ring's.
+    Phi_m^e, but not conversely.
+
+    Given ``powers`` = [Phi_m^0, ..., Phi_m^(e + c)] it decides modulo
+    Phi_m^(e + c) and cancels Phi_m: every atom and bracket that Phi_m
+    divides enters divided by it, and a term of valuation v enters times
+    Phi_m^(c + v), dropped where that vanishes; c is the largest pole order
+    (_pole_order), so the power is never negative.  Without ``powers``
+    every atom enters as it is.
     """
 
-    def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0):
+    def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0,
+                 powers: Optional[list] = None, c: int = 0):
         self.m = modulus
         self.step = m
         self.top = m * e
         # the coefficients of q^0, q^m, ..., q^(m(e - 1)) in L
         self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
+        self.powers, self.c = powers, c
 
     def _reduce(self, coeffs: list) -> list:
         """coeffs modulo L; the list itself is folded, so callers pass one
@@ -175,9 +197,6 @@ class _Lift:
             cx, cy = cy, cx
         return _trimmed([u + v for u, v in zip(cx, cy)] + cx[len(cy):]), s
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def neg(self, x):
         return [-c for c in x[0]], x[1]
 
@@ -197,37 +216,6 @@ class _Lift:
         """x == 0 modulo Phi_m^e, decided by the one reduction modulo
         ``modulus`` (in Z[q, 1/q] where there is none)."""
         return not (x[0] if self.m is None else _monic_divmod(x[0], self.m)[1])
-
-
-# ---------------------------------------------------------------------------
-# one cyclotomic factor of the modulus at a time
-# ---------------------------------------------------------------------------
-
-def _divides(m: int, e: int) -> bool:
-    """Phi_m | 1 - q^e, and for m >= 2 also Phi_m | [e].  q^e - 1 is the
-    squarefree product of the Phi_d with d | e, so Phi_m divides it once
-    when m | e and not at all otherwise.  A zero atom (e = 0) is left as it
-    is."""
-    return e != 0 and e % m == 0
-
-
-class _Ring(_Lift):
-    """The ring of one factor Phi_m^e of the modulus, the one place that
-    knows how an atom enters a sum (``factor``, ``enter``, ``enter_bracket``)
-    and how a term of valuation v is scaled (``scale``).
-
-    Given ``powers`` = [Phi_m^0, ..., Phi_m^(e + c)] it decides modulo
-    Phi_m^(e + c) and cancels Phi_m: every atom and bracket that Phi_m
-    divides enters divided by it, and a term of valuation v enters times
-    Phi_m^(c + v), dropped where that vanishes; c is the largest pole order
-    (_pole_order), so the power is never negative.  Without ``powers``
-    every atom enters as it is.
-    """
-
-    def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0,
-                 powers: Optional[list] = None, c: int = 0):
-        super().__init__(modulus, m, e)
-        self.powers, self.c = powers, c
 
     def enter(self, x: tuple, e: int):
         """(x / Phi_m, 1) where the ring cancels a Phi_m that divides the
@@ -265,16 +253,16 @@ class _Ring(_Lift):
 
 
 class _ParamRing(_Ring):
-    """The ring ``base`` with coefficients in Z[a]: ({i: coeffs}, shift)
-    stands for sum_i a^i coeffs(q) q^shift, no part zero.  The lift
-    (q^m - 1)^e and Phi_m^e are monic and free of a, so reducing acts on
-    each power of a alone, and an element vanishes modulo Phi_m^e iff every
-    part does.  So all but ``mul`` work part by part through the base
-    ring's arithmetic; ``mul`` sums the products of the parts into each
-    power of a in place, then reduces each sum once.  No operation writes
-    into a list of its operands.  It takes over the base's state, so atoms
-    enter and terms scale as there; only a parametric factor enters here.
-    On a ``paired`` summand all of this holds with b = a + 1/a for a."""
+    """The ring ``base`` with coefficients in Z[b], b = a + 1/a, for a
+    ``paired`` summand: ({i: coeffs}, shift) stands for
+    sum_i b^i coeffs(q) q^shift, no part zero.  The lift (q^m - 1)^e and
+    Phi_m^e are monic and free of b, so reducing acts on each power of b
+    alone, and an element vanishes modulo Phi_m^e iff every part does.  So
+    all but ``mul`` work part by part through the base ring's arithmetic;
+    ``mul`` sums the products of the parts into each power of b in place,
+    then reduces each sum once.  No operation writes into a list of its
+    operands.  It takes over the base's state, so atoms enter and terms
+    scale as there; only a paired factor enters here."""
 
     def __init__(self, base: _Ring):
         vars(self).update(vars(base))
@@ -291,25 +279,20 @@ class _ParamRing(_Ring):
         return parts, shift
 
     def of(self, coeffs, shift: int = 0):
-        """An element from its parts, or from the one list of its a^0 part."""
+        """An element from its parts, or from the one list of its b^0 part."""
         parts = coeffs if isinstance(coeffs, dict) else {0: coeffs}
-        return self._each((parts, shift), lambda x: _Lift.of(self, *x))
+        return self._each((parts, shift), lambda x: _Ring.of(self, *x))
 
     def factor(self, f, j: int):
         """The j-th factor of the Pochhammer f.  A paired one (param "b"),
         1 - b q^e + q^(2e), enters as its b^0 part 1 + q^(2e) and b^1 part
-        -q^e; an avatar x - y q^e (x, y of degree at most 1 in a) as its a^0
-        and a^1 parts.  Both are units modulo Phi_m over Q(a), never cancelled."""
+        -q^e, a unit modulo Phi_m over Q(a), never cancelled."""
         if not f.param:
             return super().factor(f, j)
         e = f.exponent_at(j)
-        if f.param == "b":
-            low = min(0, 2 * e)
-            ends = [1] + [0] * (abs(2 * e) - 1) + [1] if e else [2]
-            return self.of({0: ends, 1: [0] * (e - low) + [-1]}, low), 0
-        (x0, y0), (x1, y1) = _avatar(f.param, 0), _avatar(f.param, 1)
-        low, shift = atom(e, x0, y0)
-        return self.of({0: low, 1: atom(e, x1 - x0, y1 - y0)[0]}, shift), 0
+        low = min(0, 2 * e)
+        ends = [1] + [0] * (abs(2 * e) - 1) + [1] if e else [2]
+        return self.of({0: ends, 1: [0] * (e - low) + [-1]}, low), 0
 
     def mul(self, x, y):
         """x * y.  Each part of the product is summed in place in the first
@@ -324,15 +307,15 @@ class _ParamRing(_Ring):
         return {k: r for k, p in out.items() if (r := self._reduce(p))}, x[1] + y[1]
 
     def mul_bracket(self, x, t: int):
-        return self._each(x, lambda p: _Lift.mul_bracket(self, p, t))
+        return self._each(x, lambda p: _Ring.mul_bracket(self, p, t))
 
     def add(self, x, y):
-        parts = {i: _Lift.add(self, (x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
+        parts = {i: _Ring.add(self, (x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
                  for i in x[0].keys() | y[0].keys()}
         return {i: c for i, c in parts.items() if c}, min(x[1], y[1])
 
     def neg(self, x):
-        return self._each(x, lambda p: _Lift.neg(self, p))
+        return self._each(x, lambda p: _Ring.neg(self, p))
 
     def vanishes(self, x) -> bool:
         """x == 0 modulo Phi_m^e: every part is."""
@@ -378,7 +361,7 @@ def _phi_powers(m: int, top: int) -> list:
 
 def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *sums):
     """One ring for each Phi_m^e of the modulus, deciding modulo
-    Phi_m^(e + c) in the lift Z[q]/((q^m - 1)^(e + c)) (see _Lift).
+    Phi_m^(e + c) in the lift Z[q]/((q^m - 1)^(e + c)) (see _Ring).
 
     The Phi_m^e are pairwise coprime and monic, so a polynomial is
     divisible by their product iff it is divisible by each one.  The ring

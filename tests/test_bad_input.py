@@ -48,6 +48,14 @@ BAD_INPUTS = [
      ["--n", "9"], 2, "conj1a: the parameter a in a 'q_pair' summand (only q records read it)"),
     ("parameter_in_analytic_summand", "chu1", [(("summand", "factors", 0, "param"), "aq")],
      [], 2, "chu1: the parameter a in a 'analytic_identity' summand (only q records read it)"),
+    # each (aq^c; q^s)^p of a summand side pairs with a (q^c/a; q^s)^p of
+    # the same side, and the q/a factors balance by power between the sides
+    ("parameter_pair_broken", "thm2", [(("summand", "factors", 3, "exp"), "3")],
+     ["--n", "5"], 2, "thm2: unpaired parametric factors (aq^1; q^2)^1, (q^3/a; q^2)^1 in the "
+                      "numerator: each (aq^c; q^s)^p needs a (q^c/a; q^s)^p on its side"),
+    ("q_div_a_powers_unbalanced", "thm2",
+     [(("summand", "factors", 2, "power"), 2), (("summand", "factors", 3, "power"), 2)],
+     ["--n", "5"], 2, "thm2: unbalanced q/a factors (total power 2 num vs 1 den)"),
     # an analytic_identity summand is read with d unbound, so d in it is refused at load
     ("analytic_summand_unbound_name", "chu1", [(("summand", "factors", 0, "exp"), "d")],
      [], 2, "chu1: name 'd' required but not supplied"),

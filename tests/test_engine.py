@@ -47,6 +47,7 @@ from supercong.qobjects import (
     ModulusFactor,
     ModulusSpec,
     PochFactor,
+    SpecError,
     SummandSpec,
     _sums,
     atom,
@@ -163,8 +164,6 @@ class TestParametric:
         assert "closed form" in outcome["detail"]
 
     def test_non_telescoping_product_is_a_registry_error(self, registry):
-        from supercong.qobjects import SpecError
-
         case = registry.get("thm2")
         bad = dataclasses.replace(
             case,
@@ -744,6 +743,20 @@ class TestOracle:
         assert "valuation" in detail
         assert witness is not None
 
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_avatar_sum_is_exact_where_q_div_a_powers_balance(self, registry, power):
+        # the avatar a - q^e strips a 1/a from 1 - q^e / a; with thm2's
+        # numerator pair raised to power 2 the stripped units no longer
+        # cancel against the denominator's, and the oracle's sum to bound 1
+        # is not the exact sum over Q(a), which is why the registry
+        # balances the q/a factors by power
+        summand = concretize_summand(registry.get("thm2").summand, None)
+        summand = dataclasses.replace(summand, num=tuple(
+            dataclasses.replace(f, power=power) if f.param else f for f in summand.num))
+        exact = sum((build_concrete_summand(summand, k, 5, "symbolic") for k in range(2)),
+                    RationalFunction.zero())
+        assert (RationalFunction(*_term_parts(summand, 1)) == exact) == (power == 1)
+
     def test_parametric_dispatch(self, registry):
         assert registry.get("lemma1").parametric
         assert registry.get("thm2").parametric
@@ -918,8 +931,8 @@ class TestIntegerParametricLegs:
     def test_specialized_leg_on_unpaired_parametric_factors(self, registry, sign):
         # thm2 pairs its (aq; q^2) with a (q/a; q^2) of the same exponent,
         # so a = q^n and a = q^-n give the same sum; with the (aq; q^2)
-        # exponent bent from 1 to 3 they differ, and each leg must put a to
-        # its own power of q
+        # exponent bent from 1 to 3 the pair breaks, the two sums would
+        # differ, and each leg refuses the statement, naming both factors
         case = registry.get("thm2")
         factors = list(case.summand.factors)
         assert (factors[2].exp, factors[2].side, factors[2].param) == ("1", "num", "aq")
@@ -927,12 +940,10 @@ class TestIntegerParametricLegs:
         case = dataclasses.replace(case, summand=dataclasses.replace(case.summand,
                                                                      factors=tuple(factors)))
         for n in (5, 7):
-            fast = specialized_leg(case, n, None, sign)
-            slow = rational_specialized(case, n, None, sign)
-            assert not slow["equal"]
-            assert (fast["equal"], fast["detail"]) == (slow["equal"], slow["detail"])
-            assert fast["witness"] == slow["witness"]
-            assert repr(fast["witness"]) == repr(slow["witness"])
+            assert not rational_specialized(case, n, None, sign)["equal"]
+            with pytest.raises(SpecError, match=re.escape("unpaired parametric factors "
+                                                          "(aq^3; q^2)^1, (q^1/a; q^2)^1 in")):
+                specialized_leg(case, n, None, sign)
 
     def test_failing_leg_witness_is_pinned(self, registry):
         # thm2 at n = 5 with its bound lowered by one: the a = q^n sum misses
@@ -1001,26 +1012,30 @@ class TestIntegerParametricLegs:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(PARAMETRIC_INSTANCES), st.data())
     def test_paired_and_unpaired_bends_match_evaluation_route(self, registry, instance, data):
-        # a bend that keeps every pair runs the factor over Z[b], one that
-        # breaks one runs the avatars over Z[a]; the evaluation route puts
-        # an integer a into the avatars of every bend (the oracle's Q(a)
-        # sides take up to 40 s on some of these bends)
+        # a bend that keeps every pair runs the factor over Z[b], and the
+        # evaluation route puts an integer a into its avatars (the oracle's
+        # Q(a) sides take up to 40 s on some of these bends); a bend that
+        # breaks a pair is refused
         cid, d, n = instance
         summand, bound, closed, support, n = statement_leg(registry.get(cid), n, d)
         bent, kept = bent_pair(summand, data)
-        assert (paired(bent) is not None) == kept
         leg = (bent, bound, closed, support or {n: 1}, n)
-        assert _congruence_holds(*leg) == evaluation_leg_holds(*leg)
+        if kept:
+            assert _congruence_holds(*leg) == evaluation_leg_holds(*leg)
+            return
+        for refused in (lambda: paired(bent), lambda: _congruence_holds(*leg)):
+            with pytest.raises(SpecError, match="^unpaired parametric factors "):
+                refused()
 
     def test_paired_state_has_half_the_powers(self, registry):
         # lemma2 at d=3, n=11 (bound 3) ends its pass over Z[b] with the
-        # parts b^0 .. b^3; over Z[a] its avatars reach a^0 .. a^6
+        # parts b^0 .. b^3, where the avatars of its factors in a would
+        # reach a^0 .. a^6
         summand, bound, closed, support, n = statement_leg(registry.get("lemma2"), 11, 3)
         (ring,) = [_ParamRing(r) for r in _factor_rings(support, closed, n, (summand, bound))]
         right = engine._closed_form_sides_int(closed, n, ring)
-        parts = [sorted(engine._horner_sum_int(view, bound, ring, right=right)[0][0])
-                 for view in (paired(summand), summand)]
-        assert parts == [[0, 1, 2, 3], list(range(7))]
+        state = engine._horner_sum_int(paired(summand), bound, ring, right=right)[0]
+        assert sorted(state[0]) == [0, 1, 2, 3]
 
     def test_one_horner_pass_per_factor_ring(self, registry, monkeypatch):
         # the leg no longer evaluates at D + 1 values of a: thm2 at n=5
@@ -1126,25 +1141,22 @@ class TestIntegerParametricLegs:
         assert calls.count(("horner", False, True)) == rings
         assert witnesses == [None]
 
-    def test_unpaired_legs_each_take_a_pass(self, registry, monkeypatch):
-        # with the (aq; q^2) exponent bent from 1 to 3 the two specialized
-        # sums differ: two started passes, and each leg reports its own
-        # detail and witness, those of the rational route
-        case = registry.get("thm2")
-        factors = list(case.summand.factors)
-        factors[2] = dataclasses.replace(factors[2], exp="3")
-        case = dataclasses.replace(case, summand=dataclasses.replace(case.summand,
-                                                                     factors=tuple(factors)))
-        calls, witnesses = self.counted_passes(monkeypatch)
-        result = verify_q(case, {"n": 5})
-        slow = [rational_specialized(case, 5, None, sign) for sign in (1, -1)]
-        assert [c for c in calls if c[:2] == ("horner", True)] == [("horner", True, True),
-                                                                   ("horner", True, False)] * 2
-        assert witnesses == [leg["witness"] for leg in slow]
-        assert [repr(w) for w in witnesses] == [repr(leg["witness"]) for leg in slow]
-        assert result.detail.startswith(
-            f"a=q^n: fail ({slow[0]['detail']}); a=q^-n: fail ({slow[1]['detail']}); ")
-        assert repr(result.witness) == repr(slow[0]["witness"][0])
+    def test_unpaired_statement_is_an_obstruction(self, registry):
+        # with the numerator (q/a; q^d) moved from exponent 1 to 3 no
+        # partner is left for the numerator (aq; q^d): thm2 is refused by
+        # its legs and its cyclotomic leg alike, thm7_par (no cyclotomic
+        # leg) by its specialized legs
+        for cid, d, n in (("thm2", None, 5), ("thm7_par", 2, 5)):
+            case = registry.get(cid)
+            factors = list(case.summand.factors)
+            assert (factors[3].exp, factors[3].side, factors[3].param) == ("1", "num", "q_div_a")
+            factors[3] = dataclasses.replace(factors[3], exp="3")
+            case = dataclasses.replace(case, summand=dataclasses.replace(
+                case.summand, factors=tuple(factors)))
+            result = verify_q(case, {"n": n, "d": d})
+            assert (result.status, result.detail) == ("obstruction", (
+                "unpaired parametric factors (aq^1; q^2)^1, (q^3/a; q^2)^1 in the numerator: "
+                "each (aq^c; q^s)^p needs a (q^c/a; q^s)^p on its side")), cid
 
     @pytest.mark.parametrize("factors, orders", [
         ((ModulusFactor("q_integer"), ModulusFactor("cyclotomic")), ["3", "9"]),
@@ -1597,18 +1609,14 @@ class TestParamRing:
         assert (px, py, a, b) == operands
 
     def test_avatars_split_into_powers_of_a(self):
-        # the factors at j = 1 of (q; q^2), (aq; q^2) and (q/a; q^2), and of
-        # (q^-5; q^2) and (a q^-5; q^2), in Z[a][q, 1/q]
+        # the factors at j = 1 of (q; q^2) and (q^-5; q^2) in Z[b][q, 1/q]
         ring = _ParamRing(_Ring())
 
         def factor(c, param):
             return ring.factor(ConcreteFactor(c, 2, 1, param), 1)[0]
 
         assert factor(1, "") == ({0: [1, 0, 0, -1]}, 0)         # 1 - q^3
-        assert factor(1, "aq") == ({0: [1], 1: [0, 0, 0, -1]}, 0)   # 1 - a q^3
-        assert factor(1, "q_div_a") == ({0: [0, 0, 0, -1], 1: [1]}, 0)  # a - q^3
         assert factor(-5, "") == ({0: [-1, 0, 0, 1]}, -3)       # 1 - q^-3
-        assert factor(-5, "aq") == ({0: [0, 0, 0, 1], 1: [-1]}, -3)  # 1 - a q^-3
         # a paired factor (1 - a q^e)(1 - q^e / a) = 1 - b q^e + q^(2e) at
         # e = 3, 0 and -3 in Z[b][q, 1/q], b = a + 1/a; its b^1 part sits
         # -e places above the shared shift 2e where e < 0

@@ -227,7 +227,8 @@ class TestSummandCompilation:
 
     @pytest.mark.parametrize("num, den, expected", [
         # (c, s, power, param) of each factor; the b factors the view keeps,
-        # or None where some parametric factor has no partner
+        # or None where some parametric factor has no partner, which paired
+        # refuses
         ([(1, 2, 1, ""), (1, 2, 1, "aq"), (1, 2, 1, "q_div_a")],
          [(4, 4, 1, "q_div_a"), (4, 4, 1, "aq")], ([(1, 2, 1)], [(4, 4, 1)])),
         ([(3, 2, 1, "aq"), (1, 2, 2, "aq"), (1, 2, 2, "q_div_a"), (3, 2, 1, "q_div_a")], [],
@@ -245,10 +246,11 @@ class TestSummandCompilation:
         summand = ConcreteSummand(m=1, r=0, e0=0, delta1=1, delta2=0,
                                   num=tuple(ConcreteFactor(*f) for f in num),
                                   den=tuple(ConcreteFactor(*f) for f in den))
-        view = paired(summand)
         if expected is None:
-            assert view is None
+            with pytest.raises(SpecError, match="^unpaired parametric factors "):
+                paired(summand)
             return
+        view = paired(summand)
         for side, before, pairs in ((view.num, summand.num, expected[0]),
                                     (view.den, summand.den, expected[1])):
             assert [f for f in side if not f.param] == [f for f in before if not f.param]

@@ -156,11 +156,27 @@ class TestRegistryValidation:
         with pytest.raises(RegistryError, match="unbalanced"):
             load_registry(self._write(tmp_path, {"format": 1, "cases": [case]}))
 
+    def test_parameter_factors_balance_by_power(self, tmp_path):
+        # thm2's numerator pair raised to power 2: one q/a entry on each
+        # side, but the powers 2 and 1 leave a 1/a unit per term step that
+        # the oracle's avatars would strip from one side only
+        doc = json.loads(default_registry_path().read_text())
+        [case] = [case for case in doc["cases"] if case["id"] == "thm2"]
+        for factor in case["summand"]["factors"]:
+            if factor["side"] == "num" and factor.get("param"):
+                factor["power"] = 2
+        doc["cases"] = [case]
+        with pytest.raises(RegistryError, match=re.escape(
+                "thm2: unbalanced q/a factors (total power 2 num vs 1 den)")):
+            load_registry(self._write(tmp_path, doc))
+
     def test_parametric_modulus_needs_product_spec(self, tmp_path):
         case = self._minimal_case()
         case["summand"]["factors"] += [
             {"exp": "1", "step": "2", "side": "num", "power": 1, "param": "aq"},
+            {"exp": "1", "step": "2", "side": "num", "power": 1, "param": "q_div_a"},
             {"exp": "4", "step": "4", "side": "den", "power": 1, "param": "aq"},
+            {"exp": "4", "step": "4", "side": "den", "power": 1, "param": "q_div_a"},
         ]
         case["modulus"]["factors"].append({"kind": "a_minus_qn"})
         with pytest.raises(RegistryError, match="specialized_product"):

@@ -138,19 +138,21 @@ def _imports(node):
 
 # module -> {module it imports from: the only names it may import from it}.
 # The oracle stays a second route independent of the fast one: of the
-# kernel it reads the integer division and the lift's arithmetic (its fold
-# and, for witnesses, its products), never the factor ring that cancels
-# Phi_m, and nothing of the lanes; of the exponent layer it reads the
-# summand as compiled, its avatars included, never the fast route's paired
-# view (``paired``).  The kernel serves both routes and reads
-# neither, and the fast route runs on integers alone: no Fraction
-# polynomial and no Q(a).  Both routes compile from the exponent layer,
-# which builds integer lists only.
+# kernel it reads the integer division and trimming alone, never the
+# factor ring, and nothing of the lanes; of the exponent layer it reads
+# the summand as compiled, never the fast route's paired view
+# (``paired``), and it builds its own avatars.  The kernel serves the fast
+# route alone, with one parametric form (the paired one), so it reads no
+# avatar, and it reads neither route; the fast route runs on integers
+# alone: no Fraction polynomial and no Q(a).  Both routes compile from the
+# exponent layer, which builds integer lists only.
 BOUNDARIES = {
-    "oracle.py": {"ring": {"_Lift", "_monic_divmod", "_trimmed"}, "engine": set(),
-                  "qobjects": {"ConcreteClosedForm", "ConcreteSummand", "_avatar", "_sums", "atom",
+    "oracle.py": {"ring": {"_monic_divmod", "_trimmed"}, "engine": set(),
+                  "qobjects": {"ConcreteClosedForm", "ConcreteSummand", "_sums", "atom",
                                "bracket", "cyclotomic"}},
-    "ring.py": {"engine": set(), "oracle": set(), "polys": set(), "paramfield": set()},
+    "ring.py": {"engine": set(), "oracle": set(), "polys": set(), "paramfield": set(),
+                "qobjects": {"ConcreteClosedForm", "ConcreteSummand", "atom", "bracket",
+                             "closed_form_content", "cyclotomic"}},
     "engine.py": {"polys": set(), "paramfield": set()},
     "qobjects.py": {"polys": set(), "paramfield": set()},
 }
@@ -178,7 +180,8 @@ def test_guard_flags_an_import_across_a_boundary(tmp_path):
         "from .ring import _Lift, _Ring, _factor_rings, _trimmed\n"
     )
     (tmp_path / "ring.py").write_text(
-        "from typing import TYPE_CHECKING\n\nfrom . import oracle\n\n"
+        "from typing import TYPE_CHECKING\n\nfrom . import oracle\n"
+        "from .qobjects import _avatar, atom\n\n"
         "if TYPE_CHECKING:\n    from .polys import LaurentPoly\nelse:\n    from .qobjects import cyclotomic\n\n\n"
         "def late():\n    from .engine import verify_q\n    return verify_q\n"
     )
@@ -189,9 +192,11 @@ def test_guard_flags_an_import_across_a_boundary(tmp_path):
         "from .exprs import eval_int\nfrom .polys import LaurentPoly\n"
     )
     assert boundary_violations(tmp_path) == [
-        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "qobjects", "paired"),
+        ("oracle.py", "engine", "_horner_sum_int"), ("oracle.py", "qobjects", "_avatar"),
+        ("oracle.py", "qobjects", "paired"), ("oracle.py", "ring", "_Lift"),
         ("oracle.py", "ring", "_Ring"), ("oracle.py", "ring", "_factor_rings"),
-        ("ring.py", "oracle", "*"), ("ring.py", "engine", "verify_q"),
+        ("ring.py", "oracle", "*"), ("ring.py", "qobjects", "_avatar"),
+        ("ring.py", "engine", "verify_q"),
         ("engine.py", "paramfield", "*"), ("engine.py", "polys", "LaurentPoly"),
         ("qobjects.py", "polys", "LaurentPoly"),
     ]
