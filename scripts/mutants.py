@@ -87,16 +87,33 @@ MUTANTS = (
         "return [0] * (i + 1) + first",
         ("tests/test_engine.py::TestLiftedRing::test_products_match_the_schoolbook",),
     ),
-    # the one-add fold of an E = 1 lift keeps only the residues that both
-    # halves reach, dropping the tail of the lower half
+    # a shift in the cyclic ring (E = 1) rotates one place too far
     Mutant(
-        "strided_fold_one_add_drops_tail",
+        "cyclic_rotation_off_by_one",
         RING,
-        "[u + v for u, v in zip(coeffs, coeffs[step:])]\n"
-        "                                + coeffs[len(coeffs) - step:step])",
-        "[u + v for u, v in zip(coeffs, coeffs[step:])])",
-        ("tests/test_engine.py::TestLiftedRing::"
-         "test_reduce_matches_the_block_fold_and_the_remainder",),
+        "r, m = k % self.step, self.step",
+        "r, m = (k + 1) % self.step, self.step",
+        ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",
+         "tests/test_engine.py::TestLiftedRing::test_cyclic_ring_rotates_and_folds"),
+    ),
+    # the cyclic bracket drops the floor(t/m) sum(x) term, as if [t] were
+    # [t mod m]
+    Mutant(
+        "cyclic_bracket_drops_whole_turns",
+        RING,
+        "whole *= sums[m]",
+        "whole *= 0",
+        ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",
+         "tests/test_engine.py::TestLiftedRing::test_cyclic_ring_rotates_and_folds"),
+    ),
+    # each Horner pass stops one term before its last live term
+    Mutant(
+        "live_cut_one_term_short",
+        RING,
+        "max((k for k, v in walk if v < e), default=-1)",
+        "max((k for k, v in walk if v < e), default=-1) - 1",
+        ("tests/test_engine.py::TestPerFactorRoute::test_each_pass_stops_at_its_last_live_term",
+         "tests/test_differential.py::test_fast_route_oracle_and_sympy_agree"),
     ),
     # a paired factor 1 - b q^e + q^(2e) enters with its b^0 part as
     # 1 + q^e
@@ -239,14 +256,6 @@ MUTANTS = (
         "self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]",
         "self.lift = [comb(e, j) * (-1) ** (e - j + 1) for j in range(e)]",
         ("tests/test_engine.py::TestLiftedRing::test_lift_matches_dense_residues",),
-    ),
-    Mutant(
-        "strided_fold_stride_off_by_one",
-        RING,
-        "sum(coeffs[i::step])",
-        "sum(coeffs[i::step + 1])",
-        ("tests/test_engine.py::TestLiftedRing::"
-         "test_reduce_matches_the_block_fold_and_the_remainder",),
     ),
     # the denominator product stays 1, so a pair's right sum is SS alone
     # and a failing a = q^(+-n) leg builds its witness from SS alone; the

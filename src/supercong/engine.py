@@ -191,17 +191,17 @@ def _congruence_holds(summand: ConcreteSummand, bound: int, right, support: dict
     ring is a _ParamRing over Z[b], b = a + 1/a.  Cancelling Phi_m from the
     plain atoms adds no degree in b.  In each ring the left sum's Horner
     state starts at the right side (RN, RD), the closed form's or the
-    second sum's (SS, Dacc), and ends as the cross-multiplied difference,
-    which must vanish."""
+    second sum's (SS, Dacc), and ends, at the ring's last live term
+    (``live``), as the cross-multiplied difference, which must vanish."""
     sums = [(paired(s), b) for s, b in _sums(summand, bound, right)]
     closed = right if len(sums) == 1 else None
     parametric = any(f.param for s, _ in sums for f in s.num + s.den)
-    (summand, bound), *rest = sums
+    summand, *rest = [s for s, _ in sums]
     for ring in _factor_rings(support, closed, n, *sums):
         ring = _ParamRing(ring) if parametric else ring
         other = (_closed_form_sides_int(closed, n, ring) if closed is not None
-                 else _horner_sum_int(*rest[0], ring))
-        if not ring.vanishes(_horner_sum_int(summand, bound, ring, right=other)[0]):
+                 else _horner_sum_int(rest[0], ring.live[1], ring))
+        if not ring.vanishes(_horner_sum_int(summand, ring.live[0], ring, right=other)[0]):
             return False
     return True
 

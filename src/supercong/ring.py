@@ -15,23 +15,23 @@ S == R (mod Phi_m^e) holds iff Phi_m^c W RD' (S - R) == 0 (mod Phi_m^(e+c)),
 which stays correct where individual terms have poles at Phi_m (naive
 term-by-term inversion would falsely obstruct there).
 
-With E = e_m + c_m, the sums are built in the lift Z[q]/((q^m - 1)^E):
-Phi_m^E divides the sparse (q^m - 1)^E, so reducing modulo it is a ring
-map onto Z[q]/(Phi_m^E), and it folds a coefficient in O(E) where the
-dense Phi_m^E costs O(deg): m coefficients at a time for E >= 2, and for
-E = 1, where q^m == 1, by one addition of the two halves of a list of at
-most 2m coefficients (a product of two reduced elements) or by one strided
-sum per residue of a longer one.  Only the final test, one monic division
-per power of a, reduces modulo Phi_m^E itself.  Atoms enter one at a time,
-each entered and reduced once to at most E + 1 terms; a product takes one
-row per nonzero coefficient of the sparser factor, copying the first and
-adding the rest (a monomial factor is one shifted copy), so multiplying by
-an atom costs linear time and one list pass, and a bracket [t] is
-multiplied in by running sums.  Everything here runs over plain integer
-coefficient lists (every modulus here is monic with integer coefficients,
-so remainders stay integral), with coefficients in Z[b], b = a + 1/a
-(``_ParamRing``) where a sum carries the parameter a.  Only the fast route
-reads this module's rings; the oracle reads its integer division alone.
+With E = e_m + c_m, the sums are built modulo a sparse multiple of
+Phi_m^E, so reducing is a ring map onto Z[q]/(Phi_m^E) that folds a
+coefficient in O(E) where the dense Phi_m^E costs O(deg).  For E = 1 it is
+q^m - 1, the cyclic ring (``_Cyclic``): an element keeps at most m
+coefficients, a shift is a rotation and a sum one element-wise addition.
+For E >= 2 it is (q^m - 1)^E, the lift (``_Ring``), folded m coefficients
+at a time.  Only the final test, one monic division per power of b,
+reduces modulo Phi_m^E itself.  Atoms enter one at a time, each reduced
+once to at most E + 1 terms; a product takes one row per nonzero
+coefficient of the sparser factor, copying the first and adding the rest,
+so multiplying by an atom costs linear time and one list pass, and a
+bracket [t] is multiplied in by running sums.  Everything here runs over
+plain integer coefficient lists (every modulus here is monic with integer
+coefficients, so remainders stay integral), with coefficients in Z[b],
+b = a + 1/a (``_ParamRing``) where a sum carries the parameter a.  Only
+the fast route reads this module's rings; the oracle reads its integer
+division alone.
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ class _Ring:
 
     For e >= 1, coeffs are kept reduced modulo the sparse multiple
     L = (q^m - 1)^e = sum_j C(e, j) (-1)^(e - j) q^(mj), which is monic of
-    degree me.  Z[q] -> Z[q]/(L) -> Z[q]/(Phi_m^e) are ring maps and q is a
-    unit in both, so every sum and product computed here maps to the one
-    modulo Phi_m^e; only ``vanishes`` reduces modulo ``modulus``, the
-    dense Phi_m^e itself.  An element that is zero here is zero modulo
-    Phi_m^e, but not conversely.
+    degree me (``_factor_rings`` builds it for e >= 2).  Z[q] -> Z[q]/(L)
+    -> Z[q]/(Phi_m^e) are ring maps and q is a unit in both, so every sum
+    and product computed here maps to the one modulo Phi_m^e; only
+    ``vanishes`` reduces modulo ``modulus``, the dense Phi_m^e itself.  An
+    element that is zero here is zero modulo Phi_m^e, but not conversely.
 
     Given ``powers`` = [Phi_m^0, ..., Phi_m^(e + c)] it decides modulo
     Phi_m^(e + c) and cancels Phi_m: every atom and bracket that Phi_m
@@ -134,32 +134,20 @@ class _Ring:
     """
 
     def __init__(self, modulus: Optional[list] = None, m: int = 1, e: int = 0,
-                 powers: Optional[list] = None, c: int = 0):
-        self.m = modulus
-        self.step = m
-        self.top = m * e
+                 powers: Optional[list] = None, c: int = 0, live: tuple = ()):
+        self.m, self.live, self.step, self.top = modulus, live, m, m * e
         # the coefficients of q^0, q^m, ..., q^(m(e - 1)) in L
         self.lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
         self.powers, self.c = powers, c
 
     def _reduce(self, coeffs: list) -> list:
-        """coeffs modulo L; the list itself is folded, so callers pass one
-        of their own.  Where q^m == 1 (e = 1) a list of at most 2m
-        coefficients folds by one addition of its two halves, and a longer
-        one, such as a zero-padded upshift, by one strided sum per residue;
-        for e >= 2 the top m coefficients fold at a time."""
+        """coeffs modulo L, the top m coefficients folded at a time; the
+        list itself is folded, so callers pass one of their own."""
         step, top = self.step, self.top
         if len(coeffs) <= top or not self.lift:
             return _trimmed(coeffs)
-        if len(self.lift) == 1:
-            # q^m == 1: coefficient i is the sum of those at i + m*K, the
-            # two halves added once when K is at most 1
-            if len(coeffs) <= 2 * step:
-                return _trimmed([u + v for u, v in zip(coeffs, coeffs[step:])]
-                                + coeffs[len(coeffs) - step:step])
-            return _trimmed([sum(coeffs[i::step]) for i in range(step)])
-        # q^(top + i) == -sum_j lift[j] q^(mj + i): fold the top m
-        # coefficients at a time; each lands at least m places lower
+        # q^(top + i) == -sum_j lift[j] q^(mj + i): each block lands at
+        # least m places lower
         hi = len(_trimmed(coeffs))
         while hi > top:
             lo = max(hi - step, top)
@@ -173,12 +161,13 @@ class _Ring:
         return _trimmed(coeffs)
 
     def of(self, coeffs: list, shift: int = 0) -> tuple[list, int]:
-        return self._reduce(list(coeffs)), shift
+        return self.shift((self._reduce(list(coeffs)), 0), shift)
 
     one = property(lambda self: ([1], 0))
+    _product = staticmethod(_imul)   # the unreduced product of two lists
 
     def mul(self, x, y):
-        return self._reduce(_imul(x[0], y[0])), x[1] + y[1]
+        return self._reduce(self._product(x[0], y[0])), x[1] + y[1]
 
     def mul_bracket(self, x, t: int):
         """x * [t] for t != 0 by running sums, in O(len + |t|):
@@ -252,26 +241,85 @@ class _Ring:
         return self.mul(x, self.of(self.powers[i])) if i < len(self.powers) - 1 else None
 
 
+class _Cyclic(_Ring):
+    """The ring of a factor Phi_m^E with E = 1, built in Z[q]/(q^m - 1),
+    where q^m == 1: an element keeps at most m coefficients and the shift 0,
+    which no operation reads; ``of`` folds a list and its shift mod m."""
+
+    def _reduce(self, coeffs: list) -> list:
+        """coeffs modulo q^m - 1, each one past m added onto its residue, in place."""
+        m = self.step
+        if len(coeffs) > m:
+            for i in [i for i in range(m, len(coeffs)) if coeffs[i]]:
+                coeffs[i % m] += coeffs[i]
+            del coeffs[m:]
+        return _trimmed(coeffs)
+
+    def shift(self, x, k):
+        """x q^k: its m coefficients rotated by k mod m."""
+        r, m = k % self.step, self.step
+        if not (r and x[0]):
+            return x[0], 0
+        coeffs = x[0] + [0] * (m - len(x[0]))
+        return _trimmed(coeffs[m - r:] + coeffs[:m - r]), 0
+
+    def add(self, x, y):
+        a, b = sorted((x[0], y[0]), key=len)
+        return _trimmed([u + v for u, v in zip(a, b)] + b[len(a):]), 0
+
+    def _product(self, a: list, b: list) -> list:
+        """a * b modulo q^m - 1 for reduced a and b, as m coefficients (none
+        for a zero factor): the denser b rotated by i for each nonzero a[i]."""
+        if len(b) - b.count(0) < len(a) - a.count(0):
+            a, b = b, a
+        rows = [(i, x) for i, x in enumerate(a) if x]
+        m, out = self.step, None
+        b = b + [0] * (m - len(b))
+        for i, x in rows:
+            row = b[m - i:] + b[:m - i]
+            if out is None:
+                out = row if x == 1 else [x * v for v in row]
+            elif x == -1:
+                out = [u - v for u, v in zip(out, row)]
+            else:
+                out = [u + x * v for u, v in zip(out, row)]
+        return out or []
+
+    def mul_bracket(self, x, t: int):
+        """x * [t] for t != 0: [Km + r] == K (1 + ... + q^(m-1)) + [r] and
+        x (1 + ... + q^(m-1)) == sum(x) (1 + ... + q^(m-1)), so coefficient
+        j is K sum(x) + x[j-r+1] + ... + x[j], indices mod m."""
+        if t < 0:   # [t] = -q^t [-t]
+            return self.shift(self.mul_bracket(self.neg(x), -t), t)
+        m = self.step
+        whole, r = divmod(t, m)
+        coeffs = x[0] + [0] * (m - len(x[0]))
+        sums = list(accumulate(coeffs + coeffs, initial=0))
+        whole *= sums[m]
+        return _trimmed([b - a + whole for a, b in zip(sums[m + 1 - r:], sums[m + 1:])]), 0
+
+
 class _ParamRing(_Ring):
-    """The ring ``base`` with coefficients in Z[b], b = a + 1/a, for a
-    ``paired`` summand: ({i: coeffs}, shift) stands for
-    sum_i b^i coeffs(q) q^shift, no part zero.  The lift (q^m - 1)^e and
-    Phi_m^e are monic and free of b, so reducing acts on each power of b
-    alone, and an element vanishes modulo Phi_m^e iff every part does.  So
-    all but ``mul`` work part by part through the base ring's arithmetic;
-    ``mul`` sums the products of the parts into each power of b in place,
-    then reduces each sum once.  No operation writes into a list of its
-    operands.  It takes over the base's state, so atoms enter and terms
-    scale as there; only a paired factor enters here."""
+    """The ring ``base``, a lift or a cyclic ring, with coefficients in
+    Z[b], b = a + 1/a, for a ``paired`` summand: ({i: coeffs}, shift)
+    stands for sum_i b^i coeffs(q) q^shift, no part zero.  The sparse
+    modulus and Phi_m^e are monic and free of b, so reducing acts on each
+    power of b alone, and an element vanishes modulo Phi_m^e iff every part
+    does.  So all but ``mul`` work part by part through the base ring's
+    arithmetic; ``mul`` sums the base's products of the parts into each
+    power of b in place, then reduces each sum once.  No operation writes
+    into a list of its operands.  It takes over the base's state, so atoms
+    enter and terms scale as there; only a paired factor enters here."""
 
     def __init__(self, base: _Ring):
         vars(self).update(vars(base))
+        self.base = base
 
     one = property(lambda self: ({0: [1]}, 0))
 
     def _each(self, x, op):
-        """op, a base-ring map moving every shift alike, on each part."""
-        parts, shift = {}, x[1]
+        """op, a base-ring map moving every shift alike, on each part; zero has shift 0."""
+        parts, shift = {}, 0
         for i, coeffs in x[0].items():
             coeffs, shift = op((coeffs, x[1]))
             if coeffs:
@@ -281,7 +329,7 @@ class _ParamRing(_Ring):
     def of(self, coeffs, shift: int = 0):
         """An element from its parts, or from the one list of its b^0 part."""
         parts = coeffs if isinstance(coeffs, dict) else {0: coeffs}
-        return self._each((parts, shift), lambda x: _Ring.of(self, *x))
+        return self._each((parts, shift), lambda x: self.base.of(*x))
 
     def factor(self, f, j: int):
         """The j-th factor of the Pochhammer f.  A paired one (param "b"),
@@ -296,26 +344,29 @@ class _ParamRing(_Ring):
 
     def mul(self, x, y):
         """x * y.  Each part of the product is summed in place in the first
-        list _imul made for it, a list of its own, and reduced once."""
+        list made for it, a list of its own, and reduced once."""
         out = {}
         for i, c in x[0].items():
             for j, d in y[0].items():
-                p = _imul(c, d)
+                p = self.base._product(c, d)
                 acc = out.setdefault(i + j, p)
                 if acc is not p:
                     acc[:len(p)] = [u + v for u, v in zip(acc, p)] + p[len(acc):]
-        return {k: r for k, p in out.items() if (r := self._reduce(p))}, x[1] + y[1]
+        return {k: r for k, p in out.items() if (r := self.base._reduce(p))}, x[1] + y[1]
 
     def mul_bracket(self, x, t: int):
-        return self._each(x, lambda p: _Ring.mul_bracket(self, p, t))
+        return self._each(x, lambda p: self.base.mul_bracket(p, t))
 
     def add(self, x, y):
-        parts = {i: _Ring.add(self, (x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
+        parts = {i: self.base.add((x[0].get(i, []), x[1]), (y[0].get(i, []), y[1]))[0]
                  for i in x[0].keys() | y[0].keys()}
         return {i: c for i, c in parts.items() if c}, min(x[1], y[1])
 
     def neg(self, x):
-        return self._each(x, lambda p: _Ring.neg(self, p))
+        return self._each(x, self.base.neg)
+
+    def shift(self, x, k):
+        return self._each(x, lambda p: self.base.shift(p, k))
 
     def vanishes(self, x) -> bool:
         """x == 0 modulo Phi_m^e: every part is."""
@@ -323,8 +374,8 @@ class _ParamRing(_Ring):
 
 
 def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
-    """The Phi_m-valuation of every nonzero term k <= bound, from the
-    exponents alone (parametric factors are units modulo Phi_m)."""
+    """(k, v) for every nonzero term k <= bound, v its Phi_m-valuation, from
+    the exponents alone (parametric factors are units modulo Phi_m)."""
     num = [f for f in summand.num if not f.param]
     den = [f for f in summand.den if not f.param]
     vals, v = [], 0
@@ -336,18 +387,17 @@ def _term_valuations(summand: ConcreteSummand, bound: int, m: int) -> list:
             v -= sum(f.power for f in den if _divides(m, f.exponent_at(k - 1)))
         t = summand.prefactor_index(k)
         if t:
-            vals.append(v + _divides(m, t))
+            vals.append((k, v + _divides(m, t)))
     return vals
 
 
-def _pole_order(m: int, closed: Optional[ConcreteClosedForm], n: int, sums) -> int:
-    """c = max(0, -min_k v_k, -v(R)) at Phi_m over the terms of every
-    (summand, bound) in ``sums`` and the closed form R, v(R) read from its
-    cyclotomic content (none where R is zero)."""
+def _pole_order(m: int, closed: Optional[ConcreteClosedForm], n: int, walks) -> int:
+    """c = max(0, -min_k v_k, -v(R)) at Phi_m over the (k, v_k) of every
+    sum's ``walks`` and the closed form R, v(R) read from its cyclotomic
+    content (none where R is zero)."""
     content = closed_form_content(closed, n) if closed is not None else None
     v_closed = content[2].get(m, 0) if content is not None else 0
-    return max([0, -v_closed]
-               + [-v for summand, bound in sums for v in _term_valuations(summand, bound, m)])
+    return max([0, -v_closed] + [-v for walk in walks for _, v in walk])
 
 
 def _phi_powers(m: int, top: int) -> list:
@@ -361,7 +411,8 @@ def _phi_powers(m: int, top: int) -> list:
 
 def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *sums):
     """One ring for each Phi_m^e of the modulus, deciding modulo
-    Phi_m^(e + c) in the lift Z[q]/((q^m - 1)^(e + c)) (see _Ring).
+    Phi_m^E, E = e + c, in Z[q]/(q^m - 1) where E = 1 (_Cyclic) and in the
+    lift Z[q]/((q^m - 1)^E) otherwise (_Ring).
 
     The Phi_m^e are pairwise coprime and monic, so a polynomial is
     divisible by their product iff it is divisible by each one.  The ring
@@ -369,18 +420,23 @@ def _factor_rings(support: dict, closed: Optional[ConcreteClosedForm], n: int, *
     ``sums`` or of the closed form carries it; elsewhere no term has a pole
     at Phi_m, c = 0 and the sparse atoms enter as they are.  A term the
     ring drops as a multiple of Phi_m^(e + c) is zero in the final
-    reduction, so the lift changes no verdict.
+    reduction, so the lift changes no verdict.  Each sum's pass stops at
+    ``live``, its last k with v_k < e (or -1): every later term is a
+    multiple of Phi_m^e and every later denominator atom enters as a unit
+    modulo Phi_m, so the state vanishes iff it vanishes at k.
     """
     closed_den = closed.den if closed is not None else ()
     for m in sorted(support):
+        e, c, powers = support[m], 0, None
+        walks = [_term_valuations(summand, bound, m) for summand, bound in sums]
+        live = tuple(max((k for k, v in walk if v < e), default=-1) for walk in walks)
         den_exponents = chain(
             (f.exponent_at(j) for summand, bound in sums for f in summand.den
              if not f.param for j in range(bound)),
             (a + s * j for a, s, length in closed_den for j in range(length)),
         )
-        if any(_divides(m, e) for e in den_exponents):
-            c = _pole_order(m, closed, n, sums)
-            powers = _phi_powers(m, support[m] + c)
-            yield _Ring(powers[-1], m, support[m] + c, powers, c)
-        else:
-            yield _Ring(_phi_powers(m, support[m])[-1], m, support[m])
+        if any(_divides(m, x) for x in den_exponents):
+            c = _pole_order(m, closed, n, walks)
+            powers = _phi_powers(m, e + c)
+        ring = _Cyclic if e + c == 1 else _Ring
+        yield ring((powers or _phi_powers(m, e))[-1], m, e + c, powers, c, live)

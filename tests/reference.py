@@ -391,8 +391,7 @@ def block_fold(coeffs: list, m: int, e: int) -> list:
     """coeffs modulo L = (q^m - 1)^e (e >= 1), folding the top m
     coefficients at a time: q^(me + i) == -sum_j lift[j] q^(mj + i), where
     lift[j] is the coefficient of q^(mj) in L, and each block lands at least
-    m places lower.  The reference for the lifted ring's reduction, which
-    takes strided sums where e = 1."""
+    m places lower.  The reference for the lifted ring's reduction."""
     lift = [comb(e, j) * (-1) ** (e - j) for j in range(e)]
     coeffs, top = list(coeffs), m * e
     while coeffs and coeffs[-1] == 0:

@@ -61,7 +61,8 @@ from supercong.qobjects import (
 )
 from supercong.oracle import _term_parts, one_minus_q_power, oracle_congruence
 from supercong.registry import PairSide, ProductSpec, iter_sweep_params, load_registry
-from supercong.ring import _factor_rings, _imul, _monic_divmod, _ParamRing, _phi_powers, _Ring
+from supercong.ring import (_Cyclic, _factor_rings, _imul, _monic_divmod, _ParamRing, _phi_powers,
+                            _Ring, _term_valuations)
 
 
 def perturbed_exponent_case(registry):
@@ -1248,10 +1249,34 @@ class TestPerFactorRoute:
         support = modulus_support(case.modulus, 35)
         rings = list(_factor_rings(support, closed, 35, (summand, 34)))
         assert [len(ring.m) - 1 for ring in rings] == [4, 6, 72]
-        # the sums are built modulo (q^5 - 1), (q^7 - 1) and (q^35 - 1)^3
+        # the sums are built modulo (q^5 - 1), (q^7 - 1) and (q^35 - 1)^3,
+        # the first two cyclic
         assert [ring.top for ring in rings] == [5, 7, 105]
+        assert [type(ring) for ring in rings] == [_Cyclic, _Cyclic, _Ring]
         assert [ring.powers is not None for ring in rings] == [True, True, False]
         assert [ring.c for ring in rings[:2]] == [0, 0]
+
+    def test_each_pass_stops_at_its_last_live_term(self, registry, monkeypatch):
+        # thm1_2 at n=35, bound 34: from k = 18 on every term carries
+        # (1 - q^35)^3 from (q; q^2)_k^3, a multiple of Phi_35^3, so the
+        # Phi_35^3 ring's pass runs k <= 17.  In the Phi_5 and Phi_7 rings
+        # (e = 1) the terms k = 32, 33, 34 have valuations 1, 4, 5 and
+        # 3, 3, 4, and term 31 valuation 0.
+        passes = []
+        horner = engine._horner_sum_int
+
+        def counted(summand, bound, ring, right=None):
+            passes.append((ring.step, bound))
+            return horner(summand, bound, ring, right=right)
+
+        monkeypatch.setattr(engine, "_horner_sum_int", counted)
+        summand, bound, closed, support, n = statement_leg(registry.get("thm1_2"), 35, None)
+        assert bound == 34 and _congruence_holds(summand, bound, closed, support, n)
+        assert passes == [(5, 31), (7, 31), (35, 17)]
+        walks = {m: dict(_term_valuations(paired(summand), bound, m)) for m in (5, 7, 35)}
+        assert walks[35][17] == 0 and min(walks[35][k] for k in range(18, 35)) == 3
+        assert [walks[5][k] for k in range(31, 35)] == [0, 1, 4, 5]
+        assert [walks[7][k] for k in range(31, 35)] == [0, 3, 3, 4]
 
     def test_pole_enlarges_only_its_own_factor(self, registry):
         # lemma2 at d=3, n=11: a term has a simple pole at Phi_11, so the
@@ -1419,18 +1444,30 @@ KERNEL_LISTS = st.lists(
     st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-10**12, 10**12)), max_size=14)
 
 
-class TestLiftedRing:
-    """The per-factor rings compute modulo (q^m - 1)^E and reduce modulo
-    Phi_m^E only in the comparison."""
+def factor_ring(m, e, cancels=False):
+    """The ring ``_factor_rings`` builds for Phi_m^e, cyclic at e = 1; with
+    ``cancels``, one that cancels Phi_m, which the closed form
+    (q^m; q^m)_1 / (q^m; q^m)_1 makes it do at pole order 0."""
+    closed = ConcreteClosedForm("ratio", num=((m, m, 1),), den=((m, m, 1),)) if cancels else None
+    [ring] = _factor_rings({m: e}, closed, m)
+    assert type(ring) is (_Cyclic if e == 1 else _Ring) and ring.c == 0
+    assert (ring.powers is not None) == cancels
+    return ring
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 4), RING_STEPS)
+
+class TestLiftedRing:
+    """The per-factor rings compute modulo q^m - 1 (E = 1) or (q^m - 1)^E
+    and reduce modulo Phi_m^E only in the comparison."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 4), RING_STEPS)
+    @example(7, 1, [("shift", 3), ("bracket", 16), ("bracket", -9)]).via(
+        "a cyclic rotation and brackets past m")
     def test_lift_matches_dense_residues(self, m, e, steps):
-        # a Horner-like run: p collects atoms, shifts and scalings by
-        # Phi_m^v, h collects p times brackets and is itself multiplied by
-        # atoms
-        powers = _phi_powers(m, e)
-        ring, cancelling = _Ring(powers[-1], m, e), _Ring(powers[-1], m, e, powers)
+        # a Horner-like run in the rings _factor_rings builds, cyclic at
+        # e = 1: p collects atoms, shifts and scalings by Phi_m^v, h
+        # collects p times brackets and is itself multiplied by atoms
+        ring, cancelling = factor_ring(m, e), factor_ring(m, e, cancels=True)
         ints = IntResidues(m, e)
         p, h = ring.one, ring.of([], 0)
         ref_p, ref_h = [1], []
@@ -1454,16 +1491,17 @@ class TestLiftedRing:
                 h = ring.add(h, term)
                 ref_h = ints.add(ref_h, ints.mul(ref_p, ints.bracket(value)))
             assert len(p[0]) <= m * e and len(h[0]) <= m * e
+            assert e > 1 or p[1] == h[1] == 0
         for x, ref in ((p, ref_p), (h, ref_h)):
             assert ints.shift(ints.reduce(x[0]), x[1]) == ref
             assert same_ratio(ring, x, ring.one, ring.of(*atom(m)), ring.one) == (
                 ref == ints.atom(m))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 30), st.randoms())
+    @given(st.integers(1, 40), st.integers(2, 4), st.integers(0, 30), st.randoms())
     def test_reduce_matches_the_block_fold_and_the_remainder(self, m, e, blocks, rnd):
-        # strided sums at e = 1, the block fold above; both are the
-        # remainder modulo the expanded (q^m - 1)^e
+        # the lift's block fold is the remainder modulo the expanded
+        # (q^m - 1)^e; e = 1 is the cyclic ring's (below)
         coeffs = [rnd.choice((0, 1, -1, rnd.randint(-10**9, 10**9)))
                   for _ in range(rnd.randint(0, blocks * m))]
         folded = _Ring(None, m, e)._reduce(list(coeffs))
@@ -1494,6 +1532,22 @@ class TestLiftedRing:
         assert ring.of([0] * 9 + [1]) == ([-2, 0, 0, 3], 0)
         assert ring.mul_bracket(ring.one, 7) == ring.of([1] * 7)
         assert ring.mul_bracket(([2, 5], 1), -3) == ring.mul(([2, 5], 1), ring.of([-1] * 3, -3))
+
+    def test_cyclic_ring_rotates_and_folds(self):
+        # modulo q^7 - 1: q^7 == 1, a shift is a rotation, and
+        # [16] == 2 (1 + ... + q^6) + [2]
+        ring = factor_ring(7, 1)
+        assert ring.of([0] * 9 + [5]) == ([0, 0, 5], 0)
+        assert ring.of([1, 2], -1) == ([2, 0, 0, 0, 0, 0, 1], 0)
+        assert ring.shift(([1, 2], 0), 12) == ([0, 0, 0, 0, 0, 1, 2], 0)
+        assert ring.shift(([1, 2], 0), 14) == ([1, 2], 0)
+        assert ring.mul(ring.of([0, 0, 0, 0, 0, 1, 1]), ring.of([0, 0, 1])) == ([1, 1], 0)
+        assert ring.mul_bracket(([1, 2], 0), 16) == ([7, 9, 8, 6, 6, 6, 6], 0)
+        assert ring.mul_bracket(([1, 2], 0), 16) == ring.mul(([1, 2], 0), ring.of([1] * 16))
+        assert ring.mul_bracket(([2, 5], 0), -3) == ring.mul(([2, 5], 0), ring.of([-1] * 3, -3))
+        assert ring.mul_bracket(([1, 2], 0), 14) == ([6, 6, 6, 6, 6, 6, 6], 0)
+        assert ring.add(([1, 2, 3], 0), ([-1, -2], 0)) == ([0, 0, 3], 0)
+        assert ring.add(([1, 2], 0), ([-1, -2], 0)) == ([], 0)
 
     def test_products_loop_over_the_sparser_factor(self):
         dense = list(range(1, 60))
@@ -1538,15 +1592,17 @@ class TestParamRing:
     on the operands at a = t."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 3), st.integers(-3, 3), PARAM_ELEMENTS,
+    @given(st.integers(1, 60), st.integers(1, 3), st.integers(-3, 3), PARAM_ELEMENTS,
            PARAM_ELEMENTS, st.integers(-30, 60).filter(bool), st.integers(-5, 5), st.booleans())
+    @example(7, 1, 2, ({0: [1, 2], 1: [3]}, 2), ({1: [1, 1, 1, 1, 1, 1, 1, 1]}, -1), 16, 9,
+             False).via("a cyclic base, a bracket past m")
     def test_parts_evaluate_to_the_base_ring(self, m, e, t, x, y, t_bracket, k, cancels):
-        # over a base ring that cancels Phi_m, too: the same lift and
-        # modulus, with the entry points that cancel (Phi_1 divides no
-        # bracket, and no modulus has it)
+        # over the ring _factor_rings builds for Phi_m^e, cyclic at e = 1,
+        # and over one that cancels Phi_m, with the entry points that
+        # cancel (Phi_1 divides no bracket, and no modulus has it)
         assume(m > 1 or not cancels)
         powers = _phi_powers(m, e)
-        base = _Ring(powers[-1], m, e, powers if cancels else None)
+        base = factor_ring(m, e, cancels)
         ring = _ParamRing(base)
         ints = IntResidues(m, e)
 
@@ -1591,22 +1647,22 @@ class TestParamRing:
         assert ring.is_zero(ring.add(px, ring.neg(px)))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 3), PARAM_ELEMENTS, PARAM_ELEMENTS,
+    @given(st.integers(1, 60), st.integers(1, 3), PARAM_ELEMENTS, PARAM_ELEMENTS,
            KERNEL_LISTS, KERNEL_LISTS)
     def test_products_leave_their_operands_unchanged(self, m, e, x, y, a, b):
         # the product sums its parts in lists of its own, and reduces
-        # only those; a scaled term is a product too
-        powers = _phi_powers(m, e)
-        base = _Ring(powers[-1], m, e, powers)
+        # only those; a scaled term is a product too.  The base ring, cyclic
+        # at e = 1, multiplies reduced elements, as every element is
+        base = factor_ring(m, e, cancels=True)
         ring = _ParamRing(base)
-        px, py = ring.of(*x), ring.of(*y)
-        operands = copy.deepcopy((px, py, a, b))
+        px, py, ra, rb = ring.of(*x), ring.of(*y), base.of(a)[0], base.of(b)[0]
+        operands = copy.deepcopy((px, py, a, b, ra, rb))
         for product in (ring.mul(px, py), ring.mul(py, px), ring.scale(px, e - 1)):
             held = [id(c) for z in (px, py) for c in z[0].values()]
             assert not {id(c) for c in product[0].values()} & set(held)
         _imul(a, b)
-        base.mul((a, 0), (b, 0))
-        assert (px, py, a, b) == operands
+        base.mul((ra, 0), (rb, 0))
+        assert (px, py, a, b, ra, rb) == operands
 
     def test_avatars_split_into_powers_of_a(self):
         # the factors at j = 1 of (q; q^2) and (q^-5; q^2) in Z[b][q, 1/q]
