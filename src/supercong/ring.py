@@ -244,7 +244,7 @@ class _Ring:
 class _Cyclic(_Ring):
     """The ring of a factor Phi_m^E with E = 1, built in Z[q]/(q^m - 1),
     where q^m == 1: an element keeps at most m coefficients and the shift 0,
-    which no operation reads; ``of`` folds a list and its shift mod m."""
+    and ``of`` folds a list and its shift into residues mod m."""
 
     def _reduce(self, coeffs: list) -> list:
         """coeffs modulo q^m - 1, each one past m added onto its residue, in place."""
@@ -318,7 +318,8 @@ class _ParamRing(_Ring):
     one = property(lambda self: ({0: [1]}, 0))
 
     def _each(self, x, op):
-        """op, a base-ring map moving every shift alike, on each part; zero has shift 0."""
+        """op, a base-ring map moving every shift alike, on each part; an
+        element with no parts has shift 0, as a cyclic base's elements do."""
         parts, shift = {}, 0
         for i, coeffs in x[0].items():
             coeffs, shift = op((coeffs, x[1]))
